@@ -60,6 +60,7 @@ from .series import (
     half_pyramid_rhs,
     iterate_half_pyramids,
     piece_count_sequence,
+    series_family,
     series_pyramids,
     series_towers,
     solve_half_pyramids,

@@ -19,12 +19,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .errors import ConsistencyError, DegreeCapError, UnsupportedConfigurationError
 from .model import PieceSet, Rule, Shape
 from .polynomials import HPoly, IntPoly, PolyTY, h_resultant
-from .series import TruncatedSeries, series_pyramids, series_towers, solve_half_pyramids
+from .series import TruncatedSeries, series_family
 
 __all__ = [
     "BivariatePolynomial",
@@ -163,18 +161,10 @@ def _relation_for_shape(pieces: PieceSet, shape: Shape) -> HPoly:
     return g
 
 
-def _series_for_shape(pieces: PieceSet, shape: Shape, order: int) -> TruncatedSeries:
-    h = solve_half_pyramids(pieces, order)
-    if shape is Shape.HALF_PYRAMID:
-        return h
-    p = series_pyramids(h, pieces)
-    if shape is Shape.PYRAMID:
-        return p
-    return series_towers(p, h)
-
-
 def _irreducible_factors(poly: PolyTY) -> list[BivariatePolynomial]:
     """Irreducible factors over the rationals with positive y-degree."""
+    import sympy  # the only use; importing it costs most of the CLI's start-up
+
     t, y = sympy.symbols("t y")
     expr = sympy.Add(
         *(c * t**i * y**j for (i, j), c in poly.items())
@@ -214,7 +204,7 @@ def annihilating_polynomial(
             f"elimination supports piece sizes up to {_MAX_PIECE_SIZE}, "
             f"got {pieces.max_size}"
         )
-    series = _series_for_shape(pieces, shape, verify_order)
+    series = series_family(pieces, verify_order, through=shape)[shape]
     if shape is Shape.HALF_PYRAMID:
         result = defining_polynomial_H(pieces)
         if not verify_annihilator(result, series):

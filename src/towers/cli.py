@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -32,13 +31,7 @@ from .recurrences import (
     extend_sequence,
     guess_recurrence,
 )
-from .series import (
-    coefficients_by_pieces,
-    piece_count_sequence,
-    series_pyramids,
-    series_towers,
-    solve_half_pyramids,
-)
+from .series import coefficients_by_pieces, piece_count_sequence, series_family
 
 _RULES = {"all": Rule.ALL_INTERFACES, "noalign": Rule.NO_EXACT_ALIGNMENT}
 _SHAPES = {"tower": Shape.TOWER, "pyramid": Shape.PYRAMID, "half": Shape.HALF_PYRAMID}
@@ -81,16 +74,6 @@ def _load_json(path: str) -> dict:
         return json.load(handle)
 
 
-def _shape_series(pieces: PieceSet, shape: Shape, order: int, weighted: bool):
-    h = solve_half_pyramids(pieces, order, weighted)
-    if shape is Shape.HALF_PYRAMID:
-        return h
-    p = series_pyramids(h, pieces, weighted)
-    if shape is Shape.PYRAMID:
-        return p
-    return series_towers(p, h)
-
-
 def cmd_enumerate(args: argparse.Namespace) -> int:
     pieces = _piece_set(args)
     shape = _SHAPES[args.shape]
@@ -120,14 +103,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_series(args: argparse.Namespace) -> int:
     pieces = _piece_set(args)
     shape = _SHAPES[args.shape]
+    # multi-size sets need the z-markers to recover piece counts
+    weighted = len(pieces.sizes) > 1 if args.by_pieces else args.weighted
+    series = series_family(pieces, args.order, weighted, through=shape)[shape]
     if args.by_pieces:
-        if len(pieces.sizes) == 1:
-            series = _shape_series(pieces, shape, args.order, weighted=False)
-            terms = coefficients_by_pieces(series, pieces)
-        else:
-            # multi-size sets need the z-markers to recover piece counts
-            series = _shape_series(pieces, shape, args.order, weighted=True)
+        if weighted:
             terms = piece_count_sequence(series, pieces)
+        else:
+            terms = coefficients_by_pieces(series, pieces)
         seq = Sequence(1, tuple(terms)) if terms else None
         if seq is None:
             raise UnsupportedConfigurationError(
@@ -140,8 +123,7 @@ def cmd_series(args: argparse.Namespace) -> int:
         else:
             _emit(args, jsonio.dumps(jsonio.sequence_to_json(seq)))
         return 0
-    series = _shape_series(pieces, shape, args.order, args.weighted)
-    if args.format in ("csv", "text") and not args.weighted:
+    if args.format in ("csv", "text") and not weighted:
         seq = Sequence(0, tuple(series.coeffs))
         text = jsonio.sequence_to_csv(seq) if args.format == "csv" else jsonio.sequence_to_text(seq)
         _emit(args, text)
@@ -266,25 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_thread_env() -> None:
-    raw = os.environ.get("TOWERS_THREADS")
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UnsupportedConfigurationError(f"TOWERS_THREADS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise UnsupportedConfigurationError("TOWERS_THREADS must be >= 0")
-    # Execution is sequential either way; the variable is validated so a cap
-    # can be honored later without changing the interface.
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_thread_env()
         return args.func(args)
     except SingularRecurrenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,9 +29,7 @@ from .series import (
     closed_form_pyramids,
     coefficients_by_pieces,
     half_pyramid_rhs,
-    series_pyramids,
-    series_towers,
-    solve_half_pyramids,
+    series_family,
 )
 
 __all__ = ["CheckResult", "verify_identities", "ACCEPTANCE_SETS"]
@@ -60,23 +58,17 @@ def _config_label(pieces: PieceSet) -> str:
     return "S={%s} %s" % (",".join(map(str, pieces.sizes)), pieces.rule.value)
 
 
-def _series_family(
-    pieces: PieceSet, order: int, tamper: TamperHook | None
+def _tampered(
+    pieces: PieceSet, family: dict[Shape, TruncatedSeries], tamper: TamperHook | None
 ) -> dict[Shape, TruncatedSeries]:
-    h = solve_half_pyramids(pieces, order)
-    if tamper is not None:
-        h = tamper(f"{_config_label(pieces)} half", h)
-    p = series_pyramids(h, pieces)
-    if tamper is not None:
-        p = tamper(f"{_config_label(pieces)} pyramid", p)
-    m = series_towers(p, h)
-    if tamper is not None:
-        m = tamper(f"{_config_label(pieces)} tower", m)
-    return {Shape.HALF_PYRAMID: h, Shape.PYRAMID: p, Shape.TOWER: m}
+    if tamper is None:
+        return family
+    label = _config_label(pieces)
+    return {shape: tamper(f"{label} {_shape_label(shape)}", s) for shape, s in family.items()}
 
 
 def _check_counts(pieces: PieceSet, max_area: int, tamper: TamperHook | None) -> list[CheckResult]:
-    family = _series_family(pieces, max_area, tamper)
+    family = _tampered(pieces, series_family(pieces, max_area), tamper)
     out = []
     for shape in _SHAPES:
         series = family[shape]
@@ -97,12 +89,10 @@ def _check_counts(pieces: PieceSet, max_area: int, tamper: TamperHook | None) ->
 
 def _check_weighted(pieces: PieceSet, max_area: int, tamper: TamperHook | None) -> list[CheckResult]:
     order = min(max_area, 10)
-    h = solve_half_pyramids(pieces, order, weighted=True)
-    p = series_pyramids(h, pieces, weighted=True)
-    m = series_towers(p, h)
-    plain = _series_family(pieces, order, tamper)
+    family = series_family(pieces, order, weighted=True)
+    plain = _tampered(pieces, series_family(pieces, order), tamper)
     out = []
-    for shape, weighted in ((Shape.HALF_PYRAMID, h), (Shape.PYRAMID, p), (Shape.TOWER, m)):
+    for shape, weighted in family.items():
         table = weight_polynomial(
             EnumerationQuery(pieces, shape, BoundKind.BY_AREA, order, weighted=True)
         )
@@ -120,7 +110,7 @@ def _check_weighted(pieces: PieceSet, max_area: int, tamper: TamperHook | None) 
 
 def _check_structure(pieces: PieceSet, order: int, tamper: TamperHook | None) -> CheckResult:
     """Fixed-point residual plus the coefficientwise 0 <= H <= P <= M chain."""
-    family = _series_family(pieces, order, tamper)
+    family = _tampered(pieces, series_family(pieces, order), tamper)
     h, p, m = family[Shape.HALF_PYRAMID], family[Shape.PYRAMID], family[Shape.TOWER]
     detail = ""
     residual = half_pyramid_rhs(h, pieces) - h
@@ -143,12 +133,9 @@ def _check_closed_forms(tamper: TamperHook | None, max_n: int = 20) -> list[Chec
     for k in range(1, 6):
         pieces = PieceSet.of(k)
         order = k * max_n
-        h = solve_half_pyramids(pieces, order)
-        if tamper is not None:
-            h = tamper(f"{_config_label(pieces)} half", h)
-        p = series_pyramids(h, pieces)
-        half_counts = coefficients_by_pieces(h, pieces)
-        pyr_counts = coefficients_by_pieces(p, pieces)
+        family = _tampered(pieces, series_family(pieces, order, through=Shape.PYRAMID), tamper)
+        half_counts = coefficients_by_pieces(family[Shape.HALF_PYRAMID], pieces)
+        pyr_counts = coefficients_by_pieces(family[Shape.PYRAMID], pieces)
         detail = ""
         for n in range(1, max_n + 1):
             if half_counts[n - 1] != closed_form_half_pyramids(k, n):
@@ -160,9 +147,8 @@ def _check_closed_forms(tamper: TamperHook | None, max_n: int = 20) -> list[Chec
         out.append(CheckResult(f"closed-form[k={k}]", not detail, detail))
     for rule in (Rule.ALL_INTERFACES, Rule.NO_EXACT_ALIGNMENT):
         pieces = PieceSet.of(2, rule=rule)
-        h = solve_half_pyramids(pieces, 2 * max_n)
-        m = series_towers(series_pyramids(h, pieces), h)
-        by_pieces = coefficients_by_pieces(m, pieces)
+        family = _tampered(pieces, series_family(pieces, 2 * max_n), tamper)
+        by_pieces = coefficients_by_pieces(family[Shape.TOWER], pieces)
         detail = ""
         for n in range(1, max_n + 1):
             if by_pieces[n - 1] != closed_form_dimer_towers(rule, n):
@@ -173,7 +159,7 @@ def _check_closed_forms(tamper: TamperHook | None, max_n: int = 20) -> list[Chec
 
 
 def _check_annihilators(pieces: PieceSet, order: int) -> list[CheckResult]:
-    family = _series_family(pieces, order, None)
+    family = series_family(pieces, order)
     out = []
     for shape in _SHAPES:
         detail = ""
@@ -191,7 +177,7 @@ def _check_annihilators(pieces: PieceSet, order: int) -> list[CheckResult]:
 def _check_guesses(pieces: PieceSet, tamper: TamperHook | None) -> list[CheckResult]:
     guess_terms, holdout = 60, 200
     order = guess_terms + holdout
-    family = _series_family(pieces, order, tamper)
+    family = _tampered(pieces, series_family(pieces, order), tamper)
     out = []
     for shape in _SHAPES:
         full = sequence_from_series(family[shape])

@@ -76,10 +76,9 @@ def decimal_str(value: Fraction, digits: int = 30) -> str:
     """Exact-rounding decimal rendering of a Fraction."""
     if value.denominator == 1:
         return _int_str(value.numerator)
-    sign = "-" if value < 0 else ""
-    scaled = abs(value) * 10**digits
-    rounded = round(scaled)  # banker's rounding on the exact rational
-    text = _int_str(rounded).rjust(digits + 1, "0")
+    rounded = round(value * 10**digits)  # banker's rounding on the exact rational
+    sign = "-" if rounded < 0 else ""  # a value that rounds to zero has no sign
+    text = _int_str(abs(rounded)).rjust(digits + 1, "0")
     whole, frac = text[:-digits], text[-digits:]
     frac = frac.rstrip("0")
     return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"

@@ -22,8 +22,10 @@ Pyramids and towers are rational in H:
     P = H / (1 - (k-1) * H)              (single size, no exact alignment)
     M = P / (1 - H)
 
-Both denominators have constant term 1, so series division stays in the
-integers.
+`series_pyramids` and `series_towers` compute exactly these two quotients
+with series division.  Both denominators have constant term 1, so the
+division stays in the integers.  `series_family` is the entry point: it
+solves H and derives P and M from it, stopping at the shape asked for.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import math
 from typing import Sequence, Union
 
 from .errors import ConsistencyError, UnsupportedConfigurationError
-from .model import PieceSet, Rule
+from .model import PieceSet, Rule, Shape
 from .zpoly import ZPolynomial
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
     "half_pyramid_rhs",
     "series_pyramids",
     "series_towers",
+    "series_family",
     "coefficients_by_pieces",
     "piece_count_sequence",
     "closed_form_half_pyramids",
@@ -54,10 +57,6 @@ Coefficient = Union[int, ZPolynomial]
 
 def _zero_like(sample: Coefficient) -> Coefficient:
     return ZPolynomial.zero(sample.sizes) if isinstance(sample, ZPolynomial) else 0
-
-
-def _one_like(sample: Coefficient) -> Coefficient:
-    return ZPolynomial.constant(sample.sizes, 1) if isinstance(sample, ZPolynomial) else 1
 
 
 class TruncatedSeries:
@@ -165,7 +164,7 @@ class TruncatedSeries:
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if exponent < 0:
-            raise ValueError("negative powers are not supported; use reciprocal")
+            raise ValueError("negative powers are not supported; divide instead")
         result = TruncatedSeries.one(
             self.order, self.coeffs[0].sizes if self.is_weighted else None
         )
@@ -180,30 +179,33 @@ class TruncatedSeries:
         zero = _zero_like(self.coeffs[0])
         return TruncatedSeries((zero,) * k + self.coeffs[: self.order + 1 - k], self.order)
 
-    def reciprocal(self) -> "TruncatedSeries":
-        """Inverse of a series whose constant term is 1 or -1.
+    def __truediv__(self, other):
+        """Quotient by a series whose constant term is 1 or -1.
 
-        With a unit constant term the usual back-substitution never leaves
-        the integers, which is why no rational arithmetic is needed.
+        One back-substitution, q_m = (a_m - sum_{j>=1} b_j q_{m-j}) / b_0.
+        With a unit constant term it never leaves the integers, which is
+        why no rational arithmetic is needed.
         """
-        c0 = self.coeffs[0]
-        if c0 == 1:
-            unit = 1
-        elif c0 == -1:
-            unit = -1
-        else:
-            raise ValueError(f"reciprocal needs constant term +-1, got {c0!r}")
-        n = self.order
-        zero = _zero_like(c0)
-        out: list[Coefficient] = [zero] * (n + 1)
-        out[0] = _one_like(c0) * unit
-        for m in range(1, n + 1):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        self._require_same_order(other)
+        b0 = other.coeffs[0]
+        if b0 != 1 and b0 != -1:
+            raise ValueError(f"division needs constant term +-1, got {b0!r}")
+        negate = b0 == -1
+        zero = _zero_like(self.coeffs[0])
+        divisor = [(j, b) for j, b in enumerate(other.coeffs) if j and b]
+        out: list[Coefficient] = []
+        for m, a in enumerate(self.coeffs):
             acc = zero
-            for j in range(1, m + 1):
-                if self.coeffs[j]:
-                    acc = acc + self.coeffs[j] * out[m - j]
-            out[m] = acc * (-unit)
-        return TruncatedSeries(tuple(out), n)
+            for j, b in divisor:
+                if j > m:
+                    break
+                q = out[m - j]
+                if q:
+                    acc = acc + b * q
+            out.append(acc - a if negate else a - acc)
+        return TruncatedSeries(tuple(out), self.order)
 
     def evaluate_ones(self) -> "TruncatedSeries":
         """Set every z marker to 1, turning a weighted series plain."""
@@ -325,10 +327,12 @@ def _pyramid_denominator(h: TruncatedSeries, pieces: PieceSet, weighted: bool) -
         return 1 - (pieces.single_size - 1) * h
     total = TruncatedSeries.zero(h.order, pieces.sizes if weighted else None)
     one_plus = h + 1
-    for i in pieces.sizes:
-        if i == 1:
+    power = one_plus  # (1+H)^i, one more factor per step of i
+    for i in range(2, pieces.max_size + 1):
+        power = power * one_plus
+        if i not in pieces.sizes:
             continue
-        term = (one_plus**i).shift(i) * (i - 1)
+        term = power.shift(i) * (i - 1)
         if weighted:
             term = term * ZPolynomial.marker(pieces.sizes, i)
         total = total + term
@@ -338,12 +342,29 @@ def _pyramid_denominator(h: TruncatedSeries, pieces: PieceSet, weighted: bool) -
 def series_pyramids(h: TruncatedSeries, pieces: PieceSet, weighted: bool = False) -> TruncatedSeries:
     """Pyramid series P from the half-pyramid series h."""
     _check_rule(pieces, weighted)
-    return h * _pyramid_denominator(h, pieces, weighted).reciprocal()
+    return h / _pyramid_denominator(h, pieces, weighted)
 
 
 def series_towers(p: TruncatedSeries, h: TruncatedSeries) -> TruncatedSeries:
     """Tower series M = P / (1 - H)."""
-    return p * (1 - h).reciprocal()
+    return p / (1 - h)
+
+
+def series_family(
+    pieces: PieceSet, order: int, weighted: bool = False, through: Shape = Shape.TOWER
+) -> dict[Shape, TruncatedSeries]:
+    """H, P and M through t^order, keyed by shape, stopping after `through`.
+
+    Each series is derived from the one before it, so asking for half
+    pyramids solves H only and asking for pyramids skips M.
+    """
+    h = solve_half_pyramids(pieces, order, weighted)
+    family = {Shape.HALF_PYRAMID: h}
+    if through is not Shape.HALF_PYRAMID:
+        p = family[Shape.PYRAMID] = series_pyramids(h, pieces, weighted)
+        if through is Shape.TOWER:
+            family[Shape.TOWER] = series_towers(p, h)
+    return family
 
 
 def coefficients_by_pieces(series: TruncatedSeries, pieces: PieceSet) -> list[int]:

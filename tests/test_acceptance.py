@@ -29,8 +29,7 @@ from towers.series import (
     closed_form_pyramids,
     coefficients_by_pieces,
     half_pyramid_rhs,
-    series_pyramids,
-    series_towers,
+    series_family,
     solve_half_pyramids,
 )
 
@@ -48,12 +47,6 @@ def criterion(number, description):
         print(f"criterion {number} FAIL: {description}")
         raise
     print(f"criterion {number} PASS: {description} [{time.time() - started:.1f}s]")
-
-
-def series_family(pieces, order, weighted=False):
-    h = solve_half_pyramids(pieces, order, weighted)
-    p = series_pyramids(h, pieces, weighted)
-    return {Shape.HALF_PYRAMID: h, Shape.PYRAMID: p, Shape.TOWER: series_towers(p, h)}
 
 
 def test_criterion_1_dimer_towers_all_interfaces():
@@ -82,8 +75,7 @@ def test_criterion_3_closed_forms_up_to_k5_n50():
     with criterion(3, "closed forms for k in 1..5, n <= 50"):
         for k in range(1, 6):
             pieces = PieceSet.of(k)
-            h = solve_half_pyramids(pieces, 50 * k)
-            p = series_pyramids(h, pieces)
+            h, p = series_family(pieces, 50 * k, through=Shape.PYRAMID).values()
             half_counts = coefficients_by_pieces(h, pieces)
             pyramid_counts = coefficients_by_pieces(p, pieces)
             for n in range(1, 51):

@@ -14,7 +14,7 @@ from towers.algebra import (
 from towers.errors import DegreeCapError, UnsupportedConfigurationError
 from towers.model import PieceSet, Rule, Shape
 from towers.polynomials import IntPoly, h_resultant, sylvester_resultant
-from towers.series import series_pyramids, series_towers, solve_half_pyramids
+from towers.series import series_family, solve_half_pyramids
 
 DIMER = PieceSet.of(2)
 DIMER_NOALIGN = PieceSet.of(2, rule=Rule.NO_EXACT_ALIGNMENT)
@@ -22,14 +22,6 @@ DIMER_NOALIGN = PieceSet.of(2, rule=Rule.NO_EXACT_ALIGNMENT)
 
 def bivariate(*rows):
     return BivariatePolynomial(tuple(IntPoly(r) for r in rows))
-
-
-def shape_series(pieces, shape, order):
-    h = solve_half_pyramids(pieces, order)
-    if shape is Shape.HALF_PYRAMID:
-        return h
-    p = series_pyramids(h, pieces)
-    return p if shape is Shape.PYRAMID else series_towers(p, h)
 
 
 class TestDefiningPolynomial:
@@ -66,7 +58,7 @@ class TestNormalization:
 
 class TestVerifyAnnihilator:
     def test_expected_tower_annihilator_verifies(self):
-        m = shape_series(DIMER, Shape.TOWER, 80)
+        m = series_family(DIMER, 80)[Shape.TOWER]
         q = bivariate((0, 0, -1), (1, 0, -4))  # (1 - 4t^2) y - t^2
         assert verify_annihilator(q, m)
 
@@ -100,7 +92,7 @@ class TestAnnihilatingPolynomial:
             pieces = PieceSet(sizes)
             for shape in (Shape.HALF_PYRAMID, Shape.PYRAMID, Shape.TOWER):
                 q = annihilating_polynomial(pieces, shape, verify_order=order)
-                assert verify_annihilator(q, shape_series(pieces, shape, order))
+                assert verify_annihilator(q, series_family(pieces, order, through=shape)[shape])
 
     def test_degree_cap(self):
         with pytest.raises(DegreeCapError):

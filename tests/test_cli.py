@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,18 +152,13 @@ def test_noalign_multi_size_exits_2(capsys):
     assert "single piece size" in err
 
 
-def test_bad_threads_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("TOWERS_THREADS", "many")
-    code, _, err = run(capsys, "enumerate", "--sizes", "1", "--pieces", "1")
-    assert code == 2
-    assert "TOWERS_THREADS" in err
-
-
-def test_valid_threads_env_is_accepted(capsys, monkeypatch):
-    monkeypatch.setenv("TOWERS_THREADS", "0")
-    code, out, _ = run(capsys, "enumerate", "--sizes", "1", "--pieces", "1")
-    assert code == 0
-    assert json.loads(out)["counts"] == {"1": "1"}
+def test_cli_import_leaves_sympy_unloaded():
+    # only elimination (`eliminate`, `verify`) factors with sympy; other commands must not pay its import
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, towers.cli; sys.exit('sympy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, timeout=60)
+    assert result.returncode == 0
 
 
 def test_argument_errors_exit_2(capsys):

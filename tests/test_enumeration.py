@@ -8,7 +8,7 @@ from towers.enumeration import (
     weight_polynomial,
 )
 from towers.model import PieceSet, Rule, Shape, is_legal_tower
-from towers.series import series_pyramids, series_towers, solve_half_pyramids
+from towers.series import series_family
 from towers.zpoly import ZPolynomial
 
 DIMER = PieceSet.of(2)
@@ -55,8 +55,7 @@ def test_empty_stream_when_bound_below_min_size():
 
 def test_counts_by_area_match_series():
     pieces = PieceSet.of(1, 2, 3)
-    h = solve_half_pyramids(pieces, 6)
-    m = series_towers(series_pyramids(h, pieces), h)
+    m = series_family(pieces, 6)[Shape.TOWER]
     counts = count_towers(EnumerationQuery(pieces, Shape.TOWER, BoundKind.BY_AREA, 6))
     assert [counts[n] for n in range(1, 7)] == list(m.coeffs[1:])
 

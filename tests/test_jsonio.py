@@ -66,6 +66,7 @@ def test_decimal_str_rounding_and_trimming():
     assert jsonio.decimal_str(Fraction(2, 3), 6) == "0.666667"
     assert jsonio.decimal_str(Fraction(5), 6) == "5"
     assert jsonio.decimal_str(Fraction(1, 10**8), 6) == "0"
+    assert jsonio.decimal_str(Fraction(-1, 10**8), 6) == "0"
 
 
 def test_report_payload():

@@ -1,7 +1,7 @@
 import pytest
 
 from towers.errors import ConsistencyError, UnsupportedConfigurationError
-from towers.model import PieceSet, Rule
+from towers.model import PieceSet, Rule, Shape
 from towers.series import (
     TruncatedSeries,
     closed_form_dimer_towers,
@@ -11,8 +11,7 @@ from towers.series import (
     half_pyramid_rhs,
     iterate_half_pyramids,
     piece_count_sequence,
-    series_pyramids,
-    series_towers,
+    series_family,
     solve_half_pyramids,
 )
 from towers.zpoly import ZPolynomial
@@ -21,25 +20,30 @@ DIMER = PieceSet.of(2)
 DIMER_NOALIGN = PieceSet.of(2, rule=Rule.NO_EXACT_ALIGNMENT)
 ALL_SETS = [DIMER, PieceSet.of(3), PieceSet.of(1, 2), PieceSet.of(2, 3), PieceSet.of(1, 2, 3)]
 
-
-def family(pieces, order, weighted=False):
-    h = solve_half_pyramids(pieces, order, weighted)
-    p = series_pyramids(h, pieces, weighted)
-    return h, p, series_towers(p, h)
+HALF, PYRAMID, TOWER = Shape.HALF_PYRAMID, Shape.PYRAMID, Shape.TOWER
 
 
 class TestArithmetic:
-    def test_mul_and_reciprocal_roundtrip(self):
+    def test_division_undoes_multiplication(self):
+        a = TruncatedSeries((3, 0, -1, 4, 2))
         s = TruncatedSeries((1, -2, 3, 5, -7))
-        assert (s * s.reciprocal()).coeffs == (1, 0, 0, 0, 0)
+        assert (a / s) * s == a
+        sizes = (1, 2)
+        z1, z2 = ZPolynomial.marker(sizes, 1), ZPolynomial.marker(sizes, 2)
+        one = ZPolynomial.constant(sizes, 1)
+        aw = TruncatedSeries((z1, z2 * 2, z1 * z2, ZPolynomial.zero(sizes)))
+        sw = TruncatedSeries((one, -z1, z2 * 3, z1 * z1))
+        assert (aw / sw) * sw == aw
 
-    def test_reciprocal_of_negative_unit(self):
+    def test_division_by_negative_unit(self):
+        a = TruncatedSeries((1, 0, 5))
         s = TruncatedSeries((-1, 4, 2))
-        assert (s * s.reciprocal()).coeffs == (1, 0, 0)
+        assert (a / s) * s == a
+        assert (a / s).coeffs == (-1, -4, -23)
 
-    def test_reciprocal_requires_unit_constant(self):
+    def test_division_requires_unit_constant(self):
         with pytest.raises(ValueError):
-            TruncatedSeries((2, 1)).reciprocal()
+            TruncatedSeries((1, 1)) / TruncatedSeries((2, 1))
 
     def test_shift_drops_high_order_terms(self):
         s = TruncatedSeries((1, 2, 3))
@@ -98,32 +102,31 @@ class TestHalfPyramids:
 
 class TestPyramidsAndTowers:
     def test_dimer_pyramid_counts(self):
-        _, p, _ = family(DIMER, 6)
+        p = series_family(DIMER, 6)[PYRAMID]
         assert [p.coeffs[2 * n] for n in range(1, 4)] == [1, 3, 10]
 
     def test_unit_pieces_make_pyramids_equal_half_pyramids(self):
-        h, p, _ = family(PieceSet.of(1), 10)
-        assert h == p
+        family = series_family(PieceSet.of(1), 10)
+        assert family[HALF] == family[PYRAMID]
 
     def test_trimer_pyramids_at_two_pieces(self):
-        _, p, _ = family(PieceSet.of(3), 6)
-        assert p.coeffs[6] == 5
+        assert series_family(PieceSet.of(3), 6)[PYRAMID].coeffs[6] == 5
 
     def test_dimer_towers_powers_of_four(self):
-        _, _, m = family(DIMER, 16)
+        m = series_family(DIMER, 16)[TOWER]
         assert [m.coeffs[2 * n] for n in range(1, 9)] == [4 ** (n - 1) for n in range(1, 9)]
 
     def test_noalign_towers_powers_of_three(self):
-        _, _, m = family(DIMER_NOALIGN, 12)
+        m = series_family(DIMER_NOALIGN, 12)[TOWER]
         assert [m.coeffs[2 * n] for n in range(1, 7)] == [3 ** (n - 1) for n in range(1, 7)]
 
     def test_unit_towers_double_each_time(self):
-        _, _, m = family(PieceSet.of(1), 10)
+        m = series_family(PieceSet.of(1), 10)[TOWER]
         assert list(m.coeffs[1:]) == [2 ** (n - 1) for n in range(1, 11)]
 
     def test_relations_between_series(self):
         for pieces in ALL_SETS:
-            h, p, m = family(pieces, 24)
+            h, p, m = series_family(pieces, 24).values()
             assert m * (1 - h) == p
             one_plus = h + 1
             denom = TruncatedSeries.zero(24) + 1
@@ -134,19 +137,25 @@ class TestPyramidsAndTowers:
 
     def test_ordering_and_positivity(self):
         for pieces in ALL_SETS + [DIMER_NOALIGN]:
-            h, p, m = family(pieces, 24)
+            h, p, m = series_family(pieces, 24).values()
             for n in range(25):
                 assert 0 <= h.coeffs[n] <= p.coeffs[n] <= m.coeffs[n]
+
+    def test_family_stops_after_the_requested_shape(self):
+        assert list(series_family(DIMER, 6, through=PYRAMID)) == [HALF, PYRAMID]
+        assert list(series_family(DIMER, 6, through=HALF)) == [HALF]
+        full = series_family(DIMER, 6)
+        assert list(full) == [HALF, PYRAMID, TOWER]
+        assert series_family(DIMER, 6, through=PYRAMID)[PYRAMID] == full[PYRAMID]
 
 
 class TestWeightedMode:
     def test_weighted_reduces_to_plain(self):
         for pieces in ALL_SETS:
-            hw, pw, mw = family(pieces, 10, weighted=True)
-            h, p, m = family(pieces, 10)
-            assert hw.evaluate_ones() == h
-            assert pw.evaluate_ones() == p
-            assert mw.evaluate_ones() == m
+            weighted = series_family(pieces, 10, weighted=True)
+            plain = series_family(pieces, 10)
+            for shape in (HALF, PYRAMID, TOWER):
+                assert weighted[shape].evaluate_ones() == plain[shape]
 
     def test_weighted_residual_vanishes(self):
         pieces = PieceSet.of(1, 3)
@@ -155,19 +164,19 @@ class TestWeightedMode:
 
     def test_weighted_coefficients_track_composition(self):
         pieces = PieceSet.of(1, 2)
-        h, _, m = family(pieces, 4, weighted=True)
+        m = series_family(pieces, 4, weighted=True)[TOWER]
         # area 2 towers: one dimer, two stacked/side-by-side pairs of units
         assert m.coeffs[2] == ZPolynomial(pieces.sizes, {(0, 1): 1, (2, 0): 2})
 
 
 class TestByPieces:
     def test_single_size_grid_extraction(self):
-        h, _, m = family(DIMER, 10)
+        h, _, m = series_family(DIMER, 10).values()
         assert coefficients_by_pieces(h, DIMER) == [1, 2, 5, 14, 42]
         assert coefficients_by_pieces(m, DIMER) == [1, 4, 16, 64, 256]
 
     def test_noalign_tower_counts(self):
-        _, _, m = family(DIMER_NOALIGN, 8)
+        m = series_family(DIMER_NOALIGN, 8)[TOWER]
         assert coefficients_by_pieces(m, DIMER_NOALIGN) == [1, 3, 9, 27]
 
     def test_zero_series_maps_to_zero_sequence(self):
@@ -184,13 +193,13 @@ class TestByPieces:
             coefficients_by_pieces(TruncatedSeries((0, 1)), PieceSet.of(1, 2))
 
     def test_piece_count_sequence_matches_single_size_route(self):
-        hw, _, mw = family(DIMER, 10, weighted=True)
-        h, _, m = family(DIMER, 10)
+        mw = series_family(DIMER, 10, weighted=True)[TOWER]
+        m = series_family(DIMER, 10)[TOWER]
         assert piece_count_sequence(mw, DIMER) == coefficients_by_pieces(m, DIMER)
 
     def test_piece_count_sequence_multi_size(self):
         pieces = PieceSet.of(1, 2)
-        _, _, mw = family(pieces, 8, weighted=True)
+        mw = series_family(pieces, 8, weighted=True)[TOWER]
         # towers with n pieces, any mix of sizes 1 and 2; complete up to n = 4
         from towers.enumeration import BoundKind, EnumerationQuery, count_towers
 
@@ -220,7 +229,7 @@ class TestClosedForms:
     def test_closed_forms_match_series(self):
         for k in range(1, 5):
             pieces = PieceSet.of(k)
-            h, p, _ = family(pieces, 12 * k)
+            h, p = series_family(pieces, 12 * k, through=PYRAMID).values()
             assert coefficients_by_pieces(h, pieces) == [
                 closed_form_half_pyramids(k, n) for n in range(1, 13)
             ]

@@ -29,12 +29,10 @@ from .errors import (
 from .gallery import render_gallery
 from .identities import ACCEPTANCE_SETS, CheckResult, verify_identities
 from .model import (
-    Piece,
     PieceSet,
     Rule,
     Shape,
     Tower,
-    WeightMonomial,
     canonicalize_tower,
     is_legal_tower,
     weight_of_tower,

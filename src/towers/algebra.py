@@ -1,27 +1,32 @@
 """Polynomial equations satisfied by the generating functions.
 
 The half-pyramid series H is a root of an explicit bivariate polynomial
-E(t, y).  The pyramid and tower series are rational in t and H with
+E(t, y).  The pyramid and tower series F are rational in t and H with
 denominators of constant term 1, so clearing denominators gives a second
 relation G(t, H, y) that is linear in y.  Eliminating H via a resultant
-yields a bivariate polynomial in (t, y) that vanishes on the pyramid or
-tower series; the resultant usually carries parasitic factors, so the
-final step factors it over the rationals and keeps the unique irreducible
-factor that actually annihilates the series (checked by substituting the
-truncated series, a semantic rather than syntactic criterion).
+yields R(t, y) with R(t, F) = 0.
+
+Because E is irreducible, R is, up to a factor c(t), the norm of F:
+R = c(t) Q^m with Q the minimal polynomial of F and m deg_y Q = deg_y E.
+So Q is read off R without factoring.  The content c(t) is the gcd of R's
+y-coefficients (not always a power of t); Q is the exact m-th root of
+R0 = R / c(t), found as a Hermite-Pade kernel of the series for each m > 1
+dividing both degrees of R0, largest first, and Q = R0 when none has a
+root.  Finally Q is checked by substituting the truncated series, a
+semantic rather than syntactic criterion.
 
 Everything here is plain enumeration (all markers z_i set to 1).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ConsistencyError, DegreeCapError, UnsupportedConfigurationError
 from .model import PieceSet, Rule, Shape
-from .polynomials import HPoly, IntPoly, PolyTY, h_resultant
+from .polynomials import HPoly, IntPoly, PolyTY, h_resultant, int_poly_gcd, integer_kernel
 from .series import TruncatedSeries, series_family
 
 __all__ = [
@@ -31,8 +36,9 @@ __all__ = [
     "verify_annihilator",
 ]
 
-# Elimination is only exercised for small piece sets; factoring degrees stay
-# modest under this cap and the error is clearer than a runaway computation.
+# Elimination is only exercised for small piece sets: under this cap the root
+# step solves at most 2k^2 + 1 equations in (k/2 + 1)(k + 1) unknowns for
+# largest size k, and the error is clearer than a runaway computation.
 _MAX_PIECE_SIZE = 8
 
 
@@ -64,14 +70,12 @@ class BivariatePolynomial:
         return len(self.coeffs) - 1
 
     @property
+    def t_degree(self) -> int:
+        return max((c.degree for c in self.coeffs), default=-1)
+
+    @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def evaluate(self, t_value: Fraction, y_value: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * y_value + c(t_value)
-        return acc
 
     def to_poly_ty(self) -> PolyTY:
         return PolyTY(
@@ -161,22 +165,50 @@ def _relation_for_shape(pieces: PieceSet, shape: Shape) -> HPoly:
     return g
 
 
-def _irreducible_factors(poly: PolyTY) -> list[BivariatePolynomial]:
-    """Irreducible factors over the rationals with positive y-degree."""
-    import sympy  # the only use; importing it costs most of the CLI's start-up
+def _without_content(resultant: PolyTY) -> BivariatePolynomial:
+    """R / c(t), where c(t) is the gcd in Z[t] of the y-coefficients of R."""
+    content = functools.reduce(int_poly_gcd, resultant.to_y_coefficients())
+    quotient = resultant.exact_div(PolyTY.from_t_poly(content))
+    return BivariatePolynomial(tuple(quotient.to_y_coefficients()))
 
-    t, y = sympy.symbols("t y")
-    expr = sympy.Add(
-        *(c * t**i * y**j for (i, j), c in poly.items())
-    )
-    _, factors = sympy.factor_list(expr, t, y)
-    out = []
-    for factor, _multiplicity in factors:
-        fdict = sympy.Poly(factor, t, y).as_dict()
-        cand = PolyTY({(int(i), int(j)): int(c) for (i, j), c in fdict.items()})
-        if cand.degree_y >= 1:
-            out.append(BivariatePolynomial(tuple(cand.to_y_coefficients())))
-    return out
+
+def _select_annihilator(
+    r0: BivariatePolynomial, degree: int, series: TruncatedSeries
+) -> BivariatePolynomial:
+    """The minimal polynomial Q of the series, given r0 = R / c(t) = Q^m.
+
+    `degree` is deg_y E, which every norm of F has as its y-degree; the
+    series must reach t^(deg_y r0 * deg_t r0).
+    """
+    dy, dt = r0.y_degree, r0.t_degree
+    if dy != degree:
+        raise ConsistencyError(f"the eliminant has y-degree {dy}, not {degree}: it is not a norm")
+    if series.order < dy * dt:
+        raise ValueError(f"root extraction needs the series through t^{dy * dt}")
+    for m in (m for m in range(dy, 1, -1) if dy % m == 0 == dt % m):
+        # A candidate P of degrees (dy, dt) / m has Res_y(P, r0) = A P + B r0 of
+        # t-degree at most 2 dy dt / m.  If P(t, F) = O(t^n) beyond that, the
+        # resultant vanishes to order n and is zero: P shares r0's factor
+        # rather than agreeing with F for a while.
+        n, width = 2 * dy * dt // m + 1, dt // m + 1
+        f = TruncatedSeries(series.coeffs, n - 1)
+        powers = [TruncatedSeries.one(n - 1)]
+        for _ in range(dy // m):
+            powers.append(powers[-1] * f)
+        columns = [(0,) * i + p.coeffs[: n - i] for p in powers for i in range(width)]
+        kernel = integer_kernel([list(row) for row in zip(*columns)])
+        if kernel:
+            q = BivariatePolynomial(tuple(
+                IntPoly(kernel[0][j * width:(j + 1) * width]) for j in range(len(powers))
+            ))
+            power = BivariatePolynomial(tuple((q.to_poly_ty() ** m).to_y_coefficients()))
+            if len(kernel) > 1 or power != r0:
+                raise ConsistencyError(
+                    f"m = {m}: the Hermite-Pade kernel has dimension {len(kernel)} and "
+                    f"q = {q.to_poly_ty()!r} is not an exact m-th root of the eliminant"
+                )
+            return q
+    return r0
 
 
 def verify_annihilator(q: BivariatePolynomial, s: TruncatedSeries) -> bool:
@@ -192,38 +224,34 @@ def verify_annihilator(q: BivariatePolynomial, s: TruncatedSeries) -> bool:
 def annihilating_polynomial(
     pieces: PieceSet, shape: Shape, verify_order: int = 200
 ) -> BivariatePolynomial:
-    """A polynomial Q(t, y) with Q(t, F(t)) = 0 for the shape's series F.
+    """The minimal polynomial Q(t, y) with Q(t, F(t)) = 0 for the shape's series F.
 
     For half-pyramids this is the defining polynomial itself.  For pyramids
     and towers it is obtained by eliminating H between E(t, H) and the
-    shape's cleared-denominator relation, then keeping the irreducible
-    factor of the resultant that vanishes on the series through t^verify_order.
+    shape's cleared-denominator relation, then removing the resultant's
+    t-content and taking its exact m-th root.  Either way Q must vanish on
+    the series through t^verify_order.
     """
     if pieces.max_size > _MAX_PIECE_SIZE:
         raise DegreeCapError(
             f"elimination supports piece sizes up to {_MAX_PIECE_SIZE}, "
             f"got {pieces.max_size}"
         )
-    series = series_family(pieces, verify_order, through=shape)[shape]
     if shape is Shape.HALF_PYRAMID:
         result = defining_polynomial_H(pieces)
-        if not verify_annihilator(result, series):
-            raise ConsistencyError("defining polynomial does not vanish on its own series")
-        return result
-    e = _h_poly_defining(pieces)
-    g = _relation_for_shape(pieces, shape)
-    resultant = h_resultant(e, g)
-    if not resultant:
-        raise ConsistencyError("elimination produced the zero resultant")
-    matching = [
-        cand for cand in _irreducible_factors(resultant) if verify_annihilator(cand, series)
-    ]
-    if not matching:
+        series = series_family(pieces, verify_order, through=shape)[shape]
+    else:
+        e = _h_poly_defining(pieces)
+        resultant = h_resultant(e, _relation_for_shape(pieces, shape))
+        if not resultant:
+            raise ConsistencyError("elimination produced the zero resultant")
+        r0 = _without_content(resultant)
+        order = max(verify_order, r0.y_degree * r0.t_degree)
+        series = series_family(pieces, order, through=shape)[shape]
+        result = _select_annihilator(r0, len(e) - 1, series)
+        series = TruncatedSeries(series.coeffs, verify_order)
+    if not verify_annihilator(result, series):
         raise ConsistencyError(
-            "no irreducible factor of the eliminant vanishes on the series"
+            f"the annihilator does not vanish on the series through t^{verify_order}"
         )
-    if len(matching) > 1:
-        raise ConsistencyError(
-            "multiple irreducible factors vanish on the series; order too low"
-        )
-    return matching[0]
+    return result

@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eliminate", help="polynomial annihilating the series")
     _piece_args(p)
     p.add_argument("--order", type=int, default=200,
-                   help="verification order for factor selection (default: 200)")
+                   help="series order for verifying the annihilator (default: 200)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_eliminate)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .algebra import BivariatePolynomial
 from .asymptotics import AsymptoticEstimate
@@ -45,27 +45,25 @@ __all__ = [
 _BOUND_KIND_NAMES = {BoundKind.BY_AREA: "ByArea", BoundKind.BY_PIECE_COUNT: "ByPieceCount"}
 
 
-def _int_str(value: int) -> str:
-    """Decimal string of an arbitrarily large integer.
+def _unlimited(convert: Callable[[Any], Any], value: Any) -> Any:
+    """convert(value) with CPython's int/str digit cap lifted for this call only.
 
-    CPython caps int/str conversions by default; sequence terms here run to
-    tens of thousands of digits by design, so lift the cap on first need.
+    Sequence terms here run to tens of thousands of digits by design.
     """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        return str(value)
-    except ValueError:
-        sys.set_int_max_str_digits(0)
-        return str(value)
+        return convert(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _int_str(value: int) -> str:
+    return _unlimited(str, value)
 
 
 def _str_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        if "exceeds the limit" not in str(exc).lower():
-            raise
-        sys.set_int_max_str_digits(0)
-        return int(text)
+    return _unlimited(int, text)
 
 
 def dumps(payload: Any) -> str:

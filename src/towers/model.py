@@ -19,8 +19,9 @@ shifted), so `is_legal_tower` does not require canonical placement.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .errors import MalformedInputError
 
@@ -28,9 +29,7 @@ __all__ = [
     "Rule",
     "Shape",
     "PieceSet",
-    "Piece",
     "Tower",
-    "WeightMonomial",
     "is_legal_tower",
     "canonicalize_tower",
     "weight_of_tower",
@@ -92,24 +91,8 @@ class PieceSet:
         return size in self.sizes
 
 
-@dataclass(frozen=True, order=True)
-class Piece:
-    """A 1 x size piece whose left end sits at an integer coordinate."""
-
-    left: int
-    size: int
-
-    @property
-    def right(self) -> int:
-        return self.left + self.size
-
-    @property
-    def interval(self) -> tuple[int, int]:
-        return (self.left, self.left + self.size)
-
-
 # A floor is a tuple of (left, right) pairs sorted by left; raw integer
-# pairs rather than Piece objects keep bulk enumeration cheap.
+# pairs keep bulk enumeration cheap.
 Floor = tuple[tuple[int, int], ...]
 
 
@@ -139,11 +122,6 @@ class Tower:
     def to_lists(self) -> list[list[list[int]]]:
         return [[[left, right] for left, right in floor] for floor in self.floors]
 
-    def pieces(self) -> Iterator[Piece]:
-        for floor in self.floors:
-            for left, right in floor:
-                yield Piece(left, right - left)
-
     @property
     def area(self) -> int:
         return sum(right - left for floor in self.floors for left, right in floor)
@@ -151,34 +129,6 @@ class Tower:
     @property
     def piece_count(self) -> int:
         return sum(len(floor) for floor in self.floors)
-
-    def sort_key(self) -> tuple[Floor, ...]:
-        """Key for the canonical lexicographic ordering of towers."""
-        return self.floors
-
-
-@dataclass(frozen=True)
-class WeightMonomial:
-    """Weight of a configuration: t^area times a product of z_i markers.
-
-    `z_exponents` maps each used piece size to its multiplicity, stored as
-    sorted (size, count) pairs; `t_exponent` always equals the total area
-    sum(size * count).
-    """
-
-    t_exponent: int
-    z_exponents: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_sizes(cls, sizes: Iterable[int]) -> "WeightMonomial":
-        counts: dict[int, int] = {}
-        for s in sizes:
-            counts[s] = counts.get(s, 0) + 1
-        pairs = tuple(sorted(counts.items()))
-        return cls(sum(s * c for s, c in pairs), pairs)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.z_exponents)
 
 
 def _raw_floors(candidate: Sequence) -> tuple[Floor, ...]:
@@ -273,16 +223,16 @@ def canonicalize_tower(tower: Tower) -> Tower:
     )
 
 
-def weight_of_tower(tower: Tower | Sequence) -> WeightMonomial:
+def weight_of_tower(tower: Tower | Sequence) -> dict[int, int]:
     """Weight of a configuration, the product of per-piece weights t^i z_i.
 
-    Accepts a Tower or raw floor lists; legality is not required, only
-    well-formed pieces.
+    Returned as the exponent of each z_i, i.e. piece size -> count; the
+    exponent of t is the area, sum(size * count).  Accepts a Tower or raw
+    floor lists; legality is not required, only well-formed pieces.
     """
     if isinstance(tower, Tower):
         floors: tuple[Floor, ...] = tower.floors
     else:
         floors = _raw_floors(tower)
-    return WeightMonomial.from_sizes(
-        right - left for floor in floors for left, right in floor
-    )
+    counts = Counter(right - left for floor in floors for left, right in floor)
+    return dict(sorted(counts.items()))

@@ -9,6 +9,9 @@ Three layers, all over the integers:
   fraction-free subresultant polynomial remainder sequence computes
   resultants without ever leaving the integers (Brown's algorithm).
 
+Beside them sit the primitive gcd in Z[t] and the kernel of an integer
+matrix by fraction-free elimination, shared by `algebra` and `recurrences`.
+
 A Sylvester-determinant resultant over Fractions is included as an
 independent cross-check route for evaluation-based testing.
 """
@@ -21,7 +24,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ConsistencyError
 
-__all__ = ["IntPoly", "PolyTY", "h_prem", "h_resultant", "sylvester_resultant"]
+__all__ = ["IntPoly", "PolyTY", "int_poly_gcd", "integer_kernel", "h_prem", "h_resultant",
+           "sylvester_resultant"]
 
 
 class IntPoly:
@@ -41,10 +45,6 @@ class IntPoly:
     @classmethod
     def constant(cls, c: int) -> "IntPoly":
         return cls((c,))
-
-    @classmethod
-    def monomial(cls, c: int, power: int) -> "IntPoly":
-        return cls((0,) * power + (c,))
 
     @property
     def degree(self) -> int:
@@ -292,6 +292,77 @@ class PolyTY:
                 part += f"*y^{j}" if j > 1 else "*y"
             parts.append(part)
         return "PolyTY(" + " + ".join(parts) + ")"
+
+
+def _primitive(p: IntPoly) -> IntPoly:
+    """p divided by its integer content, with positive leading coefficient."""
+    content = p.content()
+    if content > 1:
+        p = p.divide_int(content)
+    return -p if p.leading < 0 else p
+
+
+def int_poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Greatest common divisor in Z[t], primitive with positive leading coefficient.
+
+    Euclid with pseudo-remainders made primitive, so every step stays in the
+    integers; integer content is ignored.
+    """
+    while b:
+        r = list(a.coeffs)
+        for top in range(len(r) - 1, b.degree - 1, -1):
+            head = r[top]
+            r = [c * b.leading for c in r]
+            for i, c in enumerate(b.coeffs, top - b.degree):
+                r[i] -= head * c
+        a, b = b, _primitive(IntPoly(r))
+    return _primitive(a)
+
+
+def integer_kernel(matrix: list[list[int]]) -> list[list[int]]:
+    """Basis of the kernel of an integer matrix, as coprime integer vectors.
+
+    Forward elimination is fraction-free (Bareiss), so all intermediate
+    entries stay integral; back-substitution runs over Fractions and the
+    result is scaled to integers.  Basis vectors come out in order of their
+    free column.
+    """
+    rows = [row[:] for row in matrix]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[tuple[int, int]] = []
+    prev = 1
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r][col]
+        for i in range(r + 1, nrows):
+            head = rows[i][col]
+            for j in range(col + 1, ncols):
+                rows[i][j] = (rows[i][j] * pivot - head * rows[r][j]) // prev
+            rows[i][col] = 0
+        prev = pivot
+        pivots.append((r, col))
+        r += 1
+    pivot_cols = {c for _, c in pivots}
+    basis: list[list[int]] = []
+    for free in (c for c in range(ncols) if c not in pivot_cols):
+        x = [Fraction(0)] * ncols
+        x[free] = Fraction(1)
+        for pr, pc in reversed(pivots):
+            rhs = sum((rows[pr][j] * x[j] for j in range(pc + 1, ncols)), Fraction(0))
+            x[pc] = -rhs / rows[pr][pc]
+        scale = math.lcm(*(f.denominator for f in x))
+        vec = [int(f * scale) for f in x]
+        content = math.gcd(*(abs(v) for v in vec))
+        basis.append([v // content for v in vec])
+    return basis
 
 
 # Polynomials in the eliminated variable are plain lists of PolyTY

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .polynomials import IntPoly
+from .polynomials import IntPoly, integer_kernel
 from .series import TruncatedSeries
 
 __all__ = [
@@ -96,52 +95,6 @@ class Recurrence:
         return max(p.degree for p in self.coeff_polys)
 
 
-def _integer_kernel(matrix: list[list[int]]) -> list[list[int]]:
-    """Basis of the kernel of an integer matrix, as coprime integer vectors.
-
-    Forward elimination is fraction-free (Bareiss), so all intermediate
-    entries stay integral; back-substitution runs over Fractions and the
-    result is scaled to integers.  Basis vectors come out in order of their
-    free column.
-    """
-    rows = [row[:] for row in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[tuple[int, int]] = []
-    prev = 1
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][col]
-        for i in range(r + 1, nrows):
-            head = rows[i][col]
-            for j in range(col + 1, ncols):
-                rows[i][j] = (rows[i][j] * pivot - head * rows[r][j]) // prev
-            rows[i][col] = 0
-        prev = pivot
-        pivots.append((r, col))
-        r += 1
-    pivot_cols = {c for _, c in pivots}
-    basis: list[list[int]] = []
-    for free in (c for c in range(ncols) if c not in pivot_cols):
-        x = [Fraction(0)] * ncols
-        x[free] = Fraction(1)
-        for pr, pc in reversed(pivots):
-            rhs = sum((rows[pr][j] * x[j] for j in range(pc + 1, ncols)), Fraction(0))
-            x[pc] = -rhs / rows[pr][pc]
-        scale = math.lcm(*(f.denominator for f in x))
-        vec = [int(f * scale) for f in x]
-        content = math.gcd(*(abs(v) for v in vec))
-        basis.append([v // content for v in vec])
-    return basis
-
-
 def guess_recurrence(
     s: Sequence, max_order: int, max_degree: int, guard: int = 10
 ) -> Recurrence | None:
@@ -186,7 +139,7 @@ def _candidate(s: Sequence, r: int, d: int, guard: int) -> Recurrence | None:
                 row.append(term * power)
                 power *= n
         matrix.append(row)
-    for vec in _integer_kernel(matrix):
+    for vec in integer_kernel(matrix):
         polys = tuple(IntPoly(vec[j * (d + 1) : (j + 1) * (d + 1)]) for j in range(r + 1))
         if polys[-1].is_zero:
             continue

@@ -1,19 +1,23 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from towers.algebra import (
     BivariatePolynomial,
     _h_poly_defining,
     _relation_for_shape,
+    _select_annihilator,
+    _without_content,
     annihilating_polynomial,
     defining_polynomial_H,
     verify_annihilator,
 )
-from towers.errors import DegreeCapError, UnsupportedConfigurationError
+from towers.errors import ConsistencyError, DegreeCapError, UnsupportedConfigurationError
 from towers.model import PieceSet, Rule, Shape
-from towers.polynomials import IntPoly, h_resultant, sylvester_resultant
+from towers.polynomials import IntPoly, PolyTY, h_resultant, sylvester_resultant
 from towers.series import series_family, solve_half_pyramids
 
 DIMER = PieceSet.of(2)
@@ -94,9 +98,68 @@ class TestAnnihilatingPolynomial:
                 q = annihilating_polynomial(pieces, shape, verify_order=order)
                 assert verify_annihilator(q, series_family(pieces, order, through=shape)[shape])
 
+    def test_low_verify_order_gives_the_same_polynomial(self):
+        # the root step reads as many series terms as it needs, whatever the verify order
+        low = annihilating_polynomial(PieceSet.of(1, 2, 3), Shape.TOWER, verify_order=5)
+        assert low == annihilating_polynomial(PieceSet.of(1, 2, 3), Shape.TOWER, verify_order=200)
+
     def test_degree_cap(self):
         with pytest.raises(DegreeCapError):
             annihilating_polynomial(PieceSet.of(9), Shape.TOWER, verify_order=20)
+
+
+def eliminant(pieces, shape):
+    return h_resultant(_h_poly_defining(pieces), _relation_for_shape(pieces, shape))
+
+
+def as_bivariate(poly: PolyTY) -> BivariatePolynomial:
+    return BivariatePolynomial(tuple(poly.to_y_coefficients()))
+
+
+class TestSelection:
+    def test_matches_sympy_factorization(self):
+        # independent route: the one factor of positive y-degree that sympy
+        # finds, raised to its multiplicity, is the eliminant without content
+        t, y = sympy.symbols("t y")
+        sets = [PieceSet(s) for r in range(1, 5) for s in itertools.combinations((1, 2, 3, 4), r)]
+        sets += [PieceSet.of(5), PieceSet.of(8), PieceSet.of(3, 8)]
+        sets += [PieceSet.of(k, rule=Rule.NO_EXACT_ALIGNMENT) for k in range(2, 6)]
+        multiplicities = set()
+        for pieces in sets:
+            for shape in (Shape.PYRAMID, Shape.TOWER):
+                r = eliminant(pieces, shape)
+                expr = sympy.Add(*(c * t**i * y**j for (i, j), c in r.items()))
+                _, factors = sympy.factor_list(expr, t, y)
+                in_y = [(f, m) for f, m in factors if sympy.degree(f, y) > 0]
+                assert len(in_y) == 1, (pieces, shape)
+                factor, m = in_y[0]
+                fdict = sympy.Poly(factor, t, y).as_dict()
+                expected = as_bivariate(PolyTY({(int(i), int(j)): int(c) for (i, j), c in fdict.items()}))
+                q = annihilating_polynomial(pieces, shape, verify_order=20)
+                assert q == expected, (pieces, shape)
+                assert as_bivariate(q.to_poly_ty() ** m) == _without_content(r), (pieces, shape)
+                multiplicities.add(m)
+        assert multiplicities == {1, 2}
+
+    def test_content_is_not_only_powers_of_t(self):
+        # S = {1, 2} towers: the eliminant carries a factor t + 1 besides powers of t
+        r = eliminant(PieceSet.of(1, 2), Shape.TOWER)
+        content = PolyTY({(2, 0): 1, (3, 0): 1})  # t^2 (t + 1)
+        assert as_bivariate(_without_content(r).to_poly_ty() * content) == as_bivariate(r)
+
+    def test_extra_factor_in_y_is_rejected(self):
+        r = eliminant(DIMER, Shape.TOWER) * PolyTY({(0, 0): 1, (0, 1): 1})  # R (y + 1)
+        towers = series_family(DIMER, 60)[Shape.TOWER]
+        with pytest.raises(ConsistencyError, match="not a norm"):
+            _select_annihilator(_without_content(r), defining_polynomial_H(DIMER).y_degree, towers)
+
+    def test_product_of_distinct_factors_is_not_a_root(self):
+        # Q Q' has the degrees of Q^2, and Q alone solves the m = 2 system
+        q = bivariate((0, 0, -1), (1, 0, -4)).to_poly_ty()  # (1 - 4t^2) y - t^2
+        other = q + PolyTY({(1, 1): 1})
+        towers = series_family(DIMER, 60)[Shape.TOWER]
+        with pytest.raises(ConsistencyError, match="m = 2"):
+            _select_annihilator(as_bivariate(q * other), defining_polynomial_H(DIMER).y_degree, towers)
 
 
 class TestResultantEvaluationInvariant:

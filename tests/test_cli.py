@@ -153,12 +153,17 @@ def test_noalign_multi_size_exits_2(capsys):
 
 
 def test_cli_import_leaves_sympy_unloaded():
-    # only elimination (`eliminate`, `verify`) factors with sympy; other commands must not pay its import
+    # sympy is a test-only reference: not even elimination may import it
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    probe = "import sys, towers.cli; sys.exit('sympy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, timeout=60)
-    assert result.returncode == 0
+    probe = (
+        "import sys, towers.cli\n"
+        "towers.cli.main(['eliminate', '--sizes', '1,2', '--shape', 'tower', '--order', '40'])\n"
+        "sys.exit('sympy' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=env, timeout=60, capture_output=True)
+    assert result.returncode == 0, result.stderr
+    assert b'"y_degree": 2' in result.stdout
 
 
 def test_argument_errors_exit_2(capsys):

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 from towers import jsonio
@@ -36,6 +37,19 @@ def test_sequence_roundtrip_with_huge_terms():
     seq = Sequence(1, (1, 3**9000), "big")
     payload = jsonio.sequence_to_json(seq)
     assert jsonio.sequence_from_json(json.loads(jsonio.dumps(payload))) == seq
+
+
+def test_huge_conversions_leave_the_digit_limit_alone():
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # CPython's default cap
+    try:
+        seq = Sequence(0, (3**20000,))  # 9543 digits
+        payload = jsonio.sequence_to_json(seq)
+        assert sys.get_int_max_str_digits() == 4300
+        assert jsonio.sequence_from_json(payload) == seq
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_recurrence_roundtrip():

@@ -115,34 +115,24 @@ def test_canonicalize_is_idempotent_and_preserves_legality():
 
 
 def test_weight_ignores_legality():
-    w = weight_of_tower(ILLEGAL_EXAMPLE)  # legality is not required for weights
-    assert w.t_exponent == 12
-    assert w.as_dict() == {1: 2, 2: 2, 3: 2}
-
-
-def test_tower_exposes_typed_pieces():
-    tower = Tower.from_lists([[[0, 2], [2, 3]], [[1, 3]]])
-    pieces = list(tower.pieces())
-    assert [(p.left, p.size, p.right) for p in pieces] == [(0, 2, 2), (2, 1, 3), (1, 2, 3)]
-    assert pieces[0].interval == (0, 2)
-    assert tower.area == 5
-    assert tower.piece_count == 3
+    assert weight_of_tower(ILLEGAL_EXAMPLE) == {1: 2, 2: 2, 3: 2}  # legality is not required for weights
 
 
 def test_weight_trivial_cases():
-    assert weight_of_tower([[[0, 1]]]).t_exponent == 1
-    assert weight_of_tower([[[0, 1]]]).as_dict() == {1: 1}
-    two_dimers = weight_of_tower([[[0, 2]], [[0, 2]]])
-    assert two_dimers.t_exponent == 4
-    assert two_dimers.as_dict() == {2: 2}
+    assert weight_of_tower([[[0, 1]]]) == {1: 1}
+    assert weight_of_tower([[[0, 2]], [[0, 2]]]) == {2: 2}
+    tower = Tower.from_lists([[[0, 2], [2, 3]], [[1, 3]]])
+    assert weight_of_tower(tower) == {1: 1, 2: 2}
+    assert tower.area == 5
+    assert tower.piece_count == 3
 
 
 def test_weight_exponent_matches_total_area():
     query = EnumerationQuery(S123, Shape.TOWER, BoundKind.BY_AREA, 6)
     for tower in enumerate_towers(query):
         w = weight_of_tower(tower)
-        assert w.t_exponent == tower.area
-        assert w.t_exponent == sum(s * c for s, c in w.z_exponents)
+        assert sum(s * c for s, c in w.items()) == tower.area
+        assert sum(w.values()) == tower.piece_count
 
 
 def test_enumerated_towers_are_legal_and_canonical():

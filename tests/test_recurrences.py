@@ -114,8 +114,12 @@ class TestExtend:
         out = extend_sequence(rec, Sequence(0, (1,)), 50000)
         assert len(out) == 50000
         assert out.terms[49999] == 3**49999
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)  # the term has far more digits than the default cap
-        digit_count = len(str(out.terms[49999]))
+        try:
+            digit_count = len(str(out.terms[49999]))
+        finally:
+            sys.set_int_max_str_digits(limit)
         assert digit_count == math.floor(49999 * math.log10(3)) + 1 == 23856
 
     def test_all_zero_extension(self):

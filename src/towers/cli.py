@@ -81,7 +81,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         kind, bound = BoundKind.BY_AREA, args.area
     else:
         kind, bound = BoundKind.BY_PIECE_COUNT, args.pieces
-    query = EnumerationQuery(pieces, shape, kind, bound, weighted=args.weighted)
+    query = EnumerationQuery(pieces, shape, kind, bound)
     if args.list:
         lines = [jsonio.tower_to_json(t.to_lists()) for t in enumerate_towers(query)]
         _emit(args, "\n".join(lines) + ("\n" if lines else ""))

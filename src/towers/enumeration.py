@@ -46,7 +46,6 @@ class EnumerationQuery:
     shape: Shape = Shape.TOWER
     bound_kind: BoundKind = BoundKind.BY_AREA
     bound: int = 1
-    weighted: bool = False
 
     def __post_init__(self) -> None:
         if self.bound < 1:
@@ -147,13 +146,10 @@ def count_towers(query: EnumerationQuery) -> dict[int, int]:
 def weight_polynomial(query: EnumerationQuery) -> dict[int, ZPolynomial]:
     """Weight enumerator by area: sum of z-monomials over towers of each area.
 
-    Requires a weighted, by-area query.  Setting every marker to 1 recovers
-    count_towers.
+    Requires a by-area query.  Setting every marker to 1 recovers count_towers.
     """
     if query.bound_kind is not BoundKind.BY_AREA:
         raise ValueError("weight_polynomial requires a by-area query")
-    if not query.weighted:
-        raise ValueError("weight_polynomial requires weighted=True")
     sizes = query.pieces.sizes
     index = {s: i for i, s in enumerate(sizes)}
     sums: dict[int, dict[tuple[int, ...], int]] = {

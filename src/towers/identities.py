@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .algebra import annihilating_polynomial, verify_annihilator
+from .algebra import annihilating_polynomial
 from .enumeration import BoundKind, EnumerationQuery, count_towers, weight_polynomial
 from .model import PieceSet, Rule, Shape
 from .recurrences import (
@@ -31,6 +31,7 @@ from .series import (
     half_pyramid_rhs,
     series_family,
 )
+from .zpoly import ZPolynomial
 
 __all__ = ["CheckResult", "verify_identities", "ACCEPTANCE_SETS"]
 
@@ -38,9 +39,16 @@ ACCEPTANCE_SETS: tuple[tuple[int, ...], ...] = ((2,), (3,), (1, 2), (2, 3), (1, 
 
 _SHAPES = (Shape.HALF_PYRAMID, Shape.PYRAMID, Shape.TOWER)
 
+_GUESS_TERMS, _HOLDOUT = 60, 200  # recurrences: terms guessed from, terms held out
+_SERIES_ORDER = 200  # structure and annihilator checks
+_CLOSED_FORM_SIZES = range(1, 6)  # single sizes k with closed-form (half-)pyramid counts
+
 # Optional hook for negative-control tests: receives a config label and the
 # freshly computed plain series, returns the series to use instead.
 TamperHook = Callable[[str, TruncatedSeries], TruncatedSeries]
+
+Family = dict[Shape, TruncatedSeries]
+Oracle = dict[Shape, dict[int, ZPolynomial]]
 
 
 @dataclass(frozen=True)
@@ -50,68 +58,47 @@ class CheckResult:
     detail: str = ""
 
 
-def _shape_label(shape: Shape) -> str:
-    return shape.value
-
-
 def _config_label(pieces: PieceSet) -> str:
     return "S={%s} %s" % (",".join(map(str, pieces.sizes)), pieces.rule.value)
 
 
-def _tampered(
-    pieces: PieceSet, family: dict[Shape, TruncatedSeries], tamper: TamperHook | None
-) -> dict[Shape, TruncatedSeries]:
-    if tamper is None:
-        return family
-    label = _config_label(pieces)
-    return {shape: tamper(f"{label} {_shape_label(shape)}", s) for shape, s in family.items()}
-
-
-def _check_counts(pieces: PieceSet, max_area: int, tamper: TamperHook | None) -> list[CheckResult]:
-    family = _tampered(pieces, series_family(pieces, max_area), tamper)
+def _check_counts(pieces: PieceSet, family: Family, oracle: Oracle) -> list[CheckResult]:
     out = []
     for shape in _SHAPES:
         series = family[shape]
-        counts = count_towers(
-            EnumerationQuery(pieces, shape, BoundKind.BY_AREA, max_area)
-        )
         detail = ""
-        for area in range(1, max_area + 1):
-            if counts[area] != series.coeffs[area]:
-                detail = (
-                    f"area {area}: enumerator {counts[area]} != series {series.coeffs[area]}"
-                )
+        for area, weights in oracle[shape].items():
+            count = weights.eval_ones()
+            if count != series.coeffs[area]:
+                detail = f"area {area}: enumerator {count} != series {series.coeffs[area]}"
                 break
-        name = f"counts[{_config_label(pieces)} {_shape_label(shape)}]"
+        name = f"counts[{_config_label(pieces)} {shape.value}]"
         out.append(CheckResult(name, not detail, detail))
     return out
 
 
-def _check_weighted(pieces: PieceSet, max_area: int, tamper: TamperHook | None) -> list[CheckResult]:
-    order = min(max_area, 10)
-    family = series_family(pieces, order, weighted=True)
-    plain = _tampered(pieces, series_family(pieces, order), tamper)
+def _check_weighted(
+    pieces: PieceSet, plain: Family, weighted: Family, oracle: Oracle
+) -> list[CheckResult]:
     out = []
-    for shape, weighted in family.items():
-        table = weight_polynomial(
-            EnumerationQuery(pieces, shape, BoundKind.BY_AREA, order, weighted=True)
-        )
+    for shape in _SHAPES:
+        series = weighted[shape]
         detail = ""
-        for area in range(1, order + 1):
-            if table[area] != weighted.coeffs[area]:
-                detail = f"area {area}: enumerator {table[area]!r} != series {weighted.coeffs[area]!r}"
+        for area, weights in oracle[shape].items():
+            if weights != series.coeffs[area]:
+                detail = f"area {area}: enumerator {weights!r} != series {series.coeffs[area]!r}"
                 break
-        if not detail and weighted.evaluate_ones() != plain[shape]:
+        cut = TruncatedSeries(plain[shape].coeffs, series.order)
+        if not detail and series.evaluate_ones() != cut:
             detail = "z:=1 does not recover the plain series"
-        name = f"weighted[{_config_label(pieces)} {_shape_label(shape)}]"
+        name = f"weighted[{_config_label(pieces)} {shape.value}]"
         out.append(CheckResult(name, not detail, detail))
     return out
 
 
-def _check_structure(pieces: PieceSet, order: int, tamper: TamperHook | None) -> CheckResult:
+def _check_structure(pieces: PieceSet, family: Family) -> CheckResult:
     """Fixed-point residual plus the coefficientwise 0 <= H <= P <= M chain."""
-    family = _tampered(pieces, series_family(pieces, order), tamper)
-    h, p, m = family[Shape.HALF_PYRAMID], family[Shape.PYRAMID], family[Shape.TOWER]
+    h, p, m = (TruncatedSeries(family[shape].coeffs, _SERIES_ORDER) for shape in _SHAPES)
     detail = ""
     residual = half_pyramid_rhs(h, pieces) - h
     for n, c in enumerate(residual.coeffs):
@@ -119,7 +106,7 @@ def _check_structure(pieces: PieceSet, order: int, tamper: TamperHook | None) ->
             detail = f"H-equation residual {c} at t^{n}"
             break
     if not detail:
-        for n in range(order + 1):
+        for n in range(_SERIES_ORDER + 1):
             if not (0 <= h.coeffs[n] <= p.coeffs[n] <= m.coeffs[n]):
                 detail = (
                     f"ordering fails at t^{n}: H={h.coeffs[n]} P={p.coeffs[n]} M={m.coeffs[n]}"
@@ -128,12 +115,11 @@ def _check_structure(pieces: PieceSet, order: int, tamper: TamperHook | None) ->
     return CheckResult(f"structure[{_config_label(pieces)}]", not detail, detail)
 
 
-def _check_closed_forms(tamper: TamperHook | None, max_n: int = 20) -> list[CheckResult]:
+def _check_closed_forms(plain: dict[PieceSet, Family], max_n: int = 20) -> list[CheckResult]:
     out = []
-    for k in range(1, 6):
+    for k in _CLOSED_FORM_SIZES:
         pieces = PieceSet.of(k)
-        order = k * max_n
-        family = _tampered(pieces, series_family(pieces, order, through=Shape.PYRAMID), tamper)
+        family = plain[pieces]
         half_counts = coefficients_by_pieces(family[Shape.HALF_PYRAMID], pieces)
         pyr_counts = coefficients_by_pieces(family[Shape.PYRAMID], pieces)
         detail = ""
@@ -147,8 +133,7 @@ def _check_closed_forms(tamper: TamperHook | None, max_n: int = 20) -> list[Chec
         out.append(CheckResult(f"closed-form[k={k}]", not detail, detail))
     for rule in (Rule.ALL_INTERFACES, Rule.NO_EXACT_ALIGNMENT):
         pieces = PieceSet.of(2, rule=rule)
-        family = _tampered(pieces, series_family(pieces, 2 * max_n), tamper)
-        by_pieces = coefficients_by_pieces(family[Shape.TOWER], pieces)
+        by_pieces = coefficients_by_pieces(plain[pieces][Shape.TOWER], pieces)
         detail = ""
         for n in range(1, max_n + 1):
             if by_pieces[n - 1] != closed_form_dimer_towers(rule, n):
@@ -158,30 +143,25 @@ def _check_closed_forms(tamper: TamperHook | None, max_n: int = 20) -> list[Chec
     return out
 
 
-def _check_annihilators(pieces: PieceSet, order: int) -> list[CheckResult]:
-    family = series_family(pieces, order)
+def _check_annihilators(pieces: PieceSet) -> list[CheckResult]:
+    """`annihilating_polynomial` raises unless Q vanishes on its own series."""
     out = []
     for shape in _SHAPES:
         detail = ""
         try:
-            q = annihilating_polynomial(pieces, shape, verify_order=order)
-            if not verify_annihilator(q, family[shape]):
-                detail = "annihilator does not vanish on the series"
+            annihilating_polynomial(pieces, shape, verify_order=_SERIES_ORDER)
         except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
             detail = f"{type(exc).__name__}: {exc}"
-        name = f"annihilator[{_config_label(pieces)} {_shape_label(shape)}]"
+        name = f"annihilator[{_config_label(pieces)} {shape.value}]"
         out.append(CheckResult(name, not detail, detail))
     return out
 
 
-def _check_guesses(pieces: PieceSet, tamper: TamperHook | None) -> list[CheckResult]:
-    guess_terms, holdout = 60, 200
-    order = guess_terms + holdout
-    family = _tampered(pieces, series_family(pieces, order), tamper)
+def _check_guesses(pieces: PieceSet, family: Family) -> list[CheckResult]:
     out = []
     for shape in _SHAPES:
-        full = sequence_from_series(family[shape])
-        prefix = Sequence(full.offset, full.terms[:guess_terms], full.label)
+        full = sequence_from_series(TruncatedSeries(family[shape].coeffs, _GUESS_TERMS + _HOLDOUT))
+        prefix = Sequence(full.offset, full.terms[:_GUESS_TERMS], full.label)
         detail = ""
         # The tower sequences for mixed piece sets need recurrences as large
         # as order 7, degree 5; that shape saturates 60 terms exactly when
@@ -189,7 +169,7 @@ def _check_guesses(pieces: PieceSet, tamper: TamperHook | None) -> list[CheckRes
         # validation).
         rec = guess_recurrence(prefix, max_order=7, max_degree=5, guard=5)
         if rec is None:
-            detail = "no recurrence found in 60 terms"
+            detail = f"no recurrence found in {_GUESS_TERMS} terms"
         elif not verify_recurrence(rec, full):
             detail = "guessed recurrence fails on held-out series terms"
         else:
@@ -199,7 +179,7 @@ def _check_guesses(pieces: PieceSet, tamper: TamperHook | None) -> list[CheckRes
                     i for i, (a, b) in enumerate(zip(replay.terms, full.terms)) if a != b
                 )
                 detail = f"extension diverges from the series at n={full.offset + bad}"
-        name = f"guess[{_config_label(pieces)} {_shape_label(shape)}]"
+        name = f"guess[{_config_label(pieces)} {shape.value}]"
         out.append(CheckResult(name, not detail, detail))
     return out
 
@@ -211,17 +191,33 @@ def verify_identities(
 ) -> list[CheckResult]:
     """Run every cross-module identity check at desk scale.
 
-    `max_area` bounds the enumerator-vs-series comparisons, `max_pieces`
-    the piece-count spot checks.  `_tamper` is a test hook that lets the
-    negative-control test corrupt a series and watch the suite fail.
+    `max_area` bounds the enumerator-vs-series comparisons, plain and
+    weighted; `max_pieces` the piece-count spot checks.  Each piece set's
+    plain H, P and M are solved once and shared by every check that reads
+    them, and each set and shape is enumerated once: the oracle's weight
+    table gives the plain counts by setting every z to 1.  `_tamper` is a
+    test hook that lets the negative-control test corrupt a series and
+    watch the suite fail.
     """
-    results: list[CheckResult] = []
-    all_sets = [PieceSet(sizes) for sizes in ACCEPTANCE_SETS]
+    acceptance = [PieceSet(sizes) for sizes in ACCEPTANCE_SETS]
     noalign_dimer = PieceSet.of(2, rule=Rule.NO_EXACT_ALIGNMENT)
+    checked = acceptance + [noalign_dimer]
+    order = max(_GUESS_TERMS + _HOLDOUT, max_area)
+    plain: dict[PieceSet, Family] = {}
+    for pieces in dict.fromkeys(checked + [PieceSet.of(k) for k in _CLOSED_FORM_SIZES]):
+        label = _config_label(pieces)
+        plain[pieces] = {
+            s: _tamper(f"{label} {s.value}", f) if _tamper else f
+            for s, f in series_family(pieces, order).items()
+        }
+    oracle: dict[PieceSet, Oracle] = {}
+    for pieces in checked:
+        queries = {s: EnumerationQuery(pieces, s, BoundKind.BY_AREA, max_area) for s in _SHAPES}
+        oracle[pieces] = {s: weight_polynomial(q) for s, q in queries.items()}
 
-    for pieces in all_sets:
-        results.extend(_check_counts(pieces, max_area, _tamper))
-    results.extend(_check_counts(noalign_dimer, max_area, _tamper))
+    results: list[CheckResult] = []
+    for pieces in checked:
+        results.extend(_check_counts(pieces, plain[pieces], oracle[pieces]))
 
     # piece-count spot check against the dimer closed forms
     for pieces, base in ((PieceSet.of(2), 4), (noalign_dimer, 3)):
@@ -233,17 +229,16 @@ def verify_identities(
             if counts[n] != base ** (n - 1):
                 detail = f"n={n}: enumerator {counts[n]} != {base}^{n - 1}"
                 break
-        results.append(
-            CheckResult(f"dimer-pieces[{_config_label(pieces)}]", not detail, detail)
-        )
+        results.append(CheckResult(f"dimer-pieces[{_config_label(pieces)}]", not detail, detail))
 
-    for pieces in all_sets:
-        results.extend(_check_weighted(pieces, max_area, _tamper))
-    for pieces in all_sets + [noalign_dimer]:
-        results.append(_check_structure(pieces, 200, _tamper))
-    results.extend(_check_closed_forms(_tamper))
-    for pieces in all_sets + [noalign_dimer]:
-        results.extend(_check_annihilators(pieces, 200))
-    for pieces in all_sets + [noalign_dimer]:
-        results.extend(_check_guesses(pieces, _tamper))
+    for pieces in acceptance:
+        weighted = series_family(pieces, max_area, weighted=True)
+        results.extend(_check_weighted(pieces, plain[pieces], weighted, oracle[pieces]))
+    for pieces in checked:
+        results.append(_check_structure(pieces, plain[pieces]))
+    results.extend(_check_closed_forms(plain))
+    for pieces in checked:
+        results.extend(_check_annihilators(pieces))
+    for pieces in checked:
+        results.extend(_check_guesses(pieces, plain[pieces]))
     return results

@@ -16,16 +16,18 @@ and fills in one coefficient at a time, which is what makes high orders
 (thousands of terms) affordable.  `iterate_half_pyramids` is the plain
 repeated-substitution version, kept as a slow reference implementation.
 
-Pyramids and towers are rational in H:
+Pyramids and towers are rational in H.  With k the largest size,
 
     P = H / (1 - sum over sizes i of (i-1) * t^i * z_i * (1+H)^i)
-    P = H / (1 - (k-1) * H)              (single size, no exact alignment)
+      = H / (1 - (k-1) * H + sum over sizes i < k of (k-i) * t^i * z_i * (1+H)^i)
     M = P / (1 - H)
 
-`series_pyramids` and `series_towers` compute exactly these two quotients
-with series division.  Both denominators have constant term 1, so the
-division stays in the integers.  `series_family` is the entry point: it
-solves H and derives P and M from it, stopping at the shape asked for.
+The second form follows from the H-equation and also holds under the
+no-exact-alignment rule (one size k), where its sum is empty.
+`series_pyramids` and `series_towers` compute these quotients with series
+division.  Both denominators have constant term 1, so the division stays in
+the integers.  `series_family` is the entry point: it solves H and derives
+P and M from it, stopping at the shape asked for.
 """
 
 from __future__ import annotations
@@ -96,9 +98,6 @@ class TruncatedSeries:
     def one(cls, order: int, sizes: tuple[int, ...] | None = None) -> "TruncatedSeries":
         s = cls.zero(order, sizes)
         return s + 1
-
-    def coefficient(self, n: int) -> Coefficient:
-        return self.coeffs[n]
 
     @property
     def is_weighted(self) -> bool:
@@ -285,12 +284,13 @@ def solve_half_pyramids(pieces: PieceSet, order: int, weighted: bool = False) ->
     return TruncatedSeries(tuple(h), order)
 
 
-def half_pyramid_rhs(h: TruncatedSeries, pieces: PieceSet, weighted: bool = False) -> TruncatedSeries:
-    """Right-hand side of the half-pyramid equation evaluated at h.
+def half_pyramid_rhs(h: TruncatedSeries, pieces: PieceSet) -> TruncatedSeries:
+    """Right-hand side of the half-pyramid equation at h, weighted iff h is.
 
     Useful for residual checks: h solves the equation iff the result equals
     h coefficientwise through the shared order.
     """
+    weighted = h.is_weighted
     _check_rule(pieces, weighted)
     sizes = pieces.sizes
     one_plus = h + 1
@@ -318,31 +318,30 @@ def iterate_half_pyramids(
     _check_rule(pieces, weighted)
     h = TruncatedSeries.zero(order, pieces.sizes if weighted else None)
     for _ in range(order + 1 if steps is None else steps):
-        h = half_pyramid_rhs(h, pieces, weighted)
+        h = half_pyramid_rhs(h, pieces)
     return h
 
 
-def _pyramid_denominator(h: TruncatedSeries, pieces: PieceSet, weighted: bool) -> TruncatedSeries:
-    if pieces.rule is Rule.NO_EXACT_ALIGNMENT:
-        return 1 - (pieces.single_size - 1) * h
-    total = TruncatedSeries.zero(h.order, pieces.sizes if weighted else None)
-    one_plus = h + 1
-    power = one_plus  # (1+H)^i, one more factor per step of i
-    for i in range(2, pieces.max_size + 1):
-        power = power * one_plus
-        if i not in pieces.sizes:
-            continue
-        term = power.shift(i) * (i - 1)
-        if weighted:
-            term = term * ZPolynomial.marker(pieces.sizes, i)
-        total = total + term
-    return 1 - total
+def _pyramid_denominator(h: TruncatedSeries, pieces: PieceSet) -> TruncatedSeries:
+    """1 - (k-1)*H + sum over sizes i < k of (k-i) * t^i * z_i * (1+H)^i."""
+    k = pieces.max_size
+    total = 1 - (k - 1) * h
+    one_plus = power = h + 1  # power is (1+H)^i, one more factor per step of i
+    for i in range(1, max(pieces.sizes[:-1], default=0) + 1):
+        if i > 1:
+            power = power * one_plus
+        if i in pieces.sizes:
+            term = power.shift(i) * (k - i)
+            if h.is_weighted:
+                term = term * ZPolynomial.marker(pieces.sizes, i)
+            total = total + term
+    return total
 
 
-def series_pyramids(h: TruncatedSeries, pieces: PieceSet, weighted: bool = False) -> TruncatedSeries:
-    """Pyramid series P from the half-pyramid series h."""
-    _check_rule(pieces, weighted)
-    return h / _pyramid_denominator(h, pieces, weighted)
+def series_pyramids(h: TruncatedSeries, pieces: PieceSet) -> TruncatedSeries:
+    """Pyramid series P from the half-pyramid series h (weighted iff h is)."""
+    _check_rule(pieces, h.is_weighted)
+    return h / _pyramid_denominator(h, pieces)
 
 
 def series_towers(p: TruncatedSeries, h: TruncatedSeries) -> TruncatedSeries:
@@ -361,7 +360,7 @@ def series_family(
     h = solve_half_pyramids(pieces, order, weighted)
     family = {Shape.HALF_PYRAMID: h}
     if through is not Shape.HALF_PYRAMID:
-        p = family[Shape.PYRAMID] = series_pyramids(h, pieces, weighted)
+        p = family[Shape.PYRAMID] = series_pyramids(h, pieces)
         if through is Shape.TOWER:
             family[Shape.TOWER] = series_towers(p, h)
     return family

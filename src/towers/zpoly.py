@@ -50,10 +50,6 @@ class ZPolynomial:
         exps[sizes.index(size)] = 1
         return cls(sizes, {tuple(exps): 1})
 
-    @classmethod
-    def monomial(cls, sizes: tuple[int, ...], exps: tuple[int, ...], coeff: int = 1) -> "ZPolynomial":
-        return cls(sizes, {tuple(exps): coeff})
-
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """Monomials in a canonical (sorted-key) order."""
         return iter(sorted(self._terms.items()))
@@ -163,7 +159,7 @@ class ZPolynomial:
             return "0"
         parts = []
         for exps, coeff in sorted(self._terms.items()):
-            factors = [] if coeff != 1 or not any(exps) else []
+            factors = []
             if coeff != 1 or not any(exps):
                 factors.append(str(coeff))
             for size, e in zip(self.sizes, exps):

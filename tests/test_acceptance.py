@@ -95,7 +95,7 @@ def test_criterion_4_oracle_equivalence():
                 )
                 assert [counts[a] for a in range(1, 13)] == list(family[shape].coeffs[1:])
                 table = weight_polynomial(
-                    EnumerationQuery(pieces, shape, BoundKind.BY_AREA, 10, weighted=True)
+                    EnumerationQuery(pieces, shape, BoundKind.BY_AREA, 10)
                 )
                 for area in range(1, 11):
                     assert table[area] == weighted[shape].coeffs[area]

@@ -90,22 +90,18 @@ def test_removing_top_floor_keeps_towers_legal():
 
 def test_weight_polynomial_requires_weighted_by_area():
     with pytest.raises(ValueError):
-        weight_polynomial(EnumerationQuery(DIMER, Shape.TOWER, BoundKind.BY_AREA, 4))
-    with pytest.raises(ValueError):
-        weight_polynomial(
-            EnumerationQuery(DIMER, Shape.TOWER, BoundKind.BY_PIECE_COUNT, 4, weighted=True)
-        )
+        weight_polynomial(EnumerationQuery(DIMER, Shape.TOWER, BoundKind.BY_PIECE_COUNT, 4))
 
 
 def test_weight_polynomial_small_cases():
     table = weight_polynomial(
-        EnumerationQuery(DIMER, Shape.TOWER, BoundKind.BY_AREA, 2, weighted=True)
+        EnumerationQuery(DIMER, Shape.TOWER, BoundKind.BY_AREA, 2)
     )
     assert table[2] == ZPolynomial((2,), {(1,): 1})
 
     pieces = PieceSet.of(1, 2)
     table = weight_polynomial(
-        EnumerationQuery(pieces, Shape.TOWER, BoundKind.BY_AREA, 2, weighted=True)
+        EnumerationQuery(pieces, Shape.TOWER, BoundKind.BY_AREA, 2)
     )
     # area 2: one dimer, two unit pieces side by side, two unit pieces stacked
     assert table[2] == ZPolynomial(pieces.sizes, {(0, 1): 1, (2, 0): 2})
@@ -115,7 +111,7 @@ def test_weight_polynomial_small_cases():
 def test_weight_polynomial_tracks_mixed_compositions_at_area_twelve():
     pieces = PieceSet.of(1, 2, 3)
     table = weight_polynomial(
-        EnumerationQuery(pieces, Shape.TOWER, BoundKind.BY_AREA, 12, weighted=True)
+        EnumerationQuery(pieces, Shape.TOWER, BoundKind.BY_AREA, 12)
     )
     assert table[12].coefficient((2, 2, 2)) > 0
 
@@ -124,7 +120,7 @@ def test_weights_at_one_recover_counts():
     pieces = PieceSet.of(2, 3)
     bound = 9
     table = weight_polynomial(
-        EnumerationQuery(pieces, Shape.TOWER, BoundKind.BY_AREA, bound, weighted=True)
+        EnumerationQuery(pieces, Shape.TOWER, BoundKind.BY_AREA, bound)
     )
     counts = count_towers(EnumerationQuery(pieces, Shape.TOWER, BoundKind.BY_AREA, bound))
     assert {a: z.eval_ones() for a, z in table.items()} == counts

@@ -1,5 +1,9 @@
+from collections import Counter
+
 import pytest
 
+import towers.identities as identities
+from towers.enumeration import BoundKind
 from towers.identities import ACCEPTANCE_SETS, verify_identities
 from towers.series import TruncatedSeries
 
@@ -40,3 +44,28 @@ def test_corrupted_series_is_caught_with_counterexample():
     assert any("area 7" in f.detail or "t^7" in f.detail for f in failures)
     names = " ".join(f.name for f in failures)
     assert "S={1,2}" in names
+
+
+def test_each_set_is_solved_once_and_each_shape_enumerated_once(monkeypatch):
+    solves, walks = Counter(), Counter()
+    solve = identities.series_family
+
+    def counted_solve(pieces, order, weighted=False, **kwargs):
+        solves[pieces, weighted] += 1
+        return solve(pieces, order, weighted, **kwargs)
+
+    def counted_walk(walk):
+        def counted(query):
+            if query.bound_kind is BoundKind.BY_AREA:
+                walks[query.pieces, query.shape] += 1
+            return walk(query)
+
+        return counted
+
+    monkeypatch.setattr(identities, "series_family", counted_solve)
+    for name in ("weight_polynomial", "count_towers"):
+        monkeypatch.setattr(identities, name, counted_walk(getattr(identities, name)))
+    assert all(r.passed for r in verify_identities(max_area=6, max_pieces=4))
+    assert solves and max(solves.values()) == 1
+    assert {p for p, weighted in solves if weighted} <= {p for p, weighted in solves if not weighted}
+    assert walks and max(walks.values()) == 1

@@ -1,5 +1,6 @@
 import pytest
 
+from towers.enumeration import BoundKind, EnumerationQuery, weight_polynomial
 from towers.errors import ConsistencyError, UnsupportedConfigurationError
 from towers.model import PieceSet, Rule, Shape
 from towers.series import (
@@ -12,6 +13,7 @@ from towers.series import (
     iterate_half_pyramids,
     piece_count_sequence,
     series_family,
+    series_pyramids,
     solve_half_pyramids,
 )
 from towers.zpoly import ZPolynomial
@@ -160,7 +162,17 @@ class TestWeightedMode:
     def test_weighted_residual_vanishes(self):
         pieces = PieceSet.of(1, 3)
         h = solve_half_pyramids(pieces, 9, weighted=True)
-        assert half_pyramid_rhs(h, pieces, weighted=True) == h
+        assert half_pyramid_rhs(h, pieces) == h
+
+    def test_weighted_series_need_no_flag(self):
+        pieces = PieceSet.of(1, 2)
+        h = solve_half_pyramids(pieces, 6, weighted=True)
+        p = series_pyramids(h, pieces)
+        # area 3: three stacked units, or a unit and a dimer stacked in four ways
+        assert p.coeffs[3] == ZPolynomial(pieces.sizes, {(1, 1): 4, (3, 0): 1})
+        assert half_pyramid_rhs(h, pieces) == h
+        table = weight_polynomial(EnumerationQuery(pieces, PYRAMID, BoundKind.BY_AREA, 6))
+        assert list(p.coeffs[1:]) == [table[a] for a in range(1, 7)]
 
     def test_weighted_coefficients_track_composition(self):
         pieces = PieceSet.of(1, 2)

@@ -12,8 +12,8 @@ So Q is read off R without factoring.  The content c(t) is the gcd of R's
 y-coefficients (not always a power of t); Q is the exact m-th root of
 R0 = R / c(t), found as a Hermite-Pade kernel of the series for each m > 1
 dividing both degrees of R0, largest first, and Q = R0 when none has a
-root.  Finally Q is checked by substituting the truncated series, a
-semantic rather than syntactic criterion.
+root.  Finally Q is checked by substituting the caller's truncated series
+of F, a semantic rather than syntactic criterion.
 
 Everything here is plain enumeration (all markers z_i set to 1).
 """
@@ -222,15 +222,16 @@ def verify_annihilator(q: BivariatePolynomial, s: TruncatedSeries) -> bool:
 
 
 def annihilating_polynomial(
-    pieces: PieceSet, shape: Shape, verify_order: int = 200
+    pieces: PieceSet, shape: Shape, series: TruncatedSeries
 ) -> BivariatePolynomial:
     """The minimal polynomial Q(t, y) with Q(t, F(t)) = 0 for the shape's series F.
 
     For half-pyramids this is the defining polynomial itself.  For pyramids
     and towers it is obtained by eliminating H between E(t, H) and the
     shape's cleared-denominator relation, then removing the resultant's
-    t-content and taking its exact m-th root.  Either way Q must vanish on
-    the series through t^verify_order.
+    t-content and taking its exact m-th root, which reads a series prefix
+    solved here.  Either way Q must vanish on the caller's `series` of F
+    through its order.
     """
     if pieces.max_size > _MAX_PIECE_SIZE:
         raise DegreeCapError(
@@ -239,19 +240,16 @@ def annihilating_polynomial(
         )
     if shape is Shape.HALF_PYRAMID:
         result = defining_polynomial_H(pieces)
-        series = series_family(pieces, verify_order, through=shape)[shape]
     else:
         e = _h_poly_defining(pieces)
         resultant = h_resultant(e, _relation_for_shape(pieces, shape))
         if not resultant:
             raise ConsistencyError("elimination produced the zero resultant")
         r0 = _without_content(resultant)
-        order = max(verify_order, r0.y_degree * r0.t_degree)
-        series = series_family(pieces, order, through=shape)[shape]
-        result = _select_annihilator(r0, len(e) - 1, series)
-        series = TruncatedSeries(series.coeffs, verify_order)
+        prefix = series_family(pieces, r0.y_degree * r0.t_degree, through=shape)[shape]
+        result = _select_annihilator(r0, len(e) - 1, prefix)
     if not verify_annihilator(result, series):
         raise ConsistencyError(
-            f"the annihilator does not vanish on the series through t^{verify_order}"
+            f"the annihilator does not vanish on the series through t^{series.order}"
         )
     return result

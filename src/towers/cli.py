@@ -20,7 +20,7 @@ from . import jsonio
 from .algebra import annihilating_polynomial
 from .asymptotics import estimate_asymptotics
 from .enumeration import BoundKind, EnumerationQuery, count_towers, enumerate_towers, weight_polynomial
-from .errors import ConsistencyError, DegreeCapError, MalformedInputError, UnsupportedConfigurationError
+from .errors import ConsistencyError, DegreeCapError, UnsupportedConfigurationError
 from .gallery import render_gallery
 from .identities import verify_identities
 from .model import PieceSet, Rule, Shape
@@ -134,7 +134,9 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 def cmd_eliminate(args: argparse.Namespace) -> int:
     pieces = _piece_set(args)
-    poly = annihilating_polynomial(pieces, _SHAPES[args.shape], verify_order=args.order)
+    shape = _SHAPES[args.shape]
+    series = series_family(pieces, args.order, through=shape)[shape]
+    poly = annihilating_polynomial(pieces, shape, series)
     _emit(args, jsonio.dumps(jsonio.polynomial_to_json(poly)))
     return 0
 
@@ -166,8 +168,7 @@ def cmd_asympt(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     pieces = _piece_set(args)
-    document = render_gallery(pieces, _SHAPES[args.shape], args.pieces, out_path=None)
-    _emit(args, document)
+    _emit(args, render_gallery(pieces, _SHAPES[args.shape], args.pieces))
     return 0
 
 
@@ -259,10 +260,8 @@ def main(argv: list[str] | None = None) -> int:
     except (InconsistentRecurrenceError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    except (MalformedInputError, UnsupportedConfigurationError, DegreeCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    # MalformedInputError, UnsupportedConfigurationError and JSONDecodeError are ValueErrors
+    except (ValueError, OSError, KeyError, DegreeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,6 @@ towers is embedded in a metadata element.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 from .enumeration import BoundKind, EnumerationQuery, enumerate_towers
 from .model import PieceSet, Shape, Tower
@@ -30,17 +29,8 @@ def _tower_cells(tower: Tower) -> tuple[int, int, int]:
     return min(lefts), max(rights) - min(lefts), len(tower.floors)
 
 
-def render_gallery(
-    pieces: PieceSet,
-    shape: Shape,
-    piece_count: int,
-    out_path: str | Path | None = None,
-) -> str:
-    """Render every canonical tower with exactly `piece_count` pieces.
-
-    Returns the SVG document as a string and, if `out_path` is given, also
-    writes it there.
-    """
+def render_gallery(pieces: PieceSet, shape: Shape, piece_count: int) -> str:
+    """The SVG document of every canonical tower with exactly `piece_count` pieces."""
     query = EnumerationQuery(pieces, shape, BoundKind.BY_PIECE_COUNT, piece_count)
     towers = [t for t in enumerate_towers(query) if t.piece_count == piece_count]
     count = len(towers)
@@ -82,7 +72,4 @@ def render_gallery(
                     f'<rect x="{x}" y="{y}" width="{width}" height="{UNIT}" '
                     f'fill="none" stroke="{PIECE_STROKE}" stroke-width="1"/>'
                 )
-    document = "\n".join(parts) + "\n</svg>\n"
-    if out_path is not None:
-        Path(out_path).write_text(document, encoding="utf-8")
-    return document
+    return "\n".join(parts) + "\n</svg>\n"

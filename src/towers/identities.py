@@ -10,7 +10,6 @@ package's own acceptance run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .algebra import annihilating_polynomial
 from .enumeration import BoundKind, EnumerationQuery, count_towers, weight_polynomial
@@ -42,10 +41,7 @@ _SHAPES = (Shape.HALF_PYRAMID, Shape.PYRAMID, Shape.TOWER)
 _GUESS_TERMS, _HOLDOUT = 60, 200  # recurrences: terms guessed from, terms held out
 _SERIES_ORDER = 200  # structure and annihilator checks
 _CLOSED_FORM_SIZES = range(1, 6)  # single sizes k with closed-form (half-)pyramid counts
-
-# Optional hook for negative-control tests: receives a config label and the
-# freshly computed plain series, returns the series to use instead.
-TamperHook = Callable[[str, TruncatedSeries], TruncatedSeries]
+_CLOSED_FORM_TERMS = 20  # piece counts n compared with the closed forms
 
 Family = dict[Shape, TruncatedSeries]
 Oracle = dict[Shape, dict[int, ZPolynomial]]
@@ -115,7 +111,7 @@ def _check_structure(pieces: PieceSet, family: Family) -> CheckResult:
     return CheckResult(f"structure[{_config_label(pieces)}]", not detail, detail)
 
 
-def _check_closed_forms(plain: dict[PieceSet, Family], max_n: int = 20) -> list[CheckResult]:
+def _check_closed_forms(plain: dict[PieceSet, Family]) -> list[CheckResult]:
     out = []
     for k in _CLOSED_FORM_SIZES:
         pieces = PieceSet.of(k)
@@ -123,7 +119,7 @@ def _check_closed_forms(plain: dict[PieceSet, Family], max_n: int = 20) -> list[
         half_counts = coefficients_by_pieces(family[Shape.HALF_PYRAMID], pieces)
         pyr_counts = coefficients_by_pieces(family[Shape.PYRAMID], pieces)
         detail = ""
-        for n in range(1, max_n + 1):
+        for n in range(1, _CLOSED_FORM_TERMS + 1):
             if half_counts[n - 1] != closed_form_half_pyramids(k, n):
                 detail = f"half-pyramids k={k} n={n}: series {half_counts[n - 1]}"
                 break
@@ -135,7 +131,7 @@ def _check_closed_forms(plain: dict[PieceSet, Family], max_n: int = 20) -> list[
         pieces = PieceSet.of(2, rule=rule)
         by_pieces = coefficients_by_pieces(plain[pieces][Shape.TOWER], pieces)
         detail = ""
-        for n in range(1, max_n + 1):
+        for n in range(1, _CLOSED_FORM_TERMS + 1):
             if by_pieces[n - 1] != closed_form_dimer_towers(rule, n):
                 detail = f"dimer towers {rule.value} n={n}: series {by_pieces[n - 1]}"
                 break
@@ -143,13 +139,15 @@ def _check_closed_forms(plain: dict[PieceSet, Family], max_n: int = 20) -> list[
     return out
 
 
-def _check_annihilators(pieces: PieceSet) -> list[CheckResult]:
-    """`annihilating_polynomial` raises unless Q vanishes on its own series."""
+def _check_annihilators(pieces: PieceSet, family: Family) -> list[CheckResult]:
+    """`annihilating_polynomial` raises unless Q vanishes on the shared series."""
     out = []
     for shape in _SHAPES:
         detail = ""
         try:
-            annihilating_polynomial(pieces, shape, verify_order=_SERIES_ORDER)
+            annihilating_polynomial(
+                pieces, shape, TruncatedSeries(family[shape].coeffs, _SERIES_ORDER)
+            )
         except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
             detail = f"{type(exc).__name__}: {exc}"
         name = f"annihilator[{_config_label(pieces)} {shape.value}]"
@@ -184,32 +182,23 @@ def _check_guesses(pieces: PieceSet, family: Family) -> list[CheckResult]:
     return out
 
 
-def verify_identities(
-    max_area: int = 12,
-    max_pieces: int = 7,
-    _tamper: TamperHook | None = None,
-) -> list[CheckResult]:
+def verify_identities(max_area: int = 12, max_pieces: int = 7) -> list[CheckResult]:
     """Run every cross-module identity check at desk scale.
 
     `max_area` bounds the enumerator-vs-series comparisons, plain and
     weighted; `max_pieces` the piece-count spot checks.  Each piece set's
     plain H, P and M are solved once and shared by every check that reads
     them, and each set and shape is enumerated once: the oracle's weight
-    table gives the plain counts by setting every z to 1.  `_tamper` is a
-    test hook that lets the negative-control test corrupt a series and
-    watch the suite fail.
+    table gives the plain counts by setting every z to 1.
     """
     acceptance = [PieceSet(sizes) for sizes in ACCEPTANCE_SETS]
     noalign_dimer = PieceSet.of(2, rule=Rule.NO_EXACT_ALIGNMENT)
     checked = acceptance + [noalign_dimer]
     order = max(_GUESS_TERMS + _HOLDOUT, max_area)
-    plain: dict[PieceSet, Family] = {}
-    for pieces in dict.fromkeys(checked + [PieceSet.of(k) for k in _CLOSED_FORM_SIZES]):
-        label = _config_label(pieces)
-        plain[pieces] = {
-            s: _tamper(f"{label} {s.value}", f) if _tamper else f
-            for s, f in series_family(pieces, order).items()
-        }
+    plain: dict[PieceSet, Family] = {
+        pieces: series_family(pieces, order)
+        for pieces in dict.fromkeys(checked + [PieceSet.of(k) for k in _CLOSED_FORM_SIZES])
+    }
     oracle: dict[PieceSet, Oracle] = {}
     for pieces in checked:
         queries = {s: EnumerationQuery(pieces, s, BoundKind.BY_AREA, max_area) for s in _SHAPES}
@@ -238,7 +227,7 @@ def verify_identities(
         results.append(_check_structure(pieces, plain[pieces]))
     results.extend(_check_closed_forms(plain))
     for pieces in checked:
-        results.extend(_check_annihilators(pieces))
+        results.extend(_check_annihilators(pieces, plain[pieces]))
     for pieces in checked:
         results.extend(_check_guesses(pieces, plain[pieces]))
     return results

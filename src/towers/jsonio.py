@@ -103,10 +103,10 @@ def _zpoly_to_json(z: ZPolynomial) -> dict[str, str]:
     return {",".join(map(str, exps)): _int_str(c) for exps, c in z.items()}
 
 
-def series_to_json(series: TruncatedSeries, sizes: tuple[int, ...] | None = None) -> dict:
+def series_to_json(series: TruncatedSeries) -> dict:
     payload: dict[str, Any] = {"variable": "t", "order": series.order}
     if series.is_weighted:
-        payload["sizes"] = list(sizes if sizes is not None else series.coeffs[0].sizes)
+        payload["sizes"] = list(series.coeffs[0].sizes)
         payload["coeffs"] = [_zpoly_to_json(c) for c in series.coeffs]
     else:
         payload["coeffs"] = [_int_str(c) for c in series.coeffs]
@@ -166,12 +166,12 @@ def weight_table_to_json(table: dict[int, ZPolynomial], sizes: tuple[int, ...]) 
     }
 
 
-def estimate_to_json(est: AsymptoticEstimate, digits: int = 30) -> dict:
+def estimate_to_json(est: AsymptoticEstimate) -> dict:
     return {
-        "mu": decimal_str(est.mu, digits),
-        "theta": decimal_str(est.theta, digits),
+        "mu": decimal_str(est.mu),
+        "theta": decimal_str(est.theta),
         "c_amplitude": None if est.c_amplitude is None else repr(est.c_amplitude),
-        "stability": {k: decimal_str(v, digits) for k, v in sorted(est.stability.items())},
+        "stability": {k: decimal_str(v) for k, v in sorted(est.stability.items())},
         "empirical": True,
     }
 

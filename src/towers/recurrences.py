@@ -205,7 +205,7 @@ def extend_sequence(rec: Recurrence, initial: Sequence, target_length: int) -> S
     return Sequence(initial.offset, tuple(terms), initial.label)
 
 
-def sequence_from_series(series: TruncatedSeries, label: str = "") -> Sequence:
+def sequence_from_series(series: TruncatedSeries) -> Sequence:
     """Coefficient sequence of a plain series, indexed from n = 1.
 
     The constant coefficient (always 0 for the tower series) is dropped, so
@@ -213,4 +213,4 @@ def sequence_from_series(series: TruncatedSeries, label: str = "") -> Sequence:
     """
     if series.is_weighted:
         raise ValueError("sequence_from_series expects a plain series")
-    return Sequence(1, tuple(series.coeffs[1:]), label)
+    return Sequence(1, tuple(series.coeffs[1:]))

@@ -133,7 +133,7 @@ class TruncatedSeries:
 
     def __sub__(self, other):
         if isinstance(other, (TruncatedSeries, int)):
-            return self + (-other if isinstance(other, TruncatedSeries) else -other)
+            return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
@@ -307,17 +307,17 @@ def half_pyramid_rhs(h: TruncatedSeries, pieces: PieceSet) -> TruncatedSeries:
 
 
 def iterate_half_pyramids(
-    pieces: PieceSet, order: int, steps: int | None = None, weighted: bool = False
+    pieces: PieceSet, order: int, weighted: bool = False
 ) -> TruncatedSeries:
     """Reference fixed-point iteration: repeated substitution from H = 0.
 
-    Runs order+1 full substitutions by default (each corrects at least one
-    more t-order).  Quadratic in the order per step, so only suitable for
+    Runs order+1 full substitutions (each corrects at least one more
+    t-order).  Quadratic in the order per step, so only suitable for
     small orders; `solve_half_pyramids` is the fast equivalent.
     """
     _check_rule(pieces, weighted)
     h = TruncatedSeries.zero(order, pieces.sizes if weighted else None)
-    for _ in range(order + 1 if steps is None else steps):
+    for _ in range(order + 1):
         h = half_pyramid_rhs(h, pieces)
     return h
 

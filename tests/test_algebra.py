@@ -18,10 +18,14 @@ from towers.algebra import (
 from towers.errors import ConsistencyError, DegreeCapError, UnsupportedConfigurationError
 from towers.model import PieceSet, Rule, Shape
 from towers.polynomials import IntPoly, PolyTY, h_resultant, sylvester_resultant
-from towers.series import series_family, solve_half_pyramids
+from towers.series import TruncatedSeries, series_family, solve_half_pyramids
 
 DIMER = PieceSet.of(2)
 DIMER_NOALIGN = PieceSet.of(2, rule=Rule.NO_EXACT_ALIGNMENT)
+
+
+def tower_series(pieces, order):
+    return series_family(pieces, order)[Shape.TOWER]
 
 
 def bivariate(*rows):
@@ -77,35 +81,45 @@ class TestVerifyAnnihilator:
 
 class TestAnnihilatingPolynomial:
     def test_dimer_towers_both_rules(self):
-        q_all = annihilating_polynomial(DIMER, Shape.TOWER, verify_order=200)
+        q_all = annihilating_polynomial(DIMER, Shape.TOWER, tower_series(DIMER, 200))
         assert q_all == bivariate((0, 0, -1), (1, 0, -4))
-        q_no = annihilating_polynomial(DIMER_NOALIGN, Shape.TOWER, verify_order=200)
+        q_no = annihilating_polynomial(DIMER_NOALIGN, Shape.TOWER, tower_series(DIMER_NOALIGN, 200))
         assert q_no == bivariate((0, 0, -1), (1, 0, -3))
 
     def test_half_pyramid_returns_defining_polynomial(self):
         for pieces in [DIMER, PieceSet.of(1, 2), DIMER_NOALIGN]:
-            assert annihilating_polynomial(pieces, Shape.HALF_PYRAMID, 60) == defining_polynomial_H(pieces)
+            h = solve_half_pyramids(pieces, 60)
+            assert annihilating_polynomial(pieces, Shape.HALF_PYRAMID, h) == defining_polynomial_H(pieces)
 
     def test_unit_towers(self):
-        q = annihilating_polynomial(PieceSet.of(1), Shape.TOWER, verify_order=60)
+        q = annihilating_polynomial(PieceSet.of(1), Shape.TOWER, tower_series(PieceSet.of(1), 60))
         assert q == bivariate((0, -1), (1, -2))  # (1 - 2t) y - t
 
     def test_every_acceptance_configuration_verifies(self):
         order = 80
         for sizes in [(2,), (3,), (1, 2), (2, 3), (1, 2, 3)]:
             pieces = PieceSet(sizes)
+            family = series_family(pieces, order)
             for shape in (Shape.HALF_PYRAMID, Shape.PYRAMID, Shape.TOWER):
-                q = annihilating_polynomial(pieces, shape, verify_order=order)
-                assert verify_annihilator(q, series_family(pieces, order, through=shape)[shape])
+                q = annihilating_polynomial(pieces, shape, family[shape])
+                assert verify_annihilator(q, family[shape])
 
     def test_low_verify_order_gives_the_same_polynomial(self):
-        # the root step reads as many series terms as it needs, whatever the verify order
-        low = annihilating_polynomial(PieceSet.of(1, 2, 3), Shape.TOWER, verify_order=5)
-        assert low == annihilating_polynomial(PieceSet.of(1, 2, 3), Shape.TOWER, verify_order=200)
+        # the root step solves as many series terms as it needs, however short the caller's series
+        pieces = PieceSet.of(1, 2, 3)
+        low = annihilating_polynomial(pieces, Shape.TOWER, tower_series(pieces, 5))
+        assert low == annihilating_polynomial(pieces, Shape.TOWER, tower_series(pieces, 200))
+
+    def test_corrupted_series_is_rejected(self):
+        # the final check reads the caller's series: t^7 bumped by one must fail there
+        m = tower_series(DIMER, 40)
+        bumped = TruncatedSeries(m.coeffs[:7] + (m.coeffs[7] + 1,) + m.coeffs[8:], m.order)
+        with pytest.raises(ConsistencyError, match="t\\^40"):
+            annihilating_polynomial(DIMER, Shape.TOWER, bumped)
 
     def test_degree_cap(self):
         with pytest.raises(DegreeCapError):
-            annihilating_polynomial(PieceSet.of(9), Shape.TOWER, verify_order=20)
+            annihilating_polynomial(PieceSet.of(9), Shape.TOWER, tower_series(PieceSet.of(9), 20))
 
 
 def eliminant(pieces, shape):
@@ -135,7 +149,7 @@ class TestSelection:
                 factor, m = in_y[0]
                 fdict = sympy.Poly(factor, t, y).as_dict()
                 expected = as_bivariate(PolyTY({(int(i), int(j)): int(c) for (i, j), c in fdict.items()}))
-                q = annihilating_polynomial(pieces, shape, verify_order=20)
+                q = annihilating_polynomial(pieces, shape, series_family(pieces, 20)[shape])
                 assert q == expected, (pieces, shape)
                 assert as_bivariate(q.to_poly_ty() ** m) == _without_content(r), (pieces, shape)
                 multiplicities.add(m)

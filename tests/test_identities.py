@@ -5,6 +5,7 @@ import pytest
 import towers.identities as identities
 from towers.enumeration import BoundKind
 from towers.identities import ACCEPTANCE_SETS, verify_identities
+from towers.model import PieceSet, Shape
 from towers.series import TruncatedSeries
 
 
@@ -30,20 +31,24 @@ def test_degenerate_bound_still_passes():
     assert all(r.passed for r in results)
 
 
-def test_corrupted_series_is_caught_with_counterexample():
-    def corrupt(label, series):
-        if label == "S={1,2} all tower" and series.order >= 7:
-            coeffs = list(series.coeffs)
-            coeffs[7] += 1
-            return TruncatedSeries(coeffs, series.order)
-        return series
+def test_corrupted_series_is_caught_with_counterexample(monkeypatch):
+    solve = identities.series_family
 
-    results = verify_identities(max_area=8, max_pieces=3, _tamper=corrupt)
-    failures = [r for r in results if not r.passed]
-    assert failures
-    assert any("area 7" in f.detail or "t^7" in f.detail for f in failures)
-    names = " ".join(f.name for f in failures)
-    assert "S={1,2}" in names
+    def corrupt(pieces, order, weighted=False, **kwargs):
+        family = solve(pieces, order, weighted, **kwargs)
+        if pieces == PieceSet.of(1, 2) and not weighted:
+            coeffs = list(family[Shape.TOWER].coeffs)
+            coeffs[7] += 1
+            family[Shape.TOWER] = TruncatedSeries(coeffs, order)
+        return family
+
+    monkeypatch.setattr(identities, "series_family", corrupt)
+    results = verify_identities(max_area=8, max_pieces=3)
+    failures = {r.name: r.detail for r in results if not r.passed}
+    assert failures["counts[S={1,2} all tower]"] == "area 7: enumerator 1180 != series 1181"
+    # the annihilator check reads the shared series, not one of its own
+    assert "t^200" in failures["annihilator[S={1,2} all tower]"]
+    assert all("S={1,2}" in name for name in failures)
 
 
 def test_each_set_is_solved_once_and_each_shape_enumerated_once(monkeypatch):

@@ -10,7 +10,7 @@ from towers.identities import CheckResult
 from towers.model import PieceSet, Shape
 from towers.polynomials import IntPoly
 from towers.recurrences import Recurrence, Sequence
-from towers.series import solve_half_pyramids
+from towers.series import series_family, solve_half_pyramids
 
 
 def test_counts_payload_shape():
@@ -60,7 +60,8 @@ def test_recurrence_roundtrip():
 
 
 def test_polynomial_payload():
-    q = annihilating_polynomial(PieceSet.of(2), Shape.TOWER, verify_order=60)
+    pieces = PieceSet.of(2)
+    q = annihilating_polynomial(pieces, Shape.TOWER, series_family(pieces, 60)[Shape.TOWER])
     payload = jsonio.polynomial_to_json(q)
     assert payload == {"y_degree": 1, "coeffs_in_t": [["0", "0", "1"], ["-1", "0", "4"]]}
 

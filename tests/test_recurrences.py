@@ -159,10 +159,7 @@ class TestSequenceFromSeries:
     def test_drops_constant_term_and_sets_offset(self):
         pieces = PieceSet.of(1)
         h = solve_half_pyramids(pieces, 6)
-        seq = sequence_from_series(h, label="columns")
-        assert seq.offset == 1
-        assert seq.terms == (1, 1, 1, 1, 1, 1)
-        assert seq.label == "columns"
+        assert sequence_from_series(h) == Sequence(1, (1, 1, 1, 1, 1, 1))
 
 
 @settings(max_examples=25, deadline=None)

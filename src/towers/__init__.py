@@ -33,9 +33,7 @@ from .model import (
     Rule,
     Shape,
     Tower,
-    canonicalize_tower,
     is_legal_tower,
-    weight_of_tower,
 )
 from .polynomials import IntPoly
 from .recurrences import (
@@ -56,7 +54,6 @@ from .series import (
     closed_form_pyramids,
     coefficients_by_pieces,
     half_pyramid_rhs,
-    iterate_half_pyramids,
     piece_count_sequence,
     series_family,
     series_pyramids,

@@ -26,13 +26,15 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, DegreeCapError, UnsupportedConfigurationError
 from .model import PieceSet, Rule, Shape
-from .polynomials import HPoly, IntPoly, PolyTY, h_resultant, int_poly_gcd, integer_kernel
+from .polynomials import (HPoly, IntPoly, PolyTY, h_resultant, int_poly_gcd, integer_kernel,
+                          primitive_part)
 from .series import TruncatedSeries, series_family
 
 __all__ = [
     "BivariatePolynomial",
     "defining_polynomial_H",
     "annihilating_polynomial",
+    "check_degree_cap",
     "verify_annihilator",
 ]
 
@@ -57,13 +59,7 @@ class BivariatePolynomial:
         coeffs = list(self.coeffs)
         while coeffs and coeffs[-1].is_zero:
             coeffs.pop()
-        if coeffs:
-            content = math.gcd(*(c.content() for c in coeffs))
-            if content > 1:
-                coeffs = [c.divide_int(content) for c in coeffs]
-            if coeffs[-1].leading < 0:
-                coeffs = [-c for c in coeffs]
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "coeffs", primitive_part(coeffs))
 
     @property
     def y_degree(self) -> int:
@@ -72,10 +68,6 @@ class BivariatePolynomial:
     @property
     def t_degree(self) -> int:
         return max((c.degree for c in self.coeffs), default=-1)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def to_poly_ty(self) -> PolyTY:
         return PolyTY(
@@ -131,22 +123,17 @@ def _h_poly_mul(f: HPoly, g: HPoly) -> HPoly:
 
 
 def _pyramid_denominator_h(pieces: PieceSet) -> HPoly:
-    """D(t, H) with P * D = H, as a polynomial in H."""
-    if pieces.rule is Rule.NO_EXACT_ALIGNMENT:
-        k = pieces.single_size
-        return [PolyTY.constant(1), PolyTY.constant(-(k - 1))]
-    coeffs: dict[int, PolyTY] = {0: PolyTY.constant(1)}
-    for i in pieces.sizes:
-        if i == 1:
-            continue
-        for j in range(i + 1):
-            term = PolyTY({(i, 0): -(i - 1) * math.comb(i, j)})
-            coeffs[j] = coeffs.get(j, PolyTY()) + term
-    top = max(coeffs)
-    out = [coeffs.get(j, PolyTY()) for j in range(top + 1)]
-    while out and not out[-1]:
-        out.pop()
-    return out
+    """D(t, H) with P * D = H, as a polynomial in H.
+
+    D = 1 - (k-1) H + sum over sizes i < k of (k-i) t^i (1+H)^i for the
+    largest size k, the form `series` divides by; under no-exact-alignment
+    (one size) the sum is empty.
+    """
+    k = pieces.max_size
+    d = PolyTY({(0, 0): 1, (0, 1): -(k - 1)})
+    for i in pieces.sizes[:-1]:
+        d = d + _binomial_expansion(i, i) * (k - i)
+    return [PolyTY.from_t_poly(c) for c in d.to_y_coefficients()]
 
 
 def _relation_for_shape(pieces: PieceSet, shape: Shape) -> HPoly:
@@ -211,6 +198,15 @@ def _select_annihilator(
     return r0
 
 
+def check_degree_cap(pieces: PieceSet) -> None:
+    """Raise DegreeCapError for a piece set too large to eliminate."""
+    if pieces.max_size > _MAX_PIECE_SIZE:
+        raise DegreeCapError(
+            f"elimination supports piece sizes up to {_MAX_PIECE_SIZE}, "
+            f"got {pieces.max_size}"
+        )
+
+
 def verify_annihilator(q: BivariatePolynomial, s: TruncatedSeries) -> bool:
     """True iff Q(t, s(t)) is zero through the series order."""
     if s.is_weighted:
@@ -233,11 +229,7 @@ def annihilating_polynomial(
     solved here.  Either way Q must vanish on the caller's `series` of F
     through its order.
     """
-    if pieces.max_size > _MAX_PIECE_SIZE:
-        raise DegreeCapError(
-            f"elimination supports piece sizes up to {_MAX_PIECE_SIZE}, "
-            f"got {pieces.max_size}"
-        )
+    check_degree_cap(pieces)
     if shape is Shape.HALF_PYRAMID:
         result = defining_polynomial_H(pieces)
     else:

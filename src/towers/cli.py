@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import jsonio
-from .algebra import annihilating_polynomial
+from .algebra import annihilating_polynomial, check_degree_cap
 from .asymptotics import estimate_asymptotics
 from .enumeration import BoundKind, EnumerationQuery, count_towers, enumerate_towers, weight_polynomial
 from .errors import ConsistencyError, DegreeCapError, UnsupportedConfigurationError
@@ -33,9 +33,6 @@ from .recurrences import (
 )
 from .series import coefficients_by_pieces, piece_count_sequence, series_family
 
-_RULES = {"all": Rule.ALL_INTERFACES, "noalign": Rule.NO_EXACT_ALIGNMENT}
-_SHAPES = {"tower": Shape.TOWER, "pyramid": Shape.PYRAMID, "half": Shape.HALF_PYRAMID}
-
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
     try:
@@ -50,14 +47,14 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
 def _piece_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sizes", type=_parse_sizes, required=True,
                         help="comma-separated piece sizes, e.g. 1,2,3")
-    parser.add_argument("--rule", choices=sorted(_RULES), default="all",
+    parser.add_argument("--rule", choices=[rule.value for rule in Rule], default="all",
                         help="interface rule (default: all)")
-    parser.add_argument("--shape", choices=["tower", "pyramid", "half"], default="tower",
+    parser.add_argument("--shape", choices=[shape.value for shape in Shape], default="tower",
                         help="shape class (default: tower)")
 
 
 def _piece_set(args: argparse.Namespace) -> PieceSet:
-    return PieceSet(args.sizes, _RULES[args.rule])
+    return PieceSet(args.sizes, Rule(args.rule))
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -76,7 +73,7 @@ def _load_json(path: str) -> dict:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     pieces = _piece_set(args)
-    shape = _SHAPES[args.shape]
+    shape = Shape(args.shape)
     if args.area is not None:
         kind, bound = BoundKind.BY_AREA, args.area
     else:
@@ -102,7 +99,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_series(args: argparse.Namespace) -> int:
     pieces = _piece_set(args)
-    shape = _SHAPES[args.shape]
+    shape = Shape(args.shape)
     # multi-size sets need the z-markers to recover piece counts
     weighted = len(pieces.sizes) > 1 if args.by_pieces else args.weighted
     series = series_family(pieces, args.order, weighted, through=shape)[shape]
@@ -134,7 +131,8 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 def cmd_eliminate(args: argparse.Namespace) -> int:
     pieces = _piece_set(args)
-    shape = _SHAPES[args.shape]
+    shape = Shape(args.shape)
+    check_degree_cap(pieces)
     series = series_family(pieces, args.order, through=shape)[shape]
     poly = annihilating_polynomial(pieces, shape, series)
     _emit(args, jsonio.dumps(jsonio.polynomial_to_json(poly)))
@@ -168,7 +166,7 @@ def cmd_asympt(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     pieces = _piece_set(args)
-    _emit(args, render_gallery(pieces, _SHAPES[args.shape], args.pieces))
+    _emit(args, render_gallery(pieces, Shape(args.shape), args.pieces))
     return 0
 
 

@@ -52,8 +52,8 @@ class EnumerationQuery:
             raise ValueError(f"bound must be >= 1, got {self.bound}")
 
 
-def _raw_towers(query: EnumerationQuery) -> Iterator[tuple[Floor, ...]]:
-    """Yield towers as raw floor tuples, in lexicographic order."""
+def _raw_towers(query: EnumerationQuery) -> Iterator[tuple[tuple[Floor, ...], int, int]]:
+    """Yield (floors, area, piece count) per tower, in lexicographic order of the floors."""
     sizes = query.pieces.sizes
     smallest = sizes[0]
     largest = sizes[-1]
@@ -89,8 +89,8 @@ def _raw_towers(query: EnumerationQuery) -> Iterator[tuple[Floor, ...]]:
         if rem_area >= smallest and rem_pieces >= 1:
             yield from extend(-_NO_LIMIT, (), 0, 0)
 
-    def grow(tower: tuple[Floor, ...], area: int, npieces: int) -> Iterator[tuple[Floor, ...]]:
-        yield tower
+    def grow(tower: tuple[Floor, ...], area: int, npieces: int):
+        yield tower, area, npieces
         for floor, fa, fp in floors_above(tower[-1], area_cap - area, piece_cap - npieces):
             yield from grow(tower + (floor,), area + fa, npieces + fp)
 
@@ -122,7 +122,7 @@ def enumerate_towers(query: EnumerationQuery) -> Iterator[Tower]:
     Each tower appears exactly once; the order is lexicographic on the
     floor tuples, so output is stable across runs.
     """
-    for floors in _raw_towers(query):
+    for floors, _, _ in _raw_towers(query):
         yield Tower(floors)
 
 
@@ -134,12 +134,11 @@ def count_towers(query: EnumerationQuery) -> dict[int, int]:
     """
     counts = dict.fromkeys(range(1, query.bound + 1), 0)
     if query.bound_kind is BoundKind.BY_AREA:
-        for floors in _raw_towers(query):
-            area = sum(r - l for floor in floors for l, r in floor)
+        for _, area, _ in _raw_towers(query):
             counts[area] += 1
     else:
-        for floors in _raw_towers(query):
-            counts[sum(len(floor) for floor in floors)] += 1
+        for _, _, npieces in _raw_towers(query):
+            counts[npieces] += 1
     return counts
 
 
@@ -155,13 +154,11 @@ def weight_polynomial(query: EnumerationQuery) -> dict[int, ZPolynomial]:
     sums: dict[int, dict[tuple[int, ...], int]] = {
         area: {} for area in range(1, query.bound + 1)
     }
-    for floors in _raw_towers(query):
+    for floors, area, _ in _raw_towers(query):
         exps = [0] * len(sizes)
-        area = 0
         for floor in floors:
             for l, r in floor:
                 exps[index[r - l]] += 1
-                area += r - l
         key = tuple(exps)
         bucket = sums[area]
         bucket[key] = bucket.get(key, 0) + 1

@@ -1,4 +1,4 @@
-"""Core model: piece sets, towers, legality, canonical form, weights.
+"""Core model: piece sets, towers and the legality check.
 
 A tower is described floor by floor.  Each floor is a list of horizontal
 pieces, a piece of size i occupying the integer interval [x, x+i].  The
@@ -19,7 +19,6 @@ shifted), so `is_legal_tower` does not require canonical placement.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,8 +30,6 @@ __all__ = [
     "PieceSet",
     "Tower",
     "is_legal_tower",
-    "canonicalize_tower",
-    "weight_of_tower",
 ]
 
 
@@ -107,24 +104,8 @@ class Tower:
 
     floors: tuple[Floor, ...]
 
-    @classmethod
-    def from_lists(cls, lists: Sequence[Sequence[Sequence[int]]]) -> "Tower":
-        """Build a tower from nested [left, right] lists, sorting each floor.
-
-        Raises MalformedInputError for non-integer endpoints, empty floors,
-        or intervals with right <= left.
-        """
-        floors = _raw_floors(lists)
-        if not floors or any(not floor for floor in floors):
-            raise MalformedInputError("a tower needs at least one non-empty floor")
-        return cls(floors)
-
     def to_lists(self) -> list[list[list[int]]]:
         return [[[left, right] for left, right in floor] for floor in self.floors]
-
-    @property
-    def area(self) -> int:
-        return sum(right - left for floor in self.floors for left, right in floor)
 
     @property
     def piece_count(self) -> int:
@@ -208,31 +189,3 @@ def is_legal_tower(candidate: Sequence, pieces: PieceSet, shape: Shape = Shape.T
             if any(left < base_left for floor in floors for left, _ in floor):
                 return False
     return True
-
-
-def canonicalize_tower(tower: Tower) -> Tower:
-    """Translate so the leftmost bottom piece starts at 0 (idempotent)."""
-    shift = tower.floors[0][0][0]
-    if shift == 0:
-        return tower
-    return Tower(
-        tuple(
-            tuple((left - shift, right - shift) for left, right in floor)
-            for floor in tower.floors
-        )
-    )
-
-
-def weight_of_tower(tower: Tower | Sequence) -> dict[int, int]:
-    """Weight of a configuration, the product of per-piece weights t^i z_i.
-
-    Returned as the exponent of each z_i, i.e. piece size -> count; the
-    exponent of t is the area, sum(size * count).  Accepts a Tower or raw
-    floor lists; legality is not required, only well-formed pieces.
-    """
-    if isinstance(tower, Tower):
-        floors: tuple[Floor, ...] = tower.floors
-    else:
-        floors = _raw_floors(tower)
-    counts = Counter(right - left for floor in floors for left, right in floor)
-    return dict(sorted(counts.items()))

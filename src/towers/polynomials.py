@@ -9,11 +9,13 @@ Three layers, all over the integers:
   fraction-free subresultant polynomial remainder sequence computes
   resultants without ever leaving the integers (Brown's algorithm).
 
-Beside them sit the primitive gcd in Z[t] and the kernel of an integer
-matrix by fraction-free elimination, shared by `algebra` and `recurrences`.
+Beside them sit the normal form of a tuple of IntPolys (primitive, with
+positive leading coefficient), the primitive gcd in Z[t] and the kernel of
+an integer matrix by fraction-free elimination, shared by `algebra` and
+`recurrences`.
 
-A Sylvester-determinant resultant over Fractions is included as an
-independent cross-check route for evaluation-based testing.
+The tests check the resultants against an independent route, Sylvester
+determinants over Fractions at rational points, kept in `tests/`.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ConsistencyError
 
-__all__ = ["IntPoly", "PolyTY", "int_poly_gcd", "integer_kernel", "h_prem", "h_resultant",
-           "sylvester_resultant"]
+__all__ = ["IntPoly", "PolyTY", "primitive_part", "int_poly_gcd", "integer_kernel", "h_prem",
+           "h_resultant"]
 
 
 class IntPoly:
@@ -219,14 +221,6 @@ class PolyTY:
             result = result * self
         return result
 
-    @property
-    def degree_t(self) -> int:
-        return max((i for i, _ in self._terms), default=-1)
-
-    @property
-    def degree_y(self) -> int:
-        return max((j for _, j in self._terms), default=-1)
-
     def content(self) -> int:
         return math.gcd(*(abs(c) for c in self._terms.values())) if self._terms else 0
 
@@ -261,12 +255,6 @@ class PolyTY:
         object.__setattr__(result, "_terms", quotient)
         return result
 
-    def evaluate(self, t_value: Fraction, y_value: Fraction) -> Fraction:
-        return sum(
-            (c * t_value**i * y_value**j for (i, j), c in self._terms.items()),
-            Fraction(0),
-        )
-
     def to_y_coefficients(self) -> list[IntPoly]:
         """Coefficients of powers of y, each an IntPoly in t."""
         by_y: dict[int, dict[int, int]] = {}
@@ -294,12 +282,15 @@ class PolyTY:
         return "PolyTY(" + " + ".join(parts) + ")"
 
 
-def _primitive(p: IntPoly) -> IntPoly:
-    """p divided by its integer content, with positive leading coefficient."""
-    content = p.content()
+def primitive_part(polys: Sequence[IntPoly]) -> tuple[IntPoly, ...]:
+    """polys divided by their collective integer content, all negated if the
+    last one has a negative leading coefficient."""
+    content = math.gcd(*(p.content() for p in polys))
     if content > 1:
-        p = p.divide_int(content)
-    return -p if p.leading < 0 else p
+        polys = [p.divide_int(content) for p in polys]
+    if polys and polys[-1].leading < 0:
+        polys = [-p for p in polys]
+    return tuple(polys)
 
 
 def int_poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -315,8 +306,8 @@ def int_poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
             r = [c * b.leading for c in r]
             for i, c in enumerate(b.coeffs, top - b.degree):
                 r[i] -= head * c
-        a, b = b, _primitive(IntPoly(r))
-    return _primitive(a)
+        a, (b,) = b, primitive_part([IntPoly(r)])
+    return primitive_part([a])[0]
 
 
 def integer_kernel(matrix: list[list[int]]) -> list[list[int]]:
@@ -442,48 +433,3 @@ def h_resultant(f: HPoly, g: HPoly) -> PolyTY:
     if len(g) - 1 > 0:
         return PolyTY()  # non-trivial common factor
     return subres[-1]
-
-
-def sylvester_resultant(f: Sequence[Fraction], g: Sequence[Fraction]) -> Fraction:
-    """Resultant of univariate polynomials as a Sylvester determinant.
-
-    Coefficients ascending; exact rational Gaussian elimination.  Serves as
-    the second, independent route for testing the remainder-sequence code.
-    """
-    fc = list(f)
-    while fc and not fc[-1]:
-        fc.pop()
-    gc = list(g)
-    while gc and not gc[-1]:
-        gc.pop()
-    if not fc or not gc:
-        return Fraction(0)
-    n, m = len(fc) - 1, len(gc) - 1
-    size = n + m
-    if size == 0:
-        return Fraction(1)
-    rows = []
-    rev_f = fc[::-1]
-    rev_g = gc[::-1]
-    for i in range(m):
-        rows.append([Fraction(0)] * i + [Fraction(c) for c in rev_f]
-                    + [Fraction(0)] * (size - i - n - 1))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + [Fraction(c) for c in rev_g]
-                    + [Fraction(0)] * (size - i - m - 1))
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if rows[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, size):
-            factor = rows[r][col] * inv
-            if factor:
-                for k in range(col, size):
-                    rows[r][k] -= factor * rows[col][k]
-    return det

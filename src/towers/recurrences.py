@@ -15,10 +15,9 @@ sequence and an error is raised rather than silently truncating.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .polynomials import IntPoly, integer_kernel
+from .polynomials import IntPoly, integer_kernel, primitive_part
 from .series import TruncatedSeries
 
 __all__ = [
@@ -79,12 +78,7 @@ class Recurrence:
             raise ValueError("a recurrence needs order at least 1")
         if polys[-1].is_zero:
             raise ValueError("the leading coefficient polynomial must be non-zero")
-        content = math.gcd(*(p.content() for p in polys))
-        if content > 1:
-            polys = tuple(p.divide_int(content) for p in polys)
-        if polys[-1].leading < 0:
-            polys = tuple(-p for p in polys)
-        object.__setattr__(self, "coeff_polys", polys)
+        object.__setattr__(self, "coeff_polys", primitive_part(polys))
 
     @property
     def order(self) -> int:

@@ -13,8 +13,8 @@ or, with a single size k under the no-exact-alignment rule,
 Every term of the right-hand side has t-order at least 1, so the fixed
 point is determined order by order; `solve_half_pyramids` exploits that
 and fills in one coefficient at a time, which is what makes high orders
-(thousands of terms) affordable.  `iterate_half_pyramids` is the plain
-repeated-substitution version, kept as a slow reference implementation.
+(thousands of terms) affordable.  The tests keep the plain
+repeated-substitution version in `tests/` as a slow reference.
 
 Pyramids and towers are rational in H.  With k the largest size,
 
@@ -42,7 +42,6 @@ from .zpoly import ZPolynomial
 __all__ = [
     "TruncatedSeries",
     "solve_half_pyramids",
-    "iterate_half_pyramids",
     "half_pyramid_rhs",
     "series_pyramids",
     "series_towers",
@@ -304,22 +303,6 @@ def half_pyramid_rhs(h: TruncatedSeries, pieces: PieceSet) -> TruncatedSeries:
             term = term * ZPolynomial.marker(sizes, i)
         total = total + term
     return total
-
-
-def iterate_half_pyramids(
-    pieces: PieceSet, order: int, weighted: bool = False
-) -> TruncatedSeries:
-    """Reference fixed-point iteration: repeated substitution from H = 0.
-
-    Runs order+1 full substitutions (each corrects at least one more
-    t-order).  Quadratic in the order per step, so only suitable for
-    small orders; `solve_half_pyramids` is the fast equivalent.
-    """
-    _check_rule(pieces, weighted)
-    h = TruncatedSeries.zero(order, pieces.sizes if weighted else None)
-    for _ in range(order + 1):
-        h = half_pyramid_rhs(h, pieces)
-    return h
 
 
 def _pyramid_denominator(h: TruncatedSeries, pieces: PieceSet) -> TruncatedSeries:

@@ -54,9 +54,6 @@ class ZPolynomial:
         """Monomials in a canonical (sorted-key) order."""
         return iter(sorted(self._terms.items()))
 
-    def coefficient(self, exps: tuple[int, ...]) -> int:
-        return self._terms.get(tuple(exps), 0)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

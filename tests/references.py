@@ -1,0 +1,82 @@
+"""Independent reference routes that the tests compare the library against.
+
+Not collected by pytest (no `test_` prefix); test modules import it by name.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from towers.model import PieceSet
+from towers.polynomials import PolyTY
+from towers.series import TruncatedSeries, _check_rule, half_pyramid_rhs
+
+
+def evaluate(poly: PolyTY, t_value: Fraction, y_value: Fraction) -> Fraction:
+    """poly at the point (t, y) = (t_value, y_value)."""
+    return sum(
+        (c * t_value**i * y_value**j for (i, j), c in poly.items()),
+        Fraction(0),
+    )
+
+
+def sylvester_resultant(f: Sequence[Fraction], g: Sequence[Fraction]) -> Fraction:
+    """Resultant of univariate polynomials as a Sylvester determinant.
+
+    Coefficients ascending; exact rational Gaussian elimination.  Serves as
+    the second, independent route for testing the remainder-sequence code.
+    """
+    fc = list(f)
+    while fc and not fc[-1]:
+        fc.pop()
+    gc = list(g)
+    while gc and not gc[-1]:
+        gc.pop()
+    if not fc or not gc:
+        return Fraction(0)
+    n, m = len(fc) - 1, len(gc) - 1
+    size = n + m
+    if size == 0:
+        return Fraction(1)
+    rows = []
+    rev_f = fc[::-1]
+    rev_g = gc[::-1]
+    for i in range(m):
+        rows.append([Fraction(0)] * i + [Fraction(c) for c in rev_f]
+                    + [Fraction(0)] * (size - i - n - 1))
+    for i in range(n):
+        rows.append([Fraction(0)] * i + [Fraction(c) for c in rev_g]
+                    + [Fraction(0)] * (size - i - m - 1))
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = 1 / rows[col][col]
+        for r in range(col + 1, size):
+            factor = rows[r][col] * inv
+            if factor:
+                for k in range(col, size):
+                    rows[r][k] -= factor * rows[col][k]
+    return det
+
+
+def iterate_half_pyramids(
+    pieces: PieceSet, order: int, weighted: bool = False
+) -> TruncatedSeries:
+    """Reference fixed-point iteration: repeated substitution from H = 0.
+
+    Runs order+1 full substitutions (each corrects at least one more
+    t-order).  Quadratic in the order per step, so only suitable for
+    small orders; `solve_half_pyramids` is the fast equivalent.
+    """
+    _check_rule(pieces, weighted)
+    h = TruncatedSeries.zero(order, pieces.sizes if weighted else None)
+    for _ in range(order + 1):
+        h = half_pyramid_rhs(h, pieces)
+    return h

@@ -17,8 +17,10 @@ from towers.algebra import (
 )
 from towers.errors import ConsistencyError, DegreeCapError, UnsupportedConfigurationError
 from towers.model import PieceSet, Rule, Shape
-from towers.polynomials import IntPoly, PolyTY, h_resultant, sylvester_resultant
+from towers.polynomials import IntPoly, PolyTY, h_resultant
 from towers.series import TruncatedSeries, series_family, solve_half_pyramids
+
+from references import evaluate, sylvester_resultant
 
 DIMER = PieceSet.of(2)
 DIMER_NOALIGN = PieceSet.of(2, rule=Rule.NO_EXACT_ALIGNMENT)
@@ -61,7 +63,7 @@ class TestNormalization:
         assert messy == bivariate((0, 1), (-1, 4))
 
     def test_zero_polynomial(self):
-        assert BivariatePolynomial((IntPoly(),)).is_zero
+        assert BivariatePolynomial((IntPoly(),)).coeffs == ()
 
 
 class TestVerifyAnnihilator:
@@ -156,9 +158,9 @@ class TestSelection:
         assert multiplicities == {1, 2}
 
     def test_content_is_not_only_powers_of_t(self):
-        # S = {1, 2} towers: the eliminant carries a factor t + 1 besides powers of t
+        # S = {1, 2} towers: the eliminant carries the factor t + 1
         r = eliminant(PieceSet.of(1, 2), Shape.TOWER)
-        content = PolyTY({(2, 0): 1, (3, 0): 1})  # t^2 (t + 1)
+        content = PolyTY({(0, 0): 1, (1, 0): 1})  # t + 1
         assert as_bivariate(_without_content(r).to_poly_ty() * content) == as_bivariate(r)
 
     def test_extra_factor_in_y_is_rejected(self):
@@ -194,9 +196,9 @@ class TestResultantEvaluationInvariant:
             while checked < 20:
                 t0 = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
                 y0 = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-                fv = [c.evaluate(t0, y0) for c in f_big]
-                gv = [c.evaluate(t0, y0) for c in g_big]
+                fv = [evaluate(c, t0, y0) for c in f_big]
+                gv = [evaluate(c, t0, y0) for c in g_big]
                 if not fv[-1] or not gv[-1]:
                     continue
-                assert symbolic.evaluate(t0, y0) == sylvester_resultant(fv, gv)
+                assert evaluate(symbolic, t0, y0) == sylvester_resultant(fv, gv)
                 checked += 1

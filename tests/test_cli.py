@@ -77,6 +77,16 @@ def test_eliminate_dimer_tower(capsys):
     }
 
 
+def test_eliminate_rejects_large_sizes_before_solving(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("eliminate solved the series before checking the size cap")
+
+    monkeypatch.setattr("towers.cli.series_family", unreachable)
+    code, _, err = run(capsys, "eliminate", "--sizes", "9", "--order", "2000")
+    assert code == 2
+    assert err == "error: elimination supports piece sizes up to 8, got 9\n"
+
+
 def test_guess_extend_asympt_pipeline(tmp_path, capsys):
     seq_path = tmp_path / "seq.json"
     rec_path = tmp_path / "rec.json"

@@ -113,7 +113,7 @@ def test_weight_polynomial_tracks_mixed_compositions_at_area_twelve():
     table = weight_polynomial(
         EnumerationQuery(pieces, Shape.TOWER, BoundKind.BY_AREA, 12)
     )
-    assert table[12].coefficient((2, 2, 2)) > 0
+    assert dict(table[12].items())[(2, 2, 2)] > 0
 
 
 def test_weights_at_one_recover_counts():

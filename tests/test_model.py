@@ -1,17 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from towers.enumeration import BoundKind, EnumerationQuery, enumerate_towers
+from towers.enumeration import BoundKind, EnumerationQuery, _raw_towers, enumerate_towers
 from towers.errors import MalformedInputError
-from towers.model import (
-    PieceSet,
-    Rule,
-    Shape,
-    Tower,
-    canonicalize_tower,
-    is_legal_tower,
-    weight_of_tower,
-)
+from towers.model import PieceSet, Rule, Shape, Tower, is_legal_tower
 
 S123 = PieceSet.of(1, 2, 3)
 DIMER = PieceSet.of(2)
@@ -99,40 +91,12 @@ def test_legality_is_translation_invariant():
     assert is_legal_tower(shifted, S123, Shape.TOWER)
 
 
-def test_canonicalize_examples():
-    assert canonicalize_tower(Tower.from_lists([[[3, 5]]])).to_lists() == [[[0, 2]]]
-    already = Tower.from_lists([[[0, 2], [2, 4]], [[1, 3]]])
-    assert canonicalize_tower(already) is already
-    negative_upper = Tower.from_lists([[[-1, 1]], [[-2, 0]]])
-    assert canonicalize_tower(negative_upper).to_lists() == [[[0, 2]], [[-1, 1]]]
-
-
-def test_canonicalize_is_idempotent_and_preserves_legality():
-    tower = Tower.from_lists([[[4, 6], [6, 8]], [[5, 7]]])
-    once = canonicalize_tower(tower)
-    assert canonicalize_tower(once) == once
-    assert is_legal_tower(once.to_lists(), DIMER)
-
-
-def test_weight_ignores_legality():
-    assert weight_of_tower(ILLEGAL_EXAMPLE) == {1: 2, 2: 2, 3: 2}  # legality is not required for weights
-
-
-def test_weight_trivial_cases():
-    assert weight_of_tower([[[0, 1]]]) == {1: 1}
-    assert weight_of_tower([[[0, 2]], [[0, 2]]]) == {2: 2}
-    tower = Tower.from_lists([[[0, 2], [2, 3]], [[1, 3]]])
-    assert weight_of_tower(tower) == {1: 1, 2: 2}
-    assert tower.area == 5
-    assert tower.piece_count == 3
-
-
 def test_weight_exponent_matches_total_area():
+    # the walk's area is the t-exponent weight_polynomial files each tower under
     query = EnumerationQuery(S123, Shape.TOWER, BoundKind.BY_AREA, 6)
-    for tower in enumerate_towers(query):
-        w = weight_of_tower(tower)
-        assert sum(s * c for s, c in w.items()) == tower.area
-        assert sum(w.values()) == tower.piece_count
+    for floors, area, npieces in _raw_towers(query):
+        assert area == sum(r - l for floor in floors for l, r in floor)
+        assert npieces == sum(len(floor) for floor in floors) == Tower(floors).piece_count
 
 
 def test_enumerated_towers_are_legal_and_canonical():
@@ -145,7 +109,7 @@ def test_enumerated_towers_are_legal_and_canonical():
         query = EnumerationQuery(pieces, shape, BoundKind.BY_AREA, 7)
         for tower in enumerate_towers(query):
             assert is_legal_tower(tower.to_lists(), pieces, shape)
-            assert canonicalize_tower(tower) == tower
+            assert tower.floors[0][0][0] == 0
 
 
 @given(

@@ -10,13 +10,14 @@ from towers.series import (
     closed_form_pyramids,
     coefficients_by_pieces,
     half_pyramid_rhs,
-    iterate_half_pyramids,
     piece_count_sequence,
     series_family,
     series_pyramids,
     solve_half_pyramids,
 )
 from towers.zpoly import ZPolynomial
+
+from references import iterate_half_pyramids
 
 DIMER = PieceSet.of(2)
 DIMER_NOALIGN = PieceSet.of(2, rule=Rule.NO_EXACT_ALIGNMENT)

@@ -44,6 +44,16 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _piece_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sizes", type=_parse_sizes, required=True,
                         help="comma-separated piece sizes, e.g. 1,2,3")
@@ -186,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="brute-force counts (the oracle)")
     _piece_args(p)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--pieces", type=int, help="bound by piece count")
-    group.add_argument("--area", type=int, help="bound by total area")
+    group.add_argument("--pieces", type=_positive_int, help="bound by piece count")
+    group.add_argument("--area", type=_positive_int, help="bound by total area")
     p.add_argument("--weighted", action="store_true", help="emit weight polynomials by area")
     p.add_argument("--list", action="store_true", help="emit towers, one JSON array per line")
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
@@ -222,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="unroll a recurrence to many terms")
     p.add_argument("--rec", required=True, help="recurrence JSON path")
     p.add_argument("--init", required=True, help="initial-terms sequence JSON path")
-    p.add_argument("--terms", type=int, required=True, help="target length")
+    p.add_argument("--terms", type=_positive_int, required=True, help="target length")
     p.add_argument("--out")
     p.set_defaults(func=cmd_extend)
 
@@ -234,13 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="SVG gallery of all towers with n pieces")
     _piece_args(p)
-    p.add_argument("--pieces", type=int, required=True, help="exact piece count")
+    p.add_argument("--pieces", type=_positive_int, required=True, help="exact piece count")
     p.add_argument("--out", help="output SVG path (default: stdout)")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("verify", help="run the cross-module identity suite")
-    p.add_argument("--max-area", type=int, default=12)
-    p.add_argument("--max-pieces", type=int, default=7)
+    p.add_argument("--max-area", type=_positive_int, default=12)
+    p.add_argument("--max-pieces", type=_positive_int, default=7)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

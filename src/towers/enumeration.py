@@ -1,16 +1,21 @@
-"""Brute-force generation of all canonical legal towers up to a bound.
+"""Brute-force generation and counting of all canonical legal towers up to a bound.
 
 This is the package's independent oracle: it never consults the series
-machinery, it just builds every tower floor by floor.  A new floor is a
-non-empty set of non-overlapping pieces, each with positive-length contact
-with the floor below; the search is pruned by the remaining area or piece
-budget, which guarantees termination.
+machinery, it only applies the legality rules floor by floor.  A new floor
+is a non-empty set of non-overlapping pieces, each with positive-length
+contact with the floor below; `_floors_above` is the one place that holds
+these rules.  The search is pruned by the remaining area or piece budget,
+which guarantees termination.
 
-Towers are emitted exactly once each, in lexicographic order of their
-canonical serialization (the nested tuple of floors, each floor a tuple of
-(left, right) pairs).  The construction makes duplicates impossible: a
-tower determines its floor sequence, and each floor is assembled left to
-right from uniquely placed pieces.
+Towers are streamed for listing and rendering, and counted by memoized
+stacking for counts and weights; both routes build on the same bottom
+floors and the same next-floor rule.  The stream emits every tower exactly
+once, in lexicographic order of its canonical serialization (the nested
+tuple of floors, each floor a tuple of (left, right) pairs): a tower
+determines its floor sequence, and each floor is assembled left to right
+from uniquely placed pieces.  The count never builds a tower: the stacks
+that fit on a floor within a remaining budget depend only on that floor,
+up to translation, and on that budget, so each such pair is expanded once.
 """
 
 from __future__ import annotations
@@ -52,68 +57,140 @@ class EnumerationQuery:
             raise ValueError(f"bound must be >= 1, got {self.bound}")
 
 
+def _caps(query: EnumerationQuery) -> tuple[int, int]:
+    """(area cap, piece cap); the one the query does not bound is unlimited."""
+    if query.bound_kind is BoundKind.BY_AREA:
+        return query.bound, _NO_LIMIT
+    return _NO_LIMIT, query.bound
+
+
+def _bottom_floors(query: EnumerationQuery) -> Iterator[tuple[Floor, int, int]]:
+    """Every bottom floor (floor, area, pieces) within the caps, in lexicographic order."""
+    sizes = query.pieces.sizes
+    area_cap, piece_cap = _caps(query)
+    if query.shape is Shape.TOWER:
+        # Contiguous rows starting at 0; emitted shortest-prefix first so
+        # that tower order stays lexicographic.
+        def compose(pos: int, acc: Floor, area: int, npieces: int):
+            for s in sizes:
+                if area + s > area_cap or npieces + 1 > piece_cap:
+                    break
+                floor = acc + ((pos, pos + s),)
+                yield floor, area + s, npieces + 1
+                yield from compose(pos + s, floor, area + s, npieces + 1)
+
+        yield from compose(0, (), 0, 0)
+    else:
+        for s in sizes:
+            if s <= area_cap and piece_cap >= 1:
+                yield ((0, s),), s, 1
+
+
+def _floors_above(
+    below: Floor, rem_area: int, rem_pieces: int, pieces: PieceSet, half: bool
+) -> Iterator[tuple[Floor, int, int]]:
+    """All legal next floors (floor, area, pieces) on `below` within the budgets.
+
+    Pieces of the new floor do not overlap, each has positive-length contact
+    with `below`, and under NO_EXACT_ALIGNMENT none repeats an interval of
+    `below`; a half-pyramid's pieces never start left of 0.  Floors come in
+    lexicographic order.
+    """
+    sizes = pieces.sizes
+    no_align = pieces.rule is Rule.NO_EXACT_ALIGNMENT
+    lo = below[0][0]
+    hi = below[-1][1]
+    floor_min = 0 if half else lo - sizes[-1] + 1
+
+    def extend(min_x: int, acc: Floor, acc_area: int, acc_n: int):
+        for x in range(max(min_x, floor_min), hi):
+            for s in sizes:
+                if s > rem_area - acc_area:
+                    break
+                right = x + s
+                if right <= lo:
+                    continue
+                for a, b in below:
+                    if a < right and x < b:
+                        break  # positive-length contact
+                else:
+                    continue
+                if no_align and (x, right) in below:
+                    continue
+                floor = acc + ((x, right),)
+                yield floor, acc_area + s, acc_n + 1
+                if acc_n + 1 < rem_pieces:
+                    yield from extend(right, floor, acc_area + s, acc_n + 1)
+
+    if rem_area >= sizes[0] and rem_pieces >= 1:
+        yield from extend(-_NO_LIMIT, (), 0, 0)
+
+
 def _raw_towers(query: EnumerationQuery) -> Iterator[tuple[tuple[Floor, ...], int, int]]:
     """Yield (floors, area, piece count) per tower, in lexicographic order of the floors."""
-    sizes = query.pieces.sizes
-    smallest = sizes[0]
-    largest = sizes[-1]
-    no_align = query.pieces.rule is Rule.NO_EXACT_ALIGNMENT
+    pieces = query.pieces
     half = query.shape is Shape.HALF_PYRAMID
-    by_area = query.bound_kind is BoundKind.BY_AREA
-    area_cap = query.bound if by_area else _NO_LIMIT
-    piece_cap = query.bound if not by_area else _NO_LIMIT
-
-    def floors_above(below: Floor, rem_area: int, rem_pieces: int) -> Iterator[tuple[Floor, int, int]]:
-        """All legal next floors (floor, area, pieces) within the budgets."""
-        lo = below[0][0]
-        hi = below[-1][1]
-        floor_min = 0 if half else lo - largest + 1
-
-        def extend(min_x: int, acc: Floor, acc_area: int, acc_n: int):
-            for x in range(max(min_x, floor_min), hi):
-                for s in sizes:
-                    if s > rem_area - acc_area:
-                        break
-                    right = x + s
-                    if right <= lo:
-                        continue
-                    if not any(max(x, a) < min(right, b) for a, b in below):
-                        continue
-                    if no_align and (x, right) in below:
-                        continue
-                    floor = acc + ((x, right),)
-                    yield floor, acc_area + s, acc_n + 1
-                    if acc_n + 1 < rem_pieces:
-                        yield from extend(right, floor, acc_area + s, acc_n + 1)
-
-        if rem_area >= smallest and rem_pieces >= 1:
-            yield from extend(-_NO_LIMIT, (), 0, 0)
+    area_cap, piece_cap = _caps(query)
 
     def grow(tower: tuple[Floor, ...], area: int, npieces: int):
         yield tower, area, npieces
-        for floor, fa, fp in floors_above(tower[-1], area_cap - area, piece_cap - npieces):
+        for floor, fa, fp in _floors_above(tower[-1], area_cap - area, piece_cap - npieces, pieces, half):
             yield from grow(tower + (floor,), area + fa, npieces + fp)
 
-    def bottoms() -> Iterator[tuple[Floor, int, int]]:
-        if query.shape is Shape.TOWER:
-            # Contiguous rows starting at 0; emitted shortest-prefix first so
-            # that tower order stays lexicographic.
-            def compose(pos: int, acc: Floor, area: int, npieces: int):
-                for s in sizes:
-                    if area + s > area_cap or npieces + 1 > piece_cap:
-                        break
-                    floor = acc + ((pos, pos + s),)
-                    yield floor, area + s, npieces + 1
-                    yield from compose(pos + s, floor, area + s, npieces + 1)
-
-            yield from compose(0, (), 0, 0)
-        else:
-            for s in sizes:
-                if s <= area_cap and piece_cap >= 1:
-                    yield ((0, s),), s, 1
-
-    for bottom, area, npieces in bottoms():
+    for bottom, area, npieces in _bottom_floors(query):
         yield from grow((bottom,), area, npieces)
+
+
+def _tallies(query: EnumerationQuery) -> dict[tuple[int, ...], int]:
+    """Number of towers within the bound per exponent vector (pieces of each size).
+
+    Towers are counted, not built: `stacks(floor, rem)` tallies every stack
+    of floors, the empty one included, that fits on `floor` within the
+    remaining budget `rem`, and is memoized on (floor, rem) for this call
+    only.  Floors are translated to start at 0 before lookup, except for
+    half-pyramids, whose left wall at 0 makes the absolute position matter.
+    Exponent vectors are packed into one integer in base bound + 1, which no
+    exponent reaches, so adding two vectors is one integer addition.
+    """
+    pieces = query.pieces
+    sizes = pieces.sizes
+    half = query.shape is Shape.HALF_PYRAMID
+    by_area = query.bound_kind is BoundKind.BY_AREA
+    radix = query.bound + 1
+    packed = {s: radix ** i for i, s in enumerate(sizes)}
+    smallest = sizes[0] if by_area else 1  # least budget any floor costs
+    leaf = {0: 1}  # nothing fits, only the empty stack; shared, not memoized, to keep the memo small
+    memo: dict[tuple[Floor, int], dict[int, int]] = {}
+
+    def add(tally: dict[int, int], floor: Floor, above: dict[int, int]) -> None:
+        """Count each stack tallied in `above`, with `floor` beneath it, into `tally`."""
+        e = sum(packed[r - l] for l, r in floor)
+        for k, n in above.items():
+            tally[k + e] = tally.get(k + e, 0) + n
+
+    def stacks(floor: Floor, rem: int) -> dict[int, int]:
+        if rem < smallest:
+            return leaf
+        shift = 0 if half else floor[0][0]
+        if shift:
+            floor = tuple((l - shift, r - shift) for l, r in floor)
+        key = (floor, rem)
+        tally = memo.get(key)
+        if tally is None:
+            tally = {0: 1}
+            budgets = (rem, _NO_LIMIT) if by_area else (_NO_LIMIT, rem)
+            for above, area, npieces in _floors_above(floor, *budgets, pieces, half):
+                add(tally, above, stacks(above, rem - (area if by_area else npieces)))
+            memo[key] = tally
+        return tally
+
+    towers: dict[int, int] = {}
+    for bottom, area, npieces in _bottom_floors(query):
+        add(towers, bottom, stacks(bottom, query.bound - (area if by_area else npieces)))
+    return {
+        tuple(k // radix ** i % radix for i in range(len(sizes))): n
+        for k, n in towers.items()
+    }
 
 
 def enumerate_towers(query: EnumerationQuery) -> Iterator[Tower]:
@@ -130,15 +207,14 @@ def count_towers(query: EnumerationQuery) -> dict[int, int]:
     """Tower counts keyed by area or by piece count, per the query's bound.
 
     Every value from 1 to the bound appears as a key, zero counts included.
-    Consistent with enumerate_towers by construction.
+    `tests/test_enumeration.py::test_counts_and_weights_match_the_stream`
+    checks these counts against a tally of `enumerate_towers`.
     """
+    sizes = query.pieces.sizes
+    by_area = query.bound_kind is BoundKind.BY_AREA
     counts = dict.fromkeys(range(1, query.bound + 1), 0)
-    if query.bound_kind is BoundKind.BY_AREA:
-        for _, area, _ in _raw_towers(query):
-            counts[area] += 1
-    else:
-        for _, _, npieces in _raw_towers(query):
-            counts[npieces] += 1
+    for exps, n in _tallies(query).items():
+        counts[sum(s * e for s, e in zip(sizes, exps)) if by_area else sum(exps)] += n
     return counts
 
 
@@ -150,16 +226,9 @@ def weight_polynomial(query: EnumerationQuery) -> dict[int, ZPolynomial]:
     if query.bound_kind is not BoundKind.BY_AREA:
         raise ValueError("weight_polynomial requires a by-area query")
     sizes = query.pieces.sizes
-    index = {s: i for i, s in enumerate(sizes)}
     sums: dict[int, dict[tuple[int, ...], int]] = {
         area: {} for area in range(1, query.bound + 1)
     }
-    for floors, area, _ in _raw_towers(query):
-        exps = [0] * len(sizes)
-        for floor in floors:
-            for l, r in floor:
-                exps[index[r - l]] += 1
-        key = tuple(exps)
-        bucket = sums[area]
-        bucket[key] = bucket.get(key, 0) + 1
+    for exps, n in _tallies(query).items():
+        sums[sum(s * e for s, e in zip(sizes, exps))][exps] = n
     return {area: ZPolynomial(sizes, bucket) for area, bucket in sums.items()}

@@ -167,8 +167,10 @@ def extend_sequence(rec: Recurrence, initial: Sequence, target_length: int) -> S
     Each new term is determined by exact division by p_r(n); a vanishing
     p_r(n) raises SingularRecurrenceError naming n, and a non-exact
     division raises InconsistentRecurrenceError (the recurrence does not
-    govern these initial terms).
+    govern these initial terms).  A target_length below 1 raises ValueError.
     """
+    if target_length < 1:
+        raise ValueError(f"target length must be >= 1, got {target_length}")
     r = rec.order
     if len(initial) < r:
         raise InsufficientTermsError(

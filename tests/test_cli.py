@@ -156,6 +156,35 @@ def test_inconsistent_extension_exits_5(tmp_path, capsys):
     assert "not exact" in err
 
 
+def test_extend_negative_terms_exits_2_and_writes_nothing(tmp_path, capsys):
+    rec_path = tmp_path / "rec.json"
+    init_path = tmp_path / "init.json"
+    out_path = tmp_path / "long.json"
+    rec_path.write_text(json.dumps({"order": 1, "degree": 0, "coeffs": [["-3"], ["1"]]}))
+    init_path.write_text(json.dumps({"offset": 0, "terms": ["1", "3", "9", "27", "81", "243"]}))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["extend", "--rec", str(rec_path), "--init", str(init_path),
+              "--terms", "-5", "--out", str(out_path)])
+    assert excinfo.value.code == 2
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--sizes", "2", "--pieces", "0"],
+    ["enumerate", "--sizes", "2", "--area", "0"],
+    ["render", "--sizes", "2", "--pieces", "0"],
+    ["verify", "--max-area", "0"],
+    ["verify", "--max-pieces", "0"],
+    ["extend", "--rec", "rec.json", "--init", "init.json", "--terms", "0"],
+])
+def test_bound_errors_name_their_flag(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    flag = argv[-2]
+    assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_noalign_multi_size_exits_2(capsys):
     code, _, err = run(capsys, "series", "--sizes", "1,2", "--rule", "noalign", "--order", "5")
     assert code == 2

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+import towers.enumeration
 from towers.enumeration import (
     BoundKind,
     EnumerationQuery,
@@ -13,6 +16,10 @@ from towers.zpoly import ZPolynomial
 
 DIMER = PieceSet.of(2)
 DIMER_NOALIGN = PieceSet.of(2, rule=Rule.NO_EXACT_ALIGNMENT)
+
+STREAM_CHECKED_SETS = [PieceSet.of(*sizes) for sizes in ((1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3), (1, 5))] + [
+    PieceSet.of(k, rule=Rule.NO_EXACT_ALIGNMENT) for k in (1, 2, 3)
+]
 
 
 def by_pieces(pieces, shape, bound):
@@ -129,3 +136,71 @@ def test_weights_at_one_recover_counts():
 def test_bound_must_be_positive():
     with pytest.raises(ValueError):
         EnumerationQuery(DIMER, Shape.TOWER, BoundKind.BY_AREA, 0)
+
+
+def exponents(tower, sizes):
+    return tuple(sum(r - l == s for floor in tower.floors for l, r in floor) for s in sizes)
+
+
+@pytest.mark.parametrize("pieces", STREAM_CHECKED_SETS, ids=lambda p: f"{p.sizes}-{p.rule.value}")
+@pytest.mark.parametrize("shape", list(Shape), ids=lambda s: s.value)
+def test_counts_and_weights_match_the_stream(pieces, shape):
+    # the memoized count and the streamed towers are two routes through the oracle
+    for kind, bound in ((BoundKind.BY_AREA, 8), (BoundKind.BY_PIECE_COUNT, 5)):
+        query = EnumerationQuery(pieces, shape, kind, bound)
+        towers = list(enumerate_towers(query))
+        sizes = pieces.sizes
+        if kind is BoundKind.BY_AREA:
+            keys = [sum(r - l for floor in t.floors for l, r in floor) for t in towers]
+        else:
+            keys = [t.piece_count for t in towers]
+        expected = dict.fromkeys(range(1, bound + 1), 0)
+        expected.update(Counter(keys))
+        assert count_towers(query) == expected
+        if kind is BoundKind.BY_AREA:
+            by_area = {area: Counter() for area in range(1, bound + 1)}
+            for area, tower in zip(keys, towers):
+                by_area[area][exponents(tower, sizes)] += 1
+            assert weight_polynomial(query) == {
+                area: ZPolynomial(sizes, tally) for area, tally in by_area.items()
+            }
+
+
+def module_state():
+    """Everything in towers.enumeration that a call could leave data behind in."""
+    state = {}
+    for name, value in vars(towers.enumeration).items():
+        if name.startswith("__"):
+            continue
+        if hasattr(value, "cache_info"):
+            state[name] = value.cache_info().currsize
+        elif isinstance(value, (dict, list, set)):
+            state[name] = repr(value)
+        for default in (getattr(value, "__defaults__", None) or ()):
+            if isinstance(default, (dict, list, set)):
+                state[f"{name} default"] = repr(default)
+    return state
+
+
+def test_oracle_keeps_no_state_between_calls():
+    noalign, plain = PieceSet.of(2, rule=Rule.NO_EXACT_ALIGNMENT), PieceSet.of(1, 2)
+    calls = [
+        (noalign, Shape.TOWER), (PieceSet.of(2), Shape.TOWER),
+        (plain, Shape.HALF_PYRAMID), (plain, Shape.TOWER),
+    ]
+
+    def run(order):
+        results = {}
+        for pieces, shape in order:
+            by_area = EnumerationQuery(pieces, shape, BoundKind.BY_AREA, 8)
+            by_count = EnumerationQuery(pieces, shape, BoundKind.BY_PIECE_COUNT, 4)
+            results[pieces, shape] = (count_towers(by_count), weight_polynomial(by_area))
+        return results
+
+    before = module_state()
+    forward = run(calls)
+    assert module_state() == before
+    assert run(calls[::-1]) == forward
+    assert module_state() == before
+    assert [forward[noalign, Shape.TOWER][0][n] for n in range(1, 5)] == [1, 3, 9, 27]
+    assert [forward[PieceSet.of(2), Shape.TOWER][0][n] for n in range(1, 5)] == [1, 4, 16, 64]

@@ -135,6 +135,11 @@ class TestExtend:
         out = extend_sequence(CATALAN_REC, Sequence(0, (1, 1, 2, 5)), 2)
         assert out.terms == (1, 1)
 
+    @pytest.mark.parametrize("target", [0, -5])
+    def test_target_below_one_is_rejected(self, target):
+        with pytest.raises(ValueError, match=f"got {target}"):
+            extend_sequence(CATALAN_REC, Sequence(0, (1, 1, 2, 5)), target)
+
     def test_singular_leading_coefficient_names_index(self):
         # (n-5) a(n+1) = 2 (n-5) a(n): doubles exactly until p_1(5) = 0
         rec = Recurrence((IntPoly((10, -2)), IntPoly((-5, 1))))

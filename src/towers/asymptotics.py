@@ -72,7 +72,8 @@ def estimate_asymptotics(s: Sequence, depth: int = 4) -> AsymptoticEstimate:
     Uses the last depth+3 terms; every term in that window must be non-zero
     (a zero raises ZeroTermError naming the offending index).  The sequence
     must have at least 4*depth + 8 terms so the window sits deep enough in
-    the tail for the 1/n model to hold.
+    the tail for the 1/n model to hold.  Terms may be ints or integer-valued
+    Decimals; only the window is converted to int.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -83,12 +84,12 @@ def estimate_asymptotics(s: Sequence, depth: int = 4) -> AsymptoticEstimate:
         )
     window = depth + 3  # depth+2 ratios: one extrapolation plus one for stability
     start = len(s) - window
-    for i in range(window):
-        if s.terms[start + i] == 0:
+    tail = [int(t) for t in s.terms[start:]]
+    for i, term in enumerate(tail):
+        if term == 0:
             raise ZeroTermError(f"term at index n={s.offset + start + i} is zero")
     ratios = [
-        (s.offset + start + i, Fraction(s.terms[start + i + 1], s.terms[start + i]))
-        for i in range(window - 1)
+        (s.offset + start + i, Fraction(tail[i + 1], tail[i])) for i in range(window - 1)
     ]
     mu = _richardson(ratios[1:])
     mu_prev = _richardson(ratios[:-1])
@@ -100,7 +101,7 @@ def estimate_asymptotics(s: Sequence, depth: int = 4) -> AsymptoticEstimate:
     stability = {"mu": abs(mu - mu_prev), "theta": abs(theta - theta_prev)}
 
     amplitude: float | None = None
-    last = s.terms[-1]
+    last = tail[-1]
     n_last = s.offset + len(s) - 1
     if last > 0 and n_last > 0:
         log_mu = _log_big(mu.numerator) - _log_big(mu.denominator)

@@ -161,14 +161,16 @@ def cmd_guess(args: argparse.Namespace) -> int:
 
 def cmd_extend(args: argparse.Namespace) -> int:
     rec = jsonio.recurrence_from_json(_load_json(args.rec))
-    init = jsonio.sequence_from_json(_load_json(args.init))
+    # Decimal terms: writing them as digits is linear, for ints it is quadratic
+    init = jsonio.decimal_sequence_from_json(_load_json(args.init))
     seq = extend_sequence(rec, init, args.terms)
     _emit(args, jsonio.dumps(jsonio.sequence_to_json(seq)))
     return 0
 
 
 def cmd_asympt(args: argparse.Namespace) -> int:
-    seq = jsonio.sequence_from_json(_load_json(args.input))
+    # only the tail that the estimate reads is converted to int
+    seq = jsonio.decimal_sequence_from_json(_load_json(args.input))
     est = estimate_asymptotics(seq, depth=args.depth)
     _emit(args, jsonio.dumps(jsonio.estimate_to_json(est)))
     return 0

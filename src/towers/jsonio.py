@@ -8,14 +8,18 @@ byte-identical across runs.
 
 from __future__ import annotations
 
+import decimal
 import json
-import sys
+import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Callable
 
 from .algebra import BivariatePolynomial
 from .asymptotics import AsymptoticEstimate
 from .enumeration import BoundKind
+from .errors import MalformedInputError
 from .identities import CheckResult
 from .polynomials import IntPoly
 from .recurrences import Recurrence, Sequence
@@ -31,6 +35,8 @@ __all__ = [
     "series_to_json",
     "sequence_to_json",
     "sequence_from_json",
+    "decimal_sequence_from_json",
+    "DecimalInt",
     "sequence_to_csv",
     "sequence_to_text",
     "recurrence_to_json",
@@ -45,25 +51,76 @@ __all__ = [
 _BOUND_KIND_NAMES = {BoundKind.BY_AREA: "ByArea", BoundKind.BY_PIECE_COUNT: "ByPieceCount"}
 
 
-def _unlimited(convert: Callable[[Any], Any], value: Any) -> Any:
-    """convert(value) with CPython's int/str digit cap lifted for this call only.
+class DecimalInt(Decimal):
+    """An integer held as a Decimal, whose digits read and write in linear time.
 
-    Sequence terms here run to tens of thousands of digits by design.
+    Arithmetic on it is Decimal arithmetic.  `abs` keeps the type and
+    `bit_length` answers as int's does, so code that sizes int terms by
+    their bits (the benchmark's tracer sizes what `extend_sequence`
+    returns) sizes these too.
     """
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return convert(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
+
+    __slots__ = ()
+
+    def __abs__(self) -> DecimalInt:
+        return DecimalInt(self.copy_abs())
+
+    def bit_length(self) -> int:
+        """As int(self).bit_length(), from the leading digits where they settle it.
+
+        Converting the whole number to int would cost quadratic time.
+        """
+        digits = self.adjusted() + 1
+        if digits > 40:
+            head = int(_LEADING.scaleb(abs(self), 20 - digits))  # first 20 digits
+            scale = (digits - 20) * math.log2(10)
+            # log2|self| lies in [log2(head), log2(head + 1)) + scale
+            low = math.floor(math.log2(head) + scale - 1e-6)
+            if low == math.floor(math.log2(head + 1) + scale + 1e-6):
+                return low + 1
+        return int(self).bit_length()
 
 
-def _int_str(value: int) -> str:
-    return _unlimited(str, value)
+_ZERO = DecimalInt(0)
+_LEADING = decimal.Context(prec=20, rounding=decimal.ROUND_DOWN)
+_GROUPED = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")  # int()'s digit grouping
 
 
-def _str_int(text: str) -> int:
-    return _unlimited(int, text)
+def _int_str(value: int | Decimal) -> str:
+    """Decimal digits of an integer.
+
+    Decimal, unlike int, applies no int/str digit cap, so values of any
+    length convert without touching that process-wide setting.  For a
+    Decimal value this is linear in its length.
+    """
+    return str(Decimal(value))
+
+
+def _exact(term: str | int) -> DecimalInt:
+    """An integer term as an exact DecimalInt, in time linear in its length.
+
+    Reads what int() reads in base 10.  The Decimal parse is the syntax
+    check: without ".", "e" or "E" the only non-integers it reads are NaN
+    and infinities, and those do not have an integer's exponent 0.  Decimal
+    drops underscores wherever they stand, so a term with one must also
+    group its digits the way int() requires.
+    """
+    value = None
+    if isinstance(term, int):
+        value = DecimalInt(term)
+    elif (isinstance(term, str) and not any(mark in term for mark in ".eE")
+          and ("_" not in term or _GROUPED.fullmatch(term))):
+        try:
+            value = DecimalInt(term)
+        except decimal.InvalidOperation:
+            pass
+    if value is None or not value.same_quantum(_ZERO):
+        raise MalformedInputError(f"not an integer: {term!r:.60}")
+    return value or _ZERO  # "-0" reads as 0, as int() reads it
+
+
+def _str_int(term: str | int) -> int:
+    return int(_exact(term))
 
 
 def dumps(payload: Any) -> str:
@@ -121,9 +178,22 @@ def sequence_to_json(seq: Sequence) -> dict:
 
 
 def sequence_from_json(payload: dict) -> Sequence:
+    return _sequence(payload, _str_int)
+
+
+def decimal_sequence_from_json(payload: dict) -> Sequence:
+    """The sequence with DecimalInt terms, read in time linear in the file's size.
+
+    For `extend_sequence` and `estimate_asymptotics`, which take Decimal
+    terms; every term is still checked to be an integer.
+    """
+    return _sequence(payload, _exact)
+
+
+def _sequence(payload: dict, read: Callable[[Any], int | DecimalInt]) -> Sequence:
     return Sequence(
         int(payload["offset"]),
-        tuple(_str_int(t) for t in payload["terms"]),
+        tuple(read(t) for t in payload["terms"]),
         str(payload.get("label", "")),
     )
 

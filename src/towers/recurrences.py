@@ -10,11 +10,16 @@ trailing terms that the solver never touched.
 
 Unrolling a recurrence forward divides by p_r(n) at every step; the
 division must come out exact, otherwise the recurrence does not govern the
-sequence and an error is raised rather than silently truncating.
+sequence and an error is raised rather than silently truncating.  Unrolled
+terms may be ints or integer-valued `decimal.Decimal`s: the loop runs in an
+exact context that raises on any rounding, and Decimal terms make writing
+the result as decimal digits linear in their length, where CPython's
+int-to-str is quadratic.
 """
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 
 from .polynomials import IntPoly, integer_kernel, primitive_part
@@ -33,6 +38,16 @@ __all__ = [
 ]
 
 
+# Exact decimal arithmetic: any rounding, overflow or invalid operation raises.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+           decimal.DivisionByZero, decimal.Overflow],
+)
+
+
 class InsufficientTermsError(ValueError):
     """Too few terms for the requested operation (distinct from a failed guess)."""
 
@@ -47,10 +62,15 @@ class InconsistentRecurrenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Sequence:
-    """Integer terms a(offset), a(offset+1), ... with a free-text label."""
+    """Integer terms a(offset), a(offset+1), ... with a free-text label.
+
+    Terms are ints.  `extend_sequence`, `verify_recurrence` and
+    `estimate_asymptotics` also take integer-valued Decimals, which print
+    in linear time; `guess_recurrence` takes ints only.
+    """
 
     offset: int
-    terms: tuple[int, ...]
+    terms: tuple[int | decimal.Decimal, ...]
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -98,7 +118,8 @@ def guess_recurrence(
     For each shape the linear system uses every window except the last
     `guard`, which are held out; a kernel vector is accepted only if the
     recurrence it defines annihilates the entire sequence, held-out terms
-    included.  Returns None when no shape within the bounds works.
+    included.  Returns None when no shape within the bounds works.  The
+    terms must be ints.
     """
     if max_order < 1 or max_degree < 0 or guard < 0:
         raise ValueError("need max_order >= 1, max_degree >= 0, guard >= 0")
@@ -146,18 +167,20 @@ def _candidate(s: Sequence, r: int, d: int, guard: int) -> Recurrence | None:
 def verify_recurrence(rec: Recurrence, s: Sequence) -> bool:
     """Check the recurrence on every full window of the sequence.
 
-    Vacuously true when the sequence is shorter than order + 1.
+    Vacuously true when the sequence is shorter than order + 1.  The sums
+    run in the exact decimal context, so Decimal terms are checked exactly.
     """
     r = rec.order
-    for w in range(len(s) - r):
-        n = s.offset + w
-        total = 0
-        for j, poly in enumerate(rec.coeff_polys):
-            c = poly(n)
-            if c:
-                total += c * s.terms[w + j]
-        if total:
-            return False
+    with decimal.localcontext(_EXACT):
+        for w in range(len(s) - r):
+            n = s.offset + w
+            total = 0
+            for j, poly in enumerate(rec.coeff_polys):
+                c = poly(n)
+                if c:
+                    total += c * s.terms[w + j]
+            if total:
+                return False
     return True
 
 
@@ -168,6 +191,11 @@ def extend_sequence(rec: Recurrence, initial: Sequence, target_length: int) -> S
     p_r(n) raises SingularRecurrenceError naming n, and a non-exact
     division raises InconsistentRecurrenceError (the recurrence does not
     govern these initial terms).  A target_length below 1 raises ValueError.
+
+    The initial terms may be ints or integer-valued Decimals, and new
+    terms take the type of the last one.  The unroll runs in an exact
+    decimal context that traps rounding, so Decimal terms stay exact at any
+    length.
     """
     if target_length < 1:
         raise ValueError(f"target length must be >= 1, got {target_length}")
@@ -179,25 +207,31 @@ def extend_sequence(rec: Recurrence, initial: Sequence, target_length: int) -> S
     if target_length <= len(initial):
         return Sequence(initial.offset, initial.terms[:target_length], initial.label)
     terms = list(initial.terms)
+    kind = type(terms[-1])
     polys = rec.coeff_polys
-    while len(terms) < target_length:
-        n = initial.offset + len(terms) - r
-        lead = polys[r](n)
-        if lead == 0:
-            raise SingularRecurrenceError(f"leading coefficient vanishes at n={n}")
-        base = len(terms) - r
-        acc = 0
-        for j in range(r):
-            c = polys[j](n)
-            if c:
-                acc += c * terms[base + j]
-        quotient, remainder = divmod(-acc, lead)
-        if remainder:
-            raise InconsistentRecurrenceError(
-                f"division by p_r({n}) = {lead} is not exact; "
-                "the recurrence does not govern these terms"
-            )
-        terms.append(quotient)
+    with decimal.localcontext(_EXACT):
+        while len(terms) < target_length:
+            n = initial.offset + len(terms) - r
+            lead = polys[r](n)
+            if lead == 0:
+                raise SingularRecurrenceError(f"leading coefficient vanishes at n={n}")
+            base = len(terms) - r
+            acc = 0
+            for j in range(r):
+                c = polys[j](n)
+                if c:
+                    acc += c * terms[base + j]
+            # Decimal divmod truncates where int divmod floors; either way a
+            # zero remainder means the division is exact
+            quotient, remainder = divmod(-acc, lead)
+            if remainder:
+                raise InconsistentRecurrenceError(
+                    f"division by p_r({n}) = {lead} is not exact; "
+                    "the recurrence does not govern these terms"
+                )
+            if not quotient:
+                quotient = 0  # a Decimal 0 divided by a negative is -0
+            terms.append(kind(quotient))
     return Sequence(initial.offset, tuple(terms), initial.label)
 
 

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from towers import jsonio
 from towers.cli import main
+from towers.recurrences import extend_sequence
 
 
 def run(capsys, *argv):
@@ -154,6 +156,54 @@ def test_inconsistent_extension_exits_5(tmp_path, capsys):
                        "--terms", "5")
     assert code == 5
     assert "not exact" in err
+
+
+def test_extend_writes_zero_not_minus_zero(tmp_path, capsys):
+    # (n-5) a(n+1) = -a(n): p_1(n) < 0 for the first terms
+    rec_path = tmp_path / "rec.json"
+    init_path = tmp_path / "init.json"
+    rec_path.write_text(json.dumps({"order": 1, "degree": 1, "coeffs": [["1"], ["-5", "1"]]}))
+    init_path.write_text(json.dumps({"offset": 0, "terms": ["0"]}))
+    code, out, _ = run(capsys, "extend", "--rec", str(rec_path), "--init", str(init_path),
+                       "--terms", "4")
+    assert code == 0
+    assert json.loads(out)["terms"] == ["0", "0", "0", "0"]
+
+
+def test_extend_writes_what_the_int_unroll_writes(tmp_path, capsys):
+    seq_path = tmp_path / "seq.json"
+    rec_path = tmp_path / "rec.json"
+    long_path = tmp_path / "long.json"
+    run(capsys, "series", "--sizes", "3", "--shape", "tower", "--order", "210", "--by-pieces",
+        "--out", str(seq_path))
+    run(capsys, "guess", "--input", str(seq_path), "--out", str(rec_path))
+    code, _, _ = run(capsys, "extend", "--rec", str(rec_path), "--init", str(seq_path),
+                     "--terms", "3000", "--out", str(long_path))
+    assert code == 0
+    rec = jsonio.recurrence_from_json(json.loads(rec_path.read_text()))
+    init = jsonio.sequence_from_json(json.loads(seq_path.read_text()))
+    int_route = extend_sequence(rec, init, 3000)
+    assert long_path.read_text() == jsonio.dumps(jsonio.sequence_to_json(int_route))
+
+
+def test_asympt_checks_terms_it_does_not_read(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    terms = [str(3**n) for n in range(60)]
+    terms[0] = "x"
+    path.write_text(json.dumps({"offset": 0, "terms": terms}))
+    code, out, err = run(capsys, "asympt", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "not an integer: 'x'" in err
+
+
+def test_asympt_too_short_names_the_full_count(tmp_path, capsys):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"offset": 0, "terms": [str(3**n) for n in range(23)]}))
+    code, out, err = run(capsys, "asympt", "--input", str(path), "--depth", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: depth 4 needs at least 24 terms, got 23\n"
 
 
 def test_extend_negative_terms_exits_2_and_writes_nothing(tmp_path, capsys):

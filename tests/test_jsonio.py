@@ -2,10 +2,13 @@ import json
 import sys
 from fractions import Fraction
 
+import pytest
+
 from towers import jsonio
 from towers.algebra import annihilating_polynomial
 from towers.asymptotics import estimate_asymptotics
 from towers.enumeration import BoundKind
+from towers.errors import MalformedInputError
 from towers.identities import CheckResult
 from towers.model import PieceSet, Shape
 from towers.polynomials import IntPoly
@@ -50,6 +53,51 @@ def test_huge_conversions_leave_the_digit_limit_alone():
         assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(before)
+
+
+def test_conversions_never_touch_the_digit_limit(monkeypatch):
+    # the limit is process-wide: changing it, even briefly, races other threads
+    def forbidden(limit):
+        raise AssertionError(f"jsonio set the int/str digit limit to {limit}")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", forbidden)
+    big = 3 * 10**9999 + 7  # 10000 digits
+    seq = Sequence(1, (1, -big, big), "big")
+    payload = json.loads(jsonio.dumps(jsonio.sequence_to_json(seq)))
+    assert [len(t) for t in payload["terms"]] == [1, 10001, 10000]
+    assert jsonio.sequence_from_json(payload) == seq
+    assert jsonio.decimal_sequence_from_json(payload) == seq
+    rec = Recurrence((IntPoly((-big, 5)), IntPoly((big, 1))))
+    payload = json.loads(jsonio.dumps(jsonio.recurrence_to_json(rec)))
+    assert jsonio.recurrence_from_json(payload) == rec
+
+
+@pytest.mark.parametrize("term", [
+    "x", "", "1.5", "5.", "1e5", "5E0", "NaN", "-Infinity", "--5", "5_", "_5", "1__000", 2.5, None,
+])
+def test_non_integer_terms_are_rejected(term):
+    payload = {"offset": 0, "terms": ["1", term]}
+    for read in (jsonio.sequence_from_json, jsonio.decimal_sequence_from_json):
+        with pytest.raises(MalformedInputError, match="not an integer"):
+            read(payload)
+
+
+def test_terms_read_as_int_reads_them():
+    terms = ["-0", "+5", "007", " 12 ", "-42", "\u0663", "1_000", " -2_5 ", 9]
+    want = tuple(int(t) for t in terms)
+    assert jsonio.sequence_from_json({"offset": 0, "terms": terms}).terms == want
+    exact = jsonio.decimal_sequence_from_json({"offset": 0, "terms": terms})
+    assert [str(t) for t in exact.terms] == [str(t) for t in want]
+
+
+def test_decimal_ints_size_like_ints():
+    values = [0, 1, -1, 2**64 - 1, -(2**64), 10**50, 10**50 - 1, 3**20000]
+    values += [sign * (2**30000 + step) for sign in (1, -1) for step in (-1, 0, 1)]
+    payload = {"offset": 0, "terms": values}
+    for value, term in zip(values, jsonio.decimal_sequence_from_json(payload).terms):
+        assert type(term) is type(abs(term)) is jsonio.DecimalInt
+        assert abs(term) == abs(value)
+        assert abs(term).bit_length() == term.bit_length() == value.bit_length()
 
 
 def test_recurrence_roundtrip():

@@ -1,9 +1,11 @@
 import math
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from towers.jsonio import DecimalInt
 from towers.model import PieceSet, Rule
 from towers.polynomials import IntPoly
 from towers.recurrences import (
@@ -29,6 +31,8 @@ def catalan_sequence(length, offset=0):
 
 
 CATALAN_REC = Recurrence((IntPoly((-2, -4)), IntPoly((2, 1))))  # (n+2)a(n+1) = (4n+2)a(n)
+
+NUMBER_TYPES = (int, Decimal, DecimalInt)
 
 
 def motzkin_terms(length):
@@ -101,30 +105,75 @@ class TestVerify:
     def test_vacuous_when_too_short(self):
         assert verify_recurrence(CATALAN_REC, Sequence(0, (5,)))
 
+    def test_decimal_terms_are_checked_exactly(self):
+        # a(n+1) = a(n) fails by 1 in the 41st digit, past Decimal's default 28
+        constant = Recurrence((IntPoly((-1,)), IntPoly((1,))))
+        big = 10**40
+        for number in NUMBER_TYPES:
+            assert verify_recurrence(constant, Sequence(0, (number(big), number(big))))
+            assert not verify_recurrence(constant, Sequence(0, (number(big), number(big + 1))))
+
+
+def typed(initial, number):
+    return Sequence(initial.offset, tuple(number(t) for t in initial.terms), initial.label)
+
+
+def extend_both(rec, initial, target_length):
+    """The int and the Decimal unrolls of the same initial terms.
+
+    They must print term for term alike, and new terms keep the type of the
+    initial ones.
+    """
+    runs = [extend_sequence(rec, typed(initial, number), target_length) for number in NUMBER_TYPES]
+    for number, run in zip(NUMBER_TYPES, runs):
+        assert {type(t) for t in run.terms} == {number}
+        assert [str(t) for t in run.terms] == [str(t) for t in runs[0].terms]
+    return runs
+
+
+def raised_both(rec, initial, target_length):
+    """The error type and message of an unroll that must fail, alike for both types."""
+    errors = []
+    for number in NUMBER_TYPES:
+        with pytest.raises((SingularRecurrenceError, InconsistentRecurrenceError)) as excinfo:
+            extend_sequence(rec, typed(initial, number), target_length)
+        errors.append((type(excinfo.value), str(excinfo.value)))
+    assert errors == [errors[0]] * len(errors)
+    return errors[0]
+
 
 class TestExtend:
     def test_catalan_to_eleven_terms(self):
-        out = extend_sequence(CATALAN_REC, Sequence(0, (1,)), 11)
-        assert out.terms[10] == 16796
+        for number, out in zip(NUMBER_TYPES, extend_both(CATALAN_REC, Sequence(0, (1,)), 11)):
+            assert out.terms[10] == 16796
+            assert type(out.terms[10]) is number
+
+    def test_catalan_past_the_default_decimal_precision(self):
+        # terms reach 175 digits, far past Decimal's default 28
+        for out in extend_both(CATALAN_REC, Sequence(0, (1,)), 300):
+            assert out.terms == catalan_sequence(300).terms
 
     def test_powers_of_three_to_fifty_thousand(self):
-        import sys
-
         rec = Recurrence((IntPoly((-3,)), IntPoly((1,))))
-        out = extend_sequence(rec, Sequence(0, (1,)), 50000)
-        assert len(out) == 50000
-        assert out.terms[49999] == 3**49999
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)  # the term has far more digits than the default cap
-        try:
-            digit_count = len(str(out.terms[49999]))
-        finally:
-            sys.set_int_max_str_digits(limit)
-        assert digit_count == math.floor(49999 * math.log10(3)) + 1 == 23856
+        for number in NUMBER_TYPES:
+            out = extend_sequence(rec, Sequence(0, (number(1),)), 50000)
+            assert len(out) == 50000
+            last = out.terms[49999]
+            assert type(last) is number
+            assert last == 3**49999
+            # Decimal prints past the int/str digit cap
+            assert len(str(Decimal(last))) == math.floor(49999 * math.log10(3)) + 1 == 23856
 
     def test_all_zero_extension(self):
-        out = extend_sequence(CATALAN_REC, Sequence(0, (0, 0)), 40)
-        assert set(out.terms) == {0}
+        for out in extend_both(CATALAN_REC, Sequence(0, (0, 0)), 40):
+            assert set(out.terms) == {0}
+            assert {str(t) for t in out.terms} == {"0"}
+
+    def test_zero_over_a_negative_leading_coefficient_is_not_minus_zero(self):
+        # (n-5) a(n+1) = -a(n): p_1(n) < 0 for the first terms
+        rec = Recurrence((IntPoly((1,)), IntPoly((-5, 1))))
+        for out in extend_both(rec, Sequence(0, (0,)), 4):
+            assert [str(t) for t in out.terms] == ["0", "0", "0", "0"]
 
     def test_requires_enough_initial_terms(self):
         rec = Recurrence((IntPoly((1,)), IntPoly((1,)), IntPoly((1,))))
@@ -143,15 +192,17 @@ class TestExtend:
     def test_singular_leading_coefficient_names_index(self):
         # (n-5) a(n+1) = 2 (n-5) a(n): doubles exactly until p_1(5) = 0
         rec = Recurrence((IntPoly((10, -2)), IntPoly((-5, 1))))
-        seq = Sequence(0, (1,))
-        with pytest.raises(SingularRecurrenceError, match="n=5"):
-            extend_sequence(rec, seq, 10)
+        kind, message = raised_both(rec, Sequence(0, (1,)), 10)
+        assert kind is SingularRecurrenceError
+        assert "n=5" in message
 
     def test_inexact_division_is_reported(self):
-        # 2 a(n+1) = a(n) forces halving: fails on odd input
+        # 2 a(n+1) = a(n) forces halving: fails on odd input, whether the
+        # division truncates (Decimal) or floors (int)
         rec = Recurrence((IntPoly((-1,)), IntPoly((2,))))
-        with pytest.raises(InconsistentRecurrenceError):
-            extend_sequence(rec, Sequence(0, (3,)), 4)
+        for first in (3, -3):
+            kind, _ = raised_both(rec, Sequence(0, (first,)), 4)
+            assert kind is InconsistentRecurrenceError
 
     def test_roundtrip_guess_then_extend(self):
         seq = catalan_sequence(80)
@@ -177,7 +228,7 @@ def test_constant_recurrences_roundtrip(coeffs, initial):
     order = len(coeffs)
     polys = tuple(IntPoly((c,)) for c in coeffs) + (IntPoly((1,)),)
     rec = Recurrence(polys)
-    seq = extend_sequence(rec, Sequence(0, tuple(initial[:order]), "lin"), 45)
+    seq = extend_both(rec, Sequence(0, tuple(initial[:order]), "lin"), 45)[0]
     guessed = guess_recurrence(seq, 3, 2)
     assert guessed is not None
     assert verify_recurrence(guessed, seq)

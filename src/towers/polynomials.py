@@ -416,9 +416,7 @@ def h_resultant(f: HPoly, g: HPoly) -> PolyTY:
     b = PolyTY.constant((-1) ** (d + 1))
     h = [c * b for c in h_prem(f, g)]
     lc = g[-1]
-    c = lc**d
-    subres = [PolyTY.constant(1), c]
-    c = -c
+    c = -(lc**d)  # minus the latest subresultant scalar
     while h:
         k = len(h) - 1
         f, g, m, d = g, h, k, m - k
@@ -429,7 +427,6 @@ def h_resultant(f: HPoly, g: HPoly) -> PolyTY:
             c = ((-lc) ** d).exact_div(c ** (d - 1))
         else:
             c = -lc
-        subres.append(-c)
     if len(g) - 1 > 0:
         return PolyTY()  # non-trivial common factor
-    return subres[-1]
+    return -c

@@ -12,8 +12,8 @@ or, with a single size k under the no-exact-alignment rule,
 
 Every term of the right-hand side has t-order at least 1, so the fixed
 point is determined order by order; `solve_half_pyramids` exploits that
-and fills in one coefficient at a time, which is what makes high orders
-(thousands of terms) affordable.  The tests keep the plain
+and fills in one plain coefficient at a time, which is what makes high
+orders (thousands of terms) affordable.  The tests keep the plain
 repeated-substitution version in `tests/` as a slow reference.
 
 Pyramids and towers are rational in H.  With k the largest size,
@@ -23,16 +23,30 @@ Pyramids and towers are rational in H.  With k the largest size,
     M = P / (1 - H)
 
 The second form follows from the H-equation and also holds under the
-no-exact-alignment rule (one size k), where its sum is empty.
+no-exact-alignment rule (one size k), where its sum is empty.  The solver
+and these quotients work on plain series, where every z_i is 1.
 `series_pyramids` and `series_towers` compute these quotients with series
 division.  Both denominators have constant term 1, so the division stays in
 the integers.  `series_family` is the entry point: it solves H and derives
 P and M from it, stopping at the shape asked for.
+
+Weighted series (all-interfaces rule only) are not solved: Lagrange
+inversion of the H-equation gives every marker coefficient in closed form
+(Flajolet-Sedgewick, Analytic Combinatorics, A.6; Good 1960).  With e_i
+pieces of size i, N = sum e_i pieces and area A = sum i*e_i, the
+coefficient of t^A * prod z_i^e_i is N!/prod e_i! times
+
+    C(A, N-1) / N          in H,
+    C(A-1, N-1)            in P,
+    sum over j < N of C(A-1, j)   in M.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from typing import Sequence, Union
 
 from .errors import ConsistencyError, UnsupportedConfigurationError
@@ -56,15 +70,12 @@ __all__ = [
 Coefficient = Union[int, ZPolynomial]
 
 
-def _zero_like(sample: Coefficient) -> Coefficient:
-    return ZPolynomial.zero(sample.sizes) if isinstance(sample, ZPolynomial) else 0
-
-
 class TruncatedSeries:
     """A power series in t kept exactly through t^order.
 
     Immutable; all arithmetic truncates at the common order.  Coefficients
-    are either all ints or all ZPolynomials over the same marker set.
+    are either all ints or all ZPolynomials over the same marker set; only
+    the int series take part in arithmetic.
     """
 
     __slots__ = ("order", "coeffs")
@@ -77,7 +88,7 @@ class TruncatedSeries:
             order = len(coeffs) - 1
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")
-        zero = _zero_like(coeffs[0])
+        zero = ZPolynomial.zero(coeffs[0].sizes) if isinstance(coeffs[0], ZPolynomial) else 0
         if len(coeffs) < order + 1:
             coeffs = coeffs + (zero,) * (order + 1 - len(coeffs))
         elif len(coeffs) > order + 1:
@@ -89,14 +100,12 @@ class TruncatedSeries:
         raise AttributeError("TruncatedSeries is immutable")
 
     @classmethod
-    def zero(cls, order: int, sizes: tuple[int, ...] | None = None) -> "TruncatedSeries":
-        z: Coefficient = ZPolynomial.zero(sizes) if sizes is not None else 0
-        return cls((z,) * (order + 1), order)
+    def zero(cls, order: int) -> "TruncatedSeries":
+        return cls((0,) * (order + 1), order)
 
     @classmethod
-    def one(cls, order: int, sizes: tuple[int, ...] | None = None) -> "TruncatedSeries":
-        s = cls.zero(order, sizes)
-        return s + 1
+    def one(cls, order: int) -> "TruncatedSeries":
+        return cls.zero(order) + 1
 
     @property
     def is_weighted(self) -> bool:
@@ -144,8 +153,7 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._require_same_order(other)
             n = self.order
-            zero = _zero_like(self.coeffs[0])
-            out = [zero] * (n + 1)
+            out = [0] * (n + 1)
             for i, a in enumerate(self.coeffs):
                 if not a:
                     continue
@@ -154,28 +162,17 @@ class TruncatedSeries:
                     if b:
                         out[i + j] = out[i + j] + a * b
             return TruncatedSeries(tuple(out), n)
-        if isinstance(other, (int, ZPolynomial)):
+        if isinstance(other, int):
             return TruncatedSeries(tuple(c * other for c in self.coeffs), self.order)
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "TruncatedSeries":
-        if exponent < 0:
-            raise ValueError("negative powers are not supported; divide instead")
-        result = TruncatedSeries.one(
-            self.order, self.coeffs[0].sizes if self.is_weighted else None
-        )
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by t^k, dropping coefficients past the order."""
         if k == 0:
             return self
-        zero = _zero_like(self.coeffs[0])
-        return TruncatedSeries((zero,) * k + self.coeffs[: self.order + 1 - k], self.order)
+        return TruncatedSeries((0,) * k + self.coeffs[: self.order + 1 - k], self.order)
 
     def __truediv__(self, other):
         """Quotient by a series whose constant term is 1 or -1.
@@ -191,11 +188,10 @@ class TruncatedSeries:
         if b0 != 1 and b0 != -1:
             raise ValueError(f"division needs constant term +-1, got {b0!r}")
         negate = b0 == -1
-        zero = _zero_like(self.coeffs[0])
         divisor = [(j, b) for j, b in enumerate(other.coeffs) if j and b]
-        out: list[Coefficient] = []
+        out: list[int] = []
         for m, a in enumerate(self.coeffs):
-            acc = zero
+            acc = 0
             for j, b in divisor:
                 if j > m:
                     break
@@ -219,7 +215,7 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, [{shown}{tail}])"
 
 
-def _check_rule(pieces: PieceSet, weighted: bool) -> None:
+def _check_rule(pieces: PieceSet, weighted: bool = False) -> None:
     if pieces.rule is Rule.NO_EXACT_ALIGNMENT:
         if len(pieces.sizes) > 1:
             raise UnsupportedConfigurationError(
@@ -233,43 +229,32 @@ def _check_rule(pieces: PieceSet, weighted: bool) -> None:
 
 
 def solve_half_pyramids(pieces: PieceSet, order: int, weighted: bool = False) -> TruncatedSeries:
-    """The half-pyramid series H through t^order, solved order by order.
+    """The half-pyramid series H through t^order.
 
-    Coefficient n of H only involves coefficients below n on the right-hand
-    side (every summand carries at least one factor t), so each pass of the
-    loop pins down one new coefficient; the result is the unique fixed
-    point, reached after at most order+1 corrections.
+    Plain H is solved order by order: coefficient n only involves
+    coefficients below n on the right-hand side (every summand carries at
+    least one factor t), so each pass of the loop pins down one new
+    coefficient.  Weighted H is read off Lagrange's formula instead.
     """
     _check_rule(pieces, weighted)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
+    if weighted:
+        return _lagrange_series(pieces, order, (Shape.HALF_PYRAMID,))[Shape.HALF_PYRAMID]
     sizes = pieces.sizes
     k = pieces.max_size
-    if weighted:
-        zero: Coefficient = ZPolynomial.zero(sizes)
-        one: Coefficient = ZPolynomial.constant(sizes, 1)
-        marker = {i: ZPolynomial.marker(sizes, i) for i in sizes}
-    else:
-        zero, one = 0, 1
-        marker = {i: 1 for i in sizes}
     no_align = pieces.rule is Rule.NO_EXACT_ALIGNMENT
 
     # powers[i][n] = coefficient of t^n in (1 + H)^i, maintained as H grows.
-    powers = [[zero] * (order + 1) for _ in range(k + 1)]
-    for i in range(k + 1):
-        powers[i][0] = one
-    h = [zero] * (order + 1)
+    powers = [[1] + [0] * order for _ in range(k + 1)]
+    h = [0] * (order + 1)
     for n in range(1, order + 1):
         if no_align:
-            coeff = (powers[k][n - k] - h[n - k]) if n >= k else zero
+            coeff = (powers[k][n - k] - h[n - k]) if n >= k else 0
         else:
-            coeff = zero
-            for i in sizes:
-                if i <= n:
-                    coeff = coeff + marker[i] * powers[i][n - i]
+            coeff = sum(powers[i][n - i] for i in sizes if i <= n)
         h[n] = coeff
-        if k >= 1:
-            powers[1][n] = coeff
+        powers[1][n] = coeff
         for i in range(2, k + 1):
             prev = powers[i - 1]
             lin = powers[1]
@@ -283,52 +268,88 @@ def solve_half_pyramids(pieces: PieceSet, order: int, weighted: bool = False) ->
     return TruncatedSeries(tuple(h), order)
 
 
+def _lagrange_series(
+    pieces: PieceSet, order: int, shapes: tuple[Shape, ...]
+) -> dict[Shape, TruncatedSeries]:
+    """Weighted series of the given shapes through t^order, by Lagrange's formula.
+
+    The coefficient of t^A * prod z_i^e_i is a numerator that depends only
+    on the area A and the piece count N = sum e_i, over prod e_i!.
+    """
+    sizes = pieces.sizes
+    factorial = list(itertools.accumulate(range(1, order + 1), operator.mul, initial=1))
+    below: dict[int, list[int]] = {}  # A -> partial sums of C(A-1, j) over j
+
+    def tower(area: int, n: int) -> int:
+        if area not in below:
+            below[area] = list(itertools.accumulate(math.comb(area - 1, j) for j in range(area)))
+        return factorial[n] * below[area][n - 1]
+
+    numerator = {
+        Shape.HALF_PYRAMID: lambda area, n: factorial[n - 1] * math.comb(area, n - 1),
+        Shape.PYRAMID: lambda area, n: factorial[n] * math.comb(area - 1, n - 1),
+        Shape.TOWER: tower,
+    }
+    # one (numerator, coefficient dict per area) pair per shape, in the order asked
+    columns = [
+        (functools.lru_cache(maxsize=None)(numerator[shape]), [{} for _ in range(order + 1)])
+        for shape in shapes
+    ]
+    stack = [((), 0, 0, 1)]  # exponents so far, area, piece count, prod e_i!
+    while stack:
+        exps, area, n, denominator = stack.pop()
+        if len(exps) < len(sizes):
+            size = sizes[len(exps)]
+            for e in range((order - area) // size + 1):
+                stack.append((exps + (e,), area + e * size, n + e, denominator * factorial[e]))
+        elif n:
+            for value, terms in columns:
+                terms[area][exps] = value(area, n) // denominator
+    return {
+        shape: TruncatedSeries([ZPolynomial(sizes, t) for t in terms], order)
+        for shape, (_, terms) in zip(shapes, columns)
+    }
+
+
+def _power_sum(h: TruncatedSeries, weights: dict[int, int]) -> TruncatedSeries:
+    """Sum over i of weights[i] * t^i * (1+H)^i, with one running power of 1+H."""
+    total = TruncatedSeries.zero(h.order)
+    one_plus = power = h + 1  # power is (1+H)^i, one more factor per step of i
+    for i in range(1, max(weights, default=0) + 1):
+        if i > 1:
+            power = power * one_plus
+        if i in weights:
+            total = total + power.shift(i) * weights[i]
+    return total
+
+
 def half_pyramid_rhs(h: TruncatedSeries, pieces: PieceSet) -> TruncatedSeries:
-    """Right-hand side of the half-pyramid equation at h, weighted iff h is.
+    """Right-hand side of the half-pyramid equation at a plain h.
 
     Useful for residual checks: h solves the equation iff the result equals
     h coefficientwise through the shared order.
     """
-    weighted = h.is_weighted
-    _check_rule(pieces, weighted)
-    sizes = pieces.sizes
-    one_plus = h + 1
+    _check_rule(pieces)
     if pieces.rule is Rule.NO_EXACT_ALIGNMENT:
         k = pieces.single_size
-        return (one_plus**k - h).shift(k)
-    total = TruncatedSeries.zero(h.order, sizes if weighted else None)
-    for i in sizes:
-        term = (one_plus**i).shift(i)
-        if weighted:
-            term = term * ZPolynomial.marker(sizes, i)
-        total = total + term
-    return total
+        return _power_sum(h, {k: 1}) - h.shift(k)
+    return _power_sum(h, dict.fromkeys(pieces.sizes, 1))
 
 
 def _pyramid_denominator(h: TruncatedSeries, pieces: PieceSet) -> TruncatedSeries:
-    """1 - (k-1)*H + sum over sizes i < k of (k-i) * t^i * z_i * (1+H)^i."""
+    """1 - (k-1)*H + sum over sizes i < k of (k-i) * t^i * (1+H)^i."""
     k = pieces.max_size
-    total = 1 - (k - 1) * h
-    one_plus = power = h + 1  # power is (1+H)^i, one more factor per step of i
-    for i in range(1, max(pieces.sizes[:-1], default=0) + 1):
-        if i > 1:
-            power = power * one_plus
-        if i in pieces.sizes:
-            term = power.shift(i) * (k - i)
-            if h.is_weighted:
-                term = term * ZPolynomial.marker(pieces.sizes, i)
-            total = total + term
-    return total
+    return 1 - (k - 1) * h + _power_sum(h, {i: k - i for i in pieces.sizes[:-1]})
 
 
 def series_pyramids(h: TruncatedSeries, pieces: PieceSet) -> TruncatedSeries:
-    """Pyramid series P from the half-pyramid series h (weighted iff h is)."""
-    _check_rule(pieces, h.is_weighted)
+    """Pyramid series P from the plain half-pyramid series h."""
+    _check_rule(pieces)
     return h / _pyramid_denominator(h, pieces)
 
 
 def series_towers(p: TruncatedSeries, h: TruncatedSeries) -> TruncatedSeries:
-    """Tower series M = P / (1 - H)."""
+    """Tower series M = P / (1 - H), both plain."""
     return p / (1 - h)
 
 
@@ -337,12 +358,18 @@ def series_family(
 ) -> dict[Shape, TruncatedSeries]:
     """H, P and M through t^order, keyed by shape, stopping after `through`.
 
-    Each series is derived from the one before it, so asking for half
-    pyramids solves H only and asking for pyramids skips M.
+    Plain P and M are derived from H, so asking for half pyramids solves H
+    only and asking for pyramids skips M.  Weighted P and M come from
+    Lagrange's formula, as weighted H does.
     """
     h = solve_half_pyramids(pieces, order, weighted)
     family = {Shape.HALF_PYRAMID: h}
-    if through is not Shape.HALF_PYRAMID:
+    if through is Shape.HALF_PYRAMID:
+        return family
+    if weighted:
+        rest = (Shape.PYRAMID, Shape.TOWER) if through is Shape.TOWER else (Shape.PYRAMID,)
+        family.update(_lagrange_series(pieces, order, rest))
+    else:
         p = family[Shape.PYRAMID] = series_pyramids(h, pieces)
         if through is Shape.TOWER:
             family[Shape.TOWER] = series_towers(p, h)

@@ -10,7 +10,7 @@ from typing import Sequence
 
 from towers.model import PieceSet
 from towers.polynomials import PolyTY
-from towers.series import TruncatedSeries, _check_rule, half_pyramid_rhs
+from towers.series import TruncatedSeries, half_pyramid_rhs
 
 
 def evaluate(poly: PolyTY, t_value: Fraction, y_value: Fraction) -> Fraction:
@@ -66,17 +66,14 @@ def sylvester_resultant(f: Sequence[Fraction], g: Sequence[Fraction]) -> Fractio
     return det
 
 
-def iterate_half_pyramids(
-    pieces: PieceSet, order: int, weighted: bool = False
-) -> TruncatedSeries:
+def iterate_half_pyramids(pieces: PieceSet, order: int) -> TruncatedSeries:
     """Reference fixed-point iteration: repeated substitution from H = 0.
 
     Runs order+1 full substitutions (each corrects at least one more
     t-order).  Quadratic in the order per step, so only suitable for
     small orders; `solve_half_pyramids` is the fast equivalent.
     """
-    _check_rule(pieces, weighted)
-    h = TruncatedSeries.zero(order, pieces.sizes if weighted else None)
+    h = TruncatedSeries.zero(order)
     for _ in range(order + 1):
         h = half_pyramid_rhs(h, pieces)
     return h

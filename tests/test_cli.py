@@ -8,6 +8,8 @@ import pytest
 
 from towers import jsonio
 from towers.cli import main
+from towers.enumeration import BoundKind, EnumerationQuery, count_towers
+from towers.model import PieceSet
 from towers.recurrences import extend_sequence
 
 
@@ -40,6 +42,30 @@ def test_series_by_pieces_multi_size_uses_markers(capsys):
     )
     assert code == 0
     assert json.loads(out)["terms"] == ["2", "12", "74", "456"]
+
+
+def test_series_by_pieces_at_default_flags_finishes():
+    # a multi-size set at the default --order 200 needs the marker series to t^200
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "towers.cli", "series", "--sizes", "1,2,3", "--by-pieces"]
+    result = subprocess.run(argv, env=env, timeout=60, capture_output=True)
+    assert result.returncode == 0, result.stderr
+    terms = json.loads(result.stdout)["terms"]
+    assert len(terms) == 200 // 3
+    counts = count_towers(
+        EnumerationQuery(PieceSet.of(1, 2, 3), bound_kind=BoundKind.BY_PIECE_COUNT, bound=6)
+    )
+    assert terms[:6] == [str(counts[n]) for n in range(1, 7)]
+    assert terms[:6] == ["3", "36", "459", "5940", "77463", "1015254"]
+
+
+def test_series_weighted_noalign_exits_2(capsys):
+    code, _, err = run(
+        capsys, "series", "--sizes", "2", "--rule", "noalign", "--weighted", "--order", "5",
+    )
+    assert code == 2
+    assert "no-exact-alignment" in err
 
 
 def test_enumerate_counts(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from towers.enumeration import BoundKind, EnumerationQuery, weight_polynomial
@@ -12,7 +14,6 @@ from towers.series import (
     half_pyramid_rhs,
     piece_count_sequence,
     series_family,
-    series_pyramids,
     solve_half_pyramids,
 )
 from towers.zpoly import ZPolynomial
@@ -24,6 +25,16 @@ DIMER_NOALIGN = PieceSet.of(2, rule=Rule.NO_EXACT_ALIGNMENT)
 ALL_SETS = [DIMER, PieceSet.of(3), PieceSet.of(1, 2), PieceSet.of(2, 3), PieceSet.of(1, 2, 3)]
 
 HALF, PYRAMID, TOWER = Shape.HALF_PYRAMID, Shape.PYRAMID, Shape.TOWER
+LAGRANGE_SETS = [(1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3), (1, 5), (3, 8), (1, 2, 3, 4)]
+
+
+def at_markers(series: TruncatedSeries, values: tuple[int, ...]) -> TruncatedSeries:
+    """The plain series with marker z_i set to values[i] in a weighted series."""
+    return TruncatedSeries(
+        [sum(c * math.prod(v**e for v, e in zip(values, exps)) for exps, c in z.items())
+         for z in series.coeffs],
+        series.order,
+    )
 
 
 class TestArithmetic:
@@ -31,12 +42,6 @@ class TestArithmetic:
         a = TruncatedSeries((3, 0, -1, 4, 2))
         s = TruncatedSeries((1, -2, 3, 5, -7))
         assert (a / s) * s == a
-        sizes = (1, 2)
-        z1, z2 = ZPolynomial.marker(sizes, 1), ZPolynomial.marker(sizes, 2)
-        one = ZPolynomial.constant(sizes, 1)
-        aw = TruncatedSeries((z1, z2 * 2, z1 * z2, ZPolynomial.zero(sizes)))
-        sw = TruncatedSeries((one, -z1, z2 * 3, z1 * z1))
-        assert (aw / sw) * sw == aw
 
     def test_division_by_negative_unit(self):
         a = TruncatedSeries((1, 0, 5))
@@ -56,8 +61,8 @@ class TestArithmetic:
         s = TruncatedSeries((0, 1, 1))
         assert (1 - s).coeffs == (1, -1, -1)
         assert (s * 3).coeffs == (0, 3, 3)
-        assert (s**2).coeffs == (0, 0, 1)
-        assert (s**0).coeffs == (1, 0, 0)
+        assert (s * s).coeffs == (0, 0, 1)
+        assert TruncatedSeries.one(2).coeffs == (1, 0, 0)
 
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -82,12 +87,6 @@ class TestHalfPyramids:
             fast = solve_half_pyramids(pieces, 12)
             slow = iterate_half_pyramids(pieces, 12)
             assert fast == slow
-
-    def test_weighted_solver_matches_reference_iteration(self):
-        pieces = PieceSet.of(1, 2)
-        assert solve_half_pyramids(pieces, 8, weighted=True) == iterate_half_pyramids(
-            pieces, 8, weighted=True
-        )
 
     def test_residual_vanishes(self):
         for pieces in ALL_SETS + [DIMER_NOALIGN]:
@@ -131,11 +130,13 @@ class TestPyramidsAndTowers:
         for pieces in ALL_SETS:
             h, p, m = series_family(pieces, 24).values()
             assert m * (1 - h) == p
+            # D = 1 - sum over sizes i of (i-1) t^i (1+H)^i, powers by repeated products
             one_plus = h + 1
-            denom = TruncatedSeries.zero(24) + 1
-            for i in pieces.sizes:
-                if i > 1:
-                    denom = denom - (one_plus**i).shift(i) * (i - 1)
+            denom = power = TruncatedSeries.one(24)
+            for i in range(1, pieces.max_size + 1):
+                power = power * one_plus
+                if i in pieces.sizes:
+                    denom = denom - power.shift(i) * (i - 1)
             assert p * denom == h
 
     def test_ordering_and_positivity(self):
@@ -154,26 +155,35 @@ class TestPyramidsAndTowers:
 
 class TestWeightedMode:
     def test_weighted_reduces_to_plain(self):
-        for pieces in ALL_SETS:
-            weighted = series_family(pieces, 10, weighted=True)
-            plain = series_family(pieces, 10)
+        # Lagrange's formula against the solver: z := 1 gives the plain series
+        for sizes in LAGRANGE_SETS:
+            pieces = PieceSet(sizes)
+            weighted = series_family(pieces, 60, weighted=True)
+            plain = series_family(pieces, 60)
             for shape in (HALF, PYRAMID, TOWER):
-                assert weighted[shape].evaluate_ones() == plain[shape]
+                assert weighted[shape].evaluate_ones() == plain[shape], (sizes, shape)
+
+    @pytest.mark.parametrize("sizes", LAGRANGE_SETS, ids=str)
+    def test_lagrange_formula_matches_the_oracle(self, sizes):
+        pieces = PieceSet(sizes)
+        area = 10 if len(sizes) > 3 else 12  # {1,2,3,4} to area 12 costs 0.8 s
+        family = series_family(pieces, area, weighted=True)
+        for shape in (HALF, PYRAMID, TOWER):
+            table = weight_polynomial(EnumerationQuery(pieces, shape, BoundKind.BY_AREA, area))
+            assert family[shape].coeffs[0] == ZPolynomial.zero(pieces.sizes)
+            for a in range(1, area + 1):
+                assert family[shape].coeffs[a] == table.get(a, ZPolynomial.zero(pieces.sizes))
 
     def test_weighted_residual_vanishes(self):
+        # the defining equations at z = (2, 5): H = 2t(1+H) + 5t^3(1+H)^3,
+        # P (1 - 10 t^3 (1+H)^3) = H and M (1 - H) = P
         pieces = PieceSet.of(1, 3)
-        h = solve_half_pyramids(pieces, 9, weighted=True)
-        assert half_pyramid_rhs(h, pieces) == h
-
-    def test_weighted_series_need_no_flag(self):
-        pieces = PieceSet.of(1, 2)
-        h = solve_half_pyramids(pieces, 6, weighted=True)
-        p = series_pyramids(h, pieces)
-        # area 3: three stacked units, or a unit and a dimer stacked in four ways
-        assert p.coeffs[3] == ZPolynomial(pieces.sizes, {(1, 1): 4, (3, 0): 1})
-        assert half_pyramid_rhs(h, pieces) == h
-        table = weight_polynomial(EnumerationQuery(pieces, PYRAMID, BoundKind.BY_AREA, 6))
-        assert list(p.coeffs[1:]) == [table[a] for a in range(1, 7)]
+        h, p, m = (at_markers(s, (2, 5)) for s in series_family(pieces, 20, weighted=True).values())
+        one_plus = h + 1
+        cube = (one_plus * one_plus * one_plus).shift(3)
+        assert 2 * one_plus.shift(1) + 5 * cube == h
+        assert p * (1 - 10 * cube) == h
+        assert m * (1 - h) == p
 
     def test_weighted_coefficients_track_composition(self):
         pieces = PieceSet.of(1, 2)

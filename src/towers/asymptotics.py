@@ -8,9 +8,12 @@ combines m+1 consecutive ratios with the weights
 
 which cancels the 1/n through 1/n^m corrections and leaves an error of
 order 1/n^(m+1).  The same extrapolation applied to n*(r_n/mu - 1) then
-estimates theta.  All of this runs in exact rational arithmetic on the
-tail of the sequence, which comfortably exceeds the precision any floating
-format would give; only the optional amplitude estimate uses floats.
+estimates theta.  The extrapolation R is linear, so theta is computed as
+R(n*r_n)/mu - R(n): one division by mu, where dividing each ratio would
+carry mu's long denominator into every term of the sum.  All of this runs
+in exact rational arithmetic on the tail of the sequence, which
+comfortably exceeds the precision any floating format would give; only
+the optional amplitude estimate uses floats.
 
 These are empirical estimates with a stability indicator (the change
 between the last two extrapolation points), not proven asymptotics.
@@ -95,9 +98,11 @@ def estimate_asymptotics(s: Sequence, depth: int = 4) -> AsymptoticEstimate:
     mu_prev = _richardson(ratios[:-1])
     if mu <= 0:
         raise ValueError("ratio extrapolation is not positive; the model does not apply")
-    shifted = [(n, n * (r / mu - 1)) for n, r in ratios]
-    theta = _richardson(shifted[1:])
-    theta_prev = _richardson(shifted[:-1])
+    # theta = R(n*(r_n/mu - 1)), by linearity (see the module docstring)
+    scaled = [(n, n * r) for n, r in ratios]
+    plain = [(n, Fraction(n)) for n, _r in ratios]
+    theta = _richardson(scaled[1:]) / mu - _richardson(plain[1:])
+    theta_prev = _richardson(scaled[:-1]) / mu - _richardson(plain[:-1])
     stability = {"mu": abs(mu - mu_prev), "theta": abs(theta - theta_prev)}
 
     amplitude: float | None = None

@@ -3,7 +3,8 @@
 Every integer that can get large is serialized as a decimal string so no
 consumer ever sees a 53-bit float truncation.  Dictionaries are built in
 canonical key order and dumped without re-sorting, which keeps output
-byte-identical across runs.
+byte-identical across runs.  `dump` writes, chunk by chunk, exactly the
+text that `dumps` returns.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import re
 from decimal import Decimal
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, TextIO
 
 from .algebra import BivariatePolynomial
 from .asymptotics import AsymptoticEstimate
@@ -27,6 +28,7 @@ from .series import TruncatedSeries
 from .zpoly import ZPolynomial
 
 __all__ = [
+    "dump",
     "dumps",
     "decimal_str",
     "counts_to_json",
@@ -123,8 +125,21 @@ def _str_int(term: str | int) -> int:
     return int(_exact(term))
 
 
+_ENCODER = json.JSONEncoder(indent=2)  # one encoder, so dump and dumps write the same bytes
+
+
 def dumps(payload: Any) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return _ENCODER.encode(payload) + "\n"
+
+
+def dump(payload: Any, handle: TextIO) -> None:
+    """Write dumps(payload) to handle as it is encoded.
+
+    The whole text is never held: each chunk is written and dropped.
+    """
+    for chunk in _ENCODER.iterencode(payload):
+        handle.write(chunk)
+    handle.write("\n")
 
 
 def decimal_str(value: Fraction, digits: int = 30) -> str:

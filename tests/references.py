@@ -5,9 +5,11 @@ Not collected by pytest (no `test_` prefix); test modules import it by name.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
+from towers import recurrences
 from towers.model import PieceSet
 from towers.polynomials import PolyTY
 from towers.series import TruncatedSeries, half_pyramid_rhs
@@ -77,3 +79,28 @@ def iterate_half_pyramids(pieces: PieceSet, order: int) -> TruncatedSeries:
     for _ in range(order + 1):
         h = half_pyramid_rhs(h, pieces)
     return h
+
+
+def _richardson(points: list[tuple[int, Fraction]]) -> Fraction:
+    m = len(points) - 1
+    return sum(
+        (Fraction((-1) ** (m - i) * n**m, math.factorial(i) * math.factorial(m - i)) * value
+         for i, (n, value) in enumerate(points)),
+        Fraction(0),
+    )
+
+
+def term_by_term_estimate(seq: recurrences.Sequence, depth: int) -> tuple[Fraction, Fraction, dict]:
+    """mu, theta and stability with theta extrapolated from n*(r_n/mu - 1) term by term.
+
+    The direct form of what `estimate_asymptotics` computes by linearity;
+    slow on long sequences, since every ratio is divided by mu.
+    """
+    start = len(seq) - (depth + 3)
+    tail = [int(t) for t in seq.terms[start:]]
+    ratios = [(seq.offset + start + i, Fraction(b, a))
+              for i, (a, b) in enumerate(zip(tail, tail[1:]))]
+    mu, mu_prev = _richardson(ratios[1:]), _richardson(ratios[:-1])
+    shifted = [(n, n * (r / mu - 1)) for n, r in ratios]
+    theta, theta_prev = _richardson(shifted[1:]), _richardson(shifted[:-1])
+    return mu, theta, {"mu": abs(mu - mu_prev), "theta": abs(theta - theta_prev)}

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from towers.asymptotics import ZeroTermError, estimate_asymptotics
-from towers.model import PieceSet, Rule
+from towers.model import PieceSet, Rule, Shape
 from towers.polynomials import IntPoly
 from towers.recurrences import (
     InsufficientTermsError,
@@ -13,7 +13,9 @@ from towers.recurrences import (
     extend_sequence,
     guess_recurrence,
 )
-from towers.series import coefficients_by_pieces, solve_half_pyramids
+from towers.series import coefficients_by_pieces, series_family, solve_half_pyramids
+
+from references import term_by_term_estimate
 
 
 def catalan_sequence(length):
@@ -28,6 +30,34 @@ def motzkin_sequence(length):
     rec = guess_recurrence(seed, 3, 3)
     assert rec is not None
     return extend_sequence(rec, seed, length)
+
+
+def trimer_tower_tail(length, tail):
+    """The last `tail` of `length` trimer-tower counts by piece count, at their offset."""
+    pieces = PieceSet.of(3)
+    towers = series_family(pieces, 210, through=Shape.TOWER)[Shape.TOWER]
+    seed = Sequence(1, tuple(coefficients_by_pieces(towers, pieces)), "trimer towers")
+    rec = guess_recurrence(seed, 5, 6)
+    assert rec is not None
+    full = extend_sequence(rec, seed, length)
+    return Sequence(full.offset + length - tail, full.terms[-tail:], full.label)
+
+
+@pytest.fixture(scope="module")
+def long_sequences():
+    return {
+        "catalan": catalan_sequence(2000),
+        "motzkin": motzkin_sequence(2000),
+        "trimer towers": trimer_tower_tail(2000, 40),
+    }
+
+
+@pytest.mark.parametrize("name", ["catalan", "motzkin", "trimer towers"])
+def test_theta_by_linearity_equals_theta_term_by_term(long_sequences, name):
+    seq = long_sequences[name]
+    for depth in range(7):
+        est = estimate_asymptotics(seq, depth=depth)
+        assert (est.mu, est.theta, est.stability) == term_by_term_estimate(seq, depth), depth
 
 
 class TestEstimates:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -165,10 +166,14 @@ def test_extend_singular_exits_4(tmp_path, capsys):
         "order": 1, "degree": 1, "coeffs": [["10", "-2"], ["-5", "1"]],
     }))
     init_path.write_text(json.dumps({"offset": 0, "terms": ["1"]}))
-    code, _, err = run(capsys, "extend", "--rec", str(rec_path), "--init", str(init_path),
-                       "--terms", "10")
+    argv = ["extend", "--rec", str(rec_path), "--init", str(init_path), "--terms", "10"]
+    code, out, err = run(capsys, *argv)
     assert code == 4
     assert "n=5" in err
+    assert out == ""
+    out_path = tmp_path / "long.json"
+    assert run(capsys, *argv, "--out", str(out_path))[0] == 4
+    assert not out_path.exists()
 
 
 def test_inconsistent_extension_exits_5(tmp_path, capsys):
@@ -178,10 +183,14 @@ def test_inconsistent_extension_exits_5(tmp_path, capsys):
         "order": 1, "degree": 0, "coeffs": [["-1"], ["2"]],
     }))
     init_path.write_text(json.dumps({"offset": 0, "terms": ["3"]}))
-    code, _, err = run(capsys, "extend", "--rec", str(rec_path), "--init", str(init_path),
-                       "--terms", "5")
+    argv = ["extend", "--rec", str(rec_path), "--init", str(init_path), "--terms", "5"]
+    code, out, err = run(capsys, *argv)
     assert code == 5
     assert "not exact" in err
+    assert out == ""
+    out_path = tmp_path / "long.json"
+    assert run(capsys, *argv, "--out", str(out_path))[0] == 5
+    assert not out_path.exists()
 
 
 def test_extend_writes_zero_not_minus_zero(tmp_path, capsys):
@@ -196,20 +205,44 @@ def test_extend_writes_zero_not_minus_zero(tmp_path, capsys):
     assert json.loads(out)["terms"] == ["0", "0", "0", "0"]
 
 
-def test_extend_writes_what_the_int_unroll_writes(tmp_path, capsys):
+def trimer_chain(tmp_path, capsys):
+    """The recurrence and initial terms of trimer towers by piece count, as files."""
     seq_path = tmp_path / "seq.json"
     rec_path = tmp_path / "rec.json"
-    long_path = tmp_path / "long.json"
     run(capsys, "series", "--sizes", "3", "--shape", "tower", "--order", "210", "--by-pieces",
         "--out", str(seq_path))
     run(capsys, "guess", "--input", str(seq_path), "--out", str(rec_path))
-    code, _, _ = run(capsys, "extend", "--rec", str(rec_path), "--init", str(seq_path),
-                     "--terms", "3000", "--out", str(long_path))
+    return rec_path, seq_path
+
+
+def test_extend_writes_what_the_int_unroll_writes(tmp_path, capsys):
+    rec_path, seq_path = trimer_chain(tmp_path, capsys)
+    long_path = tmp_path / "long.json"
+    argv = ["extend", "--rec", str(rec_path), "--init", str(seq_path), "--terms", "3000"]
+    code, _, _ = run(capsys, *argv, "--out", str(long_path))
     assert code == 0
     rec = jsonio.recurrence_from_json(json.loads(rec_path.read_text()))
     init = jsonio.sequence_from_json(json.loads(seq_path.read_text()))
     int_route = extend_sequence(rec, init, 3000)
     assert long_path.read_text() == jsonio.dumps(jsonio.sequence_to_json(int_route))
+    code, out, _ = run(capsys, *argv)  # stdout gets the same bytes
+    assert code == 0
+    assert out.encode("utf-8") == long_path.read_bytes()
+
+
+def test_extend_streams_its_output(tmp_path, capsys):
+    rec_path, seq_path = trimer_chain(tmp_path, capsys)
+    long_path = tmp_path / "long.json"
+    tracemalloc.start()  # traces libmpdec's allocations too
+    try:
+        code = main(["extend", "--rec", str(rec_path), "--init", str(seq_path),
+                     "--terms", "6000", "--out", str(long_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # the term strings are alive, but never the whole text, a copy of it or its encoding
+    assert peak < 2 * long_path.stat().st_size
 
 
 def test_asympt_checks_terms_it_does_not_read(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -143,3 +145,33 @@ def test_dumps_is_deterministic():
     payload = jsonio.counts_to_json(BoundKind.BY_AREA, {2: 7, 1: 3})
     assert jsonio.dumps(payload) == jsonio.dumps(payload)
     assert list(json.loads(jsonio.dumps(payload))["counts"]) == ["1", "2"]
+
+
+def _dump_payloads():
+    big = 3**5000
+    decimal_terms = jsonio.decimal_sequence_from_json({"offset": 0, "terms": ["1", "-7", str(big)]})
+    return {
+        "int terms": jsonio.sequence_to_json(Sequence(1, (1, 2, big, -big))),
+        "DecimalInt terms": jsonio.sequence_to_json(decimal_terms),
+        "empty label": jsonio.sequence_to_json(Sequence(0, (1, 2), "")),
+        "non-ASCII label": jsonio.sequence_to_json(Sequence(0, (1, 2), "tours à 塔")),
+        "single term": jsonio.sequence_to_json(Sequence(0, (5,))),
+        "zero": jsonio.sequence_to_json(Sequence(0, (0,))),
+        "negative terms": jsonio.sequence_to_json(Sequence(-2, (-1, -20, 3))),
+        "plain series": jsonio.series_to_json(solve_half_pyramids(PieceSet.of(1, 2), 6)),
+        "weighted series": jsonio.series_to_json(
+            solve_half_pyramids(PieceSet.of(1, 2), 6, weighted=True)
+        ),
+        "recurrence": jsonio.recurrence_to_json(Recurrence((IntPoly((-2, -4)), IntPoly((2, 1))))),
+        "estimate": jsonio.estimate_to_json(
+            estimate_asymptotics(Sequence(0, tuple(math.comb(2 * n, n) for n in range(60))), 3)
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_dump_payloads()))
+def test_dump_writes_what_dumps_returns(name):
+    payload = _dump_payloads()[name]
+    handle = io.StringIO()
+    jsonio.dump(payload, handle)
+    assert handle.getvalue() == jsonio.dumps(payload) == json.dumps(payload, indent=2) + "\n"

@@ -59,6 +59,7 @@ from .series import (
     series_pyramids,
     series_towers,
     solve_half_pyramids,
+    weighted_series,
 )
 from .zpoly import ZPolynomial
 

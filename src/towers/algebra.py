@@ -209,8 +209,6 @@ def check_degree_cap(pieces: PieceSet) -> None:
 
 def verify_annihilator(q: BivariatePolynomial, s: TruncatedSeries) -> bool:
     """True iff Q(t, s(t)) is zero through the series order."""
-    if s.is_weighted:
-        raise ValueError("verify_annihilator expects a plain series")
     acc = TruncatedSeries.zero(s.order)
     for c in reversed(q.coeffs):
         acc = acc * s + TruncatedSeries(c.coeffs, s.order)

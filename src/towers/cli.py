@@ -31,7 +31,7 @@ from .recurrences import (
     extend_sequence,
     guess_recurrence,
 )
-from .series import coefficients_by_pieces, piece_count_sequence, series_family
+from .series import coefficients_by_pieces, piece_count_sequence, series_family, weighted_series
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -110,32 +110,30 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_series(args: argparse.Namespace) -> int:
     pieces = _piece_set(args)
     shape = Shape(args.shape)
-    # multi-size sets need the z-markers to recover piece counts
-    weighted = len(pieces.sizes) > 1 if args.by_pieces else args.weighted
-    series = series_family(pieces, args.order, weighted, through=shape)[shape]
-    if args.by_pieces:
-        if weighted:
-            terms = piece_count_sequence(series, pieces)
-        else:
-            terms = coefficients_by_pieces(series, pieces)
-        seq = Sequence(1, tuple(terms)) if terms else None
-        if seq is None:
-            raise UnsupportedConfigurationError(
-                f"order {args.order} is too small for even one piece of the largest size"
-            )
-        if args.format == "csv":
-            _emit(args, jsonio.sequence_to_csv(seq))
-        elif args.format == "text":
-            _emit(args, jsonio.sequence_to_text(seq))
-        else:
-            _emit(args, jsonio.dumps(jsonio.sequence_to_json(seq)))
+    if args.weighted:
+        table = weighted_series(pieces, args.order, shape)
+        _emit(args, jsonio.dumps(jsonio.weighted_series_to_json(table)))
         return 0
-    if args.format in ("csv", "text") and not weighted:
-        seq = Sequence(0, tuple(series.coeffs))
-        text = jsonio.sequence_to_csv(seq) if args.format == "csv" else jsonio.sequence_to_text(seq)
-        _emit(args, text)
-        return 0
-    _emit(args, jsonio.dumps(jsonio.series_to_json(series)))
+    if args.by_pieces and len(pieces.sizes) > 1:
+        # n pieces cover at most n times the largest size
+        terms = piece_count_sequence(pieces, args.order // pieces.max_size, shape)
+    else:
+        series = series_family(pieces, args.order, through=shape)[shape]
+        if not args.by_pieces and args.format == "json":
+            _emit(args, jsonio.dumps(jsonio.series_to_json(series)))
+            return 0
+        terms = coefficients_by_pieces(series, pieces) if args.by_pieces else series.coeffs
+    if not terms:
+        raise UnsupportedConfigurationError(
+            f"order {args.order} is too small for even one piece of the largest size"
+        )
+    seq = Sequence(1 if args.by_pieces else 0, tuple(terms))
+    if args.format == "csv":
+        _emit(args, jsonio.sequence_to_csv(seq))
+    elif args.format == "text":
+        _emit(args, jsonio.sequence_to_text(seq))
+    else:
+        _emit(args, jsonio.dumps(jsonio.sequence_to_json(seq)))
     return 0
 
 
@@ -206,8 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--pieces", type=_positive_int, help="bound by piece count")
     group.add_argument("--area", type=_positive_int, help="bound by total area")
-    p.add_argument("--weighted", action="store_true", help="emit weight polynomials by area")
-    p.add_argument("--list", action="store_true", help="emit towers, one JSON array per line")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--weighted", action="store_true", help="emit weight polynomials by area")
+    output.add_argument("--list", action="store_true", help="emit towers, one JSON array per line")
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_enumerate)
@@ -215,9 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="generating-function coefficients")
     _piece_args(p)
     p.add_argument("--order", type=int, default=200, help="series order (default: 200)")
-    p.add_argument("--weighted", action="store_true", help="track z-markers per piece size")
-    p.add_argument("--by-pieces", action="store_true",
-                   help="emit the per-piece-count sequence instead of t-coefficients")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--weighted", action="store_true", help="track z-markers per piece size")
+    output.add_argument("--by-pieces", action="store_true",
+                        help="emit the per-piece-count sequence instead of t-coefficients")
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_series)

@@ -35,6 +35,7 @@ __all__ = [
     "counts_to_csv",
     "counts_to_text",
     "series_to_json",
+    "weighted_series_to_json",
     "sequence_to_json",
     "sequence_from_json",
     "decimal_sequence_from_json",
@@ -176,13 +177,13 @@ def _zpoly_to_json(z: ZPolynomial) -> dict[str, str]:
 
 
 def series_to_json(series: TruncatedSeries) -> dict:
-    payload: dict[str, Any] = {"variable": "t", "order": series.order}
-    if series.is_weighted:
-        payload["sizes"] = list(series.coeffs[0].sizes)
-        payload["coeffs"] = [_zpoly_to_json(c) for c in series.coeffs]
-    else:
-        payload["coeffs"] = [_int_str(c) for c in series.coeffs]
-    return payload
+    return {"variable": "t", "order": series.order, "coeffs": [_int_str(c) for c in series.coeffs]}
+
+
+def weighted_series_to_json(table: tuple[ZPolynomial, ...]) -> dict:
+    """A `weighted_series` table, laid out like a series with marker coefficients."""
+    coeffs, sizes = [_zpoly_to_json(z) for z in table], list(table[0].sizes)
+    return {"variable": "t", "order": len(table) - 1, "sizes": sizes, "coeffs": coeffs}
 
 
 def sequence_to_json(seq: Sequence) -> dict:

@@ -236,11 +236,9 @@ def extend_sequence(rec: Recurrence, initial: Sequence, target_length: int) -> S
 
 
 def sequence_from_series(series: TruncatedSeries) -> Sequence:
-    """Coefficient sequence of a plain series, indexed from n = 1.
+    """Coefficient sequence of a series, indexed from n = 1.
 
     The constant coefficient (always 0 for the tower series) is dropped, so
     term n is the coefficient of t^n.
     """
-    if series.is_weighted:
-        raise ValueError("sequence_from_series expects a plain series")
     return Sequence(1, tuple(series.coeffs[1:]))

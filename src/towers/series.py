@@ -1,10 +1,9 @@
 """Truncated power series in t and the tower generating functions.
 
-All coefficients are exact: Python integers in plain mode, ZPolynomial
-values (integer polynomials in the z_i markers) in weighted mode.  The
-half-pyramid series H is the fixed point of
+All coefficients are exact Python integers.  The half-pyramid series H is
+the fixed point of
 
-    H = sum over sizes i of  t^i * z_i * (1 + H)^i,
+    H = sum over sizes i of  t^i * (1 + H)^i,
 
 or, with a single size k under the no-exact-alignment rule,
 
@@ -12,23 +11,28 @@ or, with a single size k under the no-exact-alignment rule,
 
 Every term of the right-hand side has t-order at least 1, so the fixed
 point is determined order by order; `solve_half_pyramids` exploits that
-and fills in one plain coefficient at a time, which is what makes high
-orders (thousands of terms) affordable.  The tests keep the plain
+and fills in one coefficient at a time, which is what makes high orders
+(thousands of terms) affordable.  The tests keep the plain
 repeated-substitution version in `tests/` as a slow reference.
 
 Pyramids and towers are rational in H.  With k the largest size,
 
-    P = H / (1 - sum over sizes i of (i-1) * t^i * z_i * (1+H)^i)
-      = H / (1 - (k-1) * H + sum over sizes i < k of (k-i) * t^i * z_i * (1+H)^i)
+    P = H / (1 - sum over sizes i of (i-1) * t^i * (1+H)^i)
+      = H / (1 - (k-1) * H + sum over sizes i < k of (k-i) * t^i * (1+H)^i)
     M = P / (1 - H)
 
 The second form follows from the H-equation and also holds under the
-no-exact-alignment rule (one size k), where its sum is empty.  The solver
-and these quotients work on plain series, where every z_i is 1.
+no-exact-alignment rule (one size k), where its sum is empty.
 `series_pyramids` and `series_towers` compute these quotients with series
 division.  Both denominators have constant term 1, so the division stays in
 the integers.  `series_family` is the entry point: it solves H and derives
 P and M from it, stopping at the shape asked for.
+
+Counting by pieces, every piece weighs one unit of a variable z instead
+of t^i: H = z * sum over sizes i of (1 + H)^i, P = z H' / (1 + H) and
+M = P / (1 - H).  The right-hand side Phi is linear in z, so
+z H' = H / (1 - Phi_H), and (1 + H)(1 - Phi_H) is P's denominator above
+with t^i read as z.  `piece_count_sequence` runs the same solver in z.
 
 Weighted series (all-interfaces rule only) are not solved: Lagrange
 inversion of the H-equation gives every marker coefficient in closed form
@@ -39,6 +43,9 @@ coefficient of t^A * prod z_i^e_i is N!/prod e_i! times
     C(A, N-1) / N          in H,
     C(A-1, N-1)            in P,
     sum over j < N of C(A-1, j)   in M.
+
+`weighted_series` returns these as a table indexed by area, one
+`ZPolynomial` per area, like the oracle's `weight_polynomial`.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import ConsistencyError, UnsupportedConfigurationError
 from .model import PieceSet, Rule, Shape
@@ -62,25 +69,22 @@ __all__ = [
     "series_family",
     "coefficients_by_pieces",
     "piece_count_sequence",
+    "weighted_series",
     "closed_form_half_pyramids",
     "closed_form_pyramids",
     "closed_form_dimer_towers",
 ]
 
-Coefficient = Union[int, ZPolynomial]
-
 
 class TruncatedSeries:
     """A power series in t kept exactly through t^order.
 
-    Immutable; all arithmetic truncates at the common order.  Coefficients
-    are either all ints or all ZPolynomials over the same marker set; only
-    the int series take part in arithmetic.
+    Immutable; all arithmetic truncates at the common order.
     """
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs: Sequence[Coefficient], order: int | None = None):
+    def __init__(self, coeffs: Sequence[int], order: int | None = None):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("need at least the constant coefficient")
@@ -88,9 +92,8 @@ class TruncatedSeries:
             order = len(coeffs) - 1
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")
-        zero = ZPolynomial.zero(coeffs[0].sizes) if isinstance(coeffs[0], ZPolynomial) else 0
         if len(coeffs) < order + 1:
-            coeffs = coeffs + (zero,) * (order + 1 - len(coeffs))
+            coeffs = coeffs + (0,) * (order + 1 - len(coeffs))
         elif len(coeffs) > order + 1:
             coeffs = coeffs[: order + 1]
         object.__setattr__(self, "order", order)
@@ -106,10 +109,6 @@ class TruncatedSeries:
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         return cls.zero(order) + 1
-
-    @property
-    def is_weighted(self) -> bool:
-        return isinstance(self.coeffs[0], ZPolynomial)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -201,58 +200,51 @@ class TruncatedSeries:
             out.append(acc - a if negate else a - acc)
         return TruncatedSeries(tuple(out), self.order)
 
-    def evaluate_ones(self) -> "TruncatedSeries":
-        """Set every z marker to 1, turning a weighted series plain."""
-        if not self.is_weighted:
-            return self
-        return TruncatedSeries(
-            tuple(c.eval_ones() for c in self.coeffs), self.order  # type: ignore[union-attr]
-        )
-
     def __repr__(self) -> str:
         shown = ", ".join(repr(c) for c in self.coeffs[: min(8, self.order + 1)])
         tail = ", ..." if self.order + 1 > 8 else ""
         return f"TruncatedSeries(order={self.order}, [{shown}{tail}])"
 
 
-def _check_rule(pieces: PieceSet, weighted: bool = False) -> None:
+def _check_rule(pieces: PieceSet, all_interfaces_only: str = "") -> None:
+    """Raise for unsupported sets; `all_interfaces_only` names a result noalign never has."""
     if pieces.rule is Rule.NO_EXACT_ALIGNMENT:
         if len(pieces.sizes) > 1:
             raise UnsupportedConfigurationError(
                 "series under the no-exact-alignment rule support a single piece "
                 f"size only, got sizes {pieces.sizes}"
             )
-        if weighted:
+        if all_interfaces_only:
             raise UnsupportedConfigurationError(
-                "weighted series are not defined under the no-exact-alignment rule"
+                f"{all_interfaces_only} are not defined under the no-exact-alignment rule"
             )
 
 
-def solve_half_pyramids(pieces: PieceSet, order: int, weighted: bool = False) -> TruncatedSeries:
-    """The half-pyramid series H through t^order.
+def solve_half_pyramids(pieces: PieceSet, order: int, by_pieces: bool = False) -> TruncatedSeries:
+    """The half-pyramid series H through t^order, or through z^order by pieces.
 
-    Plain H is solved order by order: coefficient n only involves
-    coefficients below n on the right-hand side (every summand carries at
-    least one factor t), so each pass of the loop pins down one new
-    coefficient.  Weighted H is read off Lagrange's formula instead.
+    H is solved order by order: coefficient n only involves coefficients
+    below n on the right-hand side (every summand carries at least one
+    factor t), so each pass of the loop pins down one new coefficient.
+    With `by_pieces` the variable z counts pieces, so a piece of size i
+    steps one power of z instead of i powers of t.
     """
-    _check_rule(pieces, weighted)
+    _check_rule(pieces)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    if weighted:
-        return _lagrange_series(pieces, order, (Shape.HALF_PYRAMID,))[Shape.HALF_PYRAMID]
-    sizes = pieces.sizes
     k = pieces.max_size
     no_align = pieces.rule is Rule.NO_EXACT_ALIGNMENT
+    # (1+H)^i enters coefficient n of H through its coefficient n - step[i]
+    step = {i: 1 if by_pieces else i for i in pieces.sizes}
 
     # powers[i][n] = coefficient of t^n in (1 + H)^i, maintained as H grows.
     powers = [[1] + [0] * order for _ in range(k + 1)]
     h = [0] * (order + 1)
     for n in range(1, order + 1):
         if no_align:
-            coeff = (powers[k][n - k] - h[n - k]) if n >= k else 0
+            coeff = (powers[k][n - step[k]] - h[n - step[k]]) if n >= step[k] else 0
         else:
-            coeff = sum(powers[i][n - i] for i in sizes if i <= n)
+            coeff = sum(powers[i][n - s] for i, s in step.items() if s <= n)
         h[n] = coeff
         powers[1][n] = coeff
         for i in range(2, k + 1):
@@ -268,14 +260,15 @@ def solve_half_pyramids(pieces: PieceSet, order: int, weighted: bool = False) ->
     return TruncatedSeries(tuple(h), order)
 
 
-def _lagrange_series(
-    pieces: PieceSet, order: int, shapes: tuple[Shape, ...]
-) -> dict[Shape, TruncatedSeries]:
-    """Weighted series of the given shapes through t^order, by Lagrange's formula.
+def weighted_series(pieces: PieceSet, order: int, shape: Shape) -> tuple[ZPolynomial, ...]:
+    """The shape's weighted series through t^order by Lagrange's formula, indexed by area.
 
     The coefficient of t^A * prod z_i^e_i is a numerator that depends only
     on the area A and the piece count N = sum e_i, over prod e_i!.
     """
+    _check_rule(pieces, "weighted series")
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     sizes = pieces.sizes
     factorial = list(itertools.accumulate(range(1, order + 1), operator.mul, initial=1))
     below: dict[int, list[int]] = {}  # A -> partial sums of C(A-1, j) over j
@@ -285,16 +278,12 @@ def _lagrange_series(
             below[area] = list(itertools.accumulate(math.comb(area - 1, j) for j in range(area)))
         return factorial[n] * below[area][n - 1]
 
-    numerator = {
+    numerator = functools.lru_cache(maxsize=None)({
         Shape.HALF_PYRAMID: lambda area, n: factorial[n - 1] * math.comb(area, n - 1),
         Shape.PYRAMID: lambda area, n: factorial[n] * math.comb(area - 1, n - 1),
         Shape.TOWER: tower,
-    }
-    # one (numerator, coefficient dict per area) pair per shape, in the order asked
-    columns = [
-        (functools.lru_cache(maxsize=None)(numerator[shape]), [{} for _ in range(order + 1)])
-        for shape in shapes
-    ]
+    }[shape])
+    terms: list[dict[tuple[int, ...], int]] = [{} for _ in range(order + 1)]
     stack = [((), 0, 0, 1)]  # exponents so far, area, piece count, prod e_i!
     while stack:
         exps, area, n, denominator = stack.pop()
@@ -303,12 +292,8 @@ def _lagrange_series(
             for e in range((order - area) // size + 1):
                 stack.append((exps + (e,), area + e * size, n + e, denominator * factorial[e]))
         elif n:
-            for value, terms in columns:
-                terms[area][exps] = value(area, n) // denominator
-    return {
-        shape: TruncatedSeries([ZPolynomial(sizes, t) for t in terms], order)
-        for shape, (_, terms) in zip(shapes, columns)
-    }
+            terms[area][exps] = numerator(area, n) // denominator
+    return tuple(ZPolynomial(sizes, t) for t in terms)
 
 
 def _power_sum(h: TruncatedSeries, weights: dict[int, int]) -> TruncatedSeries:
@@ -354,39 +339,32 @@ def series_towers(p: TruncatedSeries, h: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_family(
-    pieces: PieceSet, order: int, weighted: bool = False, through: Shape = Shape.TOWER
+    pieces: PieceSet, order: int, through: Shape = Shape.TOWER
 ) -> dict[Shape, TruncatedSeries]:
     """H, P and M through t^order, keyed by shape, stopping after `through`.
 
-    Plain P and M are derived from H, so asking for half pyramids solves H
-    only and asking for pyramids skips M.  Weighted P and M come from
-    Lagrange's formula, as weighted H does.
+    P and M are derived from H, so asking for half pyramids solves H only
+    and asking for pyramids skips M.
     """
-    h = solve_half_pyramids(pieces, order, weighted)
+    h = solve_half_pyramids(pieces, order)
     family = {Shape.HALF_PYRAMID: h}
     if through is Shape.HALF_PYRAMID:
         return family
-    if weighted:
-        rest = (Shape.PYRAMID, Shape.TOWER) if through is Shape.TOWER else (Shape.PYRAMID,)
-        family.update(_lagrange_series(pieces, order, rest))
-    else:
-        p = family[Shape.PYRAMID] = series_pyramids(h, pieces)
-        if through is Shape.TOWER:
-            family[Shape.TOWER] = series_towers(p, h)
+    p = family[Shape.PYRAMID] = series_pyramids(h, pieces)
+    if through is Shape.TOWER:
+        family[Shape.TOWER] = series_towers(p, h)
     return family
 
 
 def coefficients_by_pieces(series: TruncatedSeries, pieces: PieceSet) -> list[int]:
     """Per-piece-count sequence for a single-size set: a(n) = [t^(k*n)].
 
-    Only defined for plain series over one piece size k, where the area of
-    an n-piece structure is exactly k*n.  A non-zero coefficient off the
+    Only defined for a series over one piece size k, where the area of an
+    n-piece structure is exactly k*n.  A non-zero coefficient off the
     k-grid means the series cannot belong to this piece set and raises
     ConsistencyError.  The returned list starts at n = 1.
     """
     k = pieces.single_size
-    if series.is_weighted:
-        raise ValueError("coefficients_by_pieces expects a plain series")
     for n, c in enumerate(series.coeffs):
         if n % k and c:
             raise ConsistencyError(
@@ -395,21 +373,21 @@ def coefficients_by_pieces(series: TruncatedSeries, pieces: PieceSet) -> list[in
     return [series.coeffs[k * n] for n in range(1, series.order // k + 1)]
 
 
-def piece_count_sequence(series: TruncatedSeries, pieces: PieceSet) -> list[int]:
-    """Counts by piece count extracted from a weighted series.
+def piece_count_sequence(pieces: PieceSet, count: int, shape: Shape) -> list[int]:
+    """Numbers of the shape's structures with n = 1..count pieces, any sizes.
 
-    Towers with n pieces have area at most n * max(sizes), so the counts
-    are complete for n up to order // max(sizes); the list starts at n = 1.
+    H is solved in the piece variable z, then P = z H' / (1 + H) and
+    M = P / (1 - H).  P's formula needs the all-interfaces rule; a single
+    size under no-exact-alignment has `coefficients_by_pieces` instead.
     """
-    if not series.is_weighted:
-        raise ValueError("piece_count_sequence expects a weighted series")
-    limit = series.order // pieces.max_size
-    out = [0] * (limit + 1)
-    for c in series.coeffs:
-        for total, value in c.total_degree_counts().items():  # type: ignore[union-attr]
-            if total <= limit:
-                out[total] += value
-    return out[1:]
+    _check_rule(pieces, "piece-count sequences in the piece variable")
+    h = solve_half_pyramids(pieces, count, by_pieces=True)
+    series = h
+    if shape is not Shape.HALF_PYRAMID:
+        series = TruncatedSeries([n * c for n, c in enumerate(h.coeffs)], count) / (h + 1)
+        if shape is Shape.TOWER:
+            series = series_towers(series, h)
+    return list(series.coeffs[1:])
 
 
 def closed_form_half_pyramids(k: int, n: int) -> int:

@@ -5,9 +5,10 @@ keyed by its exponent vector, one exponent per size, e.g. for sizes (1, 3)
 the monomial z1^2 * z3 has key (2, 1).  Values are arbitrary-precision
 integers and zero coefficients are never stored.
 
-It is a container, not a ring: the oracle and Lagrange's formula build
-ZPolynomials coefficient by coefficient, and callers compare them, read
-their monomials or set every marker to 1.  Nothing adds or multiplies them.
+It is a container, not a ring: the oracle (`weight_polynomial`) and
+Lagrange's formula (`weighted_series`) build one per area, coefficient by
+coefficient, and callers compare them, read their monomials or set every
+marker to 1.  Nothing adds or multiplies them.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ class ZPolynomial:
         for exps in self._terms:
             if len(exps) != len(self.sizes):
                 raise ValueError(f"exponent vector {exps} does not match sizes {self.sizes}")
-
-    @classmethod
-    def zero(cls, sizes: tuple[int, ...]) -> "ZPolynomial":
-        return cls(sizes)
 
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """Monomials in a canonical (sorted-key) order."""
@@ -54,14 +51,6 @@ class ZPolynomial:
     def eval_ones(self) -> int:
         """Value with every marker set to 1 (the plain count)."""
         return sum(self._terms.values())
-
-    def total_degree_counts(self) -> dict[int, int]:
-        """Sum of coefficients grouped by total degree (total piece count)."""
-        out: dict[int, int] = {}
-        for exps, coeff in self._terms.items():
-            n = sum(exps)
-            out[n] = out.get(n, 0) + coeff
-        return out
 
     def __repr__(self) -> str:
         if not self._terms:

@@ -31,6 +31,7 @@ from towers.series import (
     half_pyramid_rhs,
     series_family,
     solve_half_pyramids,
+    weighted_series,
 )
 
 DIMER = PieceSet.of(2)
@@ -88,15 +89,15 @@ def test_criterion_4_oracle_equivalence():
         for sizes in ACCEPTANCE_SETS:
             pieces = PieceSet(sizes)
             family = series_family(pieces, 12)
-            weighted = series_family(pieces, 12, weighted=True)
             for shape in SHAPES:
                 # one walk per set and shape: setting every z to 1 gives the counts
                 table = weight_polynomial(
                     EnumerationQuery(pieces, shape, BoundKind.BY_AREA, 12)
                 )
+                weighted = weighted_series(pieces, 12, shape)
                 for area in range(1, 13):
                     assert table[area].eval_ones() == family[shape].coeffs[area]
-                    assert table[area] == weighted[shape].coeffs[area]
+                    assert table[area] == weighted[area]
 
 
 def test_criterion_5_unit_piece_sanity():
@@ -171,7 +172,7 @@ def test_criterion_9_residuals_and_structure():
             assert half_pyramid_rhs(h, pieces) == h
             for n in range(201):
                 assert 0 <= h.coeffs[n] <= p.coeffs[n] <= m.coeffs[n]
-            weighted = series_family(pieces, 12, weighted=True)
             plain = series_family(pieces, 12)
             for shape in SHAPES:
-                assert weighted[shape].evaluate_ones() == plain[shape]
+                ones = tuple(z.eval_ones() for z in weighted_series(pieces, 12, shape))
+                assert ones == plain[shape].coeffs

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -38,6 +39,7 @@ def test_series_plain_json(capsys):
 
 
 def test_series_by_pieces_multi_size_uses_markers(capsys):
+    # counts by piece count come from the piece-variable series, not z-markers
     code, out, _ = run(
         capsys, "series", "--sizes", "1,2", "--order", "8", "--by-pieces",
     )
@@ -45,20 +47,33 @@ def test_series_by_pieces_multi_size_uses_markers(capsys):
     assert json.loads(out)["terms"] == ["2", "12", "74", "456"]
 
 
+def _limit_memory():
+    # a regression that builds the marker series again fails fast instead of
+    # taking the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 def test_series_by_pieces_at_default_flags_finishes():
-    # a multi-size set at the default --order 200 needs the marker series to t^200
+    # multi-size sets at the default --order 200: 200 // max size terms each
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = [sys.executable, "-m", "towers.cli", "series", "--sizes", "1,2,3", "--by-pieces"]
-    result = subprocess.run(argv, env=env, timeout=60, capture_output=True)
-    assert result.returncode == 0, result.stderr
-    terms = json.loads(result.stdout)["terms"]
-    assert len(terms) == 200 // 3
-    counts = count_towers(
-        EnumerationQuery(PieceSet.of(1, 2, 3), bound_kind=BoundKind.BY_PIECE_COUNT, bound=6)
-    )
-    assert terms[:6] == [str(counts[n]) for n in range(1, 7)]
-    assert terms[:6] == ["3", "36", "459", "5940", "77463", "1015254"]
+    expected = {
+        "1,2,3": ["3", "36", "459", "5940", "77463", "1015254"],
+        "1,2,3,4,5": ["5", "150", "5000", "172500"],
+    }
+    for sizes, head in expected.items():
+        argv = [sys.executable, "-m", "towers.cli", "series", "--sizes", sizes, "--by-pieces"]
+        result = subprocess.run(
+            argv, env=env, timeout=60, capture_output=True, preexec_fn=_limit_memory
+        )
+        assert result.returncode == 0, result.stderr
+        terms = json.loads(result.stdout)["terms"]
+        pieces = PieceSet(tuple(map(int, sizes.split(","))))
+        assert len(terms) == 200 // pieces.max_size
+        counts = count_towers(
+            EnumerationQuery(pieces, bound_kind=BoundKind.BY_PIECE_COUNT, bound=len(head))
+        )
+        assert terms[: len(head)] == [str(counts[n]) for n in range(1, len(head) + 1)] == head
 
 
 def test_series_weighted_noalign_exits_2(capsys):
@@ -318,6 +333,20 @@ def test_argument_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["enumerate", "--sizes", "2"])  # missing --pieces/--area
     assert excinfo.value.code == 2
+
+
+def test_series_weighted_and_by_pieces_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["series", "--sizes", "1,2", "--order", "4", "--weighted", "--by-pieces"])
+    assert excinfo.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_enumerate_list_and_weighted_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["enumerate", "--sizes", "1,2", "--area", "3", "--list", "--weighted"])
+    assert excinfo.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_render_to_file(tmp_path, capsys):

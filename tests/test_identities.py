@@ -34,9 +34,9 @@ def test_degenerate_bound_still_passes():
 def test_corrupted_series_is_caught_with_counterexample(monkeypatch):
     solve = identities.series_family
 
-    def corrupt(pieces, order, weighted=False, **kwargs):
-        family = solve(pieces, order, weighted, **kwargs)
-        if pieces == PieceSet.of(1, 2) and not weighted:
+    def corrupt(pieces, order, **kwargs):
+        family = solve(pieces, order, **kwargs)
+        if pieces == PieceSet.of(1, 2):
             coeffs = list(family[Shape.TOWER].coeffs)
             coeffs[7] += 1
             family[Shape.TOWER] = TruncatedSeries(coeffs, order)
@@ -52,12 +52,16 @@ def test_corrupted_series_is_caught_with_counterexample(monkeypatch):
 
 
 def test_each_set_is_solved_once_and_each_shape_enumerated_once(monkeypatch):
-    solves, walks = Counter(), Counter()
-    solve = identities.series_family
+    solves, weighings, walks = Counter(), Counter(), Counter()
+    solve, weigh = identities.series_family, identities.weighted_series
 
-    def counted_solve(pieces, order, weighted=False, **kwargs):
-        solves[pieces, weighted] += 1
-        return solve(pieces, order, weighted, **kwargs)
+    def counted_solve(pieces, order, **kwargs):
+        solves[pieces] += 1
+        return solve(pieces, order, **kwargs)
+
+    def counted_weigh(pieces, order, shape):
+        weighings[pieces, shape] += 1
+        return weigh(pieces, order, shape)
 
     def counted_walk(walk):
         def counted(query):
@@ -68,9 +72,11 @@ def test_each_set_is_solved_once_and_each_shape_enumerated_once(monkeypatch):
         return counted
 
     monkeypatch.setattr(identities, "series_family", counted_solve)
+    monkeypatch.setattr(identities, "weighted_series", counted_weigh)
     for name in ("weight_polynomial", "count_towers"):
         monkeypatch.setattr(identities, name, counted_walk(getattr(identities, name)))
     assert all(r.passed for r in verify_identities(max_area=6, max_pieces=4))
     assert solves and max(solves.values()) == 1
-    assert {p for p, weighted in solves if weighted} <= {p for p, weighted in solves if not weighted}
+    assert weighings and max(weighings.values()) == 1
+    assert {p for p, _ in weighings} <= set(solves)
     assert walks and max(walks.values()) == 1

@@ -15,7 +15,7 @@ from towers.identities import CheckResult
 from towers.model import PieceSet, Shape
 from towers.polynomials import IntPoly
 from towers.recurrences import Recurrence, Sequence
-from towers.series import series_family, solve_half_pyramids
+from towers.series import series_family, solve_half_pyramids, weighted_series
 
 
 def test_counts_payload_shape():
@@ -33,9 +33,11 @@ def test_series_payload_plain_and_weighted():
     pieces = PieceSet.of(1, 2)
     plain = jsonio.series_to_json(solve_half_pyramids(pieces, 3))
     assert plain == {"variable": "t", "order": 3, "coeffs": ["0", "1", "2", "4"]}
-    weighted = jsonio.series_to_json(solve_half_pyramids(pieces, 2, weighted=True))
+    weighted = jsonio.weighted_series_to_json(weighted_series(pieces, 2, Shape.HALF_PYRAMID))
+    assert list(weighted) == ["variable", "order", "sizes", "coeffs"]
+    assert weighted["order"] == 2
     assert weighted["sizes"] == [1, 2]
-    assert weighted["coeffs"][2] == {"0,1": "1", "2,0": "1"}
+    assert weighted["coeffs"] == [{}, {"1,0": "1"}, {"0,1": "1", "2,0": "1"}]
 
 
 def test_sequence_roundtrip_with_huge_terms():
@@ -159,8 +161,8 @@ def _dump_payloads():
         "zero": jsonio.sequence_to_json(Sequence(0, (0,))),
         "negative terms": jsonio.sequence_to_json(Sequence(-2, (-1, -20, 3))),
         "plain series": jsonio.series_to_json(solve_half_pyramids(PieceSet.of(1, 2), 6)),
-        "weighted series": jsonio.series_to_json(
-            solve_half_pyramids(PieceSet.of(1, 2), 6, weighted=True)
+        "weighted series": jsonio.weighted_series_to_json(
+            weighted_series(PieceSet.of(1, 2), 6, Shape.HALF_PYRAMID)
         ),
         "recurrence": jsonio.recurrence_to_json(Recurrence((IntPoly((-2, -4)), IntPoly((2, 1))))),
         "estimate": jsonio.estimate_to_json(

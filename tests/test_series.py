@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from towers.enumeration import BoundKind, EnumerationQuery, weight_polynomial
+from towers.enumeration import BoundKind, EnumerationQuery, count_towers, weight_polynomial
 from towers.errors import ConsistencyError, UnsupportedConfigurationError
 from towers.model import PieceSet, Rule, Shape
 from towers.series import (
@@ -15,6 +15,7 @@ from towers.series import (
     piece_count_sequence,
     series_family,
     solve_half_pyramids,
+    weighted_series,
 )
 from towers.zpoly import ZPolynomial
 
@@ -28,12 +29,11 @@ HALF, PYRAMID, TOWER = Shape.HALF_PYRAMID, Shape.PYRAMID, Shape.TOWER
 LAGRANGE_SETS = [(1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3), (1, 5), (3, 8), (1, 2, 3, 4)]
 
 
-def at_markers(series: TruncatedSeries, values: tuple[int, ...]) -> TruncatedSeries:
+def at_markers(table: tuple[ZPolynomial, ...], values: tuple[int, ...]) -> TruncatedSeries:
     """The plain series with marker z_i set to values[i] in a weighted series."""
     return TruncatedSeries(
         [sum(c * math.prod(v**e for v, e in zip(values, exps)) for exps, c in z.items())
-         for z in series.coeffs],
-        series.order,
+         for z in table]
     )
 
 
@@ -99,7 +99,7 @@ class TestHalfPyramids:
 
     def test_noalign_weighted_unsupported(self):
         with pytest.raises(UnsupportedConfigurationError):
-            solve_half_pyramids(DIMER_NOALIGN, 5, weighted=True)
+            weighted_series(DIMER_NOALIGN, 5, HALF)
 
 
 class TestPyramidsAndTowers:
@@ -158,27 +158,29 @@ class TestWeightedMode:
         # Lagrange's formula against the solver: z := 1 gives the plain series
         for sizes in LAGRANGE_SETS:
             pieces = PieceSet(sizes)
-            weighted = series_family(pieces, 60, weighted=True)
             plain = series_family(pieces, 60)
             for shape in (HALF, PYRAMID, TOWER):
-                assert weighted[shape].evaluate_ones() == plain[shape], (sizes, shape)
+                ones = tuple(z.eval_ones() for z in weighted_series(pieces, 60, shape))
+                assert ones == plain[shape].coeffs, (sizes, shape)
 
     @pytest.mark.parametrize("sizes", LAGRANGE_SETS, ids=str)
     def test_lagrange_formula_matches_the_oracle(self, sizes):
         pieces = PieceSet(sizes)
         area = 10 if len(sizes) > 3 else 12  # {1,2,3,4} to area 12 costs 0.8 s
-        family = series_family(pieces, area, weighted=True)
+        zero = ZPolynomial(pieces.sizes)
         for shape in (HALF, PYRAMID, TOWER):
+            weighted = weighted_series(pieces, area, shape)
             table = weight_polynomial(EnumerationQuery(pieces, shape, BoundKind.BY_AREA, area))
-            assert family[shape].coeffs[0] == ZPolynomial.zero(pieces.sizes)
+            assert len(weighted) == area + 1
+            assert weighted[0] == zero
             for a in range(1, area + 1):
-                assert family[shape].coeffs[a] == table.get(a, ZPolynomial.zero(pieces.sizes))
+                assert weighted[a] == table.get(a, zero)
 
     def test_weighted_residual_vanishes(self):
         # the defining equations at z = (2, 5): H = 2t(1+H) + 5t^3(1+H)^3,
         # P (1 - 10 t^3 (1+H)^3) = H and M (1 - H) = P
         pieces = PieceSet.of(1, 3)
-        h, p, m = (at_markers(s, (2, 5)) for s in series_family(pieces, 20, weighted=True).values())
+        h, p, m = (at_markers(weighted_series(pieces, 20, s), (2, 5)) for s in (HALF, PYRAMID, TOWER))
         one_plus = h + 1
         cube = (one_plus * one_plus * one_plus).shift(3)
         assert 2 * one_plus.shift(1) + 5 * cube == h
@@ -187,9 +189,9 @@ class TestWeightedMode:
 
     def test_weighted_coefficients_track_composition(self):
         pieces = PieceSet.of(1, 2)
-        m = series_family(pieces, 4, weighted=True)[TOWER]
+        m = weighted_series(pieces, 4, TOWER)
         # area 2 towers: one dimer, two stacked/side-by-side pairs of units
-        assert m.coeffs[2] == ZPolynomial(pieces.sizes, {(0, 1): 1, (2, 0): 2})
+        assert m[2] == ZPolynomial(pieces.sizes, {(0, 1): 1, (2, 0): 2})
 
 
 class TestByPieces:
@@ -216,20 +218,29 @@ class TestByPieces:
             coefficients_by_pieces(TruncatedSeries((0, 1)), PieceSet.of(1, 2))
 
     def test_piece_count_sequence_matches_single_size_route(self):
-        mw = series_family(DIMER, 10, weighted=True)[TOWER]
-        m = series_family(DIMER, 10)[TOWER]
-        assert piece_count_sequence(mw, DIMER) == coefficients_by_pieces(m, DIMER)
+        # the piece variable against the k-grid of the area series
+        for k in range(1, 6):
+            pieces = PieceSet.of(k)
+            family = series_family(pieces, 14 * k)
+            for shape in (HALF, PYRAMID, TOWER):
+                by_area = coefficients_by_pieces(family[shape], pieces)
+                assert piece_count_sequence(pieces, 14, shape) == by_area, (k, shape)
 
     def test_piece_count_sequence_multi_size(self):
-        pieces = PieceSet.of(1, 2)
-        mw = series_family(pieces, 8, weighted=True)[TOWER]
-        # towers with n pieces, any mix of sizes 1 and 2; complete up to n = 4
-        from towers.enumeration import BoundKind, EnumerationQuery, count_towers
+        # structures with n pieces, any mix of the sizes, against the oracle
+        for sizes in [(1, 2), (2, 3), (1, 3, 4)]:
+            pieces = PieceSet(sizes)
+            for shape in (HALF, PYRAMID, TOWER):
+                counts = count_towers(EnumerationQuery(pieces, shape, BoundKind.BY_PIECE_COUNT, 5))
+                expected = [counts[n] for n in range(1, 6)]
+                assert piece_count_sequence(pieces, 5, shape) == expected, (sizes, shape)
 
-        counts = count_towers(
-            EnumerationQuery(pieces, bound_kind=BoundKind.BY_PIECE_COUNT, bound=4)
-        )
-        assert piece_count_sequence(mw, pieces) == [counts[n] for n in range(1, 5)]
+    def test_piece_count_sequence_rejects_noalign(self):
+        with pytest.raises(UnsupportedConfigurationError, match="no-exact-alignment"):
+            piece_count_sequence(DIMER_NOALIGN, 5, TOWER)
+
+    def test_piece_count_sequence_of_no_pieces_is_empty(self):
+        assert piece_count_sequence(PieceSet.of(1, 2), 0, TOWER) == []
 
 
 class TestClosedForms:

@@ -268,6 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    json_only = [flag for flag in ("weighted", "list") if getattr(args, flag, False)]
+    if json_only and args.format != "json":
+        parser.error(f"argument --format: --{json_only[0]} prints JSON only, "
+                     f"not --format {args.format}")
     try:
         return args.func(args)
     except SingularRecurrenceError as exc:

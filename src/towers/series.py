@@ -28,6 +28,15 @@ division.  Both denominators have constant term 1, so the division stays in
 the integers.  `series_family` is the entry point: it solves H and derives
 P and M from it, stopping at the shape asked for.
 
+At high order the cost is big-integer inner products.  Each one runs as
+`sum(map(operator.mul, ...))`, so the multiply-adds loop in C.  Squares
+take half the products (`_square_coeff`: each cross product once, doubled):
+the solver's (1+H)^2, and `x * x` for the same object, which is the first
+step of `_pyramid_denominator`'s powers.  `half_pyramid_rhs`, the residual
+check of `verify` and the tests, evaluates sum over sizes i of u^i with
+u = t(1+H) by Horner's rule instead.  Its products are all general, so a
+fault in the squaring kernel leaves a residual instead of cancelling out.
+
 Counting by pieces, every piece weighs one unit of a variable z instead
 of t^i: H = z * sum over sizes i of (1 + H)^i, P = z H' / (1 + H) and
 M = P / (1 - H).  The right-hand side Phi is linear in z, so
@@ -74,6 +83,17 @@ __all__ = [
     "closed_form_pyramids",
     "closed_form_dimer_towers",
 ]
+
+
+def _square_coeff(a: Sequence[int], n: int) -> int:
+    """Coefficient n of a*a from a[:n+1].
+
+    Each cross product a_j a_(n-j), j < n/2, is taken once and doubled; the
+    middle square a_(n/2)^2 is added when n is even.
+    """
+    half = n // 2
+    acc = 2 * sum(map(operator.mul, a, a[n:half:-1]))
+    return acc + a[half] * a[half] if n % 2 == 0 else acc
 
 
 class TruncatedSeries:
@@ -151,16 +171,13 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._require_same_order(other)
-            n = self.order
-            out = [0] * (n + 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-            return TruncatedSeries(tuple(out), n)
+            a, b, n = self.coeffs, other.coeffs, self.order
+            if other is self:
+                return TruncatedSeries(tuple(_square_coeff(a, m) for m in range(n + 1)), n)
+            # map stops at the shorter operand, so a needs no slice to a[:m+1]
+            return TruncatedSeries(
+                tuple(sum(map(operator.mul, a, b[m::-1])) for m in range(n + 1)), n
+            )
         if isinstance(other, int):
             return TruncatedSeries(tuple(c * other for c in self.coeffs), self.order)
         return NotImplemented
@@ -187,16 +204,10 @@ class TruncatedSeries:
         if b0 != 1 and b0 != -1:
             raise ValueError(f"division needs constant term +-1, got {b0!r}")
         negate = b0 == -1
-        divisor = [(j, b) for j, b in enumerate(other.coeffs) if j and b]
+        tail = other.coeffs[1:]  # b_1, b_2, ...
         out: list[int] = []
-        for m, a in enumerate(self.coeffs):
-            acc = 0
-            for j, b in divisor:
-                if j > m:
-                    break
-                q = out[m - j]
-                if q:
-                    acc = acc + b * q
+        for a in self.coeffs:
+            acc = sum(map(operator.mul, tail, reversed(out)))  # b_1 q_{m-1} + ... + b_m q_0
             out.append(acc - a if negate else a - acc)
         return TruncatedSeries(tuple(out), self.order)
 
@@ -246,17 +257,13 @@ def solve_half_pyramids(pieces: PieceSet, order: int, by_pieces: bool = False) -
         else:
             coeff = sum(powers[i][n - s] for i, s in step.items() if s <= n)
         h[n] = coeff
-        powers[1][n] = coeff
-        for i in range(2, k + 1):
-            prev = powers[i - 1]
-            lin = powers[1]
-            acc = prev[n]  # j = n term: prev[n] * lin[0] with lin[0] = 1
-            for j in range(n):
-                pj = prev[j]
-                lj = lin[n - j]
-                if pj and lj:
-                    acc = acc + pj * lj
-            powers[i][n] = acc
+        lin = powers[1]
+        lin[n] = coeff
+        if k >= 2:
+            powers[2][n] = _square_coeff(lin, n)
+        reversed_lin = lin[n::-1]
+        for i in range(3, k + 1):
+            powers[i][n] = sum(map(operator.mul, powers[i - 1], reversed_lin))
     return TruncatedSeries(tuple(h), order)
 
 
@@ -315,10 +322,16 @@ def half_pyramid_rhs(h: TruncatedSeries, pieces: PieceSet) -> TruncatedSeries:
     h coefficientwise through the shared order.
     """
     _check_rule(pieces)
+    # Horner's rule in u = t(1+H): sum over sizes i of u^i with k-1 general
+    # products, none of them a square, so the check never runs the squaring
+    # kernel that the solver uses.
+    u = (h + 1).shift(1)
+    total = u
+    for i in range(pieces.max_size - 1, 0, -1):
+        total = (total + int(i in pieces.sizes)) * u
     if pieces.rule is Rule.NO_EXACT_ALIGNMENT:
-        k = pieces.single_size
-        return _power_sum(h, {k: 1}) - h.shift(k)
-    return _power_sum(h, dict.fromkeys(pieces.sizes, 1))
+        return total - h.shift(pieces.single_size)
+    return total
 
 
 def _pyramid_denominator(h: TruncatedSeries, pieces: PieceSet) -> TruncatedSeries:

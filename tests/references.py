@@ -81,6 +81,27 @@ def iterate_half_pyramids(pieces: PieceSet, order: int) -> TruncatedSeries:
     return h
 
 
+def naive_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of a*b through len(a) terms, by a plain double loop."""
+    n = len(a)
+    out = [0] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def naive_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """q with q*b = a through len(a) terms, for b[0] = +-1, so 1/b[0] = b[0]."""
+    q: list[int] = []
+    for m in range(len(a)):
+        acc = a[m]
+        for j in range(1, m + 1):
+            acc -= b[j] * q[m - j]
+        q.append(acc * b[0])
+    return q
+
+
 def _richardson(points: list[tuple[int, Fraction]]) -> Fraction:
     m = len(points) - 1
     return sum(

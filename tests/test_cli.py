@@ -349,6 +349,27 @@ def test_enumerate_list_and_weighted_exclude_each_other(capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["series", "--sizes", "1,2", "--order", "2", "--weighted", "--format", "csv"],
+    ["enumerate", "--sizes", "1,2", "--area", "3", "--list", "--format", "text"],
+    ["enumerate", "--sizes", "1,2", "--area", "3", "--weighted", "--format", "csv"],
+], ids=["series-weighted", "enumerate-list", "enumerate-weighted"])
+def test_json_only_outputs_reject_format(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --format" in captured.err
+    assert not captured.out
+
+
+def test_json_only_outputs_accept_format_json(capsys):
+    code, out, _ = run(capsys, "series", "--sizes", "1,2", "--order", "2", "--weighted",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["sizes"] == [1, 2]
+
+
 def test_render_to_file(tmp_path, capsys):
     out_path = tmp_path / "g.svg"
     code, _, _ = run(

@@ -1,12 +1,16 @@
+import hashlib
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
+from towers import jsonio
 from towers.enumeration import BoundKind, EnumerationQuery, count_towers, weight_polynomial
 from towers.errors import ConsistencyError, UnsupportedConfigurationError
 from towers.model import PieceSet, Rule, Shape
 from towers.series import (
     TruncatedSeries,
+    _square_coeff,
     closed_form_dimer_towers,
     closed_form_half_pyramids,
     closed_form_pyramids,
@@ -19,7 +23,7 @@ from towers.series import (
 )
 from towers.zpoly import ZPolynomial
 
-from references import iterate_half_pyramids
+from references import iterate_half_pyramids, naive_product, naive_quotient
 
 DIMER = PieceSet.of(2)
 DIMER_NOALIGN = PieceSet.of(2, rule=Rule.NO_EXACT_ALIGNMENT)
@@ -69,6 +73,42 @@ class TestArithmetic:
             TruncatedSeries((1, 2)) * TruncatedSeries((1, 2, 3))
 
 
+COEFF = st.one_of(st.just(0), st.integers(-(10**40), 10**40))
+
+
+@st.composite
+def same_order_series(draw, count: int) -> list[TruncatedSeries]:
+    """`count` series of one order, each zero off a k-grid of its own (k = 1 is dense)."""
+    order = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 16)))
+    out = []
+    for _ in range(count):
+        k = draw(st.integers(1, 4))
+        values = draw(st.lists(COEFF, min_size=order + 1, max_size=order + 1))
+        out.append(TruncatedSeries([c if i % k == 0 else 0 for i, c in enumerate(values)], order))
+    return out
+
+
+class TestKernels:
+    """Both product branches and the quotient against the double loops of `references`."""
+
+    @given(same_order_series(1))
+    def test_square(self, xs):
+        (x,) = xs
+        assert list((x * x).coeffs) == naive_product(x.coeffs, x.coeffs)
+
+    @given(same_order_series(2))
+    def test_general_product(self, xs):
+        x, y = xs
+        assert list((x * TruncatedSeries(x.coeffs)).coeffs) == naive_product(x.coeffs, x.coeffs)
+        assert list((x * y).coeffs) == naive_product(x.coeffs, y.coeffs)
+
+    @given(same_order_series(2), st.sampled_from([1, -1]))
+    def test_quotient(self, xs, unit):
+        x, y = xs
+        divisor = TruncatedSeries((unit,) + y.coeffs[1:], x.order)
+        assert list((x / divisor).coeffs) == naive_quotient(x.coeffs, divisor.coeffs)
+
+
 class TestHalfPyramids:
     def test_dimer_coefficients_are_catalan(self):
         h = solve_half_pyramids(DIMER, 8)
@@ -92,6 +132,20 @@ class TestHalfPyramids:
         for pieces in ALL_SETS + [DIMER_NOALIGN]:
             h = solve_half_pyramids(pieces, 30)
             assert half_pyramid_rhs(h, pieces) == h
+
+    def test_residual_check_does_not_square(self, monkeypatch):
+        """A wrong square in the solver shows in the residual: the check squares nothing."""
+
+        def bumped(a, n):
+            return _square_coeff(a, n) + (n == 24)
+
+        solved = [(pieces, solve_half_pyramids(pieces, 40))
+                  for pieces in [PieceSet.of(1, 2, 3), DIMER_NOALIGN]]
+        monkeypatch.setattr("towers.series._square_coeff", bumped)
+        for pieces, good in solved:
+            h = solve_half_pyramids(pieces, 40)
+            assert h != good
+            assert half_pyramid_rhs(h, pieces) != h
 
     def test_noalign_needs_single_size(self):
         with pytest.raises(UnsupportedConfigurationError):
@@ -278,3 +332,24 @@ class TestClosedForms:
             closed_form_pyramids(2, 0)
         with pytest.raises(ValueError):
             closed_form_dimer_towers(Rule.ALL_INTERFACES, 0)
+
+
+# sha256 of jsonio.dumps(series_to_json(...)), recorded before the products
+# moved to the squaring kernel and map-based inner products
+SERIES_DIGESTS = [
+    ((1, 2, 3), Rule.ALL_INTERFACES, TOWER, 300,
+     "330c6b42a5cc9ebf53e11507069a3f697c47e2251505bfe406ca3b95cfabd69f"),
+    ((1, 8), Rule.ALL_INTERFACES, PYRAMID, 200,
+     "4f6886179f20657a9c3c73092bb3586f327027cd84a82efdf95cf09bae9a9242"),
+    ((3,), Rule.NO_EXACT_ALIGNMENT, TOWER, 300,
+     "3219d2471607fdc7114c1a229bf1ae8232e4a1ce9422bce3727e7ef5339b4527"),
+    ((2, 4), Rule.ALL_INTERFACES, HALF, 200,
+     "cd0f0f7487ce2a180daac409cbc6493a4b9354c82fca8ed00de8947ef4c6d1e8"),
+]
+
+
+@pytest.mark.parametrize("sizes, rule, shape, order, digest", SERIES_DIGESTS)
+def test_series_bytes_are_pinned(sizes, rule, shape, order, digest):
+    series = series_family(PieceSet(sizes, rule), order, shape)[shape]
+    text = jsonio.dumps(jsonio.series_to_json(series))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .recurrences import InsufficientTermsError, Sequence
 
-__all__ = ["AsymptoticEstimate", "ZeroTermError", "estimate_asymptotics"]
+__all__ = ["AsymptoticEstimate", "ZeroTermError", "estimate_asymptotics", "minimum_terms"]
 
 
 class ZeroTermError(ValueError):
@@ -69,6 +69,13 @@ def _log_big(x: int) -> float:
     return math.log(x >> shift) + shift * math.log(2)
 
 
+def minimum_terms(depth: int) -> int:
+    """How many terms `estimate_asymptotics` needs at this depth; it reads only the last depth+3."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    return 4 * depth + 8
+
+
 def estimate_asymptotics(s: Sequence, depth: int = 4) -> AsymptoticEstimate:
     """Estimate mu and theta from the tail of an exact integer sequence.
 
@@ -78,9 +85,7 @@ def estimate_asymptotics(s: Sequence, depth: int = 4) -> AsymptoticEstimate:
     the tail for the 1/n model to hold.  Terms may be ints or integer-valued
     Decimals; only the window is converted to int.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    minimum = 4 * depth + 8
+    minimum = minimum_terms(depth)
     if len(s) < minimum:
         raise InsufficientTermsError(
             f"depth {depth} needs at least {minimum} terms, got {len(s)}"

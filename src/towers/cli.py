@@ -12,13 +12,18 @@ guess came back empty, 4 a recurrence hit a vanishing leading coefficient,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
+import shutil
 import sys
+import tempfile
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from . import jsonio
 from .algebra import annihilating_polynomial, check_degree_cap
-from .asymptotics import estimate_asymptotics
+from .asymptotics import estimate_asymptotics, minimum_terms
 from .enumeration import BoundKind, EnumerationQuery, count_towers, enumerate_towers, weight_polynomial
 from .errors import ConsistencyError, DegreeCapError, UnsupportedConfigurationError
 from .gallery import render_gallery
@@ -79,6 +84,21 @@ def _load_json(path: str) -> dict:
         return json.load(sys.stdin)
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+@contextlib.contextmanager
+def _seekable_input(path: str) -> Iterator[TextIO]:
+    """The file at path, or stdin for "-"; a stdin that cannot seek is copied to a temporary file."""
+    if path != "-":
+        with open(path, "r", encoding="utf-8") as handle:
+            yield handle
+    elif sys.stdin.seekable():
+        yield sys.stdin
+    else:
+        with tempfile.TemporaryFile() as spool:
+            shutil.copyfileobj(sys.stdin.buffer, spool)
+            spool.seek(0)
+            yield io.TextIOWrapper(spool, encoding=sys.stdin.encoding, errors=sys.stdin.errors)
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -173,8 +193,12 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 
 def cmd_asympt(args: argparse.Namespace) -> int:
-    # only the tail that the estimate reads is converted to int
-    seq = jsonio.decimal_sequence_from_json(_load_json(args.input))
+    # The estimate reads only the tail: every term is checked, but only the
+    # tail is kept, so memory does not grow with the file.  The depth sizes
+    # that tail, and a bad one exits before any input is read.
+    count = minimum_terms(args.depth)
+    with _seekable_input(args.input) as handle:
+        seq = jsonio.sequence_tail(handle, count)
     est = estimate_asymptotics(seq, depth=args.depth)
     _emit(args, jsonio.dumps(jsonio.estimate_to_json(est)))
     return 0

@@ -5,17 +5,24 @@ consumer ever sees a 53-bit float truncation.  Dictionaries are built in
 canonical key order and dumped without re-sorting, which keeps output
 byte-identical across runs.  `dump` writes, chunk by chunk, exactly the
 text that `dumps` returns.
+
+`sequence_tail` reads back only the last terms of a long sequence file.  It
+scans the layout that `dump` writes in fixed-size chunks, checks every term
+and keeps only the tail, so its memory does not grow with the file; any
+other layout goes through `json.load` and fails as that route fails.
 """
 
 from __future__ import annotations
 
+import codecs
 import decimal
 import json
 import math
 import re
+from collections import deque
 from decimal import Decimal
 from fractions import Fraction
-from typing import Any, Callable, TextIO
+from typing import Any, BinaryIO, Callable, TextIO
 
 from .algebra import BivariatePolynomial
 from .asymptotics import AsymptoticEstimate
@@ -39,6 +46,7 @@ __all__ = [
     "sequence_to_json",
     "sequence_from_json",
     "decimal_sequence_from_json",
+    "sequence_tail",
     "DecimalInt",
     "sequence_to_csv",
     "sequence_to_text",
@@ -206,12 +214,108 @@ def decimal_sequence_from_json(payload: dict) -> Sequence:
     return _sequence(payload, _exact)
 
 
-def _sequence(payload: dict, read: Callable[[Any], int | DecimalInt]) -> Sequence:
-    return Sequence(
-        int(payload["offset"]),
-        tuple(read(t) for t in payload["terms"]),
-        str(payload.get("label", "")),
-    )
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "an integer", float: "a float", type(None): "null"}
+
+
+def _json_type(value: Any) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _object(payload: Any, what: str) -> dict:
+    if not isinstance(payload, dict):
+        raise MalformedInputError(f"{what} must be a JSON object, got {_json_type(payload)}")
+    return payload
+
+
+def _sequence(payload: Any, read: Callable[[Any], int | DecimalInt]) -> Sequence:
+    payload = _object(payload, "a sequence")
+    offset, terms, label = payload["offset"], payload["terms"], payload.get("label", "")
+    for field, value, kind in (("offset", offset, int), ("terms", terms, list), ("label", label, str)):
+        if type(value) is bool or not isinstance(value, kind):  # bool is an int to Python
+            raise MalformedInputError(
+                f"{field} must be {_JSON_TYPES[kind]}, got {_json_type(value)}"
+            )
+    return Sequence(offset, tuple(read(t) for t in terms), label)
+
+
+_CHUNK = 1 << 16  # bytes that sequence_tail reads at a time
+# The layout's patterns, compiled on first use to keep them out of start-up.
+_WS = rb"[ \t\n\r]*"  # JSON's whitespace
+_HEAD = rb'_\{_"offset"_:_(-?(?:0|[1-9][0-9]*))_,_"terms"_:_\['.replace(b"_", _WS)
+_COMMA = _WS + b"," + _WS
+# a label without escapes or characters outside printable ASCII
+_TRAILER = rb'\]_(?:,_"label"_:_"([ !#-\[\]-\x7f]*)"_)?\}_'.replace(b"_", _WS)
+
+
+def sequence_tail(handle: TextIO, count: int) -> Sequence:
+    """The last `count` terms of a sequence file as DecimalInts, or all of them if it has fewer.
+
+    The offset moves with the cut, so each term keeps its index, and a file
+    shorter than `count` comes back whole.  Every term is checked to be an
+    integer, as `decimal_sequence_from_json` checks it.  `handle` is a text
+    file as `open` returns it, and must seek.  A UTF-8 file in the layout
+    that `dump` and `json.dumps` write (an object of "offset", "terms" of
+    plain "-?digits" strings and an optional "label" without escapes) is
+    scanned from its binary buffer in chunks, and only the tail is kept.
+    Any other file is read again from the start by `json.load` and
+    `decimal_sequence_from_json`, and fails as they fail.
+    """
+    start = handle.tell()
+    if codecs.lookup(handle.encoding).name == "utf-8":
+        seq = _plain_tail(handle.buffer, count)
+        if seq is not None:
+            return seq
+        handle.seek(start)
+    seq = decimal_sequence_from_json(json.load(handle))
+    cut = max(len(seq) - count, 0)
+    return Sequence(seq.offset + cut, seq.terms[cut:], seq.label)
+
+
+def _plain_tail(raw: BinaryIO, count: int) -> Sequence | None:
+    """sequence_tail on the layout `dump` and `json.dumps` write; None on any other bytes."""
+    head_re, blank_re, comma_re, trailer_re = map(re.compile, (_HEAD, _WS, _COMMA, _TRAILER))
+    buf = b""
+    while b"[" not in buf:
+        chunk = raw.read(_CHUNK)
+        if not chunk:
+            return None
+        buf += chunk
+    head = head_re.match(buf)
+    if head is None:
+        return None
+    tail: deque[bytes] = deque(maxlen=count)
+    total, pos = 0, head.end()
+    while True:  # the terms, each between a pair of quotes; "]" ends them
+        close = buf.find(b"]", pos)
+        limit = len(buf) if close < 0 else close
+        while (opening := buf.find(b'"', pos, limit)) >= 0:
+            closing = buf.find(b'"', opening + 1, limit)
+            if closing < 0:
+                break  # the term goes on in the next chunk
+            term = buf[opening + 1:closing]
+            if ((comma_re if total else blank_re).fullmatch(buf, pos, opening) is None
+                    or not (term[1:] if term[:1] == b"-" else term).isdigit()):
+                return None
+            tail.append(term)
+            total, pos = total + 1, closing + 1
+        if close >= 0:
+            break
+        chunk = raw.read(max(_CHUNK, len(buf) - pos))  # a long term doubles the read
+        if not chunk:
+            return None
+        buf, pos = buf[pos:] + chunk, 0
+    if blank_re.fullmatch(buf, pos, close) is None:
+        return None
+    rest = [buf[close:]]
+    while chunk := raw.read(_CHUNK):
+        rest.append(chunk)
+    trailer = trailer_re.fullmatch(b"".join(rest))
+    if trailer is None:
+        return None
+    terms = tuple(_exact(term.decode("ascii")) for term in tail)
+    label = (trailer[1] or b"").decode("ascii")
+    return Sequence(int(head[1]) + total - len(tail), terms, label)
 
 
 def sequence_to_csv(seq: Sequence) -> str:
@@ -232,9 +336,11 @@ def recurrence_to_json(rec: Recurrence) -> dict:
     }
 
 
-def recurrence_from_json(payload: dict) -> Recurrence:
-    polys = tuple(IntPoly(_str_int(c) for c in row) for row in payload["coeffs"])
-    return Recurrence(polys)
+def recurrence_from_json(payload: Any) -> Recurrence:
+    coeffs = _object(payload, "a recurrence")["coeffs"]
+    if not (isinstance(coeffs, list) and all(isinstance(row, list) for row in coeffs)):
+        raise MalformedInputError("coeffs must be an array of arrays of integers")
+    return Recurrence(tuple(IntPoly(_str_int(c) for c in row) for row in coeffs))
 
 
 def polynomial_to_json(q: BivariatePolynomial) -> dict:

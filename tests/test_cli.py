@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -12,7 +14,7 @@ from towers import jsonio
 from towers.cli import main
 from towers.enumeration import BoundKind, EnumerationQuery, count_towers
 from towers.model import PieceSet
-from towers.recurrences import extend_sequence
+from towers.recurrences import Sequence, extend_sequence
 
 
 def run(capsys, *argv):
@@ -278,6 +280,75 @@ def test_asympt_too_short_names_the_full_count(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: depth 4 needs at least 24 terms, got 23\n"
+
+
+def test_asympt_checks_depth_before_reading_its_input(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"offset": 0, "terms": ["1"] * 60000}))
+
+    def forbidden(handle, count):
+        raise AssertionError("asympt read its input before checking --depth")
+
+    monkeypatch.setattr(jsonio, "sequence_tail", forbidden)
+    code, out, err = run(capsys, "asympt", "--input", str(path), "--depth", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: depth must be >= 0, got -1\n"
+
+
+def test_asympt_streams_its_input(tmp_path, capsys):
+    rec_path, seq_path = trimer_chain(tmp_path, capsys)
+    long_path = tmp_path / "long.json"
+    main(["extend", "--rec", str(rec_path), "--init", str(seq_path), "--terms", "6000",
+          "--out", str(long_path)])
+    tracemalloc.start()  # traces libmpdec's allocations too
+    try:
+        code = main(["asympt", "--input", str(long_path), "--out", str(tmp_path / "est.json")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # every term is read and checked, but only a chunk of the file and the tail are held
+    assert peak < long_path.stat().st_size / 4
+
+
+class _Pipe(io.BytesIO):
+    """Bytes that read like a pipe: no seeking."""
+
+    def seekable(self) -> bool:
+        return False
+
+
+@pytest.mark.parametrize("stdin", [io.BytesIO, _Pipe])
+@pytest.mark.parametrize("label", ["plain", "tab\tescaped"])  # scanned, or parsed by json.load
+def test_asympt_reads_stdin_as_it_reads_the_file(tmp_path, capsys, monkeypatch, stdin, label):
+    path = tmp_path / "long.json"
+    seq = Sequence(3, tuple(math.comb(2 * n, n) for n in range(3, 400)), label)
+    path.write_text(jsonio.dumps(jsonio.sequence_to_json(seq)))
+    code, want, _ = run(capsys, "asympt", "--input", str(path))
+    assert code == 0
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin(path.read_bytes()), encoding="utf-8"))
+    assert run(capsys, "asympt", "--input", "-") == (0, want, "")
+
+
+@pytest.mark.parametrize("argv, payload, message", [
+    (["asympt", "--input"], [str(3**n) for n in range(30)], "a sequence must be a JSON object, got an array"),
+    (["asympt", "--input"], {"offset": None, "terms": ["1"] * 30}, "offset must be an integer, got null"),
+    (["asympt", "--input"], {"offset": 0.5, "terms": ["1"] * 30}, "offset must be an integer, got a float"),
+    (["asympt", "--input"], {"offset": 0, "terms": "1" * 30}, "terms must be an array, got a string"),
+    (["guess", "--input"], {"offset": True, "terms": ["1"] * 30}, "offset must be an integer, got a boolean"),
+    (["guess", "--input"], [str(3**n) for n in range(30)], "a sequence must be a JSON object, got an array"),
+    (["extend", "--terms", "40", "--init", "init.json", "--rec"], {"order": 1, "coeffs": None},
+     "coeffs must be an array of arrays of integers"),
+])
+def test_payload_shape_errors_exit_2(tmp_path, capsys, monkeypatch, argv, payload, message):
+    monkeypatch.chdir(tmp_path)
+    Path("init.json").write_text(json.dumps({"offset": 0, "terms": ["1"]}))
+    Path("input.json").write_text(json.dumps(payload))
+    code, out, err = run(capsys, *argv, "input.json")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_extend_negative_terms_exits_2_and_writes_nothing(tmp_path, capsys):

@@ -3,8 +3,10 @@ import json
 import math
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from towers import jsonio
 from towers.algebra import annihilating_polynomial
@@ -84,6 +86,37 @@ def test_non_integer_terms_are_rejected(term):
     for read in (jsonio.sequence_from_json, jsonio.decimal_sequence_from_json):
         with pytest.raises(MalformedInputError, match="not an integer"):
             read(payload)
+
+
+@pytest.mark.parametrize("payload, message", [
+    (["1", "2"], "a sequence must be a JSON object, got an array"),
+    ({"offset": None, "terms": ["1"]}, "offset must be an integer, got null"),
+    ({"offset": 0.5, "terms": ["1"]}, "offset must be an integer, got a float"),
+    ({"offset": True, "terms": ["1"]}, "offset must be an integer, got a boolean"),
+    ({"offset": "3", "terms": ["1"]}, "offset must be an integer, got a string"),
+    ({"offset": 0, "terms": "1234"}, "terms must be an array, got a string"),
+    ({"offset": 0, "terms": None}, "terms must be an array, got null"),
+    ({"offset": 0, "terms": {"0": "1"}}, "terms must be an array, got an object"),
+    ({"offset": 0, "terms": ["1"], "label": 5}, "label must be a string, got an integer"),
+])
+def test_sequence_payload_shape_is_checked(payload, message):
+    for read in (jsonio.sequence_from_json, jsonio.decimal_sequence_from_json):
+        with pytest.raises(MalformedInputError) as excinfo:
+            read(payload)
+        assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([["1"], ["2"]], "a recurrence must be a JSON object, got an array"),
+    ({"coeffs": None}, "coeffs must be an array of arrays of integers"),
+    ({"coeffs": "12"}, "coeffs must be an array of arrays of integers"),
+    ({"coeffs": ["1", "2"]}, "coeffs must be an array of arrays of integers"),
+    ({"coeffs": [["-2"], "1"]}, "coeffs must be an array of arrays of integers"),
+])
+def test_recurrence_payload_shape_is_checked(payload, message):
+    with pytest.raises(MalformedInputError) as excinfo:
+        jsonio.recurrence_from_json(payload)
+    assert str(excinfo.value) == message
 
 
 def test_terms_read_as_int_reads_them():
@@ -177,3 +210,163 @@ def test_dump_writes_what_dumps_returns(name):
     handle = io.StringIO()
     jsonio.dump(payload, handle)
     assert handle.getvalue() == jsonio.dumps(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------- sequence_tail
+
+
+def _whole_parse_tail(data: bytes, count: int) -> Sequence | Exception:
+    """The tail as json.load and decimal_sequence_from_json read it, or the error they raise."""
+    try:
+        handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        seq = jsonio.decimal_sequence_from_json(json.load(handle))
+    except (ValueError, KeyError) as exc:
+        return exc
+    cut = max(len(seq) - count, 0)
+    return Sequence(seq.offset + cut, seq.terms[cut:], seq.label)
+
+
+def _tail(data: bytes, count: int, chunk: int) -> Sequence | Exception:
+    handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    with mock.patch.object(jsonio, "_CHUNK", chunk):
+        try:
+            return jsonio.sequence_tail(handle, count)
+        except (ValueError, KeyError) as exc:
+            return exc
+
+
+def _assert_same_read(got: Sequence | Exception, want: Sequence | Exception) -> None:
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert got == want
+        assert [str(t) for t in got.terms] == [str(t) for t in want.terms]
+        assert all(type(t) is jsonio.DecimalInt for t in got.terms)
+
+
+_BLANKS = st.text(alphabet=" \t\n\r", max_size=3)
+_PLAIN_TERMS = st.one_of(
+    st.integers(-(10**40), 10**40).map(str), st.sampled_from(["0", "-0", "007", "-007"]),
+)
+# terms that only the whole parse reads: some it accepts, most it rejects
+_ODD_TERMS = st.sampled_from([
+    "x", "", "-", "5-3", "12-", "--5", "+5", " 12 ", "1_000", "1.5", "1e5", "\u0663", "NaN",
+    12, -3, 1.5, None, ["1"],
+])
+_LABELS = st.one_of(
+    st.text(max_size=6),
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e), max_size=6),
+    st.sampled_from(["S={1,2,3} tower", 'a "quoted" label', "tab\there", "back\\slash", "tours à 塔"]),
+)
+
+
+def _plain_label(label: str) -> bool:
+    return all(" " <= c <= "~" and c not in '"\\' for c in label)
+
+
+@st.composite
+def _sequence_files(draw) -> tuple[bytes, bool]:
+    """The bytes of a sequence file, and whether sequence_tail must read them without json.load."""
+    terms = draw(st.lists(_PLAIN_TERMS, max_size=8))
+    plain = bool(terms)
+    if terms and draw(st.integers(0, 2)) == 0:
+        terms[draw(st.integers(0, len(terms) - 1))] = draw(_ODD_TERMS)
+        plain = False
+    offset = draw(st.integers(-3, 10**6))
+    if draw(st.integers(0, 9)) == 0:
+        offset = draw(st.sampled_from([None, 0.5, True, "3"]))
+        plain = False
+    payload = {"offset": offset, "terms": terms}
+    if draw(st.booleans()):
+        payload["label"] = label = draw(st.one_of(_LABELS, st.just(5)))
+        plain &= isinstance(label, str) and _plain_label(label)
+    if draw(st.integers(0, 9)) == 0:
+        payload["extra"] = 1
+        plain = False
+    layout = draw(st.sampled_from(["dump", "compact", "tight", "spaced"]))
+    if layout == "dump":
+        text = jsonio.dumps(payload)
+    elif layout == "compact":
+        text = json.dumps(payload)
+    elif layout == "tight":
+        text = json.dumps(payload, separators=(",", ":"))
+    else:  # any whitespace, raw non-ASCII, keys in any order
+        ascii_only = draw(st.booleans())
+        commas = []
+
+        def spaced(value) -> str:
+            if isinstance(value, list):
+                commas.append(draw(st.sampled_from([","] * 6 + ["", ",,"])) if len(value) > 1 else ",")
+                return "[" + commas[-1].join(spaced(v) for v in value) + draw(_BLANKS) + "]"
+            return draw(_BLANKS) + json.dumps(value, ensure_ascii=ascii_only) + draw(_BLANKS)
+
+        items = list(payload.items())
+        if draw(st.integers(0, 3)) == 0:
+            items = draw(st.permutations(items))
+        plain &= [key for key, _ in items][:2] == ["offset", "terms"]
+        text = draw(_BLANKS) + "{" + ",".join(
+            f"{draw(_BLANKS)}{json.dumps(key)}{draw(_BLANKS)}:{spaced(value)}" for key, value in items
+        ) + "}" + draw(_BLANKS)
+        plain &= set(commas) <= {","}  # else malformed JSON
+    if draw(st.integers(0, 9)) == 0:  # malformed JSON
+        text = text[:draw(st.integers(0, len(text) - 1))] + draw(st.sampled_from(["", "x", "]", "}"]))
+        plain = False
+    return text.encode("utf-8"), plain
+
+
+@settings(max_examples=400, deadline=None)
+@given(file=_sequence_files(), count=st.integers(1, 10), chunk=st.integers(1, 64))
+def test_tail_reads_what_the_whole_parse_reads(file, count, chunk):
+    data, plain = file
+    want = _whole_parse_tail(data, count)
+    if plain:  # the layouts json.dumps writes are scanned, never parsed whole
+        with mock.patch.object(json, "load", side_effect=AssertionError("parsed whole")):
+            got = _tail(data, count, chunk)
+    else:
+        got = _tail(data, count, chunk)
+    _assert_same_read(got, want)
+
+
+def test_tail_finds_a_bad_term_at_every_position():
+    terms = [str(-(7**n) if n % 3 else 7**n) for n in range(6)]
+    for bad in ("x", "", "-", "5-3", "--5", " 12 ", "+5", 12, None):
+        for position in range(len(terms)):
+            payload = {"offset": 2, "terms": terms[:position] + [bad] + terms[position + 1:]}
+            for data in (jsonio.dumps(payload).encode(), json.dumps(payload).encode()):
+                for count in (1, 4, 9):
+                    want = _whole_parse_tail(data, count)
+                    for chunk in (1, 3, 64):
+                        _assert_same_read(_tail(data, count, chunk), want)
+
+
+@pytest.mark.parametrize("text", [
+    '{"offset": 0, "terms": ["1" "2"]}',
+    '{"offset": 0, "terms": ["1",, "2"]}',
+    '{"offset": 0, "terms": ["1",]}',
+    '{"offset": 0, "terms": [, "1"]}',
+    '{"offset": 0, "terms": []}',
+    '{"offset": 0, "terms": ["1"]]}',
+    '{"offset": 0, "terms": ["1"] "label": "a"}',
+    '{"offset": 0, "terms": ["1"], "label": "a",}',
+    '{"offset": 0, "terms": ["1"], "label": "a"} x',
+    '{"offset": 01, "terms": ["1"]}',
+    '{"offset": -0, "terms": ["1"]}',
+    '{"offset": 0, "terms": ["1", 2]}',
+    '{"offset": 0, "terms": ["1"], "offset": 3}',
+    '\ufeff{"offset": 0, "terms": ["1"]}',
+    '{"offset":\x0c0, "terms": ["1"]}',  # whitespace to Python, not to JSON
+    '{"offset": 0, "terms": ["1",\x0b"2"]}',
+])
+def test_tail_reads_malformed_layouts_as_the_whole_parse_does(text):
+    data = text.encode("utf-8")
+    for chunk in (1, 5, 64):
+        _assert_same_read(_tail(data, 2, chunk), _whole_parse_tail(data, 2))
+
+
+def test_tail_keeps_absolute_indices():
+    seq = Sequence(5, tuple(3**n for n in range(40)), "powers of 3")
+    data = jsonio.dumps(jsonio.sequence_to_json(seq)).encode()
+    tail = _tail(data, 8, 7)
+    assert tail == Sequence(37, seq.terms[-8:], "powers of 3")
+    assert estimate_asymptotics(tail, depth=0) == estimate_asymptotics(seq, depth=0)
+    assert _tail(data, 100, 7) == seq

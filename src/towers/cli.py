@@ -181,14 +181,15 @@ def cmd_extend(args: argparse.Namespace) -> int:
     rec = jsonio.recurrence_from_json(_load_json(args.rec))
     # Decimal terms: writing them as digits is linear, for ints it is quadratic
     init = jsonio.decimal_sequence_from_json(_load_json(args.init))
-    payload = jsonio.sequence_to_json(extend_sequence(rec, init, args.terms))
-    # streamed, so the text of many long terms is never built whole; the file
-    # opens only after the unroll succeeded, so a failed one writes nothing
+    seq = extend_sequence(rec, init, args.terms)
+    # written one term at a time, so the digits of all terms are never held
+    # together; the file opens only after the unroll succeeded, so a failed
+    # one writes nothing
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            jsonio.dump(payload, handle)
+            jsonio.dump_sequence(seq, handle)
     else:
-        jsonio.dump(payload, sys.stdout)
+        jsonio.dump_sequence(seq, sys.stdout)
     return 0
 
 

@@ -3,11 +3,11 @@
 Every integer that can get large is serialized as a decimal string so no
 consumer ever sees a 53-bit float truncation.  Dictionaries are built in
 canonical key order and dumped without re-sorting, which keeps output
-byte-identical across runs.  `dump` writes, chunk by chunk, exactly the
-text that `dumps` returns.
+byte-identical across runs.  `dump_sequence` writes, one term at a time,
+exactly the text that `dumps(sequence_to_json(seq))` returns.
 
 `sequence_tail` reads back only the last terms of a long sequence file.  It
-scans the layout that `dump` writes in fixed-size chunks, checks every term
+scans the layout that `dumps` writes in fixed-size chunks, checks every term
 and keeps only the tail, so its memory does not grow with the file; any
 other layout goes through `json.load` and fails as that route fails.
 """
@@ -35,8 +35,8 @@ from .series import TruncatedSeries
 from .zpoly import ZPolynomial
 
 __all__ = [
-    "dump",
     "dumps",
+    "dump_sequence",
     "decimal_str",
     "counts_to_json",
     "counts_to_csv",
@@ -134,21 +134,11 @@ def _str_int(term: str | int) -> int:
     return int(_exact(term))
 
 
-_ENCODER = json.JSONEncoder(indent=2)  # one encoder, so dump and dumps write the same bytes
+_ENCODER = json.JSONEncoder(indent=2)  # one encoder, so dumps and dump_sequence escape alike
 
 
 def dumps(payload: Any) -> str:
     return _ENCODER.encode(payload) + "\n"
-
-
-def dump(payload: Any, handle: TextIO) -> None:
-    """Write dumps(payload) to handle as it is encoded.
-
-    The whole text is never held: each chunk is written and dropped.
-    """
-    for chunk in _ENCODER.iterencode(payload):
-        handle.write(chunk)
-    handle.write("\n")
 
 
 def decimal_str(value: Fraction, digits: int = 30) -> str:
@@ -199,6 +189,24 @@ def sequence_to_json(seq: Sequence) -> dict:
     if seq.label:
         payload["label"] = seq.label
     return payload
+
+
+def dump_sequence(seq: Sequence, handle: TextIO) -> None:
+    """Write dumps(sequence_to_json(seq)) to handle, one term at a time.
+
+    No list of the terms' digits is built: each term's text is written and
+    dropped.  Digits need no JSON escaping; the label goes through the
+    encoder that dumps uses, so its escapes are the same.
+    """
+    handle.write(f'{{\n  "offset": {seq.offset},\n  "terms": [')
+    separator = "\n    "
+    for term in seq.terms:
+        handle.write(f'{separator}"{_int_str(term)}"')
+        separator = ",\n    "
+    handle.write("\n  ]")  # a Sequence has at least one term
+    if seq.label:
+        handle.write(f',\n  "label": {_ENCODER.encode(seq.label)}')
+    handle.write("\n}\n")
 
 
 def sequence_from_json(payload: dict) -> Sequence:
@@ -255,7 +263,7 @@ def sequence_tail(handle: TextIO, count: int) -> Sequence:
     shorter than `count` comes back whole.  Every term is checked to be an
     integer, as `decimal_sequence_from_json` checks it.  `handle` is a text
     file as `open` returns it, and must seek.  A UTF-8 file in the layout
-    that `dump` and `json.dumps` write (an object of "offset", "terms" of
+    that `dumps` and `json.dumps` write (an object of "offset", "terms" of
     plain "-?digits" strings and an optional "label" without escapes) is
     scanned from its binary buffer in chunks, and only the tail is kept.
     Any other file is read again from the start by `json.load` and
@@ -273,7 +281,7 @@ def sequence_tail(handle: TextIO, count: int) -> Sequence:
 
 
 def _plain_tail(raw: BinaryIO, count: int) -> Sequence | None:
-    """sequence_tail on the layout `dump` and `json.dumps` write; None on any other bytes."""
+    """sequence_tail on the layout `dumps` and `json.dumps` write; None on any other bytes."""
     head_re, blank_re, comma_re, trailer_re = map(re.compile, (_HEAD, _WS, _COMMA, _TRAILER))
     buf = b""
     while b"[" not in buf:

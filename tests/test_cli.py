@@ -191,6 +191,9 @@ def test_extend_singular_exits_4(tmp_path, capsys):
     out_path = tmp_path / "long.json"
     assert run(capsys, *argv, "--out", str(out_path))[0] == 4
     assert not out_path.exists()
+    out_path.write_bytes(b"earlier output\n")
+    assert run(capsys, *argv, "--out", str(out_path))[0] == 4
+    assert out_path.read_bytes() == b"earlier output\n"
 
 
 def test_inconsistent_extension_exits_5(tmp_path, capsys):
@@ -208,6 +211,9 @@ def test_inconsistent_extension_exits_5(tmp_path, capsys):
     out_path = tmp_path / "long.json"
     assert run(capsys, *argv, "--out", str(out_path))[0] == 5
     assert not out_path.exists()
+    out_path.write_bytes(b"earlier output\n")
+    assert run(capsys, *argv, "--out", str(out_path))[0] == 5
+    assert out_path.read_bytes() == b"earlier output\n"
 
 
 def test_extend_writes_zero_not_minus_zero(tmp_path, capsys):
@@ -258,8 +264,38 @@ def test_extend_streams_its_output(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 0
-    # the term strings are alive, but never the whole text, a copy of it or its encoding
-    assert peak < 2 * long_path.stat().st_size
+    # the terms are alive as Decimals, but the digits of only one at a time
+    assert peak < 3 * long_path.stat().st_size // 4
+
+
+def test_extend_writes_its_label_byte_for_byte(tmp_path, capsys, monkeypatch):
+    rec_path, seq_path = trimer_chain(tmp_path, capsys)
+    scanned = []  # per asympt run: whether the chunked scan read the file
+    plain_tail = jsonio._plain_tail
+
+    def spy(raw, count):
+        seq = plain_tail(raw, count)
+        scanned.append(seq is not None)
+        return seq
+
+    monkeypatch.setattr(jsonio, "_plain_tail", spy)
+    labelled_path = tmp_path / "labelled.json"
+    label = 'trimer "towers" à 塔'
+    labelled_path.write_text(json.dumps(dict(json.loads(seq_path.read_text()), label=label)))
+    outputs = {}
+    for name, init in (("plain", seq_path), ("labelled", labelled_path)):
+        long_path = tmp_path / f"{name}-long.json"
+        code, _, _ = run(capsys, "extend", "--rec", str(rec_path), "--init", str(init),
+                         "--terms", "400", "--out", str(long_path))
+        assert code == 0
+        code, outputs[name], _ = run(capsys, "asympt", "--input", str(long_path))
+        assert code == 0
+    text = (tmp_path / "labelled-long.json").read_text(encoding="utf-8")
+    assert text.endswith(',\n  "label": "trimer \\"towers\\" \\u00e0 \\u5854"\n}\n')
+    assert json.loads(text)["label"] == label
+    # the escaped label sends asympt down the json.load route, to the same estimate
+    assert scanned == [True, False]
+    assert outputs["labelled"] == outputs["plain"]
 
 
 def test_asympt_checks_terms_it_does_not_read(tmp_path, capsys):

@@ -205,10 +205,38 @@ def _dump_payloads():
 
 
 @pytest.mark.parametrize("name", list(_dump_payloads()))
-def test_dump_writes_what_dumps_returns(name):
+def test_dumps_writes_what_json_dumps_writes(name):
     payload = _dump_payloads()[name]
+    assert jsonio.dumps(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+_TERMS = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.sampled_from([0, 10**199, -(10**199) - 7]),  # 0 and 200-digit terms
+    st.integers(-(10**200) + 1, 10**200 - 1),
+)
+
+
+@st.composite
+def _sequences(draw) -> Sequence:
+    terms = draw(st.lists(_TERMS, min_size=1, max_size=50))
+    if draw(st.booleans()):
+        terms = [jsonio.DecimalInt(t) for t in terms]
+    offset = draw(st.one_of(st.integers(-5, 5), st.integers(-(10**12), 10**12)))
+    label = draw(st.one_of(
+        st.just(""),
+        st.text(max_size=8),
+        st.sampled_from(['a "quoted" label', "back\\slash", "tab\there\n", "\x00\x1f\x7f", "tours à 塔"]),
+    ))
+    return Sequence(offset, tuple(terms), label)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seq=_sequences())
+def test_dump_sequence_writes_what_dumps_returns(seq):
     handle = io.StringIO()
-    jsonio.dump(payload, handle)
+    jsonio.dump_sequence(seq, handle)
+    payload = jsonio.sequence_to_json(seq)
     assert handle.getvalue() == jsonio.dumps(payload) == json.dumps(payload, indent=2) + "\n"
 
 

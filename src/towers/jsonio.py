@@ -252,8 +252,9 @@ _CHUNK = 1 << 16  # bytes that sequence_tail reads at a time
 _WS = rb"[ \t\n\r]*"  # JSON's whitespace
 _HEAD = rb'_\{_"offset"_:_(-?(?:0|[1-9][0-9]*))_,_"terms"_:_\['.replace(b"_", _WS)
 _COMMA = _WS + b"," + _WS
-# a label without escapes or characters outside printable ASCII
-_TRAILER = rb'\]_(?:,_"label"_:_"([ !#-\[\]-\x7f]*)"_)?\}_'.replace(b"_", _WS)
+# the label: any JSON string, so no raw control characters and only JSON's escapes
+_LABEL = rb'"(?:[^"\\\x00-\x1f]|\\["\\/bfnrt]|\\u[0-9a-fA-F]{4})*"'
+_TRAILER = rb'\]_(?:,_"label"_:_(%s)_)?\}_'.replace(b"_", _WS) % _LABEL
 
 
 def sequence_tail(handle: TextIO, count: int) -> Sequence:
@@ -264,8 +265,8 @@ def sequence_tail(handle: TextIO, count: int) -> Sequence:
     integer, as `decimal_sequence_from_json` checks it.  `handle` is a text
     file as `open` returns it, and must seek.  A UTF-8 file in the layout
     that `dumps` and `json.dumps` write (an object of "offset", "terms" of
-    plain "-?digits" strings and an optional "label" without escapes) is
-    scanned from its binary buffer in chunks, and only the tail is kept.
+    plain "-?digits" strings and an optional "label" string) is scanned
+    from its binary buffer in chunks, and only the tail is kept.
     Any other file is read again from the start by `json.load` and
     `decimal_sequence_from_json`, and fails as they fail.
     """
@@ -321,8 +322,13 @@ def _plain_tail(raw: BinaryIO, count: int) -> Sequence | None:
     trailer = trailer_re.fullmatch(b"".join(rest))
     if trailer is None:
         return None
+    label = ""
+    if trailer[1] is not None:
+        try:
+            label = json.loads(trailer[1].decode("utf-8"))
+        except UnicodeDecodeError:
+            return None  # the whole parse reports the bytes that are not UTF-8
     terms = tuple(_exact(term.decode("ascii")) for term in tail)
-    label = (trailer[1] or b"").decode("ascii")
     return Sequence(int(head[1]) + total - len(tail), terms, label)
 
 

@@ -8,6 +8,14 @@ is never involved, so a returned recurrence is exact on the data it saw.
 A guess is accepted only if it also annihilates a held-out block of
 trailing terms that the solver never touched.
 
+Most shapes the search tries have no kernel, so each order is first
+eliminated modulo a prime.  A shape whose system has full column rank mod p
+has full column rank over Q too (a minor nonzero mod p is nonzero), so its
+exact kernel is empty and the shape is skipped unsolved; only the rest go
+through the exact elimination.  The result is the one the exact search
+alone returns: an unlucky prime, or terms that all vanish mod p, only cost
+the exact eliminations the filter could not rule out.
+
 Unrolling a recurrence forward divides by p_r(n) at every step; the
 division must come out exact, otherwise the recurrence does not govern the
 sequence and an error is raised rather than silently truncating.  Unrolled
@@ -46,6 +54,12 @@ _EXACT = decimal.Context(
     traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
            decimal.DivisionByZero, decimal.Overflow],
 )
+
+
+# Shapes are ruled out by rank modulo this prime, the largest below 2**30,
+# using this many rows beyond the widest system's column count.
+_PRIME = 1073741789
+_EXTRA_ROWS = 8
 
 
 class InsufficientTermsError(ValueError):
@@ -120,6 +134,11 @@ def guess_recurrence(
     recurrence it defines annihilates the entire sequence, held-out terms
     included.  Returns None when no shape within the bounds works.  The
     terms must be ints.
+
+    Shapes whose system has full column rank modulo a prime are skipped
+    without exact elimination: full rank mod p implies full rank over Q,
+    so they have no kernel.  The returned recurrence (or None) is the one
+    that solving every shape exactly gives.
     """
     if max_order < 1 or max_degree < 0 or guard < 0:
         raise ValueError("need max_order >= 1, max_degree >= 0, guard >= 0")
@@ -129,12 +148,57 @@ def guess_recurrence(
             f"guessing up to order {max_order}, degree {max_degree} with guard "
             f"{guard} needs {needed} terms, got {len(s)}"
         )
+    singular_from: dict[int, int] = {}  # order r -> smallest degree not ruled out
     for total in range(1, max_order + max_degree + 1):
         for r in range(max(1, total - max_degree), min(max_order, total) + 1):
+            if r not in singular_from:
+                singular_from[r] = _first_singular_degree(s, r, max_degree, guard)
+            if total - r < singular_from[r]:
+                continue  # full column rank mod p, so over Q: no kernel to find
             rec = _candidate(s, r, total - r, guard)
             if rec is not None:
                 return rec
     return None
+
+
+def _first_singular_degree(s: Sequence, r: int, max_degree: int, guard: int) -> int:
+    """Smallest d <= max_degree whose (r, d) system may have a kernel; max_degree+1 if none.
+
+    The system is taken modulo _PRIME with its columns a(n+j)*n^e ordered
+    by degree block (e = 0 for every j, then e = 1, ...), so the (r, d)
+    system's columns are a prefix, and one elimination that pivots column
+    by column gives the rank of every prefix.  The first column without a
+    pivot ends the scan: its block d is the first shape rank-deficient mod
+    p.  Only the first rows are used; a subset of rows of full column rank
+    already gives the whole system full column rank.
+    """
+    p = _PRIME
+    width = r + 1
+    rows = min(len(s) - r - guard, width * (max_degree + 1) + _EXTRA_ROWS)
+    residues = [t % p for t in s.terms[: rows + r]]
+    matrix = []
+    for w in range(rows):
+        n = (s.offset + w) % p
+        block = residues[w : w + width]
+        row = block
+        for _ in range(max_degree):
+            block = [x * n % p for x in block]
+            row = row + block
+        matrix.append(row)
+    # each step pivots on the leading column and drops it from every row
+    for col in range(width * (max_degree + 1)):
+        at = next((i for i, row in enumerate(matrix) if row[0]), None)
+        if at is None:
+            return col // width
+        pivot = matrix.pop(at)
+        negated = p - pow(pivot[0], -1, p)
+        scaled = [x * negated % p for x in pivot[1:]]
+        reduced = []
+        for row in matrix:
+            f = row[0]
+            reduced.append([(x + f * y) % p for x, y in zip(row[1:], scaled)] if f else row[1:])
+        matrix = reduced
+    return max_degree + 1
 
 
 def _candidate(s: Sequence, r: int, d: int, guard: int) -> Recurrence | None:

@@ -125,3 +125,19 @@ def term_by_term_estimate(seq: recurrences.Sequence, depth: int) -> tuple[Fracti
     shifted = [(n, n * (r / mu - 1)) for n, r in ratios]
     theta, theta_prev = _richardson(shifted[1:]), _richardson(shifted[:-1])
     return mu, theta, {"mu": abs(mu - mu_prev), "theta": abs(theta - theta_prev)}
+
+
+def exhaustive_guess(
+    s: recurrences.Sequence, max_order: int, max_degree: int, guard: int
+) -> recurrences.Recurrence | None:
+    """`guess_recurrence`'s search without its modular filter.
+
+    Tries every shape in the same order and runs the exact elimination on
+    each, so it returns what the filtered search must return.
+    """
+    for total in range(1, max_order + max_degree + 1):
+        for r in range(max(1, total - max_degree), min(max_order, total) + 1):
+            rec = recurrences._candidate(s, r, total - r, guard)
+            if rec is not None:
+                return rec
+    return None

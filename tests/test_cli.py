@@ -13,8 +13,9 @@ import pytest
 from towers import jsonio
 from towers.cli import main
 from towers.enumeration import BoundKind, EnumerationQuery, count_towers
-from towers.model import PieceSet
-from towers.recurrences import Sequence, extend_sequence
+from towers.model import PieceSet, Shape
+from towers.recurrences import Sequence, extend_sequence, sequence_from_series
+from towers.series import series_family
 
 
 def run(capsys, *argv):
@@ -176,6 +177,17 @@ def test_guess_without_recurrence_exits_3(tmp_path, capsys):
     assert "no recurrence" in err
 
 
+def test_guess_on_the_tower_series_without_a_short_recurrence_exits_3(tmp_path, capsys):
+    # S={1,2,3} towers need order 7; the default bounds stop at order 5
+    series = series_family(PieceSet((1, 2, 3)), 400)[Shape.TOWER]
+    seq_path = tmp_path / "towers.json"
+    seq_path.write_text(jsonio.dumps(jsonio.sequence_to_json(sequence_from_series(series))))
+    code, out, err = run(capsys, "guess", "--input", str(seq_path))
+    assert code == 3
+    assert out == ""
+    assert err == "no recurrence found within the order/degree bounds\n"
+
+
 def test_extend_singular_exits_4(tmp_path, capsys):
     rec_path = tmp_path / "rec.json"
     init_path = tmp_path / "init.json"
@@ -293,8 +305,8 @@ def test_extend_writes_its_label_byte_for_byte(tmp_path, capsys, monkeypatch):
     text = (tmp_path / "labelled-long.json").read_text(encoding="utf-8")
     assert text.endswith(',\n  "label": "trimer \\"towers\\" \\u00e0 \\u5854"\n}\n')
     assert json.loads(text)["label"] == label
-    # the escaped label sends asympt down the json.load route, to the same estimate
-    assert scanned == [True, False]
+    # the escaped label is scanned too, to the same estimate
+    assert scanned == [True, True]
     assert outputs["labelled"] == outputs["plain"]
 
 

@@ -288,10 +288,6 @@ _LABELS = st.one_of(
 )
 
 
-def _plain_label(label: str) -> bool:
-    return all(" " <= c <= "~" and c not in '"\\' for c in label)
-
-
 @st.composite
 def _sequence_files(draw) -> tuple[bytes, bool]:
     """The bytes of a sequence file, and whether sequence_tail must read them without json.load."""
@@ -307,7 +303,7 @@ def _sequence_files(draw) -> tuple[bytes, bool]:
     payload = {"offset": offset, "terms": terms}
     if draw(st.booleans()):
         payload["label"] = label = draw(st.one_of(_LABELS, st.just(5)))
-        plain &= isinstance(label, str) and _plain_label(label)
+        plain &= isinstance(label, str)
     if draw(st.integers(0, 9)) == 0:
         payload["extra"] = 1
         plain = False
@@ -384,11 +380,39 @@ def test_tail_finds_a_bad_term_at_every_position():
     '\ufeff{"offset": 0, "terms": ["1"]}',
     '{"offset":\x0c0, "terms": ["1"]}',  # whitespace to Python, not to JSON
     '{"offset": 0, "terms": ["1",\x0b"2"]}',
+    '{"offset": 0, "terms": ["1"], "label": "tab\there"}',  # a raw control character
+    '{"offset": 0, "terms": ["1"], "label": "a\\x"}',
+    '{"offset": 0, "terms": ["1"], "label": "\\u12"}',
+    '{"offset": 0, "terms": ["1"], "label": "\\ud83"}',
+    '{"offset": 0, "terms": ["1"], "label": "a\\"}',
+    '{"offset": 0, "terms": ["1"], "label": "a\\""}',
 ])
 def test_tail_reads_malformed_layouts_as_the_whole_parse_does(text):
     data = text.encode("utf-8")
     for chunk in (1, 5, 64):
         _assert_same_read(_tail(data, 2, chunk), _whole_parse_tail(data, 2))
+
+
+@pytest.mark.parametrize("label", [
+    'trimer "towers"', "back\\slash", "tours à 塔", "\U0001f5fc", "tab\there", "line\u2028sep",
+    "a/b",
+])
+def test_tail_reads_any_json_label_without_the_whole_parse(label):
+    payload = jsonio.sequence_to_json(Sequence(2, tuple(5**n for n in range(9)), label))
+    # dumps escapes every non-ASCII character as \uXXXX; ensure_ascii=False writes raw UTF-8
+    for text in (jsonio.dumps(payload), json.dumps(payload, ensure_ascii=False)):
+        data = text.encode("utf-8")
+        with mock.patch.object(json, "load", side_effect=AssertionError("parsed whole")):
+            got = _tail(data, 4, 5)
+        _assert_same_read(got, _whole_parse_tail(data, 4))
+        assert got.label == label
+
+
+def test_tail_label_that_is_not_utf8_fails_as_the_whole_parse_does():
+    data = b'{"offset": 0, "terms": ["1"], "label": "caf\xe9"}'
+    got = _tail(data, 2, 64)
+    assert isinstance(got, UnicodeDecodeError)
+    _assert_same_read(got, _whole_parse_tail(data, 2))
 
 
 def test_tail_keeps_absolute_indices():

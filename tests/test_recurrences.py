@@ -1,12 +1,16 @@
 import math
 import random
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from references import exhaustive_guess
+from towers import recurrences
+from towers.identities import ACCEPTANCE_SETS
 from towers.jsonio import DecimalInt
-from towers.model import PieceSet, Rule
+from towers.model import PieceSet, Rule, Shape
 from towers.polynomials import IntPoly
 from towers.recurrences import (
     InconsistentRecurrenceError,
@@ -19,7 +23,7 @@ from towers.recurrences import (
     sequence_from_series,
     verify_recurrence,
 )
-from towers.series import coefficients_by_pieces, solve_half_pyramids
+from towers.series import coefficients_by_pieces, series_family, solve_half_pyramids
 
 
 def catalan(n):
@@ -232,3 +236,116 @@ def test_constant_recurrences_roundtrip(coeffs, initial):
     guessed = guess_recurrence(seq, 3, 2)
     assert guessed is not None
     assert verify_recurrence(guessed, seq)
+
+
+PRIME = recurrences._PRIME
+
+
+def rational_unroll(polys, initial, offset, length):
+    """Terms of sum_j p_j(n) a(n+j) = 0 over Q, scaled to integers.
+
+    The recurrence is homogeneous, so any common multiple of the terms
+    satisfies it too.  None where the leading coefficient vanishes.
+    """
+    r = len(polys) - 1
+    terms = [Fraction(t) for t in initial]
+    while len(terms) < length:
+        n = offset + len(terms) - r
+        lead = polys[r](n)
+        if lead == 0:
+            return None
+        terms.append(-sum(polys[j](n) * terms[n - offset + j] for j in range(r)) / lead)
+    scale = math.lcm(*(t.denominator for t in terms))
+    return [int(t * scale) for t in terms]
+
+
+OFFSETS = st.one_of(
+    st.integers(-30, 30),
+    st.integers(PRIME - 30, PRIME + 30),  # n runs through 0 mod p
+    st.integers(-PRIME - 30, -PRIME + 30),
+)
+
+
+@st.composite
+def guess_cases(draw):
+    """A sequence and guess bounds, with the sequence long enough for the bounds."""
+    max_order, max_degree = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    guard = draw(st.integers(0, 6))
+    length = (max_order + 1) * (max_degree + 1) + max_order + guard + draw(st.integers(0, 6))
+    offset = draw(OFFSETS)
+    kind = draw(st.sampled_from(["recurrence", "times prime", "k-grid", "noise"]))
+    if kind == "noise":
+        terms = draw(st.lists(st.integers(-10**6, 10**6), min_size=length, max_size=length))
+    else:
+        r, d = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+        coeffs = st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1)
+        polys = [IntPoly(draw(coeffs)) for _ in range(r + 1)]
+        assume(not polys[-1].is_zero)
+        initial = draw(st.lists(st.integers(-5, 5), min_size=r, max_size=r))
+        k = draw(st.integers(2, 3)) if kind == "k-grid" else 1
+        base = rational_unroll(polys, initial, offset, -(-length // k))
+        assume(base is not None)
+        terms = [0] * (k * len(base))
+        terms[::k] = base  # zero off the k-grid
+        terms = terms[:length]
+        if kind == "times prime":
+            terms = [t * PRIME for t in terms]  # every term is 0 mod p
+    return Sequence(offset, tuple(terms)), max_order, max_degree, guard
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=guess_cases())
+def test_guess_equals_the_exact_search_of_every_shape(case):
+    seq, max_order, max_degree, guard = case
+    assert guess_recurrence(seq, max_order, max_degree, guard) == exhaustive_guess(
+        seq, max_order, max_degree, guard
+    )
+
+
+VERIFY_SETS = [PieceSet(sizes) for sizes in ACCEPTANCE_SETS] + [
+    PieceSet.of(2, rule=Rule.NO_EXACT_ALIGNMENT)
+]
+
+
+@pytest.mark.parametrize("pieces", VERIFY_SETS, ids=lambda p: f"{p.sizes}-{p.rule.value}")
+def test_verify_guesses_equal_the_exact_search(pieces):
+    """The 60-term guesses of `verify`, at its bounds."""
+    family = series_family(pieces, 60)
+    for shape in (Shape.HALF_PYRAMID, Shape.PYRAMID, Shape.TOWER):
+        seq = sequence_from_series(family[shape])
+        rec = guess_recurrence(seq, 7, 5, 5)
+        assert rec is not None
+        assert rec == exhaustive_guess(seq, 7, 5, 5)
+
+
+@pytest.fixture
+def exact_eliminations(monkeypatch):
+    """The column count of every exact kernel computed, in call order."""
+    calls = []
+    kernel = recurrences.integer_kernel
+
+    def counting(matrix):
+        calls.append(len(matrix[0]))
+        return kernel(matrix)
+
+    monkeypatch.setattr(recurrences, "integer_kernel", counting)
+    return calls
+
+
+def test_filter_rules_out_every_shape_of_a_failed_guess(exact_eliminations):
+    # S={1,2,3} towers need order 7; the CLI's default bounds stop at order 5
+    family = series_family(PieceSet((1, 2, 3)), 120)
+    seq = sequence_from_series(family[Shape.TOWER])
+    assert guess_recurrence(seq, 5, 6, 10) is None
+    assert exact_eliminations == []
+    assert exhaustive_guess(seq, 5, 6, 10) is None
+    assert len(exact_eliminations) == 5 * 7  # the exact search solves every shape
+
+
+def test_filter_leaves_the_trimer_recurrence_to_one_exact_elimination(exact_eliminations):
+    pieces = PieceSet.of(3)
+    towers = series_family(pieces, 300)[Shape.TOWER]
+    seq = Sequence(1, tuple(coefficients_by_pieces(towers, pieces)))  # as recurrence-long's series
+    rec = guess_recurrence(seq, 5, 6, 10)
+    assert (rec.order, rec.degree) == (2, 3)
+    assert exact_eliminations == [3 * 4]

@@ -14,8 +14,12 @@ once, in lexicographic order of its canonical serialization (the nested
 tuple of floors, each floor a tuple of (left, right) pairs): a tower
 determines its floor sequence, and each floor is assembled left to right
 from uniquely placed pieces.  The count never builds a tower: the stacks
-that fit on a floor within a remaining budget depend only on that floor,
-up to translation, and on that budget, so each such pair is expanded once.
+that fit on a floor within a remaining budget depend only on that budget
+and on what the next floor can see of the floor, up to translation, so each
+such pair is expanded once.  Under ALL_INTERFACES the next floor sees only
+the cells the floor covers, so abutting pieces count as one run of cells;
+under NO_EXACT_ALIGNMENT it also sees each piece's exact interval, so the
+floor itself is kept.
 """
 
 from __future__ import annotations
@@ -86,6 +90,17 @@ def _bottom_floors(query: EnumerationQuery) -> Iterator[tuple[Floor, int, int]]:
                 yield ((0, s),), s, 1
 
 
+def _covered(floor: Floor) -> Floor:
+    """The maximal runs of cells that `floor` covers: abutting pieces merge."""
+    runs = [floor[0]]
+    for l, r in floor[1:]:
+        if l == runs[-1][1]:
+            runs[-1] = (runs[-1][0], r)
+        else:
+            runs.append((l, r))
+    return tuple(runs)
+
+
 def _floors_above(
     below: Floor, rem_area: int, rem_pieces: int, pieces: PieceSet, half: bool
 ) -> Iterator[tuple[Floor, int, int]]:
@@ -94,7 +109,10 @@ def _floors_above(
     Pieces of the new floor do not overlap, each has positive-length contact
     with `below`, and under NO_EXACT_ALIGNMENT none repeats an interval of
     `below`; a half-pyramid's pieces never start left of 0.  Floors come in
-    lexicographic order.
+    lexicographic order.  Of `below` this reads only its leftmost and
+    rightmost cells, whether a piece overlaps some interval of it, and under
+    NO_EXACT_ALIGNMENT whether a piece equals one of its intervals; so under
+    ALL_INTERFACES `below` and its `_covered` runs give the same floors.
     """
     sizes = pieces.sizes
     no_align = pieces.rule is Rule.NO_EXACT_ALIGNMENT
@@ -146,9 +164,14 @@ def _tallies(query: EnumerationQuery) -> dict[tuple[int, ...], int]:
 
     Towers are counted, not built: `stacks(floor, rem)` tallies every stack
     of floors, the empty one included, that fits on `floor` within the
-    remaining budget `rem`, and is memoized on (floor, rem) for this call
-    only.  Floors are translated to start at 0 before lookup, except for
-    half-pyramids, whose left wall at 0 makes the absolute position matter.
+    remaining budget `rem`, and is memoized on (key, rem) for this call
+    only.  Under ALL_INTERFACES the key is the floor's `_covered` runs, since
+    that is all `_floors_above` reads of it: (1,2)(2,4) and (1,4) share one
+    entry.  Under NO_EXACT_ALIGNMENT a piece may not repeat an interval
+    below, so the key is the floor itself.  Either way the stacks' weights
+    come from the real floors `add` is given.  Keys are translated to start
+    at 0 before lookup, except for half-pyramids, whose left wall at 0 makes
+    the absolute position matter.
     Exponent vectors are packed into one integer in base bound + 1, which no
     exponent reaches, so adding two vectors is one integer addition.
     """
@@ -156,6 +179,7 @@ def _tallies(query: EnumerationQuery) -> dict[tuple[int, ...], int]:
     sizes = pieces.sizes
     half = query.shape is Shape.HALF_PYRAMID
     by_area = query.bound_kind is BoundKind.BY_AREA
+    merge = pieces.rule is Rule.ALL_INTERFACES
     radix = query.bound + 1
     packed = {s: radix ** i for i, s in enumerate(sizes)}
     smallest = sizes[0] if by_area else 1  # least budget any floor costs
@@ -171,6 +195,8 @@ def _tallies(query: EnumerationQuery) -> dict[tuple[int, ...], int]:
     def stacks(floor: Floor, rem: int) -> dict[int, int]:
         if rem < smallest:
             return leaf
+        if merge:
+            floor = _covered(floor)
         shift = 0 if half else floor[0][0]
         if shift:
             floor = tuple((l - shift, r - shift) for l, r in floor)

@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import towers.enumeration
 from towers.enumeration import (
@@ -11,14 +12,14 @@ from towers.enumeration import (
     weight_polynomial,
 )
 from towers.model import PieceSet, Rule, Shape, is_legal_tower
-from towers.series import series_family
+from towers.series import series_family, weighted_series
 from towers.zpoly import ZPolynomial
 
 DIMER = PieceSet.of(2)
 DIMER_NOALIGN = PieceSet.of(2, rule=Rule.NO_EXACT_ALIGNMENT)
 
 STREAM_CHECKED_SETS = [PieceSet.of(*sizes) for sizes in ((1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3), (1, 5))] + [
-    PieceSet.of(k, rule=Rule.NO_EXACT_ALIGNMENT) for k in (1, 2, 3)
+    PieceSet.of(*sizes, rule=Rule.NO_EXACT_ALIGNMENT) for sizes in ((1,), (2,), (3,), (1, 2), (2, 3))
 ]
 
 
@@ -60,11 +61,17 @@ def test_empty_stream_when_bound_below_min_size():
     assert count_towers(query) == {1: 0, 2: 0}
 
 
-def test_counts_by_area_match_series():
-    pieces = PieceSet.of(1, 2, 3)
-    m = series_family(pieces, 6)[Shape.TOWER]
-    counts = count_towers(EnumerationQuery(pieces, Shape.TOWER, BoundKind.BY_AREA, 6))
-    assert [counts[n] for n in range(1, 7)] == list(m.coeffs[1:])
+@pytest.mark.parametrize("sizes, area", [((1, 2), 16), ((1, 2, 3), 14)], ids=["S=1,2", "S=1,2,3"])
+def test_counts_and_weights_by_area_match_series(sizes, area):
+    # past acceptance criterion 4's area 12: affordable since the count memoizes on covered cells
+    pieces = PieceSet.of(*sizes)
+    family = series_family(pieces, area)
+    for shape in Shape:
+        table = weight_polynomial(EnumerationQuery(pieces, shape, BoundKind.BY_AREA, area))
+        weighted = weighted_series(pieces, area, shape)
+        for n in range(1, area + 1):
+            assert table[n].eval_ones() == family[shape].coeffs[n]
+            assert table[n] == weighted[n]
 
 
 def test_no_duplicates_and_lexicographic_order():
@@ -166,6 +173,50 @@ def test_counts_and_weights_match_the_stream(pieces, shape):
             }
 
 
+@st.composite
+def floors_and_budgets(draw):
+    """A piece set, a floor of its pieces (gaps of 0 make pieces abut), half or not, and budgets."""
+    sizes = draw(st.sampled_from([(1,), (2,), (1, 2), (2, 3), (1, 3), (1, 2, 3)]))
+    half = draw(st.booleans())
+    x = draw(st.integers(0 if half else -3, 3))
+    floor = []
+    for gap, s in draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(sizes)), min_size=1, max_size=4)):
+        x += gap
+        floor.append((x, x + s))
+        x += s
+    if draw(st.booleans()):
+        budgets = (draw(st.integers(0, 7)), towers.enumeration._NO_LIMIT)
+    else:
+        budgets = (towers.enumeration._NO_LIMIT, draw(st.integers(0, 3)))
+    return PieceSet.of(*sizes), tuple(floor), half, budgets
+
+
+@settings(max_examples=150, deadline=None)
+@given(floors_and_budgets())
+def test_all_interfaces_floors_above_see_only_the_covered_cells(case):
+    # why the count may key its memo on the covered cells under ALL_INTERFACES
+    pieces, floor, half, budgets = case
+    runs = towers.enumeration._covered(floor)
+
+    def cells(f):
+        return {c for l, r in f for c in range(l, r)}
+
+    assert cells(runs) == cells(floor)
+    assert all(left[1] < right[0] for left, right in zip(runs, runs[1:]))
+    floors_above = towers.enumeration._floors_above
+    assert list(floors_above(floor, *budgets, pieces, half)) == list(floors_above(runs, *budgets, pieces, half))
+
+
+def test_noalign_floors_above_see_the_exact_pieces():
+    # why NO_EXACT_ALIGNMENT keeps the exact floor as its memo key
+    pieces = PieceSet.of(1, 2, rule=Rule.NO_EXACT_ALIGNMENT)
+    floors_above = towers.enumeration._floors_above
+    split = {f for f, _, _ in floors_above(((0, 1), (1, 3)), 2, 1, pieces, False)}
+    whole = {f for f, _, _ in floors_above(((0, 3),), 2, 1, pieces, False)}
+    assert ((1, 3),) in whole - split
+    assert towers.enumeration._covered(((0, 1), (1, 3))) == ((0, 3),)
+
+
 def module_state():
     """Everything in towers.enumeration that a call could leave data behind in."""
     state = {}
@@ -187,6 +238,7 @@ def test_oracle_keeps_no_state_between_calls():
     calls = [
         (noalign, Shape.TOWER), (PieceSet.of(2), Shape.TOWER),
         (plain, Shape.HALF_PYRAMID), (plain, Shape.TOWER),
+        (PieceSet.of(1, 2, rule=Rule.NO_EXACT_ALIGNMENT), Shape.TOWER),
     ]
 
     def run(order):

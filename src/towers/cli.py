@@ -19,7 +19,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 from . import jsonio
 from .algebra import annihilating_polynomial, check_degree_cap
@@ -49,14 +49,22 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type for integers >= low; its message follows the flag's name."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _piece_args(parser: argparse.ArgumentParser) -> None:
@@ -238,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="generating-function coefficients")
     _piece_args(p)
-    p.add_argument("--order", type=int, default=200, help="series order (default: 200)")
+    p.add_argument("--order", type=_non_negative_int, default=200, help="series order (default: 200)")
     output = p.add_mutually_exclusive_group()
     output.add_argument("--weighted", action="store_true", help="track z-markers per piece size")
     output.add_argument("--by-pieces", action="store_true",
@@ -249,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eliminate", help="polynomial annihilating the series")
     _piece_args(p)
-    p.add_argument("--order", type=int, default=200,
+    p.add_argument("--order", type=_non_negative_int, default=200,
                    help="series order for verifying the annihilator (default: 200)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_eliminate)
@@ -297,6 +305,8 @@ def main(argv: list[str] | None = None) -> int:
     if json_only and args.format != "json":
         parser.error(f"argument --format: --{json_only[0]} prints JSON only, "
                      f"not --format {args.format}")
+    if getattr(args, "weighted", False) and getattr(args, "pieces", None) is not None:
+        parser.error("argument --weighted: weight polynomials are by area, use --area, not --pieces")
     try:
         return args.func(args)
     except SingularRecurrenceError as exc:
@@ -306,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 5
     # MalformedInputError, UnsupportedConfigurationError and JSONDecodeError are ValueErrors
-    except (ValueError, OSError, KeyError, DegreeCapError) as exc:
+    except (ValueError, OSError, DegreeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,8 +4,9 @@ This is the package's independent oracle: it never consults the series
 machinery, it only applies the legality rules floor by floor.  A new floor
 is a non-empty set of non-overlapping pieces, each with positive-length
 contact with the floor below; `_floors_above` is the one place that holds
-these rules.  The search is pruned by the remaining area or piece budget,
-which guarantees termination.
+these rules.  Both bound kinds spend one budget, in which a piece costs its
+size when the bound is on area and 1 when it is on the piece count; the
+search is pruned by what remains of it, which guarantees termination.
 
 Towers are streamed for listing and rendering, and counted by memoized
 stacking for counts and weights; both routes build on the same bottom
@@ -39,8 +40,6 @@ __all__ = [
     "weight_polynomial",
 ]
 
-_NO_LIMIT = 1 << 62
-
 
 class BoundKind(enum.Enum):
     BY_AREA = "area"
@@ -61,33 +60,33 @@ class EnumerationQuery:
             raise ValueError(f"bound must be >= 1, got {self.bound}")
 
 
-def _caps(query: EnumerationQuery) -> tuple[int, int]:
-    """(area cap, piece cap); the one the query does not bound is unlimited."""
-    if query.bound_kind is BoundKind.BY_AREA:
-        return query.bound, _NO_LIMIT
-    return _NO_LIMIT, query.bound
+def _costs(query: EnumerationQuery) -> dict[int, int]:
+    """What one piece of each size spends of the bound: its size, or 1 when counting pieces."""
+    by_area = query.bound_kind is BoundKind.BY_AREA
+    return {s: s if by_area else 1 for s in query.pieces.sizes}
 
 
-def _bottom_floors(query: EnumerationQuery) -> Iterator[tuple[Floor, int, int]]:
-    """Every bottom floor (floor, area, pieces) within the caps, in lexicographic order."""
+def _bottom_floors(query: EnumerationQuery, cost: dict[int, int]) -> Iterator[tuple[Floor, int]]:
+    """Every bottom floor (floor, cost) within the bound, in lexicographic order."""
     sizes = query.pieces.sizes
-    area_cap, piece_cap = _caps(query)
+    bound = query.bound
     if query.shape is Shape.TOWER:
         # Contiguous rows starting at 0; emitted shortest-prefix first so
         # that tower order stays lexicographic.
-        def compose(pos: int, acc: Floor, area: int, npieces: int):
+        def compose(pos: int, acc: Floor, spent: int):
             for s in sizes:
-                if area + s > area_cap or npieces + 1 > piece_cap:
+                total = spent + cost[s]
+                if total > bound:
                     break
                 floor = acc + ((pos, pos + s),)
-                yield floor, area + s, npieces + 1
-                yield from compose(pos + s, floor, area + s, npieces + 1)
+                yield floor, total
+                yield from compose(pos + s, floor, total)
 
-        yield from compose(0, (), 0, 0)
+        yield from compose(0, (), 0)
     else:
         for s in sizes:
-            if s <= area_cap and piece_cap >= 1:
-                yield ((0, s),), s, 1
+            if cost[s] <= bound:
+                yield ((0, s),), cost[s]
 
 
 def _covered(floor: Floor) -> Floor:
@@ -102,9 +101,9 @@ def _covered(floor: Floor) -> Floor:
 
 
 def _floors_above(
-    below: Floor, rem_area: int, rem_pieces: int, pieces: PieceSet, half: bool
-) -> Iterator[tuple[Floor, int, int]]:
-    """All legal next floors (floor, area, pieces) on `below` within the budgets.
+    below: Floor, rem: int, cost: dict[int, int], pieces: PieceSet, half: bool
+) -> Iterator[tuple[Floor, int]]:
+    """All legal next floors (floor, cost) on `below` that cost at most `rem`.
 
     Pieces of the new floor do not overlap, each has positive-length contact
     with `below`, and under NO_EXACT_ALIGNMENT none repeats an interval of
@@ -113,17 +112,21 @@ def _floors_above(
     rightmost cells, whether a piece overlaps some interval of it, and under
     NO_EXACT_ALIGNMENT whether a piece equals one of its intervals; so under
     ALL_INTERFACES `below` and its `_covered` runs give the same floors.
+    A piece costs no less than a smaller one, so the first size over
+    budget ends the sizes tried at a position.
     """
     sizes = pieces.sizes
+    cheapest = cost[sizes[0]]
     no_align = pieces.rule is Rule.NO_EXACT_ALIGNMENT
     lo = below[0][0]
     hi = below[-1][1]
     floor_min = 0 if half else lo - sizes[-1] + 1
 
-    def extend(min_x: int, acc: Floor, acc_area: int, acc_n: int):
-        for x in range(max(min_x, floor_min), hi):
+    def extend(min_x: int, acc: Floor, spent: int):
+        for x in range(min_x, hi):
             for s in sizes:
-                if s > rem_area - acc_area:
+                total = spent + cost[s]
+                if total > rem:
                     break
                 right = x + s
                 if right <= lo:
@@ -136,53 +139,39 @@ def _floors_above(
                 if no_align and (x, right) in below:
                     continue
                 floor = acc + ((x, right),)
-                yield floor, acc_area + s, acc_n + 1
-                if acc_n + 1 < rem_pieces:
-                    yield from extend(right, floor, acc_area + s, acc_n + 1)
+                yield floor, total
+                if total + cheapest <= rem:  # room for one more piece
+                    yield from extend(right, floor, total)
 
-    if rem_area >= sizes[0] and rem_pieces >= 1:
-        yield from extend(-_NO_LIMIT, (), 0, 0)
-
-
-def _raw_towers(query: EnumerationQuery) -> Iterator[tuple[tuple[Floor, ...], int, int]]:
-    """Yield (floors, area, piece count) per tower, in lexicographic order of the floors."""
-    pieces = query.pieces
-    half = query.shape is Shape.HALF_PYRAMID
-    area_cap, piece_cap = _caps(query)
-
-    def grow(tower: tuple[Floor, ...], area: int, npieces: int):
-        yield tower, area, npieces
-        for floor, fa, fp in _floors_above(tower[-1], area_cap - area, piece_cap - npieces, pieces, half):
-            yield from grow(tower + (floor,), area + fa, npieces + fp)
-
-    for bottom, area, npieces in _bottom_floors(query):
-        yield from grow((bottom,), area, npieces)
+    if cheapest <= rem:
+        yield from extend(floor_min, (), 0)
 
 
-def _tallies(query: EnumerationQuery) -> dict[tuple[int, ...], int]:
-    """Number of towers within the bound per exponent vector (pieces of each size).
+def _tallies(query: EnumerationQuery) -> dict[int, dict[tuple[int, ...], int]]:
+    """Number of towers per cost (area or piece count) and exponent vector (pieces of each size).
 
-    Towers are counted, not built: `stacks(floor, rem)` tallies every stack
-    of floors, the empty one included, that fits on `floor` within the
-    remaining budget `rem`, and is memoized on (key, rem) for this call
-    only.  Under ALL_INTERFACES the key is the floor's `_covered` runs, since
-    that is all `_floors_above` reads of it: (1,2)(2,4) and (1,4) share one
-    entry.  Under NO_EXACT_ALIGNMENT a piece may not repeat an interval
-    below, so the key is the floor itself.  Either way the stacks' weights
-    come from the real floors `add` is given.  Keys are translated to start
-    at 0 before lookup, except for half-pyramids, whose left wall at 0 makes
-    the absolute position matter.
+    Every cost from 1 to the bound is a key, with an empty tally if no tower
+    costs that much.  Towers are counted, not built: `stacks(floor, rem)`
+    tallies every stack of floors, the empty one included, that fits on
+    `floor` within the remaining budget `rem`, and is memoized on (key, rem)
+    for this call only.  Under ALL_INTERFACES the key is the floor's
+    `_covered` runs, since that is all `_floors_above` reads of it:
+    (1,2)(2,4) and (1,4) share one entry.  Under NO_EXACT_ALIGNMENT a piece
+    may not repeat an interval below, so the key is the floor itself.
+    Either way the stacks' weights come from the real floors `add` is given.
+    Keys are translated to start at 0 before lookup, except for
+    half-pyramids, whose left wall at 0 makes the absolute position matter.
     Exponent vectors are packed into one integer in base bound + 1, which no
     exponent reaches, so adding two vectors is one integer addition.
     """
     pieces = query.pieces
     sizes = pieces.sizes
     half = query.shape is Shape.HALF_PYRAMID
-    by_area = query.bound_kind is BoundKind.BY_AREA
     merge = pieces.rule is Rule.ALL_INTERFACES
+    cost = _costs(query)
+    cheapest = cost[sizes[0]]  # least budget any floor costs
     radix = query.bound + 1
     packed = {s: radix ** i for i, s in enumerate(sizes)}
-    smallest = sizes[0] if by_area else 1  # least budget any floor costs
     leaf = {0: 1}  # nothing fits, only the empty stack; shared, not memoized, to keep the memo small
     memo: dict[tuple[Floor, int], dict[int, int]] = {}
 
@@ -193,7 +182,7 @@ def _tallies(query: EnumerationQuery) -> dict[tuple[int, ...], int]:
             tally[k + e] = tally.get(k + e, 0) + n
 
     def stacks(floor: Floor, rem: int) -> dict[int, int]:
-        if rem < smallest:
+        if rem < cheapest:
             return leaf
         if merge:
             floor = _covered(floor)
@@ -204,19 +193,21 @@ def _tallies(query: EnumerationQuery) -> dict[tuple[int, ...], int]:
         tally = memo.get(key)
         if tally is None:
             tally = {0: 1}
-            budgets = (rem, _NO_LIMIT) if by_area else (_NO_LIMIT, rem)
-            for above, area, npieces in _floors_above(floor, *budgets, pieces, half):
-                add(tally, above, stacks(above, rem - (area if by_area else npieces)))
+            for above, spent in _floors_above(floor, rem, cost, pieces, half):
+                add(tally, above, stacks(above, rem - spent))
             memo[key] = tally
         return tally
 
     towers: dict[int, int] = {}
-    for bottom, area, npieces in _bottom_floors(query):
-        add(towers, bottom, stacks(bottom, query.bound - (area if by_area else npieces)))
-    return {
-        tuple(k // radix ** i % radix for i in range(len(sizes))): n
-        for k, n in towers.items()
+    for bottom, spent in _bottom_floors(query, cost):
+        add(towers, bottom, stacks(bottom, query.bound - spent))
+    filed: dict[int, dict[tuple[int, ...], int]] = {
+        spent: {} for spent in range(1, query.bound + 1)
     }
+    for k, n in towers.items():
+        exps = tuple(k // radix ** i % radix for i in range(len(sizes)))
+        filed[sum(cost[s] * e for s, e in zip(sizes, exps))][exps] = n
+    return filed
 
 
 def enumerate_towers(query: EnumerationQuery) -> Iterator[Tower]:
@@ -225,8 +216,17 @@ def enumerate_towers(query: EnumerationQuery) -> Iterator[Tower]:
     Each tower appears exactly once; the order is lexicographic on the
     floor tuples, so output is stable across runs.
     """
-    for floors, _, _ in _raw_towers(query):
+    pieces = query.pieces
+    half = query.shape is Shape.HALF_PYRAMID
+    cost = _costs(query)
+
+    def grow(floors: tuple[Floor, ...], spent: int):
         yield Tower(floors)
+        for floor, c in _floors_above(floors[-1], query.bound - spent, cost, pieces, half):
+            yield from grow(floors + (floor,), spent + c)
+
+    for bottom, spent in _bottom_floors(query, cost):
+        yield from grow((bottom,), spent)
 
 
 def count_towers(query: EnumerationQuery) -> dict[int, int]:
@@ -236,12 +236,7 @@ def count_towers(query: EnumerationQuery) -> dict[int, int]:
     `tests/test_enumeration.py::test_counts_and_weights_match_the_stream`
     checks these counts against a tally of `enumerate_towers`.
     """
-    sizes = query.pieces.sizes
-    by_area = query.bound_kind is BoundKind.BY_AREA
-    counts = dict.fromkeys(range(1, query.bound + 1), 0)
-    for exps, n in _tallies(query).items():
-        counts[sum(s * e for s, e in zip(sizes, exps)) if by_area else sum(exps)] += n
-    return counts
+    return {spent: sum(tally.values()) for spent, tally in _tallies(query).items()}
 
 
 def weight_polynomial(query: EnumerationQuery) -> dict[int, ZPolynomial]:
@@ -252,9 +247,4 @@ def weight_polynomial(query: EnumerationQuery) -> dict[int, ZPolynomial]:
     if query.bound_kind is not BoundKind.BY_AREA:
         raise ValueError("weight_polynomial requires a by-area query")
     sizes = query.pieces.sizes
-    sums: dict[int, dict[tuple[int, ...], int]] = {
-        area: {} for area in range(1, query.bound + 1)
-    }
-    for exps, n in _tallies(query).items():
-        sums[sum(s * e for s, e in zip(sizes, exps))][exps] = n
-    return {area: ZPolynomial(sizes, bucket) for area, bucket in sums.items()}
+    return {area: ZPolynomial(sizes, tally) for area, tally in _tallies(query).items()}

@@ -236,9 +236,17 @@ def _object(payload: Any, what: str) -> dict:
     return payload
 
 
+def _field(payload: dict, name: str, what: str) -> Any:
+    if name not in payload:
+        raise MalformedInputError(f'{what} has no "{name}" field')
+    return payload[name]
+
+
 def _sequence(payload: Any, read: Callable[[Any], int | DecimalInt]) -> Sequence:
     payload = _object(payload, "a sequence")
-    offset, terms, label = payload["offset"], payload["terms"], payload.get("label", "")
+    offset = _field(payload, "offset", "a sequence")
+    terms = _field(payload, "terms", "a sequence")
+    label = payload.get("label", "")
     for field, value, kind in (("offset", offset, int), ("terms", terms, list), ("label", label, str)):
         if type(value) is bool or not isinstance(value, kind):  # bool is an int to Python
             raise MalformedInputError(
@@ -351,7 +359,7 @@ def recurrence_to_json(rec: Recurrence) -> dict:
 
 
 def recurrence_from_json(payload: Any) -> Recurrence:
-    coeffs = _object(payload, "a recurrence")["coeffs"]
+    coeffs = _field(_object(payload, "a recurrence"), "coeffs", "a recurrence")
     if not (isinstance(coeffs, list) and all(isinstance(row, list) for row in coeffs)):
         raise MalformedInputError("coeffs must be an array of arrays of integers")
     return Recurrence(tuple(IntPoly(_str_int(c) for c in row) for row in coeffs))

@@ -388,6 +388,10 @@ def test_asympt_reads_stdin_as_it_reads_the_file(tmp_path, capsys, monkeypatch, 
     (["guess", "--input"], [str(3**n) for n in range(30)], "a sequence must be a JSON object, got an array"),
     (["extend", "--terms", "40", "--init", "init.json", "--rec"], {"order": 1, "coeffs": None},
      "coeffs must be an array of arrays of integers"),
+    (["guess", "--input"], {"offset": 0}, 'a sequence has no "terms" field'),
+    (["asympt", "--input"], {"terms": ["1"] * 30}, 'a sequence has no "offset" field'),
+    (["extend", "--terms", "40", "--init", "init.json", "--rec"], {"order": 1},
+     'a recurrence has no "coeffs" field'),
 ])
 def test_payload_shape_errors_exit_2(tmp_path, capsys, monkeypatch, argv, payload, message):
     monkeypatch.chdir(tmp_path)
@@ -426,6 +430,19 @@ def test_bound_errors_name_their_flag(capsys, argv):
     assert excinfo.value.code == 2
     flag = argv[-2]
     assert f"argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--sizes", "1,2", "--order", "-3"],
+    ["series", "--sizes", "1,2", "--by-pieces", "--order", "-3"],
+    ["eliminate", "--sizes", "1,2", "--order", "-3"],
+])
+def test_order_errors_name_their_flag(capsys, argv):
+    # the value given is reported, not the piece count --by-pieces derives from it
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "argument --order: must be >= 0, got -3" in capsys.readouterr().err
 
 
 def test_noalign_multi_size_exits_2(capsys):
@@ -479,6 +496,16 @@ def test_json_only_outputs_reject_format(capsys, argv):
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert "argument --format" in captured.err
+    assert not captured.out
+
+
+def test_weighted_enumeration_rejects_a_piece_bound(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["enumerate", "--sizes", "1,2", "--pieces", "3", "--weighted"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --weighted" in captured.err
+    assert "--pieces" in captured.err
     assert not captured.out
 
 

@@ -1,9 +1,11 @@
+import hashlib
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import towers.enumeration
+from towers.cli import main
 from towers.enumeration import (
     BoundKind,
     EnumerationQuery,
@@ -173,9 +175,88 @@ def test_counts_and_weights_match_the_stream(pieces, shape):
             }
 
 
+def brute_force_towers(pieces, shape, kind, bound):
+    """Every canonical legal tower within the bound, sorted, found without `_floors_above`.
+
+    Candidates are lists of floors of non-overlapping pieces anywhere in a
+    window no tower within the bound outgrows; `is_legal_tower` keeps the
+    legal ones.  Only legal towers are built on, since the lower floors of a
+    legal tower are a legal tower.
+    """
+    sizes = pieces.sizes
+    cost = {s: s if kind is BoundKind.BY_AREA else 1 for s in sizes}
+    width = bound if kind is BoundKind.BY_AREA else bound * sizes[-1]  # no wider tower fits
+
+    def floors(min_x, budget):
+        """(floor, cost) of every floor costing at most budget with pieces from min_x to width."""
+        for x in range(min_x, width):
+            for s in sizes:
+                if cost[s] <= budget and x + s <= width:
+                    yield ((x, x + s),), cost[s]
+                    for rest, c in floors(x + s, budget - cost[s]):
+                        yield ((x, x + s),) + rest, cost[s] + c
+
+    found = []
+
+    def grow(tower, budget):
+        if is_legal_tower(tower, pieces, shape):
+            found.append(tower)
+            for floor, c in floors(1 - width, budget):
+                grow(tower + (floor,), budget - c)
+
+    for bottom, c in floors(0, bound):
+        if bottom[0][0] == 0:
+            grow((bottom,), bound - c)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("sizes", [(1,), (2,), (3,), (1, 2), (2, 3), (1, 3), (1, 2, 3)], ids=str)
+@pytest.mark.parametrize("rule", list(Rule), ids=lambda r: r.value)
+@pytest.mark.parametrize("shape", list(Shape), ids=lambda s: s.value)
+def test_stream_is_complete(sizes, rule, shape):
+    # no tower is missing: the stream is exactly what the legality check accepts
+    pieces = PieceSet(sizes, rule)
+    for kind, bound in ((BoundKind.BY_AREA, 5), (BoundKind.BY_PIECE_COUNT, 3)):
+        streamed = [t.floors for t in enumerate_towers(EnumerationQuery(pieces, shape, kind, bound))]
+        assert streamed == brute_force_towers(pieces, shape, kind, bound)
+
+
+# sha256 of the oracle's CLI outputs, concatenated over PINNED_SETS, every
+# shape and each bound, recorded while the area and piece budgets were still
+# carried separately through the walk
+PINNED_SETS = [("1,2,3", "all"), ("2,3", "all"), ("2", "noalign"), ("1,2", "noalign")]
+ORACLE_DIGESTS = [
+    ("enumerate", [["--area", "7"], ["--pieces", "4"]], ["--format", "json"],
+     "287297bf21b800771aca96a60996e7190e7e541a7c3db2588087fe2ec94f3460"),
+    ("enumerate", [["--area", "7"], ["--pieces", "4"]], ["--format", "csv"],
+     "1327e45788e6032906f64732d06d26c132086fe4d0f49d1fe176744c182b20d5"),
+    ("enumerate", [["--area", "7"], ["--pieces", "4"]], ["--format", "text"],
+     "82520e726a40ef20a969b57e97af4f1f16b20323607333bb89763279d340ff6b"),
+    ("enumerate", [["--area", "7"]], ["--weighted"],
+     "e18b1d0ae7a552a0ea0c675990c85d21b47d8de750d0e254a02b636eec8c4e97"),
+    ("enumerate", [["--area", "6"], ["--pieces", "3"]], ["--list"],
+     "40e9611b3dadd9b2e8a25a961f536596ded9d2a803b6efafc6e775406c4547a1"),
+    ("render", [["--pieces", "3"]], [],
+     "b7ff297e8744ef797d4cb05bf3d60c59a56774d8754964bb5061c9e1aa236bf2"),
+]
+
+
+@pytest.mark.parametrize("command, bounds, flags, digest", ORACLE_DIGESTS,
+                         ids=["json", "csv", "text", "weighted", "list", "render"])
+def test_oracle_bytes_are_pinned(capsys, command, bounds, flags, digest):
+    hashed = hashlib.sha256()
+    for sizes, rule in PINNED_SETS:
+        for shape in Shape:
+            for bound in bounds:
+                argv = [command, "--sizes", sizes, "--rule", rule, "--shape", shape.value, *bound, *flags]
+                assert main(argv) == 0
+                hashed.update(capsys.readouterr().out.encode("utf-8"))
+    assert hashed.hexdigest() == digest
+
+
 @st.composite
 def floors_and_budgets(draw):
-    """A piece set, a floor of its pieces (gaps of 0 make pieces abut), half or not, and budgets."""
+    """A piece set, a floor of its pieces (gaps of 0 make pieces abut), half or not, a budget and costs."""
     sizes = draw(st.sampled_from([(1,), (2,), (1, 2), (2, 3), (1, 3), (1, 2, 3)]))
     half = draw(st.booleans())
     x = draw(st.integers(0 if half else -3, 3))
@@ -185,17 +266,17 @@ def floors_and_budgets(draw):
         floor.append((x, x + s))
         x += s
     if draw(st.booleans()):
-        budgets = (draw(st.integers(0, 7)), towers.enumeration._NO_LIMIT)
+        rem, cost = draw(st.integers(0, 7)), {s: s for s in sizes}  # by area
     else:
-        budgets = (towers.enumeration._NO_LIMIT, draw(st.integers(0, 3)))
-    return PieceSet.of(*sizes), tuple(floor), half, budgets
+        rem, cost = draw(st.integers(0, 3)), dict.fromkeys(sizes, 1)  # by piece count
+    return PieceSet.of(*sizes), tuple(floor), half, rem, cost
 
 
 @settings(max_examples=150, deadline=None)
 @given(floors_and_budgets())
 def test_all_interfaces_floors_above_see_only_the_covered_cells(case):
     # why the count may key its memo on the covered cells under ALL_INTERFACES
-    pieces, floor, half, budgets = case
+    pieces, floor, half, rem, cost = case
     runs = towers.enumeration._covered(floor)
 
     def cells(f):
@@ -204,16 +285,17 @@ def test_all_interfaces_floors_above_see_only_the_covered_cells(case):
     assert cells(runs) == cells(floor)
     assert all(left[1] < right[0] for left, right in zip(runs, runs[1:]))
     floors_above = towers.enumeration._floors_above
-    assert list(floors_above(floor, *budgets, pieces, half)) == list(floors_above(runs, *budgets, pieces, half))
+    assert list(floors_above(floor, rem, cost, pieces, half)) == list(floors_above(runs, rem, cost, pieces, half))
 
 
 def test_noalign_floors_above_see_the_exact_pieces():
     # why NO_EXACT_ALIGNMENT keeps the exact floor as its memo key
     pieces = PieceSet.of(1, 2, rule=Rule.NO_EXACT_ALIGNMENT)
     floors_above = towers.enumeration._floors_above
-    split = {f for f, _, _ in floors_above(((0, 1), (1, 3)), 2, 1, pieces, False)}
-    whole = {f for f, _, _ in floors_above(((0, 3),), 2, 1, pieces, False)}
-    assert ((1, 3),) in whole - split
+    for rem, cost in ((2, {1: 1, 2: 2}), (1, {1: 1, 2: 1})):  # area 2, or one piece
+        split = {f for f, _ in floors_above(((0, 1), (1, 3)), rem, cost, pieces, False)}
+        whole = {f for f, _ in floors_above(((0, 3),), rem, cost, pieces, False)}
+        assert ((1, 3),) in whole - split
     assert towers.enumeration._covered(((0, 1), (1, 3))) == ((0, 3),)
 
 

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from towers.enumeration import BoundKind, EnumerationQuery, _raw_towers, enumerate_towers
+from towers.enumeration import BoundKind, EnumerationQuery, enumerate_towers
 from towers.errors import MalformedInputError
-from towers.model import PieceSet, Rule, Shape, Tower, is_legal_tower
+from towers.model import PieceSet, Rule, Shape, is_legal_tower
 
 S123 = PieceSet.of(1, 2, 3)
 DIMER = PieceSet.of(2)
@@ -89,14 +89,6 @@ def test_shape_constraints():
 def test_legality_is_translation_invariant():
     shifted = [[[10, 11], [11, 12], [12, 15], [15, 17]], [[13, 14], [16, 19]], [[13, 16]]]
     assert is_legal_tower(shifted, S123, Shape.TOWER)
-
-
-def test_weight_exponent_matches_total_area():
-    # the walk's area is the t-exponent weight_polynomial files each tower under
-    query = EnumerationQuery(S123, Shape.TOWER, BoundKind.BY_AREA, 6)
-    for floors, area, npieces in _raw_towers(query):
-        assert area == sum(r - l for floor in floors for l, r in floor)
-        assert npieces == sum(len(floor) for floor in floors) == Tower(floors).piece_count
 
 
 def test_enumerated_towers_are_legal_and_canonical():

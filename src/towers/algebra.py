@@ -4,7 +4,9 @@ The half-pyramid series H is a root of an explicit bivariate polynomial
 E(t, y).  The pyramid and tower series F are rational in t and H with
 denominators of constant term 1, so clearing denominators gives a second
 relation G(t, H, y) that is linear in y.  Eliminating H via a resultant
-yields R(t, y) with R(t, F) = 0.
+yields R(t, y) with R(t, F) = 0.  Since G is linear in y, R has y-degree at
+most k = deg_H E and is interpolated from k + 1 resultants over Z[t], of E
+and G at y = 1, ..., k + 1 (Collins' evaluation-interpolation route).
 
 Because E is irreducible, R is, up to a factor c(t), the norm of F:
 R = c(t) Q^m with Q the minimal polynomial of F and m deg_y Q = deg_y E.
@@ -26,8 +28,7 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, DegreeCapError, UnsupportedConfigurationError
 from .model import PieceSet, Rule, Shape
-from .polynomials import (HPoly, IntPoly, PolyTY, h_resultant, int_poly_gcd, integer_kernel,
-                          primitive_part)
+from .polynomials import IntPoly, h_resultant, int_poly_gcd, integer_kernel, primitive_part
 from .series import TruncatedSeries, series_family
 
 __all__ = [
@@ -69,17 +70,20 @@ class BivariatePolynomial:
     def t_degree(self) -> int:
         return max((c.degree for c in self.coeffs), default=-1)
 
-    def to_poly_ty(self) -> PolyTY:
-        return PolyTY(
-            ((i, j), c)
-            for j, poly in enumerate(self.coeffs)
-            for i, c in enumerate(poly.coeffs)
-        )
+
+def _times(f: list[IntPoly], g: list[IntPoly]) -> list[IntPoly]:
+    """The product of two polynomials given by their coefficient lists in y (or H)."""
+    out = [IntPoly()] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + a * b
+    return out
 
 
-def _binomial_expansion(i: int, t_power: int) -> PolyTY:
-    """t^t_power * (1 + y)^i as a PolyTY."""
-    return PolyTY({(t_power, j): math.comb(i, j) for j in range(i + 1)})
+def _add_binomial(coeffs: list[IntPoly], i: int, c: int) -> None:
+    """coeffs += c t^i (1 + y)^i, in place."""
+    for j in range(i + 1):
+        coeffs[j] = coeffs[j] + IntPoly((0,) * i + (c * math.comb(i, j),))
 
 
 def defining_polynomial_H(pieces: PieceSet) -> BivariatePolynomial:
@@ -88,75 +92,90 @@ def defining_polynomial_H(pieces: PieceSet) -> BivariatePolynomial:
     E = y - sum over sizes i of t^i (1+y)^i, or with a single size k under
     no-exact-alignment, E = y - t^k ((1+y)^k - y).
     """
-    y = PolyTY({(0, 1): 1})
+    e = [IntPoly(), IntPoly.constant(1)] + [IntPoly()] * (pieces.max_size - 1)
     if pieces.rule is Rule.NO_EXACT_ALIGNMENT:
         if len(pieces.sizes) > 1:
             raise UnsupportedConfigurationError(
                 "no-exact-alignment elimination supports a single piece size only"
             )
         k = pieces.single_size
-        expansion = _binomial_expansion(k, k) - PolyTY({(k, 1): 1})
-        e = y - expansion
+        _add_binomial(e, k, -1)
+        e[1] = e[1] + IntPoly((0,) * k + (1,))
     else:
-        e = y
         for i in pieces.sizes:
-            e = e - _binomial_expansion(i, i)
-    return BivariatePolynomial(tuple(e.to_y_coefficients()))
+            _add_binomial(e, i, -1)
+    return BivariatePolynomial(tuple(e))
 
 
-def _h_poly_defining(pieces: PieceSet) -> HPoly:
-    """E as a polynomial in the eliminated variable with PolyTY coefficients."""
-    coeffs = defining_polynomial_H(pieces).coeffs
-    return [PolyTY.from_t_poly(c) for c in coeffs]
+def _denominator(pieces: PieceSet, shape: Shape) -> list[IntPoly]:
+    """D'(t, H) with F * D' = H for the shape's series F, as coefficients in H.
 
-
-def _h_poly_mul(f: HPoly, g: HPoly) -> HPoly:
-    out = [PolyTY() for _ in range(len(f) + len(g) - 1)] if f and g else []
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _pyramid_denominator_h(pieces: PieceSet) -> HPoly:
-    """D(t, H) with P * D = H, as a polynomial in H.
-
-    D = 1 - (k-1) H + sum over sizes i < k of (k-i) t^i (1+H)^i for the
-    largest size k, the form `series` divides by; under no-exact-alignment
-    (one size) the sum is empty.
+    For pyramids D' is D = 1 - (k-1) H + sum over sizes i < k of
+    (k-i) t^i (1+H)^i for the largest size k, the form `series` divides by;
+    under no-exact-alignment (one size) the sum is empty.  For towers
+    D' = (1 - H) D.
     """
     k = pieces.max_size
-    d = PolyTY({(0, 0): 1, (0, 1): -(k - 1)})
+    d = [IntPoly.constant(1), IntPoly.constant(1 - k)] + [IntPoly()] * (k - 2)
     for i in pieces.sizes[:-1]:
-        d = d + _binomial_expansion(i, i) * (k - i)
-    return [PolyTY.from_t_poly(c) for c in d.to_y_coefficients()]
-
-
-def _relation_for_shape(pieces: PieceSet, shape: Shape) -> HPoly:
-    """G(t, H, y), linear in y, with G(t, H(t), F(t)) = 0 for the shape's series F."""
-    d = _pyramid_denominator_h(pieces)
+        _add_binomial(d, i, k - i)
+    while not d[-1]:  # k = 1, or k - 1 is not a size
+        d.pop()
     if shape is Shape.TOWER:
-        one_minus_h = [PolyTY.constant(1), PolyTY.constant(-1)]
-        d = _h_poly_mul(one_minus_h, d)
-    y = PolyTY({(0, 1): 1})
-    g = [c * y for c in d]
-    if len(g) < 2:
-        g += [PolyTY()] * (2 - len(g))
-    g[1] = g[1] - PolyTY.constant(1)  # subtract H
-    while g and not g[-1]:
-        g.pop()
-    return g
+        d = _times([IntPoly.constant(1), IntPoly.constant(-1)], d)
+    return d
 
 
-def _without_content(resultant: PolyTY) -> BivariatePolynomial:
+def _interpolate(values: list[IntPoly]) -> list[IntPoly]:
+    """The coefficients in y of the R(t, y) of y-degree < len(values) with
+    R(t, j) = values[j - 1] for j = 1, 2, ...
+
+    Newton's forward differences at the nodes 1, 2, ..., each of order i
+    divided by i! along the way: R has coefficients in Z[t] and the Newton
+    basis (y - 1)(y - 2)...(y - i) is monic over Z, so R's coefficients in
+    that basis lie in Z[t] and every division is exact.  Horner's rule in
+    that basis then gives the coefficients in y.
+    """
+    newton, diffs = [], values
+    for i in range(1, len(values) + 1):
+        newton.append(diffs[0])
+        diffs = [(b - a).exact_div(IntPoly.constant(i)) for a, b in zip(diffs, diffs[1:])]
+    r = [newton.pop()]
+    while newton:
+        node = len(newton)  # r = r * (y - node) + the next Newton coefficient
+        r = [a - b * node for a, b in zip([IntPoly()] + r, r + [IntPoly()])]
+        r[0] = r[0] + newton.pop()
+    return r
+
+
+def _eliminant(pieces: PieceSet, shape: Shape) -> list[IntPoly]:
+    """R(t, y) = Res_H(E, y D' - H), with content, as its k + 1 coefficients in y.
+
+    G = y D' - H is linear in y, and the Sylvester matrix of E and G has
+    deg_H E = k rows of G's coefficients, so R has y-degree at most k and is
+    interpolated from its values at y = 1, ..., k + 1, each a resultant over
+    Z[t] of E and G(y = j).  Setting y = j commutes with the resultant when
+    G keeps its H-degree, and so does the sign `h_resultant` gives when it
+    swaps its arguments.  It does at every j >= 1: G's leading coefficient
+    in H is y lc(D'), or y d_1 - 1 with d_1 in {-1, t - 1} when D' has
+    H-degree 1, or -1 when D' = 1.
+    """
+    e = list(defining_polynomial_H(pieces).coeffs)
+    d = _denominator(pieces, shape)
+    values = []
+    for j in range(1, len(e) + 1):
+        g = [c * j for c in d] + [IntPoly()] * (2 - len(d))
+        g[1] = g[1] - IntPoly.constant(1)  # subtract H
+        if not g[-1]:
+            raise ConsistencyError(f"y D' - H loses its degree in H at y = {j}")
+        values.append(h_resultant(e, g))
+    return _interpolate(values)
+
+
+def _without_content(resultant: list[IntPoly]) -> BivariatePolynomial:
     """R / c(t), where c(t) is the gcd in Z[t] of the y-coefficients of R."""
-    content = functools.reduce(int_poly_gcd, resultant.to_y_coefficients())
-    quotient = resultant.exact_div(PolyTY.from_t_poly(content))
-    return BivariatePolynomial(tuple(quotient.to_y_coefficients()))
+    content = functools.reduce(int_poly_gcd, resultant)
+    return BivariatePolynomial(tuple(c.exact_div(content) for c in resultant))
 
 
 def _select_annihilator(
@@ -188,11 +207,11 @@ def _select_annihilator(
             q = BivariatePolynomial(tuple(
                 IntPoly(kernel[0][j * width:(j + 1) * width]) for j in range(len(powers))
             ))
-            power = BivariatePolynomial(tuple((q.to_poly_ty() ** m).to_y_coefficients()))
+            power = BivariatePolynomial(tuple(functools.reduce(_times, [q.coeffs] * m)))
             if len(kernel) > 1 or power != r0:
                 raise ConsistencyError(
                     f"m = {m}: the Hermite-Pade kernel has dimension {len(kernel)} and "
-                    f"q = {q.to_poly_ty()!r} is not an exact m-th root of the eliminant"
+                    f"q = {list(q.coeffs)!r} is not an exact m-th root of the eliminant"
                 )
             return q
     return r0
@@ -231,13 +250,12 @@ def annihilating_polynomial(
     if shape is Shape.HALF_PYRAMID:
         result = defining_polynomial_H(pieces)
     else:
-        e = _h_poly_defining(pieces)
-        resultant = h_resultant(e, _relation_for_shape(pieces, shape))
-        if not resultant:
+        resultant = _eliminant(pieces, shape)
+        if not any(resultant):
             raise ConsistencyError("elimination produced the zero resultant")
         r0 = _without_content(resultant)
         prefix = series_family(pieces, r0.y_degree * r0.t_degree, through=shape)[shape]
-        result = _select_annihilator(r0, len(e) - 1, prefix)
+        result = _select_annihilator(r0, len(resultant) - 1, prefix)
     if not verify_annihilator(result, series):
         raise ConsistencyError(
             f"the annihilator does not vanish on the series through t^{series.order}"

@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--list", action="store_true", help="emit towers, one JSON array per line")
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_enumerate)
+    p.set_defaults(func=cmd_enumerate, usage_error=p.error)
 
     p = sub.add_parser("series", help="generating-function coefficients")
     _piece_args(p)
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit the per-piece-count sequence instead of t-coefficients")
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_series)
+    p.set_defaults(func=cmd_series, usage_error=p.error)
 
     p = sub.add_parser("eliminate", help="polynomial annihilating the series")
     _piece_args(p)
@@ -264,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("guess", help="guess a linear recurrence from a sequence")
     p.add_argument("--input", required=True, help="sequence JSON path, or - for stdin")
-    p.add_argument("--max-order", type=int, default=5)
-    p.add_argument("--max-degree", type=int, default=6)
-    p.add_argument("--guard", type=int, default=10, help="held-out trailing terms")
+    p.add_argument("--max-order", type=_positive_int, default=5)
+    p.add_argument("--max-degree", type=_non_negative_int, default=6)
+    p.add_argument("--guard", type=_non_negative_int, default=10, help="held-out trailing terms")
     p.add_argument("--out")
     p.set_defaults(func=cmd_guess)
 
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asympt", help="empirical growth estimate from a sequence")
     p.add_argument("--input", required=True, help="sequence JSON path, or - for stdin")
-    p.add_argument("--depth", type=int, default=4, help="extrapolation depth (default: 4)")
+    p.add_argument("--depth", type=_non_negative_int, default=4, help="extrapolation depth (default: 4)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_asympt)
 
@@ -301,12 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # checks across flags, reported by the subcommand's parser as argparse reports its own
     json_only = [flag for flag in ("weighted", "list") if getattr(args, flag, False)]
     if json_only and args.format != "json":
-        parser.error(f"argument --format: --{json_only[0]} prints JSON only, "
-                     f"not --format {args.format}")
+        args.usage_error(f"argument --format: --{json_only[0]} prints JSON only, "
+                         f"not --format {args.format}")
     if getattr(args, "weighted", False) and getattr(args, "pieces", None) is not None:
-        parser.error("argument --weighted: weight polynomials are by area, use --area, not --pieces")
+        args.usage_error("argument --weighted: weight polynomials are by area, use --area, not --pieces")
     try:
         return args.func(args)
     except SingularRecurrenceError as exc:

@@ -1,12 +1,13 @@
 """Exact polynomial arithmetic used by the elimination and guessing code.
 
-Three layers, all over the integers:
+Two layers, both over the integers:
 
 * IntPoly: dense univariate polynomials (used both for polynomials in t
-  and for recurrence coefficients in n).
-* PolyTY: sparse polynomials in the two variables t and y.
-* polynomials in an outer variable with PolyTY coefficients, on which the
-  fraction-free subresultant polynomial remainder sequence computes
+  and for recurrence coefficients in n), with the ring operations and
+  exact division in Z[t].
+* lists of IntPoly coefficients, ascending, as polynomials in an outer
+  variable over Z[t]: `h_prem` is the pseudo-remainder in Z[t][x], and
+  the fraction-free subresultant polynomial remainder sequence computes
   resultants without ever leaving the integers (Brown's algorithm).
 
 Beside them sit the normal form of a tuple of IntPolys (primitive, with
@@ -22,11 +23,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConsistencyError
 
-__all__ = ["IntPoly", "PolyTY", "primitive_part", "int_poly_gcd", "integer_kernel", "h_prem",
+__all__ = ["IntPoly", "primitive_part", "int_poly_gcd", "integer_kernel", "h_prem",
            "h_resultant"]
 
 
@@ -86,7 +87,10 @@ class IntPoly:
         return IntPoly(out)
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
+        out = list(self.coeffs) + [0] * (len(other.coeffs) - len(self.coeffs))
+        for i, c in enumerate(other.coeffs):
+            out[i] -= c
+        return IntPoly(out)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -114,15 +118,20 @@ class IntPoly:
     def content(self) -> int:
         return math.gcd(*(abs(c) for c in self.coeffs)) if self.coeffs else 0
 
-    def divide_int(self, d: int) -> "IntPoly":
-        """Exact division of every coefficient by the integer d."""
-        out = []
-        for c in self.coeffs:
-            q, r = divmod(c, d)
-            if r:
-                raise ConsistencyError(f"coefficient {c} not divisible by {d}")
-            out.append(q)
-        return IntPoly(out)
+    def exact_div(self, divisor: "IntPoly") -> "IntPoly":
+        """Quotient self / divisor in Z[t]; ConsistencyError if it leaves a remainder."""
+        if not divisor:
+            raise ZeroDivisionError("division by the zero polynomial")
+        rem, d = list(self.coeffs), divisor.coeffs
+        quotient = [0] * max(len(rem) - len(d) + 1, 0)
+        for top in range(len(quotient) - 1, -1, -1):
+            # a remainder left at the top stays there: later steps write below it
+            quotient[top] = q = rem[top + len(d) - 1] // d[-1]
+            for i, c in enumerate(d, top):
+                rem[i] -= q * c
+        if any(rem):
+            raise ConsistencyError(f"{self!r} is not divisible by {divisor!r}")
+        return IntPoly(quotient)
 
     def __call__(self, x):
         acc = 0
@@ -134,160 +143,12 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)})"
 
 
-class PolyTY:
-    """Sparse integer polynomial in t and y; keys are (t_power, y_power)."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[tuple[int, int], int] | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[tuple[int, int], int] = {}
-        for key, coeff in items:
-            if coeff:
-                key = (key[0], key[1])
-                clean[key] = clean.get(key, 0) + coeff
-                if not clean[key]:
-                    del clean[key]
-        object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyTY is immutable")
-
-    @classmethod
-    def constant(cls, c: int) -> "PolyTY":
-        return cls({(0, 0): c})
-
-    @classmethod
-    def from_t_poly(cls, p: IntPoly) -> "PolyTY":
-        return cls({(i, 0): c for i, c in enumerate(p.coeffs)})
-
-    def items(self):
-        return sorted(self._terms.items())
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PolyTY):
-            return self._terms == other._terms
-        if isinstance(other, int):
-            return self._terms == PolyTY.constant(other)._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __neg__(self) -> "PolyTY":
-        return PolyTY({k: -c for k, c in self._terms.items()})
-
-    def __add__(self, other: "PolyTY") -> "PolyTY":
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            new = out.get(k, 0) + c
-            if new:
-                out[k] = new
-            else:
-                del out[k]
-        result = PolyTY.__new__(PolyTY)
-        object.__setattr__(result, "_terms", out)
-        return result
-
-    def __sub__(self, other: "PolyTY") -> "PolyTY":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return PolyTY({k: c * other for k, c in self._terms.items()})
-        if not isinstance(other, PolyTY):
-            return NotImplemented
-        out: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
-                key = (i1 + i2, j1 + j2)
-                new = out.get(key, 0) + c1 * c2
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
-        result = PolyTY.__new__(PolyTY)
-        object.__setattr__(result, "_terms", out)
-        return result
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "PolyTY":
-        result = PolyTY.constant(1)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def content(self) -> int:
-        return math.gcd(*(abs(c) for c in self._terms.values())) if self._terms else 0
-
-    def _leading_key(self) -> tuple[int, int]:
-        # Lexicographic with y major; any fixed monomial order works for
-        # the exact divisions performed here.
-        return max(self._terms, key=lambda k: (k[1], k[0]))
-
-    def exact_div(self, divisor: "PolyTY") -> "PolyTY":
-        """Quotient self / divisor, valid only when the division is exact."""
-        if not divisor:
-            raise ZeroDivisionError("division by the zero polynomial")
-        remainder = dict(self._terms)
-        quotient: dict[tuple[int, int], int] = {}
-        dk = divisor._leading_key()
-        dc = divisor._terms[dk]
-        while remainder:
-            lk = max(remainder, key=lambda k: (k[1], k[0]))
-            qt = (lk[0] - dk[0], lk[1] - dk[1])
-            qc, rc = divmod(remainder[lk], dc)
-            if qt[0] < 0 or qt[1] < 0 or rc:
-                raise ConsistencyError("inexact polynomial division in the remainder sequence")
-            quotient[qt] = qc
-            for (i, j), c in divisor._terms.items():
-                key = (i + qt[0], j + qt[1])
-                new = remainder.get(key, 0) - qc * c
-                if new:
-                    remainder[key] = new
-                else:
-                    remainder.pop(key, None)
-        result = PolyTY.__new__(PolyTY)
-        object.__setattr__(result, "_terms", quotient)
-        return result
-
-    def to_y_coefficients(self) -> list[IntPoly]:
-        """Coefficients of powers of y, each an IntPoly in t."""
-        by_y: dict[int, dict[int, int]] = {}
-        for (i, j), c in self._terms.items():
-            by_y.setdefault(j, {})[i] = c
-        top = max(by_y, default=-1)
-        out = []
-        for j in range(top + 1):
-            row = by_y.get(j, {})
-            width = max(row, default=-1) + 1
-            out.append(IntPoly(row.get(i, 0) for i in range(width)))
-        return out
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "PolyTY(0)"
-        parts = []
-        for (i, j), c in self.items():
-            part = str(c)
-            if i:
-                part += f"*t^{i}" if i > 1 else "*t"
-            if j:
-                part += f"*y^{j}" if j > 1 else "*y"
-            parts.append(part)
-        return "PolyTY(" + " + ".join(parts) + ")"
-
-
 def primitive_part(polys: Sequence[IntPoly]) -> tuple[IntPoly, ...]:
     """polys divided by their collective integer content, all negated if the
     last one has a negative leading coefficient."""
     content = math.gcd(*(p.content() for p in polys))
     if content > 1:
-        polys = [p.divide_int(content) for p in polys]
+        polys = [p.exact_div(IntPoly.constant(content)) for p in polys]
     if polys and polys[-1].leading < 0:
         polys = [-p for p in polys]
     return tuple(polys)
@@ -356,10 +217,10 @@ def integer_kernel(matrix: list[list[int]]) -> list[list[int]]:
     return basis
 
 
-# Polynomials in the eliminated variable are plain lists of PolyTY
+# Polynomials in the eliminated variable are plain lists of IntPoly
 # coefficients, ascending, with no trailing zeros.
 
-HPoly = list[PolyTY]
+HPoly = list[IntPoly]
 
 
 def _h_trim(f: HPoly) -> HPoly:
@@ -385,7 +246,7 @@ def h_prem(f: HPoly, g: HPoly) -> HPoly:
         lc_r = r[-1]
         n -= 1
         # r = lc_g * r - lc_r * g * x^(dr - dg); both sides have length dr + 1
-        shifted = [PolyTY()] * (dr - dg) + [c * lc_r for c in g]
+        shifted = [IntPoly()] * (dr - dg) + [c * lc_r for c in g]
         r = _h_trim([a * lc_g - b for a, b in zip(r, shifted)])
         if not r:
             break
@@ -395,7 +256,7 @@ def h_prem(f: HPoly, g: HPoly) -> HPoly:
     return r
 
 
-def h_resultant(f: HPoly, g: HPoly) -> PolyTY:
+def h_resultant(f: HPoly, g: HPoly) -> IntPoly:
     """Resultant of f and g with respect to the outer variable.
 
     Brown's subresultant polynomial remainder sequence: fraction-free, every
@@ -405,15 +266,15 @@ def h_resultant(f: HPoly, g: HPoly) -> PolyTY:
     """
     f, g = _h_trim(list(f)), _h_trim(list(g))
     if not f or not g:
-        return PolyTY()
+        return IntPoly()
     n, m = len(f) - 1, len(g) - 1
     if n < m:
         f, g = g, f
         n, m = m, n
     if n == 0:
-        return PolyTY.constant(1)  # two non-zero constants
+        return IntPoly.constant(1)  # two non-zero constants
     d = n - m
-    b = PolyTY.constant((-1) ** (d + 1))
+    b = IntPoly.constant((-1) ** (d + 1))
     h = [c * b for c in h_prem(f, g)]
     lc = g[-1]
     c = -(lc**d)  # minus the latest subresultant scalar
@@ -428,5 +289,5 @@ def h_resultant(f: HPoly, g: HPoly) -> PolyTY:
         else:
             c = -lc
     if len(g) - 1 > 0:
-        return PolyTY()  # non-trivial common factor
+        return IntPoly()  # non-trivial common factor
     return -c

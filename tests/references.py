@@ -11,16 +11,13 @@ from typing import Sequence
 
 from towers import recurrences
 from towers.model import PieceSet
-from towers.polynomials import PolyTY
+from towers.polynomials import IntPoly
 from towers.series import TruncatedSeries, half_pyramid_rhs
 
 
-def evaluate(poly: PolyTY, t_value: Fraction, y_value: Fraction) -> Fraction:
-    """poly at the point (t, y) = (t_value, y_value)."""
-    return sum(
-        (c * t_value**i * y_value**j for (i, j), c in poly.items()),
-        Fraction(0),
-    )
+def evaluate(coeffs: Sequence[IntPoly], t_value: Fraction, y_value: Fraction) -> Fraction:
+    """sum_j coeffs[j](t) y^j at the point (t, y) = (t_value, y_value)."""
+    return sum((c(t_value) * y_value**j for j, c in enumerate(coeffs)), Fraction(0))
 
 
 def sylvester_resultant(f: Sequence[Fraction], g: Sequence[Fraction]) -> Fraction:

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -7,17 +9,19 @@ import sympy
 
 from towers.algebra import (
     BivariatePolynomial,
-    _h_poly_defining,
-    _relation_for_shape,
+    _denominator,
+    _eliminant,
     _select_annihilator,
+    _times,
     _without_content,
     annihilating_polynomial,
     defining_polynomial_H,
     verify_annihilator,
 )
+from towers.cli import main
 from towers.errors import ConsistencyError, DegreeCapError, UnsupportedConfigurationError
 from towers.model import PieceSet, Rule, Shape
-from towers.polynomials import IntPoly, PolyTY, h_resultant
+from towers.polynomials import IntPoly
 from towers.series import TruncatedSeries, series_family, solve_half_pyramids
 
 from references import evaluate, sylvester_resultant
@@ -124,12 +128,12 @@ class TestAnnihilatingPolynomial:
             annihilating_polynomial(PieceSet.of(9), Shape.TOWER, tower_series(PieceSet.of(9), 20))
 
 
-def eliminant(pieces, shape):
-    return h_resultant(_h_poly_defining(pieces), _relation_for_shape(pieces, shape))
+def as_bivariate(coeffs) -> BivariatePolynomial:
+    return BivariatePolynomial(tuple(coeffs))
 
 
-def as_bivariate(poly: PolyTY) -> BivariatePolynomial:
-    return BivariatePolynomial(tuple(poly.to_y_coefficients()))
+def as_sympy(coeffs, t, y):
+    return sympy.Add(*(c * t**i * y**j for j, poly in enumerate(coeffs) for i, c in enumerate(poly.coeffs)))
 
 
 class TestSelection:
@@ -143,39 +147,39 @@ class TestSelection:
         multiplicities = set()
         for pieces in sets:
             for shape in (Shape.PYRAMID, Shape.TOWER):
-                r = eliminant(pieces, shape)
-                expr = sympy.Add(*(c * t**i * y**j for (i, j), c in r.items()))
-                _, factors = sympy.factor_list(expr, t, y)
+                r = _eliminant(pieces, shape)
+                _, factors = sympy.factor_list(as_sympy(r, t, y), t, y)
                 in_y = [(f, m) for f, m in factors if sympy.degree(f, y) > 0]
                 assert len(in_y) == 1, (pieces, shape)
                 factor, m = in_y[0]
-                fdict = sympy.Poly(factor, t, y).as_dict()
-                expected = as_bivariate(PolyTY({(int(i), int(j)): int(c) for (i, j), c in fdict.items()}))
+                rows = [sympy.Poly(row, t).all_coeffs()[::-1] for row in sympy.Poly(factor, y).all_coeffs()[::-1]]
+                expected = as_bivariate(IntPoly(int(c) for c in row) for row in rows)
                 q = annihilating_polynomial(pieces, shape, series_family(pieces, 20)[shape])
                 assert q == expected, (pieces, shape)
-                assert as_bivariate(q.to_poly_ty() ** m) == _without_content(r), (pieces, shape)
+                power = functools.reduce(_times, [q.coeffs] * m)
+                assert as_bivariate(power) == _without_content(r), (pieces, shape)
                 multiplicities.add(m)
         assert multiplicities == {1, 2}
 
     def test_content_is_not_only_powers_of_t(self):
         # S = {1, 2} towers: the eliminant carries the factor t + 1
-        r = eliminant(PieceSet.of(1, 2), Shape.TOWER)
-        content = PolyTY({(0, 0): 1, (1, 0): 1})  # t + 1
-        assert as_bivariate(_without_content(r).to_poly_ty() * content) == as_bivariate(r)
+        r = _eliminant(PieceSet.of(1, 2), Shape.TOWER)
+        content = IntPoly((1, 1))  # t + 1
+        assert as_bivariate(c * content for c in _without_content(r).coeffs) == as_bivariate(r)
 
     def test_extra_factor_in_y_is_rejected(self):
-        r = eliminant(DIMER, Shape.TOWER) * PolyTY({(0, 0): 1, (0, 1): 1})  # R (y + 1)
+        r = _times(_eliminant(DIMER, Shape.TOWER), [IntPoly((1,)), IntPoly((1,))])  # R (y + 1)
         towers = series_family(DIMER, 60)[Shape.TOWER]
         with pytest.raises(ConsistencyError, match="not a norm"):
             _select_annihilator(_without_content(r), defining_polynomial_H(DIMER).y_degree, towers)
 
     def test_product_of_distinct_factors_is_not_a_root(self):
         # Q Q' has the degrees of Q^2, and Q alone solves the m = 2 system
-        q = bivariate((0, 0, -1), (1, 0, -4)).to_poly_ty()  # (1 - 4t^2) y - t^2
-        other = q + PolyTY({(1, 1): 1})
+        q = [IntPoly((0, 0, -1)), IntPoly((1, 0, -4))]  # (1 - 4t^2) y - t^2
+        other = [q[0], q[1] + IntPoly((0, 1))]  # q + t y
         towers = series_family(DIMER, 60)[Shape.TOWER]
         with pytest.raises(ConsistencyError, match="m = 2"):
-            _select_annihilator(as_bivariate(q * other), defining_polynomial_H(DIMER).y_degree, towers)
+            _select_annihilator(as_bivariate(_times(q, other)), defining_polynomial_H(DIMER).y_degree, towers)
 
 
 class TestResultantEvaluationInvariant:
@@ -188,17 +192,57 @@ class TestResultantEvaluationInvariant:
             (PieceSet.of(2, 3), Shape.PYRAMID),
             (DIMER_NOALIGN, Shape.TOWER),
         ]:
-            e = _h_poly_defining(pieces)
-            g = _relation_for_shape(pieces, shape)
-            f_big, g_big = (e, g) if len(e) >= len(g) else (g, e)
-            symbolic = h_resultant(e, g)
+            e = defining_polynomial_H(pieces).coeffs
+            d = _denominator(pieces, shape)
+            symbolic = _eliminant(pieces, shape)
             checked = 0
             while checked < 20:
                 t0 = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
                 y0 = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-                fv = [evaluate(c, t0, y0) for c in f_big]
-                gv = [evaluate(c, t0, y0) for c in g_big]
-                if not fv[-1] or not gv[-1]:
+                ev = [c(t0) for c in e]
+                gv = [y0 * c(t0) for c in d] + [Fraction(0)] * (2 - len(d))
+                gv[1] -= 1  # G = y D' - H
+                if not ev[-1] or not gv[-1]:
                     continue
-                assert evaluate(symbolic, t0, y0) == sylvester_resultant(fv, gv)
+                f_big, g_big = (ev, gv) if len(ev) >= len(gv) else (gv, ev)
+                assert evaluate(symbolic, t0, y0) == sylvester_resultant(f_big, g_big)
                 checked += 1
+
+
+@pytest.mark.parametrize("pieces", [PieceSet.of(1), PieceSet.of(1, 2), PieceSet.of(2, 3),
+                                    PieceSet.of(3, rule=Rule.NO_EXACT_ALIGNMENT)],
+                         ids=["1", "1,2", "2,3", "noalign-3"])
+@pytest.mark.parametrize("shape", [Shape.PYRAMID, Shape.TOWER], ids=["pyramid", "tower"])
+def test_eliminant_is_the_sympy_resultant(pieces, shape):
+    # the interpolated R, content included, against sympy's resultant of E and
+    # G = y D' - H, both written out here from the equations of `series`
+    h, t, y = sympy.symbols("h t y")
+    k = pieces.max_size
+    if pieces.rule is Rule.NO_EXACT_ALIGNMENT:
+        e = h - t**k * ((1 + h) ** k - h)
+    else:
+        e = h - sum(t**i * (1 + h) ** i for i in pieces.sizes)
+    d = 1 - (k - 1) * h + sum((k - i) * t**i * (1 + h) ** i for i in pieces.sizes if i < k)
+    if shape is Shape.TOWER:
+        d *= 1 - h
+    reference = sympy.expand(sympy.resultant(sympy.expand(e), sympy.expand(y * d - h), h))
+    mine = as_sympy(_eliminant(pieces, shape), t, y)
+    assert reference != 0
+    assert sympy.expand(mine - reference) == 0 or sympy.expand(mine + reference) == 0
+
+
+# sha256 of `eliminate --order 60` over every shape of these sets, recorded
+# while H was still eliminated over the sparse ring in t and y
+PINNED_ELIMINATIONS = [("1", "all"), ("2", "all"), ("3", "all"), ("1,2", "all"), ("2,3", "all"),
+                       ("1,2,3", "all"), ("3,8", "all"), ("1,2,3,4,5", "all"), ("2", "noalign"),
+                       ("5", "noalign")]
+
+
+def test_eliminate_bytes_are_pinned(capsys):
+    hashed = hashlib.sha256()
+    for sizes, rule in PINNED_ELIMINATIONS:
+        for shape in Shape:
+            argv = ["eliminate", "--sizes", sizes, "--rule", rule, "--shape", shape.value, "--order", "60"]
+            assert main(argv) == 0
+            hashed.update(capsys.readouterr().out.encode("utf-8"))
+    assert hashed.hexdigest() == "6eac73ca03cd5635c3a687f095a9b7407e6e34754877f5ebfbe36b3d72551933"

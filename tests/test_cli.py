@@ -338,10 +338,12 @@ def test_asympt_checks_depth_before_reading_its_input(tmp_path, capsys, monkeypa
         raise AssertionError("asympt read its input before checking --depth")
 
     monkeypatch.setattr(jsonio, "sequence_tail", forbidden)
-    code, out, err = run(capsys, "asympt", "--input", str(path), "--depth", "-1")
-    assert code == 2
-    assert out == ""
-    assert err == "error: depth must be >= 0, got -1\n"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["asympt", "--input", str(path), "--depth", "-1"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "towers asympt: error: argument --depth: must be >= 0, got -1" in captured.err
 
 
 def test_asympt_streams_its_input(tmp_path, capsys):
@@ -423,6 +425,7 @@ def test_extend_negative_terms_exits_2_and_writes_nothing(tmp_path, capsys):
     ["verify", "--max-area", "0"],
     ["verify", "--max-pieces", "0"],
     ["extend", "--rec", "rec.json", "--init", "init.json", "--terms", "0"],
+    ["guess", "--input", "seq.json", "--max-order", "0"],
 ])
 def test_bound_errors_name_their_flag(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
@@ -443,6 +446,19 @@ def test_order_errors_name_their_flag(capsys, argv):
         main(argv)
     assert excinfo.value.code == 2
     assert "argument --order: must be >= 0, got -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["guess", "--input", "seq.json", "--max-degree", "-1"],
+    ["guess", "--input", "seq.json", "--guard", "-1"],
+    ["asympt", "--input", "seq.json", "--depth", "-1"],
+])
+def test_non_negative_bound_errors_name_their_flag(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    flag = argv[-2]
+    assert f"argument {flag}: must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_noalign_multi_size_exits_2(capsys):
@@ -507,6 +523,20 @@ def test_weighted_enumeration_rejects_a_piece_bound(capsys):
     assert "argument --weighted" in captured.err
     assert "--pieces" in captured.err
     assert not captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--sizes", "1,2", "--pieces", "3", "--weighted"],
+    ["series", "--sizes", "1,2", "--order", "2", "--weighted", "--format", "csv"],
+], ids=["enumerate-weighted-pieces", "series-weighted-csv"])
+def test_flag_conflicts_are_reported_by_the_subcommand(capsys, argv):
+    # as argparse reports the subcommand's own errors, not with the top-level usage
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: towers {argv[0]} ")
+    assert f"\ntowers {argv[0]}: error: argument --" in err
 
 
 def test_json_only_outputs_accept_format_json(capsys):

@@ -5,9 +5,9 @@ import pytest
 import sympy
 
 from towers.errors import ConsistencyError
-from towers.polynomials import IntPoly, PolyTY, h_prem, h_resultant
+from towers.polynomials import IntPoly, h_prem, h_resultant
 
-from references import evaluate, sylvester_resultant
+from references import sylvester_resultant
 
 
 class TestIntPoly:
@@ -28,9 +28,27 @@ class TestIntPoly:
     def test_content_and_exact_division(self):
         p = IntPoly((6, -9, 12))
         assert p.content() == 3
-        assert p.divide_int(3).coeffs == (2, -3, 4)
+        assert p.exact_div(IntPoly.constant(3)).coeffs == (2, -3, 4)
         with pytest.raises(ConsistencyError):
-            p.divide_int(4)
+            p.exact_div(IntPoly.constant(4))
+
+    def test_exact_division_roundtrip(self):
+        rng = random.Random(7)
+        for _ in range(25):
+            a = IntPoly(rng.randint(-5, 5) for _ in range(rng.randint(1, 5)))
+            b = IntPoly(rng.randint(-5, 5) for _ in range(rng.randint(1, 4)))
+            if not b:
+                continue
+            assert (a * b).exact_div(b) == a
+
+    def test_inexact_division_raises(self):
+        t = IntPoly((0, 1))
+        with pytest.raises(ConsistencyError):
+            (t + IntPoly.constant(1)).exact_div(t)
+        with pytest.raises(ConsistencyError):
+            IntPoly((1, 2)).exact_div(IntPoly((1, 2, 1)))  # divisor of higher degree
+        with pytest.raises(ConsistencyError):
+            IntPoly((1, 0, 3)).exact_div(IntPoly((1, 1)))  # remainder in the low terms only
 
     def test_evaluation(self):
         p = IntPoly((1, 0, 2))  # 1 + 2x^2
@@ -38,75 +56,29 @@ class TestIntPoly:
         assert p(Fraction(1, 2)) == Fraction(3, 2)
 
 
-class TestPolyTY:
-    def test_multiplication_and_degrees(self):
-        t = PolyTY({(1, 0): 1})
-        y = PolyTY({(0, 1): 1})
-        p = (t + y) * (t - y)
-        assert p == PolyTY({(2, 0): 1, (0, 2): -1})
-        assert p.to_y_coefficients() == [IntPoly((0, 0, 1)), IntPoly(()), IntPoly((-1,))]
-
-    def test_exact_division_roundtrip(self):
-        rng = random.Random(7)
-        for _ in range(25):
-            a = PolyTY(
-                {(rng.randrange(3), rng.randrange(3)): rng.randint(-5, 5) for _ in range(4)}
-            )
-            b = PolyTY(
-                {(rng.randrange(3), rng.randrange(3)): rng.randint(-5, 5) for _ in range(4)}
-            )
-            if not a or not b:
-                continue
-            assert (a * b).exact_div(b) == a
-
-    def test_inexact_division_raises(self):
-        t = PolyTY({(1, 0): 1})
-        with pytest.raises(ConsistencyError):
-            (t + PolyTY.constant(1)).exact_div(t)
-
-    def test_y_coefficient_extraction(self):
-        p = PolyTY({(0, 0): 1, (2, 0): -4, (0, 1): 3, (1, 1): 2})
-        coeffs = p.to_y_coefficients()
-        assert coeffs[0] == IntPoly((1, 0, -4))
-        assert coeffs[1] == IntPoly((3, 2))
-
-
-def _random_hpoly(rng, max_deg, ground_deg=1):
+def _random_hpoly(rng, max_deg, ground_deg=2):
     deg = rng.randint(1, max_deg)
-    coeffs = []
-    for _ in range(deg + 1):
-        coeffs.append(
-            PolyTY(
-                {
-                    (rng.randrange(ground_deg + 1), rng.randrange(ground_deg + 1)): rng.randint(-4, 4)
-                    for _ in range(3)
-                }
-            )
-        )
+    coeffs = [IntPoly(rng.randint(-4, 4) for _ in range(ground_deg + 1)) for _ in range(deg + 1)]
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
 
 
-def _to_sympy(hpoly, h, t, y):
-    return sum(
-        c * t**i * y**j * h**power
-        for power, coeff in enumerate(hpoly)
-        for (i, j), c in coeff.items()
-    )
+def _to_sympy(hpoly, h, t):
+    return sum(c * t**i * h**power for power, coeff in enumerate(hpoly) for i, c in enumerate(coeff.coeffs))
 
 
 class TestResultant:
     def test_known_value(self):
         # res(x^2 + 1, x^2 - 1) = 4
-        f = [PolyTY.constant(1), PolyTY(), PolyTY.constant(1)]
-        g = [PolyTY.constant(-1), PolyTY(), PolyTY.constant(1)]
-        assert h_resultant(f, g) == PolyTY.constant(4)
+        f = [IntPoly.constant(1), IntPoly(), IntPoly.constant(1)]
+        g = [IntPoly.constant(-1), IntPoly(), IntPoly.constant(1)]
+        assert h_resultant(f, g) == IntPoly.constant(4)
 
     def test_common_factor_gives_zero(self):
         # (x - 1)(x + 1) and (x - 1) share a root
-        f = [PolyTY.constant(-1), PolyTY(), PolyTY.constant(1)]
-        g = [PolyTY.constant(-1), PolyTY.constant(1)]
+        f = [IntPoly.constant(-1), IntPoly(), IntPoly.constant(1)]
+        g = [IntPoly.constant(-1), IntPoly.constant(1)]
         assert not h_resultant(f, g)
 
     def test_prem_agrees_with_definition(self):
@@ -118,9 +90,9 @@ class TestResultant:
             if len(f) < len(g) or not f or not g:
                 continue
             r = h_prem(f, g)
-            t0, y0 = Fraction(rng.randint(1, 5), 7), Fraction(rng.randint(1, 5), 3)
-            fv = [evaluate(c, t0, y0) for c in f]
-            gv = [evaluate(c, t0, y0) for c in g]
+            t0 = Fraction(rng.randint(1, 5), 7)
+            fv = [c(t0) for c in f]
+            gv = [c(t0) for c in g]
             if not gv or gv[-1] == 0:
                 continue
             factor = gv[-1] ** (len(f) - len(g) + 1)
@@ -134,7 +106,7 @@ class TestResultant:
                 num.pop()
                 while num and num[-1] == 0:
                     num.pop()
-            rv = [evaluate(c, t0, y0) for c in r]
+            rv = [c(t0) for c in r]
             while rv and rv[-1] == 0:
                 rv.pop()
             assert rv == num
@@ -149,25 +121,24 @@ class TestResultant:
                 continue
             symbolic = h_resultant(f, g)
             t0 = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-            y0 = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-            fv = [evaluate(c, t0, y0) for c in f]
-            gv = [evaluate(c, t0, y0) for c in g]
+            fv = [c(t0) for c in f]
+            gv = [c(t0) for c in g]
             if not fv or not gv or fv[-1] == 0 or gv[-1] == 0:
                 continue  # degree dropped at this point; pick another
-            assert evaluate(symbolic, t0, y0) == sylvester_resultant(fv, gv)
+            assert symbolic(t0) == sylvester_resultant(fv, gv)
             done += 1
 
     def test_matches_sympy_resultant(self):
         rng = random.Random(5)
-        h, t, y = sympy.symbols("h t y")
+        h, t = sympy.symbols("h t")
         for _ in range(10):
             f = _random_hpoly(rng, 3)
             g = _random_hpoly(rng, 2)
             if len(f) < 2 or len(g) < 2 or len(f) < len(g):
                 continue
             mine = h_resultant(f, g)
-            reference = sympy.resultant(_to_sympy(f, h, t, y), _to_sympy(g, h, t, y), h)
-            mine_sym = sympy.expand(_to_sympy([mine], h, t, y))
+            reference = sympy.resultant(_to_sympy(f, h, t), _to_sympy(g, h, t), h)
+            mine_sym = sympy.expand(_to_sympy([mine], h, t))
             assert sympy.simplify(mine_sym - reference) == 0
 
 

@@ -1,12 +1,13 @@
 """Polynomial equations satisfied by the generating functions.
 
-The half-pyramid series H is a root of an explicit bivariate polynomial
-E(t, y).  The pyramid and tower series F are rational in t and H with
-denominators of constant term 1, so clearing denominators gives a second
-relation G(t, H, y) that is linear in y.  Eliminating H via a resultant
-yields R(t, y) with R(t, F) = 0.  Since G is linear in y, R has y-degree at
-most k = deg_H E and is interpolated from k + 1 resultants over Z[t], of E
-and G at y = 1, ..., k + 1 (Collins' evaluation-interpolation route).
+The half-pyramid series H is a root of E(t, y) = y - Phi(t, y).  The
+pyramid and tower series F are H / D'(t, H), where D' is D or (1 - H) D,
+with constant term 1; Phi and D are the ones `series` builds and solves
+with.  So clearing denominators gives a second relation G = y D' - H that
+is linear in y.  Eliminating H via a resultant yields R(t, y) with
+R(t, F) = 0.  Since G is linear in y, R has y-degree at most k = deg_H E
+and is interpolated from k + 1 resultants over Z[t], of E and G at
+y = 1, ..., k + 1 (Collins' evaluation-interpolation route).
 
 Because E is irreducible, R is, up to a factor c(t), the norm of F:
 R = c(t) Q^m with Q the minimal polynomial of F and m deg_y Q = deg_y E.
@@ -14,8 +15,9 @@ So Q is read off R without factoring.  The content c(t) is the gcd of R's
 y-coefficients (not always a power of t); Q is the exact m-th root of
 R0 = R / c(t), found as a Hermite-Pade kernel of the series for each m > 1
 dividing both degrees of R0, largest first, and Q = R0 when none has a
-root.  Finally Q is checked by substituting the caller's truncated series
-of F, a semantic rather than syntactic criterion.
+root.  Finally Q is checked by substituting that series prefix and the
+caller's truncated series of F, a semantic rather than syntactic
+criterion.
 
 Everything here is plain enumeration (all markers z_i set to 1).
 """
@@ -23,13 +25,12 @@ Everything here is plain enumeration (all markers z_i set to 1).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, DegreeCapError, UnsupportedConfigurationError
-from .model import PieceSet, Rule, Shape
+from .errors import ConsistencyError, DegreeCapError
+from .model import PieceSet, Shape
 from .polynomials import IntPoly, h_resultant, int_poly_gcd, integer_kernel, primitive_part
-from .series import TruncatedSeries, series_family
+from .series import TruncatedSeries, _d, _horner, _phi, series_family
 
 __all__ = [
     "BivariatePolynomial",
@@ -80,47 +81,19 @@ def _times(f: list[IntPoly], g: list[IntPoly]) -> list[IntPoly]:
     return out
 
 
-def _add_binomial(coeffs: list[IntPoly], i: int, c: int) -> None:
-    """coeffs += c t^i (1 + y)^i, in place."""
-    for j in range(i + 1):
-        coeffs[j] = coeffs[j] + IntPoly((0,) * i + (c * math.comb(i, j),))
-
-
 def defining_polynomial_H(pieces: PieceSet) -> BivariatePolynomial:
-    """The polynomial E(t, y) with E(t, H(t)) = 0 for the half-pyramid series.
-
-    E = y - sum over sizes i of t^i (1+y)^i, or with a single size k under
-    no-exact-alignment, E = y - t^k ((1+y)^k - y).
-    """
-    e = [IntPoly(), IntPoly.constant(1)] + [IntPoly()] * (pieces.max_size - 1)
-    if pieces.rule is Rule.NO_EXACT_ALIGNMENT:
-        if len(pieces.sizes) > 1:
-            raise UnsupportedConfigurationError(
-                "no-exact-alignment elimination supports a single piece size only"
-            )
-        k = pieces.single_size
-        _add_binomial(e, k, -1)
-        e[1] = e[1] + IntPoly((0,) * k + (1,))
-    else:
-        for i in pieces.sizes:
-            _add_binomial(e, i, -1)
+    """The polynomial E(t, y) = y - Phi(t, y) with E(t, H(t)) = 0 for the half-pyramid series."""
+    e = [-c for c in _phi(pieces)]
+    e[1] = e[1] + IntPoly.constant(1)
     return BivariatePolynomial(tuple(e))
 
 
 def _denominator(pieces: PieceSet, shape: Shape) -> list[IntPoly]:
     """D'(t, H) with F * D' = H for the shape's series F, as coefficients in H.
 
-    For pyramids D' is D = 1 - (k-1) H + sum over sizes i < k of
-    (k-i) t^i (1+H)^i for the largest size k, the form `series` divides by;
-    under no-exact-alignment (one size) the sum is empty.  For towers
-    D' = (1 - H) D.
+    D' is `series`' D for pyramids and (1 - H) D for towers.
     """
-    k = pieces.max_size
-    d = [IntPoly.constant(1), IntPoly.constant(1 - k)] + [IntPoly()] * (k - 2)
-    for i in pieces.sizes[:-1]:
-        _add_binomial(d, i, k - i)
-    while not d[-1]:  # k = 1, or k - 1 is not a size
-        d.pop()
+    d = _d(pieces)
     if shape is Shape.TOWER:
         d = _times([IntPoly.constant(1), IntPoly.constant(-1)], d)
     return d
@@ -228,10 +201,7 @@ def check_degree_cap(pieces: PieceSet) -> None:
 
 def verify_annihilator(q: BivariatePolynomial, s: TruncatedSeries) -> bool:
     """True iff Q(t, s(t)) is zero through the series order."""
-    acc = TruncatedSeries.zero(s.order)
-    for c in reversed(q.coeffs):
-        acc = acc * s + TruncatedSeries(c.coeffs, s.order)
-    return not any(acc.coeffs)
+    return not any(_horner(q.coeffs, s).coeffs)
 
 
 def annihilating_polynomial(
@@ -243,10 +213,11 @@ def annihilating_polynomial(
     and towers it is obtained by eliminating H between E(t, H) and the
     shape's cleared-denominator relation, then removing the resultant's
     t-content and taking its exact m-th root, which reads a series prefix
-    solved here.  Either way Q must vanish on the caller's `series` of F
-    through its order.
+    solved here.  Q must vanish on that prefix, so no caller order leaves
+    the check empty, and on the caller's `series` of F through its order.
     """
     check_degree_cap(pieces)
+    checked = [series]
     if shape is Shape.HALF_PYRAMID:
         result = defining_polynomial_H(pieces)
     else:
@@ -256,8 +227,10 @@ def annihilating_polynomial(
         r0 = _without_content(resultant)
         prefix = series_family(pieces, r0.y_degree * r0.t_degree, through=shape)[shape]
         result = _select_annihilator(r0, len(resultant) - 1, prefix)
-    if not verify_annihilator(result, series):
-        raise ConsistencyError(
-            f"the annihilator does not vanish on the series through t^{series.order}"
-        )
+        checked.insert(0, prefix)
+    for s in checked:
+        if not verify_annihilator(result, s):
+            raise ConsistencyError(
+                f"the annihilator does not vanish on the series through t^{s.order}"
+            )
     return result

@@ -1,47 +1,45 @@
 """Truncated power series in t and the tower generating functions.
 
-All coefficients are exact Python integers.  The half-pyramid series H is
-the fixed point of
+All coefficients are exact Python integers.  A set of piece sizes, the
+largest k, comes down to one functional equation and one rational step,
+each stated once here as a polynomial in y (or H) over Z[x].  Here x_i is
+t^i for a piece of size i, or z for every piece when counting by pieces:
 
-    H = sum over sizes i of  t^i * (1 + H)^i,
+    H = Phi(x, H),   Phi(x, y) = sum over sizes i of x_i (1 + y)^i,
 
-or, with a single size k under the no-exact-alignment rule,
+less x_k y for a single size k under the no-exact-alignment rule, and
 
-    H = t^k * ((1 + H)^k - H).
+    P = H / D(x, H),   D(x, H) = 1 - (k-1) H + sum over sizes i < k of (k-i) x_i (1 + H)^i,
+    M = P / (1 - H).
 
-Every term of the right-hand side has t-order at least 1, so the fixed
-point is determined order by order; `solve_half_pyramids` exploits that
-and fills in one coefficient at a time, which is what makes high orders
+Under all interfaces, the H-equation turns D into
+1 - sum over sizes i of (i-1) x_i (1+H)^i; the form above also holds under
+no-exact-alignment, where its sum is empty.  `_phi` and `_d` build the
+two polynomials, and the solver, the checks, both variables and
+`algebra`'s elimination all read them.
+
+Every term of Phi has x-degree at least 1, so the fixed point is
+determined order by order: `solve_half_pyramids` fills in one coefficient
+at a time from running powers H^j, which is what makes high orders
 (thousands of terms) affordable.  The tests keep the plain
 repeated-substitution version in `tests/` as a slow reference.
-
-Pyramids and towers are rational in H.  With k the largest size,
-
-    P = H / (1 - sum over sizes i of (i-1) * t^i * (1+H)^i)
-      = H / (1 - (k-1) * H + sum over sizes i < k of (k-i) * t^i * (1+H)^i)
-    M = P / (1 - H)
-
-The second form follows from the H-equation and also holds under the
-no-exact-alignment rule (one size k), where its sum is empty.
-`series_pyramids` and `series_towers` compute these quotients with series
-division.  Both denominators have constant term 1, so the division stays in
-the integers.  `series_family` is the entry point: it solves H and derives
-P and M from it, stopping at the shape asked for.
+`series_pyramids` evaluates D from powers of H too and divides; D and
+1 - H have constant term 1, so the division stays in the integers.
+`series_family` is the entry point: it solves H and derives P and M from
+it, stopping at the shape asked for.
 
 At high order the cost is big-integer inner products.  Each one runs as
 `sum(map(operator.mul, ...))`, so the multiply-adds loop in C.  Squares
-take half the products (`_square_coeff`: each cross product once, doubled):
-the solver's (1+H)^2, and `x * x` for the same object, which is the first
-step of `_pyramid_denominator`'s powers.  `half_pyramid_rhs`, the residual
-check of `verify` and the tests, evaluates sum over sizes i of u^i with
-u = t(1+H) by Horner's rule instead.  Its products are all general, so a
+take half the products (`_square_coeff`: each cross product once, doubled),
+which is how the pipeline's powers get H^2.  The checks, `half_pyramid_rhs`
+and `algebra.verify_annihilator`, evaluate a polynomial in y at a series by
+Horner's rule (`_horner`) instead.  Its products are all general, so a
 fault in the squaring kernel leaves a residual instead of cancelling out.
 
-Counting by pieces, every piece weighs one unit of a variable z instead
-of t^i: H = z * sum over sizes i of (1 + H)^i, P = z H' / (1 + H) and
-M = P / (1 - H).  The right-hand side Phi is linear in z, so
-z H' = H / (1 - Phi_H), and (1 + H)(1 - Phi_H) is P's denominator above
-with t^i read as z.  `piece_count_sequence` runs the same solver in z.
+Counting by pieces, `piece_count_sequence` solves the same Phi and divides
+by the same D in z.  For a single size that is t^k renamed.  For several
+sizes, Phi is linear in z, so z H' = H / (1 - Phi_y), and (1 + H)(1 - Phi_y)
+is D in z: H / D is z H' / (1 + H).
 
 Weighted series (all-interfaces rule only) are not solved: Lagrange
 inversion of the H-equation gives every marker coefficient in closed form
@@ -67,6 +65,7 @@ from typing import Sequence
 
 from .errors import ConsistencyError, UnsupportedConfigurationError
 from .model import PieceSet, Rule, Shape
+from .polynomials import IntPoly
 from .zpoly import ZPolynomial
 
 __all__ = [
@@ -217,53 +216,94 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, [{shown}{tail}])"
 
 
-def _check_rule(pieces: PieceSet, all_interfaces_only: str = "") -> None:
-    """Raise for unsupported sets; `all_interfaces_only` names a result noalign never has."""
+def _check_rule(pieces: PieceSet) -> None:
+    """Raise for a multi-size set under the no-exact-alignment rule."""
+    if pieces.rule is Rule.NO_EXACT_ALIGNMENT and len(pieces.sizes) > 1:
+        raise UnsupportedConfigurationError(
+            "series under the no-exact-alignment rule support a single piece "
+            f"size only, got sizes {pieces.sizes}"
+        )
+
+
+def _add_binomial(coeffs: list[IntPoly], i: int, c: int, step: int) -> None:
+    """coeffs += c x^step (1 + y)^i, in place, for coefficients in y."""
+    for j in range(i + 1):
+        coeffs[j] = coeffs[j] + IntPoly((0,) * step + (c * math.comb(i, j),))
+
+
+def _phi(pieces: PieceSet, by_pieces: bool = False) -> list[IntPoly]:
+    """Phi(x, y), the H-equation's right-hand side, as coefficients in y.
+
+    x_i is t^i, or z with `by_pieces`; a single size k under
+    no-exact-alignment takes away x_k y.
+    """
+    _check_rule(pieces)
+    phi = [IntPoly()] * (pieces.max_size + 1)
+    for i in pieces.sizes:
+        _add_binomial(phi, i, 1, 1 if by_pieces else i)
     if pieces.rule is Rule.NO_EXACT_ALIGNMENT:
-        if len(pieces.sizes) > 1:
-            raise UnsupportedConfigurationError(
-                "series under the no-exact-alignment rule support a single piece "
-                f"size only, got sizes {pieces.sizes}"
-            )
-        if all_interfaces_only:
-            raise UnsupportedConfigurationError(
-                f"{all_interfaces_only} are not defined under the no-exact-alignment rule"
-            )
+        phi[1] = phi[1] - IntPoly((0,) * (1 if by_pieces else pieces.max_size) + (1,))
+    return phi
+
+
+def _d(pieces: PieceSet, by_pieces: bool = False) -> list[IntPoly]:
+    """D(x, H) = 1 - (k-1) H + sum over sizes i < k of (k-i) x_i (1+H)^i, in H.
+
+    x_i as in `_phi`; trailing zero coefficients are dropped.
+    """
+    _check_rule(pieces)
+    k = pieces.max_size
+    d = [IntPoly.constant(1), IntPoly.constant(1 - k)] + [IntPoly()] * (k - 2)
+    for i in pieces.sizes[:-1]:
+        _add_binomial(d, i, k - i, 1 if by_pieces else i)
+    while not d[-1]:  # k = 1, or k - 1 is not a size
+        d.pop()
+    return d
+
+
+def _horner(coeffs: Sequence[IntPoly], s: TruncatedSeries) -> TruncatedSeries:
+    """Sum over j of coeffs[j](t) s^j by Horner's rule: general products only."""
+    terms = [TruncatedSeries(c.coeffs or (0,), s.order) for c in coeffs]
+    acc = terms.pop() if terms else TruncatedSeries.zero(s.order)
+    for c in reversed(terms):
+        acc = acc * s + c
+    return acc
+
+
+def _at_powers(coeffs: Sequence[IntPoly], h: TruncatedSeries) -> TruncatedSeries:
+    """Sum over j of coeffs[j](t) h^j from running powers of h, h^2 a square."""
+    powers = [TruncatedSeries.one(h.order), h]
+    while len(powers) < len(coeffs):
+        powers.append(powers[-1] * h)  # powers[1] is h itself, so h^2 takes the square
+    total = TruncatedSeries.zero(h.order)
+    for poly, power in zip(coeffs, powers):
+        for a, c in enumerate(poly.coeffs):
+            if c:
+                total = total + power.shift(a) * c
+    return total
 
 
 def solve_half_pyramids(pieces: PieceSet, order: int, by_pieces: bool = False) -> TruncatedSeries:
     """The half-pyramid series H through t^order, or through z^order by pieces.
 
-    H is solved order by order: coefficient n only involves coefficients
-    below n on the right-hand side (every summand carries at least one
-    factor t), so each pass of the loop pins down one new coefficient.
-    With `by_pieces` the variable z counts pieces, so a piece of size i
-    steps one power of z instead of i powers of t.
+    Each nonzero term c x^a y^j of Phi, a >= 1, puts c times coefficient
+    n - a of H^j into coefficient n of H, so coefficient n only involves
+    coefficients below n and each pass of the loop pins down one new one.
     """
-    _check_rule(pieces)
+    phi = _phi(pieces, by_pieces)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    k = pieces.max_size
-    no_align = pieces.rule is Rule.NO_EXACT_ALIGNMENT
-    # (1+H)^i enters coefficient n of H through its coefficient n - step[i]
-    step = {i: 1 if by_pieces else i for i in pieces.sizes}
-
-    # powers[i][n] = coefficient of t^n in (1 + H)^i, maintained as H grows.
-    powers = [[1] + [0] * order for _ in range(k + 1)]
-    h = [0] * (order + 1)
+    terms = [(a, j, c) for j, poly in enumerate(phi) for a, c in enumerate(poly.coeffs) if c]
+    # powers[j][n] = coefficient n of H^j, maintained as H grows
+    powers = [[1] + [0] * order] + [[0] * (order + 1) for _ in phi[1:]]
+    h = powers[1]
     for n in range(1, order + 1):
-        if no_align:
-            coeff = (powers[k][n - step[k]] - h[n - step[k]]) if n >= step[k] else 0
-        else:
-            coeff = sum(powers[i][n - s] for i, s in step.items() if s <= n)
-        h[n] = coeff
-        lin = powers[1]
-        lin[n] = coeff
-        if k >= 2:
-            powers[2][n] = _square_coeff(lin, n)
-        reversed_lin = lin[n::-1]
-        for i in range(3, k + 1):
-            powers[i][n] = sum(map(operator.mul, powers[i - 1], reversed_lin))
+        h[n] = sum(c * powers[j][n - a] for a, j, c in terms if a <= n)
+        if len(powers) > 2:
+            powers[2][n] = _square_coeff(h, n)
+        reversed_h = h[n::-1]
+        for j in range(3, len(powers)):
+            powers[j][n] = sum(map(operator.mul, powers[j - 1], reversed_h))
     return TruncatedSeries(tuple(h), order)
 
 
@@ -273,7 +313,11 @@ def weighted_series(pieces: PieceSet, order: int, shape: Shape) -> tuple[ZPolyno
     The coefficient of t^A * prod z_i^e_i is a numerator that depends only
     on the area A and the piece count N = sum e_i, over prod e_i!.
     """
-    _check_rule(pieces, "weighted series")
+    _check_rule(pieces)
+    if pieces.rule is Rule.NO_EXACT_ALIGNMENT:
+        raise UnsupportedConfigurationError(
+            "weighted series are not defined under the no-exact-alignment rule"
+        )
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     sizes = pieces.sizes
@@ -303,47 +347,19 @@ def weighted_series(pieces: PieceSet, order: int, shape: Shape) -> tuple[ZPolyno
     return tuple(ZPolynomial(sizes, t) for t in terms)
 
 
-def _power_sum(h: TruncatedSeries, weights: dict[int, int]) -> TruncatedSeries:
-    """Sum over i of weights[i] * t^i * (1+H)^i, with one running power of 1+H."""
-    total = TruncatedSeries.zero(h.order)
-    one_plus = power = h + 1  # power is (1+H)^i, one more factor per step of i
-    for i in range(1, max(weights, default=0) + 1):
-        if i > 1:
-            power = power * one_plus
-        if i in weights:
-            total = total + power.shift(i) * weights[i]
-    return total
-
-
 def half_pyramid_rhs(h: TruncatedSeries, pieces: PieceSet) -> TruncatedSeries:
-    """Right-hand side of the half-pyramid equation at a plain h.
+    """Phi(t, h), the right-hand side of the half-pyramid equation, by Horner's rule.
 
     Useful for residual checks: h solves the equation iff the result equals
-    h coefficientwise through the shared order.
+    h coefficientwise through the shared order.  The check runs no square,
+    so it never shares the squaring kernel with the solver.
     """
-    _check_rule(pieces)
-    # Horner's rule in u = t(1+H): sum over sizes i of u^i with k-1 general
-    # products, none of them a square, so the check never runs the squaring
-    # kernel that the solver uses.
-    u = (h + 1).shift(1)
-    total = u
-    for i in range(pieces.max_size - 1, 0, -1):
-        total = (total + int(i in pieces.sizes)) * u
-    if pieces.rule is Rule.NO_EXACT_ALIGNMENT:
-        return total - h.shift(pieces.single_size)
-    return total
-
-
-def _pyramid_denominator(h: TruncatedSeries, pieces: PieceSet) -> TruncatedSeries:
-    """1 - (k-1)*H + sum over sizes i < k of (k-i) * t^i * (1+H)^i."""
-    k = pieces.max_size
-    return 1 - (k - 1) * h + _power_sum(h, {i: k - i for i in pieces.sizes[:-1]})
+    return _horner(_phi(pieces), h)
 
 
 def series_pyramids(h: TruncatedSeries, pieces: PieceSet) -> TruncatedSeries:
-    """Pyramid series P from the plain half-pyramid series h."""
-    _check_rule(pieces)
-    return h / _pyramid_denominator(h, pieces)
+    """Pyramid series P = H / D(t, H) from the plain half-pyramid series h."""
+    return h / _at_powers(_d(pieces), h)
 
 
 def series_towers(p: TruncatedSeries, h: TruncatedSeries) -> TruncatedSeries:
@@ -389,15 +405,13 @@ def coefficients_by_pieces(series: TruncatedSeries, pieces: PieceSet) -> list[in
 def piece_count_sequence(pieces: PieceSet, count: int, shape: Shape) -> list[int]:
     """Numbers of the shape's structures with n = 1..count pieces, any sizes.
 
-    H is solved in the piece variable z, then P = z H' / (1 + H) and
-    M = P / (1 - H).  P's formula needs the all-interfaces rule; a single
-    size under no-exact-alignment has `coefficients_by_pieces` instead.
+    H is solved in the piece variable z, then P = H / D(z, H) and
+    M = P / (1 - H), the area route's equations with every x_i read as z.
     """
-    _check_rule(pieces, "piece-count sequences in the piece variable")
     h = solve_half_pyramids(pieces, count, by_pieces=True)
     series = h
     if shape is not Shape.HALF_PYRAMID:
-        series = TruncatedSeries([n * c for n, c in enumerate(h.coeffs)], count) / (h + 1)
+        series = h / _at_powers(_d(pieces, by_pieces=True), h)
         if shape is Shape.TOWER:
             series = series_towers(series, h)
     return list(series.coeffs[1:])

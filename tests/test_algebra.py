@@ -38,6 +38,10 @@ def bivariate(*rows):
     return BivariatePolynomial(tuple(IntPoly(r) for r in rows))
 
 
+def rows(coeffs):
+    return [c.coeffs for c in coeffs]
+
+
 class TestDefiningPolynomial:
     def test_dimer_all_interfaces(self):
         # y - t^2 (1+y)^2, normalized: t^2 y^2 + (2t^2 - 1) y + t^2
@@ -55,6 +59,20 @@ class TestDefiningPolynomial:
         for sizes in [(2,), (3,), (1, 2), (2, 3), (1, 2, 3), (1, 4)]:
             pieces = PieceSet(sizes)
             assert defining_polynomial_H(pieces).y_degree == pieces.max_size
+
+    def test_coefficients_are_pinned(self):
+        # E normalized, then D' for pyramids and towers, as coefficient tuples in t
+        trimer_noalign = PieceSet.of(3, rule=Rule.NO_EXACT_ALIGNMENT)
+        assert rows(defining_polynomial_H(PieceSet.of(1, 2, 3)).coeffs) == [
+            (0, 1, 1, 1), (-1, 1, 2, 3), (0, 0, 1, 3), (0, 0, 0, 1)]
+        assert rows(_denominator(PieceSet.of(1, 2, 3), Shape.PYRAMID)) == [
+            (1, 2, 1), (-2, 2, 2), (0, 0, 1)]
+        assert rows(_denominator(PieceSet.of(1, 2, 3), Shape.TOWER)) == [
+            (1, 2, 1), (-3, 0, 1), (2, -2, -1), (0, 0, -1)]
+        assert rows(defining_polynomial_H(trimer_noalign).coeffs) == [
+            (0, 0, 0, 1), (-1, 0, 0, 2), (0, 0, 0, 3), (0, 0, 0, 1)]
+        assert rows(_denominator(trimer_noalign, Shape.PYRAMID)) == [(1,), (-2,)]
+        assert rows(_denominator(trimer_noalign, Shape.TOWER)) == [(1,), (-3,), (2,)]
 
     def test_noalign_multi_size_rejected(self):
         with pytest.raises(UnsupportedConfigurationError):
@@ -79,6 +97,12 @@ class TestVerifyAnnihilator:
     def test_wrong_piece_set_fails(self):
         h = solve_half_pyramids(DIMER, 40)
         assert not verify_annihilator(defining_polynomial_H(PieceSet.of(1)), h)
+
+    def test_zero_coefficient_in_y(self):
+        # y^2 - t^2 has no y term: it vanishes on t and not on 2t
+        q = bivariate((0, 0, -1), (), (1,))
+        assert verify_annihilator(q, TruncatedSeries((0, 1, 0, 0)))
+        assert not verify_annihilator(q, TruncatedSeries((0, 2, 0, 0)))
 
     def test_constant_one_fails(self):
         h = solve_half_pyramids(DIMER, 20)
@@ -115,6 +139,17 @@ class TestAnnihilatingPolynomial:
         pieces = PieceSet.of(1, 2, 3)
         low = annihilating_polynomial(pieces, Shape.TOWER, tower_series(pieces, 5))
         assert low == annihilating_polynomial(pieces, Shape.TOWER, tower_series(pieces, 200))
+
+    def test_wrong_root_fails_on_the_solved_prefix(self, monkeypatch):
+        # Q + t^3 still vanishes on the caller's series through t^0: the prefix
+        # the root step solved (through t^8 for dimer towers) must catch it
+        def wrong_root(*args):
+            q = _select_annihilator(*args)
+            return BivariatePolynomial((q.coeffs[0] + IntPoly((0, 0, 0, 1)),) + q.coeffs[1:])
+
+        monkeypatch.setattr("towers.algebra._select_annihilator", wrong_root)
+        with pytest.raises(ConsistencyError, match="t\\^8"):
+            annihilating_polynomial(DIMER, Shape.TOWER, tower_series(DIMER, 0))
 
     def test_corrupted_series_is_rejected(self):
         # the final check reads the caller's series: t^7 bumped by one must fail there

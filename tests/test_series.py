@@ -8,6 +8,7 @@ from towers import jsonio
 from towers.enumeration import BoundKind, EnumerationQuery, count_towers, weight_polynomial
 from towers.errors import ConsistencyError, UnsupportedConfigurationError
 from towers.model import PieceSet, Rule, Shape
+from towers.recurrences import Sequence
 from towers.series import (
     TruncatedSeries,
     _square_coeff,
@@ -272,13 +273,14 @@ class TestByPieces:
             coefficients_by_pieces(TruncatedSeries((0, 1)), PieceSet.of(1, 2))
 
     def test_piece_count_sequence_matches_single_size_route(self):
-        # the piece variable against the k-grid of the area series
+        # the piece variable against the k-grid of the area series, both rules
         for k in range(1, 6):
-            pieces = PieceSet.of(k)
-            family = series_family(pieces, 14 * k)
-            for shape in (HALF, PYRAMID, TOWER):
-                by_area = coefficients_by_pieces(family[shape], pieces)
-                assert piece_count_sequence(pieces, 14, shape) == by_area, (k, shape)
+            for rule in Rule:
+                pieces = PieceSet.of(k, rule=rule)
+                family = series_family(pieces, 14 * k)
+                for shape in (HALF, PYRAMID, TOWER):
+                    by_area = coefficients_by_pieces(family[shape], pieces)
+                    assert piece_count_sequence(pieces, 14, shape) == by_area, (k, rule, shape)
 
     def test_piece_count_sequence_multi_size(self):
         # structures with n pieces, any mix of the sizes, against the oracle
@@ -289,9 +291,9 @@ class TestByPieces:
                 expected = [counts[n] for n in range(1, 6)]
                 assert piece_count_sequence(pieces, 5, shape) == expected, (sizes, shape)
 
-    def test_piece_count_sequence_rejects_noalign(self):
-        with pytest.raises(UnsupportedConfigurationError, match="no-exact-alignment"):
-            piece_count_sequence(DIMER_NOALIGN, 5, TOWER)
+    def test_piece_count_sequence_rejects_multi_size_noalign(self):
+        with pytest.raises(UnsupportedConfigurationError, match="single piece size"):
+            piece_count_sequence(PieceSet((1, 2), Rule.NO_EXACT_ALIGNMENT), 5, TOWER)
 
     def test_piece_count_sequence_of_no_pieces_is_empty(self):
         assert piece_count_sequence(PieceSet.of(1, 2), 0, TOWER) == []
@@ -352,4 +354,26 @@ SERIES_DIGESTS = [
 def test_series_bytes_are_pinned(sizes, rule, shape, order, digest):
     series = series_family(PieceSet(sizes, rule), order, shape)[shape]
     text = jsonio.dumps(jsonio.series_to_json(series))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+# sha256 of jsonio.dumps(sequence_to_json(...)) of 40 terms by pieces, recorded
+# while P by pieces was still z H' / (1 + H)
+PIECE_COUNT_DIGESTS = [
+    ((1, 2, 3), HALF, "0ca533f0c96f921e6c942ea0348f2781007fc132d5a4b2564f5685b284aabc54"),
+    ((1, 2, 3), PYRAMID, "2cab53e925414802e18fa7f1f998441e9cd3602d65817685b2a5889502bf7dc0"),
+    ((1, 2, 3), TOWER, "6e1280bce37ce12e7c7f97c418033db7dc8ce145c3c78df92bc3f8f8248cffcf"),
+    ((2, 3), HALF, "e0fadb4a547c86321f67fcd1532d65594e7bde67246aa9345ce4fbfe5a7b1e0e"),
+    ((2, 3), PYRAMID, "2389295c47dbab97963c1179b081090da5a3b4ca53cbfc72ba2adf045566d5de"),
+    ((2, 3), TOWER, "5eab6a51b830f0d77299c243fa89fb1b9a4438cbce9b9a6ee1410e75e06d18cb"),
+    ((1, 3, 4), HALF, "c7a6972d98043010c1bd5564f2836535fb93710241474bc294b279466fb03cdd"),
+    ((1, 3, 4), PYRAMID, "7cd2cf981e2950cdb7c21f83cde85c1cf8e2430039111da0c30110a8b9a18afc"),
+    ((1, 3, 4), TOWER, "22b0169fe08883b1b458bb6dcc353087efbef9213e971380d9ca715d6e03168b"),
+]
+
+
+@pytest.mark.parametrize("sizes, shape, digest", PIECE_COUNT_DIGESTS)
+def test_piece_count_bytes_are_pinned(sizes, shape, digest):
+    terms = piece_count_sequence(PieceSet(sizes), 40, shape)
+    text = jsonio.dumps(jsonio.sequence_to_json(Sequence(1, tuple(terms))))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

@@ -195,10 +195,12 @@ def verify_identities(max_area: int = 12, max_pieces: int = 7) -> list[CheckResu
     noalign_dimer = PieceSet.of(2, rule=Rule.NO_EXACT_ALIGNMENT)
     checked = acceptance + [noalign_dimer]
     order = max(_GUESS_TERMS + _HOLDOUT, max_area)
-    plain: dict[PieceSet, Family] = {
-        pieces: series_family(pieces, order)
-        for pieces in dict.fromkeys(checked + [PieceSet.of(k) for k in _CLOSED_FORM_SIZES])
-    }
+    plain: dict[PieceSet, Family] = {pieces: series_family(pieces, order) for pieces in checked}
+    for pieces in map(PieceSet.of, _CLOSED_FORM_SIZES):
+        # the closed forms read H and P only; the order stays, so that
+        # `coefficients_by_pieces` checks as many terms off the k-grid
+        if pieces not in plain:
+            plain[pieces] = series_family(pieces, order, through=Shape.PYRAMID)
     oracle: dict[PieceSet, Oracle] = {}
     for pieces in checked:
         queries = {s: EnumerationQuery(pieces, s, BoundKind.BY_AREA, max_area) for s in _SHAPES}

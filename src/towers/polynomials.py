@@ -12,17 +12,20 @@ Two layers, both over the integers:
 
 Beside them sit the normal form of a tuple of IntPolys (primitive, with
 positive leading coefficient), the primitive gcd in Z[t] and the kernel of
-an integer matrix by fraction-free elimination, shared by `algebra` and
-`recurrences`.
+an integer matrix, shared by `algebra` and `recurrences`.  The kernel is
+solved modulo a prime and lifted p-adically (Dixon), so no entry grows
+past the size of the answer; it falls back to the next prime when the
+first one's pivots are not the pivots over Q.
 
 The tests check the resultants against an independent route, Sylvester
-determinants over Fractions at rational points, kept in `tests/`.
+determinants over Fractions at rational points, and the kernel against
+fraction-free (Bareiss) elimination, both kept in `tests/`.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import operator
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError
@@ -171,50 +174,155 @@ def int_poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     return primitive_part([a])[0]
 
 
+# Kernels are solved modulo primes below 2**30, walking down from this one,
+# the largest.
+_PRIME = 1073741789
+
+
 def integer_kernel(matrix: list[list[int]]) -> list[list[int]]:
     """Basis of the kernel of an integer matrix, as coprime integer vectors.
 
-    Forward elimination is fraction-free (Bareiss), so all intermediate
-    entries stay integral; back-substitution runs over Fractions and the
-    result is scaled to integers.  Basis vectors come out in order of their
-    free column.
+    The basis is the reduced echelon one over Q: for each free column (one
+    that is not a pivot when pivots are taken column by column, left to
+    right) the vector with 1 there, 0 at every other free column, scaled to
+    coprime integers.  Vectors come out in order of their free column, each
+    with a positive free entry.
+
+    Dixon's p-adic lifting (Numer. Math. 40, 1982): the matrix is eliminated
+    once modulo a prime, and each kernel vector is lifted from the pivot
+    block's LU factors, one p-adic digit per step, then read back by
+    rational reconstruction (von zur Gathen-Gerhard, Modern Computer
+    Algebra, 5.10).  A vector is accepted only if it annihilates every row
+    exactly and is zero at the pivots right of its free column, which makes
+    the prime's pivots the ones over Q.  A prime whose pivots differ, where
+    a minor over Q is divisible by it, fails a vector by the time the lift
+    passes the Hadamard bound on the pivot block's minors, and the next
+    prime below is tried.  Only finitely many primes divide those minors, so
+    the walk ends with the exact answer.
     """
-    rows = [row[:] for row in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[tuple[int, int]] = []
-    prev = 1
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][col]
-        for i in range(r + 1, nrows):
-            head = rows[i][col]
-            for j in range(col + 1, ncols):
-                rows[i][j] = (rows[i][j] * pivot - head * rows[r][j]) // prev
-            rows[i][col] = 0
-        prev = pivot
-        pivots.append((r, col))
-        r += 1
-    pivot_cols = {c for _, c in pivots}
-    basis: list[list[int]] = []
-    for free in (c for c in range(ncols) if c not in pivot_cols):
-        x = [Fraction(0)] * ncols
-        x[free] = Fraction(1)
-        for pr, pc in reversed(pivots):
-            rhs = sum((rows[pr][j] * x[j] for j in range(pc + 1, ncols)), Fraction(0))
-            x[pc] = -rhs / rows[pr][pc]
-        scale = math.lcm(*(f.denominator for f in x))
-        vec = [int(f * scale) for f in x]
-        content = math.gcd(*(abs(v) for v in vec))
-        basis.append([v // content for v in vec])
+    ncols = len(matrix[0]) if matrix else 0
+    p = _PRIME
+    while (basis := _kernel_mod(matrix, ncols, p)) is None:
+        p = _prime_below(p)
     return basis
+
+
+def _prime_below(n: int) -> int:
+    """The largest prime below n, by trial division."""
+    n -= 1
+    while any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
+        n -= 1
+    return n
+
+
+def _kernel_mod(matrix: list[list[int]], ncols: int, p: int) -> list[list[int]] | None:
+    """`integer_kernel` with the pivots taken mod p; None if they are not the pivots over Q."""
+    pivots, factors = _eliminate(matrix, ncols, p)
+    cols = [c for _, c in pivots]
+    block = [[matrix[i][c] for c in cols] for i, _ in pivots]
+    norms = [sum(x * x for x in row) for row in block]
+    basis = []
+    for free in sorted(set(range(ncols)) - set(cols)):
+        rhs = [-matrix[i][free] for i, _ in pivots]
+        # the squared Hadamard bound on the minors of [block | rhs], which
+        # bounds the numerators and the denominator of the block's solution
+        hadamard = math.prod(n + a * a for n, a in zip(norms, rhs))
+        residual, solution, modulus = rhs, [0] * len(cols), 1
+        while True:
+            digits = _solve_mod(factors, [r % p for r in residual], p)
+            solution = [s + modulus * y for s, y in zip(solution, digits)]
+            modulus *= p
+            residual = [(r - sum(map(operator.mul, row, digits))) // p
+                        for r, row in zip(residual, block)]
+            bound = math.isqrt(modulus // 2)
+            vector = _reconstruct(solution, modulus, bound, cols, free, ncols)
+            if vector is not None and not any(sum(map(operator.mul, row, vector))
+                                              for row in matrix):
+                if any(vector[c] for c in cols if c > free):
+                    return None  # it leans on a pivot right of it: Q's pivots lie elsewhere
+                content = math.gcd(*vector)
+                basis.append([v // content for v in vector])
+                break
+            if bound * bound >= hadamard:
+                return None  # the block's solution, reconstructed by now, is no kernel vector
+    return basis
+
+
+def _eliminate(matrix: list[list[int]], ncols: int, p: int) -> tuple[list[tuple[int, int]], list]:
+    """Gaussian elimination mod p, pivots taken column by column, left to right.
+
+    Returns the pivots as (row, column) pairs in order, and the LU factors
+    of the pivot block for `_solve_mod`: for each pivot, the multipliers
+    that earlier pivots subtracted from its row, its row's entries at the
+    later pivot columns (last first), and the inverse of the pivot.
+    """
+    # each row: its index, its entries from the current column on, its multipliers
+    rows = [(i, [x % p for x in row], []) for i, row in enumerate(matrix)]
+    pivots, reduced = [], []
+    for col in range(ncols):
+        at = next((n for n, (_, entries, _) in enumerate(rows) if entries[0]), None)
+        if at is None:
+            rows = [(i, entries[1:], multipliers) for i, entries, multipliers in rows]
+            continue
+        i, pivot, multipliers = rows.pop(at)
+        pivots.append((i, col))
+        reduced.append((multipliers, pivot))
+        inverse = pow(pivot[0], -1, p)
+        negated = [-x * inverse % p for x in pivot[1:]]
+        for n, (j, entries, below) in enumerate(rows):
+            f = entries[0]
+            below.append(f * inverse % p)
+            if f:
+                rows[n] = (j, [(x + f * y) % p for x, y in zip(entries[1:], negated)], below)
+            else:
+                rows[n] = (j, entries[1:], below)
+    cols = [c for _, c in pivots]
+    factors = [
+        (multipliers, [pivot[c - col] for c in reversed(cols[k + 1:])], pow(pivot[0], -1, p))
+        for k, ((multipliers, pivot), col) in enumerate(zip(reduced, cols))
+    ]
+    return pivots, factors
+
+
+def _solve_mod(factors, b: list[int], p: int) -> list[int]:
+    """y with (pivot block) y = b mod p: one forward and one back substitution."""
+    z: list[int] = []
+    for (lower, _, _), entry in zip(factors, b):
+        z.append((entry - sum(map(operator.mul, lower, z))) % p)
+    y: list[int] = []  # last first
+    for (_, upper, inverse), entry in zip(reversed(factors), reversed(z)):
+        y.append((entry - sum(map(operator.mul, upper, y))) * inverse % p)
+    return y[::-1]
+
+
+def _reconstruct(values: list[int], modulus: int, bound: int, cols: list[int], free: int,
+                 ncols: int) -> list[int] | None:
+    """The kernel vector whose pivot entries over its free entry are the values mod modulus.
+
+    Each value is read as a fraction with numerator and denominator at most
+    `bound`, 2 bound^2 < modulus, all over one common denominator that goes
+    in the free column; None where no such fraction exists.  A value that
+    is already small once multiplied by the denominator so far needs no
+    Euclid.
+    """
+    denominator = 1
+    for v in values:
+        u = v * denominator % modulus
+        if bound < u < modulus - bound:
+            r0, r1, t0, t1 = modulus, u, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+            denominator *= abs(t1)
+            if denominator > bound:
+                return None
+    vector = [0] * ncols
+    vector[free] = denominator
+    half = modulus // 2
+    for c, v in zip(cols, values):
+        u = v * denominator % modulus
+        vector[c] = u - modulus if u > half else u
+    return vector
 
 
 # Polynomials in the eliminated variable are plain lists of IntPoly

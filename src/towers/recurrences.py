@@ -3,8 +3,9 @@
 A recurrence of order r and degree d is sum_{j=0..r} p_j(n) a(n+j) = 0 with
 integer polynomials p_j of degree at most d.  Guessing builds the exact
 linear system over consecutive windows of the sequence and extracts an
-integer kernel vector by fraction-free Gaussian elimination; floating point
-is never involved, so a returned recurrence is exact on the data it saw.
+integer kernel vector (`polynomials.integer_kernel`: one elimination mod
+p, p-adic lifting, and an exact check of every row); floating point is
+never involved, so a returned recurrence is exact on the data it saw.
 A guess is accepted only if it also annihilates a held-out block of
 trailing terms that the solver never touched.
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 
-from .polynomials import IntPoly, integer_kernel, primitive_part
+from .polynomials import _PRIME, IntPoly, integer_kernel, primitive_part
 from .series import TruncatedSeries
 
 __all__ = [
@@ -56,9 +57,9 @@ _EXACT = decimal.Context(
 )
 
 
-# Shapes are ruled out by rank modulo this prime, the largest below 2**30,
-# using this many rows beyond the widest system's column count.
-_PRIME = 1073741789
+# Shapes are ruled out by rank modulo the prime the kernel starts from, the
+# largest below 2**30, using this many rows beyond the widest system's
+# column count.
 _EXTRA_ROWS = 8
 
 

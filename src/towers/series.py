@@ -35,6 +35,9 @@ which is how the pipeline's powers get H^2.  The checks, `half_pyramid_rhs`
 and `algebra.verify_annihilator`, evaluate a polynomial in y at a series by
 Horner's rule (`_horner`) instead.  Its products are all general, so a
 fault in the squaring kernel leaves a residual instead of cancelling out.
+A set whose sizes share a factor g > 1 gives series that vanish off the
+g-grid; their products and quotients run on every g-th coefficient, a
+g-th of the length.
 
 Counting by pieces, `piece_count_sequence` solves the same Phi and divides
 by the same D in z.  For a single size that is t^k renamed.  For several
@@ -93,6 +96,29 @@ def _square_coeff(a: Sequence[int], n: int) -> int:
     half = n // 2
     acc = 2 * sum(map(operator.mul, a, a[n:half:-1]))
     return acc + a[half] * a[half] if n % 2 == 0 else acc
+
+
+def _grid(a: Sequence[int], b: Sequence[int]) -> int:
+    """gcd of the exponents of the nonzero coefficients of a and b; 0 if only constants are nonzero.
+
+    Products and quotients of series on the g-grid stay on it, so they can
+    run on every g-th coefficient.
+    """
+    g = 0
+    for coeffs in (a, b):
+        for n, c in enumerate(coeffs):
+            if c:
+                g = math.gcd(g, n)
+                if g == 1:
+                    return 1
+    return g
+
+
+def _spread(series: "TruncatedSeries", g: int, order: int) -> "TruncatedSeries":
+    """series(t^g) through t^order."""
+    coeffs = [0] * (order + 1)
+    coeffs[::g] = series.coeffs
+    return TruncatedSeries(coeffs, order)
 
 
 class TruncatedSeries:
@@ -171,6 +197,11 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._require_same_order(other)
             a, b, n = self.coeffs, other.coeffs, self.order
+            g = _grid(a, b)
+            if g > 1:
+                thin = TruncatedSeries(a[::g], n // g)
+                product = thin * thin if other is self else thin * TruncatedSeries(b[::g], n // g)
+                return _spread(product, g, n)
             if other is self:
                 return TruncatedSeries(tuple(_square_coeff(a, m) for m in range(n + 1)), n)
             # map stops at the shorter operand, so a needs no slice to a[:m+1]
@@ -202,6 +233,13 @@ class TruncatedSeries:
         b0 = other.coeffs[0]
         if b0 != 1 and b0 != -1:
             raise ValueError(f"division needs constant term +-1, got {b0!r}")
+        g = _grid(self.coeffs, other.coeffs)
+        if g > 1:
+            n = self.order // g
+            return _spread(
+                TruncatedSeries(self.coeffs[::g], n) / TruncatedSeries(other.coeffs[::g], n),
+                g, self.order,
+            )
         negate = b0 == -1
         tail = other.coeffs[1:]  # b_1, b_2, ...
         out: list[int] = []

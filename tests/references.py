@@ -65,6 +65,52 @@ def sylvester_resultant(f: Sequence[Fraction], g: Sequence[Fraction]) -> Fractio
     return det
 
 
+def bareiss_kernel(matrix: list[list[int]]) -> list[list[int]]:
+    """Basis of the kernel of an integer matrix, as coprime integer vectors.
+
+    Forward elimination is fraction-free (Bareiss), so all intermediate
+    entries stay integral; back-substitution runs over Fractions and the
+    result is scaled to integers.  Basis vectors come out in order of their
+    free column.
+    """
+    rows = [row[:] for row in matrix]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[tuple[int, int]] = []
+    prev = 1
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r][col]
+        for i in range(r + 1, nrows):
+            head = rows[i][col]
+            for j in range(col + 1, ncols):
+                rows[i][j] = (rows[i][j] * pivot - head * rows[r][j]) // prev
+            rows[i][col] = 0
+        prev = pivot
+        pivots.append((r, col))
+        r += 1
+    pivot_cols = {c for _, c in pivots}
+    basis: list[list[int]] = []
+    for free in (c for c in range(ncols) if c not in pivot_cols):
+        x = [Fraction(0)] * ncols
+        x[free] = Fraction(1)
+        for pr, pc in reversed(pivots):
+            rhs = sum((rows[pr][j] * x[j] for j in range(pc + 1, ncols)), Fraction(0))
+            x[pc] = -rhs / rows[pr][pc]
+        scale = math.lcm(*(f.denominator for f in x))
+        vec = [int(f * scale) for f in x]
+        content = math.gcd(*(abs(v) for v in vec))
+        basis.append([v // content for v in vec])
+    return basis
+
+
 def iterate_half_pyramids(pieces: PieceSet, order: int) -> TruncatedSeries:
     """Reference fixed-point iteration: repeated substitution from H = 0.
 
@@ -127,14 +173,24 @@ def term_by_term_estimate(seq: recurrences.Sequence, depth: int) -> tuple[Fracti
 def exhaustive_guess(
     s: recurrences.Sequence, max_order: int, max_degree: int, guard: int
 ) -> recurrences.Recurrence | None:
-    """`guess_recurrence`'s search without its modular filter.
+    """`guess_recurrence`'s search without its modular filter or its lifted kernel.
 
-    Tries every shape in the same order and runs the exact elimination on
-    each, so it returns what the filtered search must return.
+    Tries every shape in the same order, builds the same system and takes
+    its kernel by `bareiss_kernel`, so it returns what the filtered search
+    must return.
     """
     for total in range(1, max_order + max_degree + 1):
         for r in range(max(1, total - max_degree), min(max_order, total) + 1):
-            rec = recurrences._candidate(s, r, total - r, guard)
-            if rec is not None:
-                return rec
+            d = total - r
+            rows = len(s) - r - guard
+            if rows < (r + 1) * (d + 1):
+                continue
+            matrix = [[s.terms[w + j] * (s.offset + w) ** e
+                       for j in range(r + 1) for e in range(d + 1)] for w in range(rows)]
+            for vec in bareiss_kernel(matrix):
+                polys = tuple(IntPoly(vec[j * (d + 1):(j + 1) * (d + 1)]) for j in range(r + 1))
+                if not polys[-1].is_zero:
+                    rec = recurrences.Recurrence(polys)
+                    if recurrences.verify_recurrence(rec, s):
+                        return rec
     return None

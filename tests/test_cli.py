@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -13,7 +14,8 @@ import pytest
 from towers import jsonio
 from towers.cli import main
 from towers.enumeration import BoundKind, EnumerationQuery, count_towers
-from towers.model import PieceSet, Shape
+from towers.identities import ACCEPTANCE_SETS
+from towers.model import PieceSet, Rule, Shape
 from towers.recurrences import Sequence, extend_sequence, sequence_from_series
 from towers.series import series_family
 
@@ -569,3 +571,48 @@ def test_outputs_are_byte_identical_across_runs(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+# sha256 of `guess` output, recorded while the exact kernel was still Bareiss
+# elimination: verify's 18 sequences of 60 terms at its bounds, concatenated,
+# and the trimer towers by pieces (recurrence-long's series) at the defaults
+GUESS_DIGESTS = {
+    "verify": "716fafd4d715a3da9f6c3897f1ac329c37191ceb0a379ab06e8c0f18b8fdcff0",
+    "trimer": "c9a6832cc751adb7a2997e834a0450c4dbd48d6700473cafa47db78e3353f838",
+}
+
+
+def test_guess_bytes_are_pinned(tmp_path, capsys):
+    path = tmp_path / "seq.json"
+    hashed = hashlib.sha256()
+    for pieces in [PieceSet(sizes) for sizes in ACCEPTANCE_SETS] + [
+        PieceSet.of(2, rule=Rule.NO_EXACT_ALIGNMENT)
+    ]:
+        family = series_family(pieces, 60)
+        for shape in (Shape.HALF_PYRAMID, Shape.PYRAMID, Shape.TOWER):
+            seq = sequence_from_series(family[shape])
+            path.write_text(jsonio.dumps(jsonio.sequence_to_json(seq)))
+            code, out, _ = run(capsys, "guess", "--input", str(path), "--max-order", "7",
+                               "--max-degree", "5", "--guard", "5")
+            assert code == 0
+            hashed.update(out.encode("utf-8"))
+    assert hashed.hexdigest() == GUESS_DIGESTS["verify"]
+    code, _, _ = run(capsys, "series", "--sizes", "3", "--shape", "tower", "--order", "300",
+                     "--by-pieces", "--out", str(path))
+    assert code == 0
+    code, out, _ = run(capsys, "guess", "--input", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GUESS_DIGESTS["trimer"]
+
+
+# sha256 of the `verify` report, the same at both bounds, recorded while the
+# exact kernel was still Bareiss elimination
+VERIFY_DIGEST = "efb96b31320384561d174056fe9850e11de8e859fee575f4eb0ac25ad880b6f8"
+
+
+@pytest.mark.parametrize("bounds", [(), ("--max-area", "10", "--max-pieces", "6")],
+                         ids=["default", "area-10"])
+def test_verify_report_bytes_are_pinned(capsys, bounds):
+    code, out, _ = run(capsys, "verify", *bounds)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_DIGEST

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
+from towers import polynomials
 from towers.errors import ConsistencyError
-from towers.polynomials import IntPoly, h_prem, h_resultant
+from towers.polynomials import IntPoly, h_prem, h_resultant, integer_kernel
 
-from references import sylvester_resultant
+from references import bareiss_kernel, sylvester_resultant
 
 
 class TestIntPoly:
@@ -151,3 +153,73 @@ class TestSylvester:
     def test_degenerate_inputs(self):
         assert sylvester_resultant([], [Fraction(1)]) == 0
         assert sylvester_resultant([Fraction(2)], [Fraction(3)]) == 1
+
+
+PRIME = polynomials._PRIME  # the first prime the kernel is solved modulo
+
+ENTRY = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**200), 2**200))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A matrix whose kernel over Q has dimension 0-3 by construction.
+
+    Its rows combine an echelon basis of the row space, with some columns
+    zero throughout, and zero rows mixed in.  A column, a row or the whole
+    matrix may then be multiplied by PRIME, which lowers the rank mod PRIME
+    or moves its pivots.
+    """
+    ncols = draw(st.integers(1, 6))
+    rank = ncols - draw(st.integers(0, min(3, ncols)))
+    pivots = sorted(draw(st.permutations(range(ncols)))[:rank])
+    zero = draw(st.sets(st.sampled_from(range(ncols)))) - set(pivots)
+    echelon = []
+    for pc in pivots:
+        row = [0] * ncols
+        row[pc] = draw(ENTRY.filter(bool))
+        for c in range(pc + 1, ncols):
+            if c not in zero:
+                row[c] = draw(ENTRY)
+        echelon.append(row)
+    # combinations of the basis rows: a triangular block with a nonzero
+    # diagonal keeps the rank, then free combinations and zero rows
+    small = st.integers(-3, 3)
+    combos = [[draw(small) for _ in range(k)] + [draw(small.filter(bool))] + [0] * (rank - k - 1)
+              for k in range(rank)]
+    combos += [[draw(small) for _ in range(rank)] for _ in range(draw(st.integers(0, 2)))]
+    combos += [[0] * rank for _ in range(draw(st.integers(0, 2)))]
+    matrix = [[sum(c * row[j] for c, row in zip(combo, echelon)) for j in range(ncols)]
+              for combo in draw(st.permutations(combos))]
+    if not matrix:
+        matrix = [[0] * ncols]
+    kind = draw(st.sampled_from(["plain", "times prime", "column times prime", "row times prime"]))
+    if kind == "times prime":
+        matrix = [[x * PRIME for x in row] for row in matrix]
+    elif kind == "column times prime":
+        c = draw(st.integers(0, ncols - 1))
+        for row in matrix:
+            row[c] *= PRIME
+    elif kind == "row times prime":
+        i = draw(st.integers(0, len(matrix) - 1))
+        matrix[i] = [x * PRIME for x in matrix[i]]
+    return matrix, ncols - rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=kernel_cases())
+def test_kernel_equals_the_bareiss_reference(case):
+    matrix, dimension = case
+    kernel = integer_kernel(matrix)
+    assert kernel == bareiss_kernel(matrix)
+    assert len(kernel) == dimension
+
+
+@pytest.mark.parametrize("matrix, kernel", [
+    ([[PRIME, 0], [0, 0]], [[0, 1]]),  # rank 0 mod the prime, 1 over Q
+    ([[1, 2], [3, 6 + PRIME]], []),  # determinant PRIME
+    ([[PRIME, 1]], [[-1, PRIME]]),  # the pivot moves right mod the prime
+    ([[0, 0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    ([], []),
+])
+def test_kernel_where_the_first_prime_is_unlucky(matrix, kernel):
+    assert integer_kernel(matrix) == kernel == bareiss_kernel(matrix)

@@ -339,7 +339,9 @@ def test_filter_rules_out_every_shape_of_a_failed_guess(exact_eliminations):
     assert guess_recurrence(seq, 5, 6, 10) is None
     assert exact_eliminations == []
     assert exhaustive_guess(seq, 5, 6, 10) is None
-    assert len(exact_eliminations) == 5 * 7  # the exact search solves every shape
+    # the exact route solves every shape it is handed
+    assert all(recurrences._candidate(seq, r, d, 10) is None for r in range(1, 6) for d in range(7))
+    assert len(exact_eliminations) == 5 * 7
 
 
 def test_filter_leaves_the_trimer_recurrence_to_one_exact_elimination(exact_eliminations):

@@ -109,6 +109,26 @@ class TestKernels:
         divisor = TruncatedSeries((unit,) + y.coeffs[1:], x.order)
         assert list((x / divisor).coeffs) == naive_quotient(x.coeffs, divisor.coeffs)
 
+    @given(same_order_series(2), st.integers(2, 5), st.integers(0, 4), st.sampled_from([1, -1]))
+    def test_grid_products_and_quotients_equal_the_dense_ones(self, xs, g, extra, unit):
+        """Series that share a g-grid run on every g-th coefficient; constants alone do not."""
+        order = xs[0].order * g + extra % g
+
+        def on_grid(s):
+            coeffs = [0] * (order + 1)
+            coeffs[::g] = s.coeffs
+            return TruncatedSeries(coeffs, order)
+
+        x, y = map(on_grid, xs)
+        divisor = TruncatedSeries((unit,) + y.coeffs[1:], order)
+        constant = TruncatedSeries((unit,), order)
+        assert list((x * x).coeffs) == naive_product(x.coeffs, x.coeffs)
+        assert list((x * y).coeffs) == naive_product(x.coeffs, y.coeffs)
+        assert list((x / divisor).coeffs) == naive_quotient(x.coeffs, divisor.coeffs)
+        c = constant.coeffs
+        assert list((constant * constant).coeffs) == naive_product(c, c)
+        assert list((constant / constant).coeffs) == naive_quotient(c, c)
+
 
 class TestHalfPyramids:
     def test_dimer_coefficients_are_catalan(self):
@@ -347,6 +367,11 @@ SERIES_DIGESTS = [
      "3219d2471607fdc7114c1a229bf1ae8232e4a1ce9422bce3727e7ef5339b4527"),
     ((2, 4), Rule.ALL_INTERFACES, HALF, 200,
      "cd0f0f7487ce2a180daac409cbc6493a4b9354c82fca8ed00de8947ef4c6d1e8"),
+    # series on a k-grid, recorded while products still ran through the zeros
+    ((5,), Rule.ALL_INTERFACES, TOWER, 300,
+     "7b5fc179e7ade557a19e90073d95cb4b22a08e7ab520943135efa54ee283a3ec"),
+    ((2, 4), Rule.ALL_INTERFACES, TOWER, 300,
+     "63c9c17a24bf19d81f498cde93be3b59abede1605ec82aa8a2b3beef0586c3df"),
 ]
 
 

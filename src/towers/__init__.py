@@ -1,7 +1,8 @@
 """Exact enumeration of towers built from 1 x k horizontal pieces.
 
 Brute-force enumeration, generating-function series, closed forms,
-annihilating polynomials, recurrence guessing and unrolling, and empirical
+annihilating polynomials, recurrences guessed from terms or derived from
+the annihilating polynomial and unrolled, and empirical
 asymptotics, all in exact arithmetic and cross-validated against each
 other.
 """
@@ -42,7 +43,9 @@ from .recurrences import (
     Recurrence,
     Sequence,
     SingularRecurrenceError,
+    derive_recurrence,
     extend_sequence,
+    first_regular_index,
     guess_recurrence,
     sequence_from_series,
     verify_recurrence,

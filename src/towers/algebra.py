@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, DegreeCapError
 from .model import PieceSet, Shape
-from .polynomials import IntPoly, h_resultant, int_poly_gcd, integer_kernel, primitive_part
+from .polynomials import IntPoly, h_mul, h_resultant, int_poly_gcd, integer_kernel, primitive_part
 from .series import TruncatedSeries, _d, _horner, _phi, series_family
 
 __all__ = [
@@ -72,15 +72,6 @@ class BivariatePolynomial:
         return max((c.degree for c in self.coeffs), default=-1)
 
 
-def _times(f: list[IntPoly], g: list[IntPoly]) -> list[IntPoly]:
-    """The product of two polynomials given by their coefficient lists in y (or H)."""
-    out = [IntPoly()] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
 def defining_polynomial_H(pieces: PieceSet) -> BivariatePolynomial:
     """The polynomial E(t, y) = y - Phi(t, y) with E(t, H(t)) = 0 for the half-pyramid series."""
     e = [-c for c in _phi(pieces)]
@@ -95,7 +86,7 @@ def _denominator(pieces: PieceSet, shape: Shape) -> list[IntPoly]:
     """
     d = _d(pieces)
     if shape is Shape.TOWER:
-        d = _times([IntPoly.constant(1), IntPoly.constant(-1)], d)
+        d = h_mul([IntPoly.constant(1), IntPoly.constant(-1)], d)
     return d
 
 
@@ -180,7 +171,7 @@ def _select_annihilator(
             q = BivariatePolynomial(tuple(
                 IntPoly(kernel[0][j * width:(j + 1) * width]) for j in range(len(powers))
             ))
-            power = BivariatePolynomial(tuple(functools.reduce(_times, [q.coeffs] * m)))
+            power = BivariatePolynomial(tuple(functools.reduce(h_mul, [q.coeffs] * m)))
             if len(kernel) > 1 or power != r0:
                 raise ConsistencyError(
                     f"m = {m}: the Hermite-Pade kernel has dimension {len(kernel)} and "

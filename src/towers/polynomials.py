@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 from .errors import ConsistencyError
 
-__all__ = ["IntPoly", "primitive_part", "int_poly_gcd", "integer_kernel", "h_prem",
+__all__ = ["IntPoly", "primitive_part", "int_poly_gcd", "integer_kernel", "h_mul", "h_prem",
            "h_resultant"]
 
 
@@ -117,6 +117,9 @@ class IntPoly:
         for _ in range(n):
             result = result * self
         return result
+
+    def derivative(self) -> "IntPoly":
+        return IntPoly(i * c for i, c in enumerate(self.coeffs) if i)
 
     def content(self) -> int:
         return math.gcd(*(abs(c) for c in self.coeffs)) if self.coeffs else 0
@@ -335,6 +338,15 @@ def _h_trim(f: HPoly) -> HPoly:
     while f and not f[-1]:
         f.pop()
     return f
+
+
+def h_mul(f: HPoly, g: HPoly) -> HPoly:
+    """The product of two polynomials in the outer variable."""
+    out = [IntPoly()] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + a * b
+    return out
 
 
 def h_prem(f: HPoly, g: HPoly) -> HPoly:

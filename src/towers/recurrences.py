@@ -1,4 +1,4 @@
-"""Guessing, verifying and unrolling linear recurrences with polynomial coefficients.
+"""Guessing, deriving, verifying and unrolling linear recurrences with polynomial coefficients.
 
 A recurrence of order r and degree d is sum_{j=0..r} p_j(n) a(n+j) = 0 with
 integer polynomials p_j of degree at most d.  Guessing builds the exact
@@ -17,6 +17,17 @@ through the exact elimination.  The result is the one the exact search
 alone returns: an unlucky prime, or terms that all vanish mod p, only cost
 the exact eliminations the filter could not rule out.
 
+A recurrence can also be derived, not guessed: `derive_recurrence` takes
+the minimal polynomial Q(t, y) of an algebraic series and returns the
+recurrence of its coefficients, with the index n0 from which it holds
+(Comtet's method; see its docstring).  `first_regular_index` then adds
+every nonnegative integer root of p_r, found by exact bisection, so an
+unroll from there never divides by zero.  The CLI's `series` command takes
+this route from a measured order on (see `cli._plain_series`): it solves a
+prefix with `series.series_family`, gets Q from
+`algebra.annihilating_polynomial`, unrolls, and compares the overlap with
+the solver, so its output is byte-identical to the solver's.
+
 Unrolling a recurrence forward divides by p_r(n) at every step; the
 division must come out exact, otherwise the recurrence does not govern the
 sequence and an error is raised rather than silently truncating.  Unrolled
@@ -29,9 +40,11 @@ int-to-str is quadratic.
 from __future__ import annotations
 
 import decimal
+import functools
 from dataclasses import dataclass
 
-from .polynomials import _PRIME, IntPoly, integer_kernel, primitive_part
+from .errors import ConsistencyError
+from .polynomials import _PRIME, IntPoly, h_mul, h_prem, int_poly_gcd, integer_kernel, primitive_part
 from .series import TruncatedSeries
 
 __all__ = [
@@ -44,6 +57,8 @@ __all__ = [
     "verify_recurrence",
     "extend_sequence",
     "sequence_from_series",
+    "derive_recurrence",
+    "first_regular_index",
 ]
 
 
@@ -307,3 +322,190 @@ def sequence_from_series(series: TruncatedSeries) -> Sequence:
     term n is the coefficient of t^n.
     """
     return Sequence(1, tuple(series.coeffs[1:]))
+
+
+# Elements of Q(t)[y]/(Q) are kept as N(t, y) / (delta^e lc^s): a numerator
+# in Z[t][y] of y-degree below deg_y Q, over powers of two fixed polynomials
+# in Z[t], so the denominators' degrees grow linearly with each derivative.
+
+
+def _reduce(f: list[IntPoly], q: list[IntPoly]) -> tuple[list[IntPoly], int]:
+    """(r, s) with lc(q)^s f = r modulo q, r of y-degree below q's, padded to that length."""
+    r = h_prem(f, q)
+    return r + [IntPoly()] * (len(q) - 1 - len(r)), max(len(f) - len(q) + 1, 0)
+
+
+def _first_dependence(columns: list[list[IntPoly]]) -> list[IntPoly] | None:
+    """b over Z[t] with sum_j b_j columns[j] = 0 and b's last entry nonzero, for the
+    first column that depends on those before it; None if all are independent.
+
+    Fraction-free (Bareiss) elimination, pivots taken column by column, so
+    every entry stays a polynomial and every division is exact.  When column
+    j depends on the j columns before it, they are the pivot columns, and
+    back-substitution on the triangular pivot block gives det * x in Z[t]
+    (Cramer), where det is the last pivot and x the solution over Q(t).
+    """
+    a = [list(row) for row in zip(*columns)]
+    previous = IntPoly.constant(1)
+    for j in range(len(columns)):
+        at = next((i for i in range(j, len(a)) if a[i][j]), None)
+        if at is None:
+            det = a[j - 1][j - 1] if j else IntPoly.constant(1)
+            b = [IntPoly()] * j + [-det]
+            for i in range(j - 1, -1, -1):
+                acc = det * a[i][j]
+                for k in range(i + 1, j):
+                    acc = acc - a[i][k] * b[k]
+                b[i] = acc.exact_div(a[i][i])
+            return b
+        a[j], a[at] = a[at], a[j]
+        pivot, row = a[j][j], a[j]
+        for i in range(j + 1, len(a)):
+            f = a[i][j]
+            a[i] = [IntPoly()] * (j + 1) + [
+                (pivot * x - f * y).exact_div(previous) for x, y in zip(a[i][j + 1:], row[j + 1:])
+            ]
+        previous = pivot
+    return None
+
+
+def _without_common_factor(polys: list[IntPoly]) -> list[IntPoly]:
+    """polys divided by their gcd in Z[t]."""
+    g = functools.reduce(int_poly_gcd, polys)
+    return [p.exact_div(g) for p in polys]
+
+
+def _cancel(n: list[IntPoly], p: IntPoly, k: int) -> tuple[list[IntPoly], int]:
+    """n / p^i and k - i for the largest i <= k with p^i dividing every entry of n in Z[t]."""
+    while k and p.degree > 0:
+        try:
+            n = [c.exact_div(p) for c in n]
+        except ConsistencyError:
+            break
+        k -= 1
+    return n, k
+
+
+def _falling(k: int, j: int) -> IntPoly:
+    """(N + k)(N + k - 1)...(N + k - j + 1) as a polynomial in N."""
+    out = IntPoly.constant(1)
+    for i in range(j):
+        out = out * IntPoly((k - i, 1))
+    return out
+
+
+def derive_recurrence(q: list[IntPoly] | tuple[IntPoly, ...]) -> tuple[Recurrence, int]:
+    """The recurrence of the coefficients, from t^0, of a power series root F of Q(t, y).
+
+    `q` is Q's coefficients in y, each an IntPoly in t; Q must be squarefree
+    in y (the minimal polynomial qualifies).  Returns the recurrence and the
+    least n0 >= 0 from which it holds: it holds at every n >= n0, and when
+    n0 > 0 it fails at n0 - 1.
+
+    Comtet's method.  F' = -Q_t(F) / Q_y(F) is computed once as U(t, F) /
+    delta(t), Q_y being inverted modulo Q by a linear dependence.  Then F,
+    F', F'', ... are reduced in Q(t)[y]/(Q) (pseudo-remainders by Q, so
+    every step stays in Z[t]), and the first linear dependence among 1, F,
+    F', ... over Z[t] is an inhomogeneous ODE sum_j a_j(t) F^(j) = b(t), of
+    order below deg_y Q.  Its coefficient of t^n is
+    sum a_{j,i} (n - i + j)...(n - i + 1) f(n - i + j) = [t^n] b, which is
+    the recurrence at N = n + min(j - i), holding once n passes deg b.
+    Nothing here is rational: the dependences come from fraction-free
+    elimination over Z[t].
+    """
+    q = list(q)
+    while q and not q[-1]:
+        q.pop()
+    m = len(q) - 1
+    if m < 1:
+        raise ValueError("Q must have positive degree in y")
+    lc = q[-1]
+    # F' = U / delta: U Q_y = -delta Q_t modulo Q
+    qy = [c * j for j, c in enumerate(q)][1:]
+    columns, scales = [], []
+    for f in [[IntPoly()] * i + qy for i in range(m)] + [[c.derivative() for c in q]]:
+        column, s = _reduce(f, q)
+        columns.append(column)
+        scales.append(lc**s)
+    b = _first_dependence(columns)
+    if b is None or len(b) != m + 1:
+        raise ConsistencyError("Q_y is not invertible modulo Q: Q is not squarefree")
+    *u, delta = _without_common_factor([c * s for c, s in zip(b, scales)])
+    d_delta, d_lc = delta.derivative(), lc.derivative()
+    # 1, F, F', ..., F^(m-1): m + 1 elements in a space of dimension m
+    one = [IntPoly.constant(1)] + [IntPoly()] * (m - 1)
+    column, s = _reduce([IntPoly(), IntPoly.constant(1)], q)
+    elements = [(one, 0, 0), (column, 0, s)]
+    while len(elements) <= m:
+        n, e, s = elements[-1]
+        r, s2 = _reduce(h_mul([c * j for j, c in enumerate(n)][1:] or [IntPoly()], u), q)
+        scale = lc ** s2
+        outer = d_delta * lc * e + d_lc * delta * s
+        n = [scale * (delta * lc * c.derivative() - c * outer) + lc * x for c, x in zip(n, r)]
+        n, e = _cancel(n, delta, e + 1)
+        n, s = _cancel(n, lc, s + 1 + s2)
+        elements.append((n, e, s))
+    b = _first_dependence([n for n, _, _ in elements])
+    if b is None:
+        raise ConsistencyError(f"1, F and {m - 1} derivatives are independent modulo Q")
+    a = _without_common_factor([c * delta**e * lc**s for c, (_, e, s) in zip(b, elements)])
+    rhs, ode = -a[0], a[1:]
+    # the term a_{j,i} t^i F^(j) reaches f(n + j - i)
+    shifts = [j - i for j, p in enumerate(ode) for i, c in enumerate(p.coeffs) if c]
+    low = min(shifts)
+    polys = [IntPoly()] * (max(shifts) - low + 1)
+    for j, p in enumerate(ode):
+        for i, c in enumerate(p.coeffs):
+            if c:
+                k = j - i - low
+                polys[k] = polys[k] + _falling(k, j) * c
+    return Recurrence(tuple(polys)), max(rhs.degree + 1 + low, 0) if rhs else 0
+
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _split_points(p: IntPoly, lo: int, hi: int) -> list[int]:
+    """Sorted integers from lo to hi, both included, with no root of p strictly
+    between two consecutive ones more than 1 apart.
+
+    By induction on the degree: between the split points of p' more than 1
+    apart p is monotone, so it has a root there only if its signs at the
+    ends differ, and bisection on the integers pins that root between two
+    adjacent ones, which join the points.
+    """
+    if p.degree < 1:
+        return [lo, hi]
+    points = _split_points(p.derivative(), lo, hi)
+    out = set(points)
+    for a, b in zip(points, points[1:]):
+        if b - a > 1 and _sign(p(a)) * _sign(p(b)) < 0:
+            side = _sign(p(a))
+            while b - a > 1:
+                mid = (a + b) // 2
+                if _sign(p(mid)) == side:
+                    a = mid
+                else:
+                    b = mid
+            out |= {a, b}
+    return sorted(out)
+
+
+def _nonnegative_integer_roots(p: IntPoly) -> list[int]:
+    """The integer roots n >= 0 of a nonzero p, ascending, by exact bisection.
+
+    Every root lies below Cauchy's bound 1 + max |c_i| / |c_d|, and is one
+    of p's split points on [0, bound], so p is evaluated only at those.
+    """
+    if p.degree < 1:
+        return []
+    bound = 1 + max(abs(c) for c in p.coeffs[:-1]) // abs(p.leading) + 1
+    return [n for n in _split_points(p, 0, bound) if p(n) == 0]
+
+
+def first_regular_index(rec: Recurrence, n0: int) -> int:
+    """The least n >= n0 with p_r(n') != 0 for every n' >= n: from there on,
+    unrolling never divides by zero."""
+    roots = _nonnegative_integer_roots(rec.coeff_polys[-1])
+    return max([n0] + [n + 1 for n in roots])

@@ -26,7 +26,12 @@ repeated-substitution version in `tests/` as a slow reference.
 `series_pyramids` evaluates D from powers of H too and divides; D and
 1 - H have constant term 1, so the division stays in the integers.
 `series_family` is the entry point: it solves H and derives P and M from
-it, stopping at the shape asked for.
+it, stopping at the shape asked for.  It always solves, and `verify`, the
+tests and `algebra`'s root step read it as the route that does not depend
+on the minimal polynomial.  From a measured order on, and for small
+pieces, the CLI's `series` command solves only a prefix here and unrolls
+the recurrence that `recurrences.derive_recurrence` derives from the
+minimal polynomial, with byte-identical output (`cli._plain_series`).
 
 At high order the cost is big-integer inner products.  Each one runs as
 `sum(map(operator.mul, ...))`, so the multiply-adds loop in C.  Squares

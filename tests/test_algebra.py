@@ -12,7 +12,6 @@ from towers.algebra import (
     _denominator,
     _eliminant,
     _select_annihilator,
-    _times,
     _without_content,
     annihilating_polynomial,
     defining_polynomial_H,
@@ -21,7 +20,7 @@ from towers.algebra import (
 from towers.cli import main
 from towers.errors import ConsistencyError, DegreeCapError, UnsupportedConfigurationError
 from towers.model import PieceSet, Rule, Shape
-from towers.polynomials import IntPoly
+from towers.polynomials import IntPoly, h_mul
 from towers.series import TruncatedSeries, series_family, solve_half_pyramids
 
 from references import evaluate, sylvester_resultant
@@ -191,7 +190,7 @@ class TestSelection:
                 expected = as_bivariate(IntPoly(int(c) for c in row) for row in rows)
                 q = annihilating_polynomial(pieces, shape, series_family(pieces, 20)[shape])
                 assert q == expected, (pieces, shape)
-                power = functools.reduce(_times, [q.coeffs] * m)
+                power = functools.reduce(h_mul, [q.coeffs] * m)
                 assert as_bivariate(power) == _without_content(r), (pieces, shape)
                 multiplicities.add(m)
         assert multiplicities == {1, 2}
@@ -203,7 +202,7 @@ class TestSelection:
         assert as_bivariate(c * content for c in _without_content(r).coeffs) == as_bivariate(r)
 
     def test_extra_factor_in_y_is_rejected(self):
-        r = _times(_eliminant(DIMER, Shape.TOWER), [IntPoly((1,)), IntPoly((1,))])  # R (y + 1)
+        r = h_mul(_eliminant(DIMER, Shape.TOWER), [IntPoly((1,)), IntPoly((1,))])  # R (y + 1)
         towers = series_family(DIMER, 60)[Shape.TOWER]
         with pytest.raises(ConsistencyError, match="not a norm"):
             _select_annihilator(_without_content(r), defining_polynomial_H(DIMER).y_degree, towers)
@@ -214,7 +213,7 @@ class TestSelection:
         other = [q[0], q[1] + IntPoly((0, 1))]  # q + t y
         towers = series_family(DIMER, 60)[Shape.TOWER]
         with pytest.raises(ConsistencyError, match="m = 2"):
-            _select_annihilator(as_bivariate(_times(q, other)), defining_polynomial_H(DIMER).y_degree, towers)
+            _select_annihilator(as_bivariate(h_mul(q, other)), defining_polynomial_H(DIMER).y_degree, towers)
 
 
 class TestResultantEvaluationInvariant:

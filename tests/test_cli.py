@@ -11,13 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from towers import jsonio
+from towers import cli, jsonio
+from towers.algebra import BivariatePolynomial
 from towers.cli import main
 from towers.enumeration import BoundKind, EnumerationQuery, count_towers
 from towers.identities import ACCEPTANCE_SETS
 from towers.model import PieceSet, Rule, Shape
-from towers.recurrences import Sequence, extend_sequence, sequence_from_series
-from towers.series import series_family
+from towers.polynomials import IntPoly
+from towers.recurrences import Sequence, derive_recurrence, extend_sequence, sequence_from_series
+from towers.series import coefficients_by_pieces, series_family
 
 
 def run(capsys, *argv):
@@ -616,3 +618,138 @@ def test_verify_report_bytes_are_pinned(capsys, bounds):
     code, out, _ = run(capsys, "verify", *bounds)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_DIGEST
+
+
+# ---------------------------------------------------------------- the unrolled route of `series`
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """The annihilating polynomials `series` derives a recurrence from: empty on the solver's route."""
+    calls = []
+
+    def recording(q):
+        calls.append(q)
+        return derive_recurrence(q)
+
+    monkeypatch.setattr("towers.cli.derive_recurrence", recording)
+    return calls
+
+
+def solver_text(pieces, shape, order, fmt, by_pieces=False):
+    """What `series` printed when it always solved: series_family, then the same writers."""
+    series = series_family(pieces, order, through=shape)[shape]
+    if fmt == "json" and not by_pieces:
+        return jsonio.dumps(jsonio.series_to_json(series))
+    terms = coefficients_by_pieces(series, pieces) if by_pieces else series.coeffs
+    seq = Sequence(1 if by_pieces else 0, tuple(terms))
+    if fmt == "csv":
+        return jsonio.sequence_to_csv(seq)
+    if fmt == "text":
+        return jsonio.sequence_to_text(seq)
+    return jsonio.dumps(jsonio.sequence_to_json(seq))
+
+
+@pytest.mark.parametrize("sizes, rule, shape, fmt, by_pieces", [
+    ("1,2", "all", "tower", "json", False),
+    ("1,2", "all", "pyramid", "json", False),
+    ("1,2", "all", "half", "json", False),
+    ("1,2,3", "all", "tower", "csv", False),
+    ("1,2,3", "all", "tower", "text", False),
+    ("3", "all", "tower", "json", True),
+    ("4", "all", "pyramid", "csv", True),
+    ("2", "noalign", "tower", "json", False),
+    ("2", "noalign", "half", "json", True),
+])
+def test_unrolled_series_bytes_equal_the_solvers(capsys, derivations, sizes, rule, shape, fmt,
+                                                 by_pieces):
+    order = cli._UNROLL_FROM_ORDER + 7
+    argv = ["series", "--sizes", sizes, "--rule", rule, "--shape", shape, "--order", str(order),
+            "--format", fmt] + (["--by-pieces"] if by_pieces else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert len(derivations) == 1
+    pieces = PieceSet(tuple(map(int, sizes.split(","))), Rule(rule))
+    assert out == solver_text(pieces, Shape(shape), order, fmt, by_pieces)
+
+
+# sha256 of `series --sizes 1,2,3 --order 1000`, recorded while every order was solved
+DEEP_SERIES_DIGEST = "93d1ba8ee4c747b26f55840f0faf0e6f39fb6e2cd27793bb30255958d6f2d4aa"
+
+
+def test_deep_series_bytes_are_pinned(capsys, derivations):
+    code, out, _ = run(capsys, "series", "--sizes", "1,2,3", "--order", "1000")
+    assert code == 0
+    assert len(derivations) == 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEEP_SERIES_DIGEST
+
+
+@pytest.mark.parametrize("argv", [
+    ["--sizes", "1,2,3"],  # the default --order
+    ["--sizes", "3", "--by-pieces", "--order", "300"],
+    ["--sizes", "1,2,3", "--order", str(cli._UNROLL_FROM_ORDER - 1)],
+    ["--sizes", "9", "--order", str(cli._UNROLL_FROM_ORDER)],
+    ["--sizes", "2,5", "--order", str(cli._UNROLL_FROM_ORDER)],
+])
+def test_series_solves_below_the_crossover_and_for_large_pieces(capsys, derivations, argv):
+    code, _, err = run(capsys, "series", *argv)
+    assert (code, err) == (0, "")
+    assert derivations == []
+
+
+def test_multi_size_noalign_series_still_exits_2(capsys, derivations):
+    code, out, err = run(capsys, "series", "--sizes", "1,2", "--rule", "noalign",
+                         "--order", str(cli._UNROLL_FROM_ORDER))
+    assert (code, out) == (2, "")
+    assert err == ("error: series under the no-exact-alignment rule support a single piece "
+                   "size only, got sizes (1, 2)\n")
+
+
+def test_unrolled_terms_that_disagree_with_the_solver_exit_5(capsys, monkeypatch):
+    def bumped(rec, initial, length):
+        terms = list(extend_sequence(rec, initial, length).terms)
+        terms[len(initial)] += 1  # the first unrolled term
+        return Sequence(initial.offset, tuple(terms))
+
+    monkeypatch.setattr("towers.cli.extend_sequence", bumped)
+    code, out, err = run(capsys, "series", "--sizes", "1,2,3", "--order", "600")
+    assert (code, out) == (5, "")
+    assert "disagrees with the solver" in err
+
+
+@pytest.mark.parametrize("j", range(4))
+def test_a_bumped_annihilator_exits_5(capsys, monkeypatch, j):
+    real = cli.annihilating_polynomial
+
+    def bumped(pieces, shape, series):
+        q = list(real(pieces, shape, series).coeffs)
+        q[j] = q[j] + IntPoly((0, 1))
+        return BivariatePolynomial(tuple(q))
+
+    monkeypatch.setattr("towers.cli.annihilating_polynomial", bumped)
+    code, out, err = run(capsys, "series", "--sizes", "1,2,3", "--order", "600")
+    assert (code, out) == (5, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("bad", ["guess --input", "extend --rec", "extend --init"])
+def test_malformed_json_names_its_file(tmp_path, capsys, monkeypatch, bad):
+    monkeypatch.chdir(tmp_path)
+    Path("rec.json").write_text(json.dumps({"order": 1, "degree": 0, "coeffs": [["-3"], ["1"]]}))
+    Path("seq.json").write_text(json.dumps({"offset": 0, "terms": ["1"]}))
+    Path("empty.json").write_text("")
+    argv = {"guess": ["guess", "--input", "seq.json"],
+            "extend": ["extend", "--rec", "rec.json", "--init", "seq.json", "--terms", "5"]}
+    command, flag = bad.split()
+    argv = argv[command]
+    argv[argv.index(flag) + 1] = "empty.json"
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: empty.json: Expecting value: line 1 column 1 (char 0)\n"
+
+
+def test_malformed_json_on_stdin_is_named_dash(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("{"))
+    code, out, err = run(capsys, "guess", "--input", "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: -: Expecting property name enclosed in double quotes")

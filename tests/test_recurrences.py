@@ -8,17 +8,22 @@ from hypothesis import assume, given, settings, strategies as st
 
 from references import exhaustive_guess
 from towers import recurrences
+from towers.algebra import annihilating_polynomial
+from towers.errors import ConsistencyError
 from towers.identities import ACCEPTANCE_SETS
 from towers.jsonio import DecimalInt
 from towers.model import PieceSet, Rule, Shape
 from towers.polynomials import IntPoly
 from towers.recurrences import (
     InconsistentRecurrenceError,
+    _nonnegative_integer_roots,
     InsufficientTermsError,
     Recurrence,
     Sequence,
     SingularRecurrenceError,
+    derive_recurrence,
     extend_sequence,
+    first_regular_index,
     guess_recurrence,
     sequence_from_series,
     verify_recurrence,
@@ -351,3 +356,101 @@ def test_filter_leaves_the_trimer_recurrence_to_one_exact_elimination(exact_elim
     rec = guess_recurrence(seq, 5, 6, 10)
     assert (rec.order, rec.degree) == (2, 3)
     assert exact_eliminations == [3 * 4]
+
+
+# ---------------------------------------------------------------- recurrences derived from Q
+
+DERIVED_SETS = [PieceSet(sizes) for sizes in ACCEPTANCE_SETS] + [
+    PieceSet.of(2, rule=Rule.NO_EXACT_ALIGNMENT),
+    PieceSet.of(3, rule=Rule.NO_EXACT_ALIGNMENT),
+    PieceSet.of(5),
+    PieceSet((2, 4)),
+]
+
+
+def _unrolled(q, coeffs, length):
+    """The derived recurrence unrolled from just enough of coeffs, and its n0."""
+    rec, n0 = derive_recurrence(q)
+    start = first_regular_index(rec, n0) + rec.order
+    return extend_sequence(rec, Sequence(0, coeffs[:start]), length), rec, n0
+
+
+@pytest.mark.parametrize("shape", list(Shape), ids=lambda s: s.value)
+@pytest.mark.parametrize("pieces", DERIVED_SETS, ids=str)
+def test_derived_recurrence_equals_the_solver(pieces, shape):
+    series = series_family(pieces, 400, through=shape)[shape]
+    q = annihilating_polynomial(pieces, shape, series).coeffs
+    unrolled, rec, n0 = _unrolled(q, series.coeffs, 401)
+    assert unrolled.terms == series.coeffs
+    assert verify_recurrence(rec, Sequence(n0, series.coeffs[n0:]))
+    if n0 > 0:
+        assert not verify_recurrence(rec, Sequence(n0 - 1, series.coeffs[n0 - 1 : n0 + rec.order]))
+
+
+def test_derived_trimer_recurrence_has_the_expected_shape():
+    # S={1,2,3} towers: Q has y-degree 3, the ODE order 2, the recurrence order 13, degree 2
+    pieces = PieceSet((1, 2, 3))
+    series = series_family(pieces, 60)[Shape.TOWER]
+    rec, n0 = derive_recurrence(annihilating_polynomial(pieces, Shape.TOWER, series).coeffs)
+    assert (rec.order, rec.degree, n0) == (13, 2, 0)
+
+
+def test_derivation_of_a_rational_series():
+    # (1 - 4t^2) y - t^2 = 0: the dimer towers, 4^(n-1) on the even powers
+    rec, n0 = derive_recurrence([IntPoly((0, 0, -1)), IntPoly((1, 0, -4))])
+    assert rec.coeff_polys == (IntPoly((-4,)), IntPoly(), IntPoly((1,)))
+    assert n0 == 1
+    terms = extend_sequence(rec, Sequence(0, (0, 0, 1)), 12).terms
+    assert terms == (0, 0, 1, 0, 4, 0, 16, 0, 64, 0, 256, 0)
+
+
+@pytest.mark.parametrize("pieces", [PieceSet((1, 2, 3)), PieceSet((1, 2)), PieceSet.of(3)],
+                         ids=str)
+def test_a_bumped_annihilator_does_not_reproduce_the_series(pieces):
+    # the negative control: every y-coefficient of Q in turn, bumped at t^0 and
+    # at t^1, must fail the derivation, the unroll, or the comparison
+    series = series_family(pieces, 120)[Shape.TOWER]
+    q = annihilating_polynomial(pieces, Shape.TOWER, series).coeffs
+    for j in range(len(q)):
+        for bump in (IntPoly((1,)), IntPoly((0, 1))):
+            bumped = list(q)
+            bumped[j] = bumped[j] + bump
+            try:
+                unrolled, _, _ = _unrolled(bumped, series.coeffs, 121)
+            except (ConsistencyError, InconsistentRecurrenceError):
+                continue
+            assert unrolled.terms != series.coeffs, (j, bump)
+
+
+def test_roots_with_eighty_bit_coefficients():
+    # (n - 37) times a quadratic with 80-bit coefficients that is positive for n >= 0:
+    # a scan up to Cauchy's bound (about 2^80) would never finish
+    a, b, c = 3**50 + 1, 5**34 + 7, 7**28 + 11
+    assert min(x.bit_length() for x in (a, b, c)) >= 79
+    p = IntPoly((-37, 1)) * IntPoly((c, b, a))
+    assert max(abs(x).bit_length() for x in p.coeffs) >= 80
+    assert _nonnegative_integer_roots(p) == [37]
+    assert _nonnegative_integer_roots(p * IntPoly((-38, 1))) == [37, 38]
+    assert _nonnegative_integer_roots(p * IntPoly((-37, 1))) == [37]  # a double root
+    assert _nonnegative_integer_roots(p * IntPoly((0, 1)) * IntPoly((37, 1))) == [0, 37]
+    far = 2**79 + 5
+    assert _nonnegative_integer_roots(p * IntPoly((-far, 1))) == [37, far]
+    assert _nonnegative_integer_roots(IntPoly((c, b, a))) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-6, 40), min_size=0, max_size=4),
+       st.lists(st.integers(-50, 50), min_size=1, max_size=4).filter(lambda c: c[-1] != 0))
+def test_roots_equal_a_scan(roots, cofactor):
+    p = IntPoly(cofactor)
+    for r in roots:
+        p = p * IntPoly((-r, 1))
+    # the cofactor's integer roots divide its lowest nonzero coefficient, so none passes 50
+    assert _nonnegative_integer_roots(p) == [n for n in range(51) if p(n) == 0]
+
+
+def test_first_regular_index_passes_the_roots_of_the_leading_coefficient():
+    rec = Recurrence((IntPoly((-1,)), IntPoly((12, -7, 1))))  # (n-3)(n-4) a(n+1) = a(n)
+    assert first_regular_index(rec, 0) == 5
+    assert first_regular_index(rec, 9) == 9
+    assert first_regular_index(CATALAN_REC, 2) == 2

@@ -8,12 +8,16 @@ combines m+1 consecutive ratios with the weights
 
 which cancels the 1/n through 1/n^m corrections and leaves an error of
 order 1/n^(m+1).  The same extrapolation applied to n*(r_n/mu - 1) then
-estimates theta.  The extrapolation R is linear, so theta is computed as
-R(n*r_n)/mu - R(n): one division by mu, where dividing each ratio would
-carry mu's long denominator into every term of the sum.  All of this runs
-in exact rational arithmetic on the tail of the sequence, which
-comfortably exceeds the precision any floating format would give; only
-the optional amplitude estimate uses floats.
+estimates theta; R is linear, so theta = R(n*r_n)/mu - R(n).
+
+All of this runs in exact integers.  The k = m+2 ratios of the window
+share the denominator P = a_0 ... a_(k-1): ratio i is x_i/P with
+x_i = a_(i+1) * (a_0 ... a_(i-1)) * (a_(i+1) ... a_(k-1)), and m! times
+the weights are integers.  So mu and R(n*r_n) are integer sums over m!*P,
+P cancels from theta, and theta is a pair over mu's numerator times m!.
+Only mu is reduced, once, since the amplitude takes the float logs of its
+reduced numerator and denominator; the other values stay unreduced pairs
+until read as Fractions.  Only the amplitude estimate uses floats.
 
 These are empirical estimates with a stability indicator (the change
 between the last two extrapolation points), not proven asymptotics.
@@ -24,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .recurrences import InsufficientTermsError, Sequence
 
@@ -34,30 +39,29 @@ class ZeroTermError(ValueError):
     """A term inside the ratio window is zero, so ratios are undefined."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AsymptoticEstimate:
     """Estimated growth constant, polynomial exponent, and optional amplitude.
 
-    `stability` maps "mu" and "theta" to the absolute difference between
-    the last two extrapolation iterates; smaller means more settled.
+    The exact values are held as (numerator, denominator) pairs, with a
+    positive denominator; `mu`, `theta` and `stability` read them as
+    Fractions, reduced on first read.  `stability` maps "mu" and "theta" to
+    the absolute difference between the last two extrapolation iterates;
+    smaller means more settled.  Estimates compare equal when their values do.
     """
 
-    mu: Fraction
-    theta: Fraction
+    mu_pair: tuple[int, int]
+    theta_pair: tuple[int, int]
     c_amplitude: float | None
-    stability: dict[str, Fraction]
+    stability_pairs: dict[str, tuple[int, int]]
 
+    mu = cached_property(lambda self: Fraction(*self.mu_pair))
+    theta = cached_property(lambda self: Fraction(*self.theta_pair))
+    stability = cached_property(lambda self: {k: Fraction(*v) for k, v in self.stability_pairs.items()})
 
-def _richardson(points: list[tuple[int, Fraction]]) -> Fraction:
-    """Depth len(points)-1 extrapolation of consecutive (n, value) pairs."""
-    m = len(points) - 1
-    total = Fraction(0)
-    for i, (n, value) in enumerate(points):
-        weight = Fraction(
-            (-1) ** (m - i) * n**m, math.factorial(i) * math.factorial(m - i)
-        )
-        total += weight * value
-    return total
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, AsymptoticEstimate) and all(
+            getattr(self, a) == getattr(other, a) for a in ("mu", "theta", "c_amplitude", "stability"))
 
 
 def _log_big(x: int) -> float:
@@ -96,28 +100,48 @@ def estimate_asymptotics(s: Sequence, depth: int = 4) -> AsymptoticEstimate:
     for i, term in enumerate(tail):
         if term == 0:
             raise ZeroTermError(f"term at index n={s.offset + start + i} is zero")
-    ratios = [
-        (s.offset + start + i, Fraction(tail[i + 1], tail[i])) for i in range(window - 1)
-    ]
-    mu = _richardson(ratios[1:])
-    mu_prev = _richardson(ratios[:-1])
+    m, k = depth, window - 1
+    prefix = [1]  # prefix[i] = a_0 ... a_(i-1)
+    for term in tail[:k - 1]:
+        prefix.append(prefix[-1] * term)
+    xs, shared = [0] * k, 1  # shared ends as P, the product of the ratios' denominators
+    for i in reversed(range(k)):
+        xs[i] = tail[i + 1] * prefix[i] * shared
+        shared *= tail[i]
+    if shared < 0:  # terms may be negative; a positive P keeps every denominator positive
+        xs, shared = [-x for x in xs], -shared
+    ns = range(s.offset + start, s.offset + start + k)
+
+    def richardson(values, first: int) -> int:
+        """m! times the extrapolation of values over ratios first..first+m."""
+        return sum((-1) ** (m - j) * math.comb(m, j) * ns[first + j] ** m * values[first + j]
+                   for j in range(m + 1))
+
+    scaled = [n * x for n, x in zip(ns, xs)]
+    # mu and its previous iterate, and R(n*r_n), each times m!*P; R(n) times m!
+    (mu, mu_prev), (nr, nr_prev), (rn, rn_prev) = (
+        (richardson(v, 1), richardson(v, 0)) for v in (xs, scaled, ns))
     if mu <= 0:
         raise ValueError("ratio extrapolation is not positive; the model does not apply")
-    # theta = R(n*(r_n/mu - 1)), by linearity (see the module docstring)
-    scaled = [(n, n * r) for n, r in ratios]
-    plain = [(n, Fraction(n)) for n, _r in ratios]
-    theta = _richardson(scaled[1:]) / mu - _richardson(plain[1:])
-    theta_prev = _richardson(scaled[:-1]) / mu - _richardson(plain[:-1])
-    stability = {"mu": abs(mu - mu_prev), "theta": abs(theta - theta_prev)}
+    factorial = math.factorial(m)
+    denominator = factorial * shared
+    # theta = R(n*r_n)/mu - R(n) is a pair over mu's numerator times m!, since P
+    # cancels; theta_prev divides by mu too, not by mu_prev
+    theta_pair = (nr * factorial - rn * mu, mu * factorial)
+    theta_step = (nr - nr_prev) * factorial - (rn - rn_prev) * mu
+    stability = {"mu": (abs(mu - mu_prev), denominator), "theta": (abs(theta_step), mu * factorial)}
+    common = math.gcd(mu, denominator)  # the one reduction: the amplitude reads it
+    mu_pair = (mu // common, denominator // common)
 
     amplitude: float | None = None
     last = tail[-1]
     n_last = s.offset + len(s) - 1
     if last > 0 and n_last > 0:
-        log_mu = _log_big(mu.numerator) - _log_big(mu.denominator)
-        log_c = _log_big(last) - n_last * log_mu - float(theta) * math.log(n_last)
+        log_mu = _log_big(mu_pair[0]) - _log_big(mu_pair[1])
+        theta = theta_pair[0] / theta_pair[1]  # correctly rounded, as float() of the Fraction
+        log_c = _log_big(last) - n_last * log_mu - theta * math.log(n_last)
         try:
             amplitude = math.exp(log_c)
         except OverflowError:
             amplitude = None
-    return AsymptoticEstimate(mu, theta, amplitude, stability)
+    return AsymptoticEstimate(mu_pair, theta_pair, amplitude, stability)

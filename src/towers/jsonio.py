@@ -38,6 +38,7 @@ __all__ = [
     "dumps",
     "dump_sequence",
     "decimal_str",
+    "decimal_pair_str",
     "counts_to_json",
     "counts_to_csv",
     "counts_to_text",
@@ -143,9 +144,19 @@ def dumps(payload: Any) -> str:
 
 def decimal_str(value: Fraction, digits: int = 30) -> str:
     """Exact-rounding decimal rendering of a Fraction."""
-    if value.denominator == 1:
-        return _int_str(value.numerator)
-    rounded = round(value * 10**digits)  # banker's rounding on the exact rational
+    return decimal_pair_str(value.numerator, value.denominator, digits)
+
+
+def decimal_pair_str(numerator: int, denominator: int, digits: int = 30) -> str:
+    """decimal_str of numerator/denominator, which need not be reduced, in one division."""
+    if denominator < 0:
+        numerator, denominator = -numerator, -denominator
+    unit = 10**digits
+    rounded, rest = divmod(numerator * unit, denominator)
+    if not rest and not rounded % unit:  # an integer
+        return _int_str(rounded // unit)
+    if 2 * rest > denominator or (2 * rest == denominator and rounded % 2):
+        rounded += 1  # banker's rounding on the exact rational
     sign = "-" if rounded < 0 else ""  # a value that rounds to zero has no sign
     text = _int_str(abs(rounded)).rjust(digits + 1, "0")
     whole, frac = text[:-digits], text[-digits:]
@@ -382,10 +393,10 @@ def weight_table_to_json(table: dict[int, ZPolynomial], sizes: tuple[int, ...]) 
 
 def estimate_to_json(est: AsymptoticEstimate) -> dict:
     return {
-        "mu": decimal_str(est.mu),
-        "theta": decimal_str(est.theta),
+        "mu": decimal_pair_str(*est.mu_pair),
+        "theta": decimal_pair_str(*est.theta_pair),
         "c_amplitude": None if est.c_amplitude is None else repr(est.c_amplitude),
-        "stability": {k: decimal_str(v) for k, v in sorted(est.stability.items())},
+        "stability": {k: decimal_pair_str(*v) for k, v in sorted(est.stability_pairs.items())},
         "empirical": True,
     }
 

@@ -2,8 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from towers.asymptotics import ZeroTermError, estimate_asymptotics
+from towers import jsonio
+from towers.asymptotics import ZeroTermError, estimate_asymptotics, minimum_terms
 from towers.model import PieceSet, Rule, Shape
 from towers.polynomials import IntPoly
 from towers.recurrences import (
@@ -15,6 +17,7 @@ from towers.recurrences import (
 )
 from towers.series import coefficients_by_pieces, series_family, solve_half_pyramids
 
+import references
 from references import term_by_term_estimate
 
 
@@ -58,6 +61,64 @@ def test_theta_by_linearity_equals_theta_term_by_term(long_sequences, name):
     for depth in range(7):
         est = estimate_asymptotics(seq, depth=depth)
         assert (est.mu, est.theta, est.stability) == term_by_term_estimate(seq, depth), depth
+
+
+def checked_reference(seq, depth):
+    """term_by_term_estimate, refusing what estimate_asymptotics must refuse."""
+    start = len(seq) - (depth + 3)
+    tail = seq.terms[start:]
+    if 0 in tail:
+        raise ZeroTermError(f"n={seq.offset + start + tail.index(0)}")
+    ratios = [(seq.offset + start + i, Fraction(b, a)) for i, (a, b) in enumerate(zip(tail, tail[1:]))]
+    if references._richardson(ratios[1:]) <= 0:
+        raise ValueError("not positive")
+    return term_by_term_estimate(seq, depth)
+
+
+_BIG = 10**30
+
+
+@st.composite
+def estimate_cases(draw):
+    """Sequences of either sign at offsets 0-50, long enough for a depth of 0-6.
+
+    Half are random terms, now and then with a zero; half grow like c*g^n
+    plus a shift, so their window may change sign and still extrapolate.
+    """
+    depth, offset = draw(st.integers(0, 6)), draw(st.integers(0, 50))
+    length = minimum_terms(depth) + draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        terms = draw(st.lists(st.integers(-_BIG, _BIG), min_size=length, max_size=length))
+        if draw(st.integers(0, 7)) == 0:
+            terms[draw(st.integers(0, length - 1))] = 0
+    else:
+        c, g = draw(st.integers(-1000, 1000).filter(bool)), draw(st.integers(2, 9))
+        shift = draw(st.integers(-_BIG, _BIG))
+        terms = [c * g**n * (n + 1) + shift for n in range(offset, offset + length)]
+    return Sequence(offset, tuple(terms)), depth
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=estimate_cases())
+def test_estimate_and_its_json_equal_the_term_by_term_reference(case):
+    seq, depth = case
+    try:
+        want = checked_reference(seq, depth)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            estimate_asymptotics(seq, depth)
+        assert raised.type is type(exc)
+        return
+    est = estimate_asymptotics(seq, depth)
+    assert (est.mu, est.theta, est.stability) == want
+    mu, theta, stability = want
+    assert jsonio.dumps(jsonio.estimate_to_json(est)) == jsonio.dumps({
+        "mu": jsonio.decimal_str(mu),
+        "theta": jsonio.decimal_str(theta),
+        "c_amplitude": None if est.c_amplitude is None else repr(est.c_amplitude),
+        "stability": {k: jsonio.decimal_str(v) for k, v in sorted(stability.items())},
+        "empirical": True,
+    })
 
 
 class TestEstimates:

@@ -753,3 +753,47 @@ def test_malformed_json_on_stdin_is_named_dash(capsys, monkeypatch):
     code, out, err = run(capsys, "guess", "--input", "-")
     assert (code, out) == (2, "")
     assert err.startswith("error: -: Expecting property name enclosed in double quotes")
+
+
+# ---------------------------------------------------------------- `asympt` bytes
+
+
+# sha256 of `asympt` output, recorded while the estimate still summed reduced
+# Fractions: the trimer towers by pieces extended to 2500 terms (recurrence-long's
+# toy chain) at three depths, and two hand-made sequences at a nonzero offset,
+# one of negative terms and one whose window changes sign
+ASYMPT_DIGESTS = {
+    ("trimer", 0): "cd332afc01d48cc4f82062f40c9bbedfe97fa6388d191bd9d9d6c4d5297a060c",
+    ("trimer", 4): "799b570f4dd5a575155b96de2436e48a19628e8844bfe4d414de5af25d277d2f",
+    ("trimer", 6): "09d2e54b8ce1b5d854973060eb3f35814525e743dd6fb0f8151d0340031f117f",
+    ("negative", 0): "e3b48642b12541a355506a3c423b9894d796d07983ba2ebeeb78eace2cf5c6eb",
+    ("negative", 3): "66465cd2ba4d9618fcc1c34da481d674a78a0fcdcce6f925199038c59acef9c2",
+    ("sign change", 3): "cf70a5a04fa2a5c68ad0093be0473a53f6353ab6cf3f732d005f3f5d0b11306b",
+    ("sign change", 4): "8fe2a5dcfe973601f2af7237bf6beeb5b966e09664ac6ba7f736491da1bc4b37",
+}
+
+
+@pytest.fixture(scope="module")
+def asympt_inputs(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("asympt")
+    paths = {"trimer": tmp_path / "trimer.json"}
+    assert main(["series", "--sizes", "3", "--shape", "tower", "--order", "210", "--by-pieces",
+                 "--out", str(tmp_path / "seq.json")]) == 0
+    assert main(["guess", "--input", str(tmp_path / "seq.json"),
+                 "--out", str(tmp_path / "rec.json")]) == 0
+    assert main(["extend", "--rec", str(tmp_path / "rec.json"), "--init",
+                 str(tmp_path / "seq.json"), "--terms", "2500", "--out", str(paths["trimer"])]) == 0
+    for name, seq in (
+        ("negative", Sequence(17, tuple(-(math.comb(2 * n, n) + n) for n in range(17, 60)))),
+        ("sign change", Sequence(5, tuple((2 * n - 81) * 2**n for n in range(5, 45)))),
+    ):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(jsonio.dumps(jsonio.sequence_to_json(seq)))
+    return paths
+
+
+@pytest.mark.parametrize("name, depth", list(ASYMPT_DIGESTS))
+def test_asympt_bytes_are_pinned(capsys, asympt_inputs, name, depth):
+    code, out, _ = run(capsys, "asympt", "--input", str(asympt_inputs[name]), "--depth", str(depth))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ASYMPT_DIGESTS[name, depth]

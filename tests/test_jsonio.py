@@ -169,6 +169,39 @@ def test_decimal_str_rounding_and_trimming():
     assert jsonio.decimal_str(Fraction(-1, 10**8), 6) == "0"
 
 
+_UNIT = 10**30  # one in the 30th place is 1/_UNIT
+
+
+@pytest.mark.parametrize("numerator, denominator, text", [
+    (1, 2 * _UNIT, "0"),  # a tie rounds to the even neighbour: 0 ...
+    (3, 2 * _UNIT, "0.000000000000000000000000000002"),  # ... and 2
+    (5 * 7, 2 * _UNIT * 7, "0.000000000000000000000000000002"),  # an unreduced tie
+    (2 * _UNIT - 1, 2 * _UNIT, "1"),  # a tie that carries into the whole part
+    (-3, 2 * _UNIT, "-0.000000000000000000000000000002"),
+    (-1, 2 * _UNIT, "0"),  # negative values that round to zero have no sign
+    (-1, 3 * _UNIT, "0"),
+    (1, -3 * _UNIT, "0"),
+    (6, 3, "2"),  # unreduced pairs whose denominator divides the numerator
+    (-6, 3, "-2"),
+    (0, 5, "0"),
+    (7 * 10**40, 10**40, "7"),
+    (-6, -3, "2"),  # negative denominators
+    (1, -3, "-0.333333333333333333333333333333"),
+    (-5, -4, "1.25"),
+])
+def test_decimal_pair_str_renders_as_decimal_str(numerator, denominator, text):
+    assert jsonio.decimal_pair_str(numerator, denominator) == text
+    assert jsonio.decimal_str(Fraction(numerator, denominator)) == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(numerator=st.integers(-(10**40), 10**40), denominator=st.integers(1, 10**35),
+       scale=st.integers(-(10**12), 10**12).filter(bool), digits=st.integers(1, 35))
+def test_decimal_pair_str_ignores_common_factors(numerator, denominator, scale, digits):
+    want = jsonio.decimal_str(Fraction(numerator, denominator), digits)
+    assert jsonio.decimal_pair_str(numerator * scale, denominator * scale, digits) == want
+
+
 def test_report_payload():
     results = [CheckResult("a", True, ""), CheckResult("b", False, "area 3: 1 != 2")]
     payload = jsonio.report_to_json(results)

@@ -45,7 +45,6 @@ from .recurrences import (
     SingularRecurrenceError,
     derive_recurrence,
     extend_sequence,
-    first_regular_index,
     guess_recurrence,
     sequence_from_series,
     verify_recurrence,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, DegreeCapError
 from .model import PieceSet, Shape
-from .polynomials import IntPoly, h_mul, h_resultant, int_poly_gcd, integer_kernel, primitive_part
+from .polynomials import IntPoly, h_mul, h_resultant, integer_kernel, primitive_part, without_content
 from .series import TruncatedSeries, _d, _horner, _phi, series_family
 
 __all__ = [
@@ -136,12 +136,6 @@ def _eliminant(pieces: PieceSet, shape: Shape) -> list[IntPoly]:
     return _interpolate(values)
 
 
-def _without_content(resultant: list[IntPoly]) -> BivariatePolynomial:
-    """R / c(t), where c(t) is the gcd in Z[t] of the y-coefficients of R."""
-    content = functools.reduce(int_poly_gcd, resultant)
-    return BivariatePolynomial(tuple(c.exact_div(content) for c in resultant))
-
-
 def _select_annihilator(
     r0: BivariatePolynomial, degree: int, series: TruncatedSeries
 ) -> BivariatePolynomial:
@@ -215,7 +209,7 @@ def annihilating_polynomial(
         resultant = _eliminant(pieces, shape)
         if not any(resultant):
             raise ConsistencyError("elimination produced the zero resultant")
-        r0 = _without_content(resultant)
+        r0 = BivariatePolynomial(without_content(resultant))
         prefix = series_family(pieces, r0.y_degree * r0.t_degree, through=shape)[shape]
         result = _select_annihilator(r0, len(resultant) - 1, prefix)
         checked.insert(0, prefix)

@@ -35,7 +35,6 @@ from .recurrences import (
     SingularRecurrenceError,
     derive_recurrence,
     extend_sequence,
-    first_regular_index,
     guess_recurrence,
 )
 from .series import (
@@ -55,8 +54,8 @@ from .series import (
 _UNROLL_FROM_ORDER = 500
 _UNROLL_MAX_SIZE = 4
 
-# The prefix solved first, for the annihilating polynomial's check; solved
-# further if the recurrence needs more terms before it can unroll.
+# The prefix solved first, for the annihilating polynomial's check and the
+# unroll's first terms.
 _PREFIX_ORDER = 60
 
 
@@ -167,21 +166,21 @@ def _plain_series(pieces: PieceSet, shape: Shape, order: int) -> TruncatedSeries
     it is `series_family`'s solution, whose cost grows with the square of
     the order.  Otherwise a prefix is solved, the minimal polynomial Q is
     eliminated and checked on it, and the coefficient recurrence derived
-    from Q is unrolled from the solver's terms.  The unroll starts where the
-    recurrence holds and its leading coefficient has no more roots, and its
-    first terms, at least as many as the recurrence's order, must equal the
-    solver's or ConsistencyError is raised.
+    from Q is unrolled from the solver's terms, starting where it holds.
+    The unroll is taken only if p_r has a positive constant term and no
+    negative coefficient, so no step divides by zero, and if the prefix
+    holds the r terms from the start on; otherwise the solver goes on to the
+    order.  The overlap, at least those r terms, must equal the solver's
+    or ConsistencyError is raised.
     """
     if order < _UNROLL_FROM_ORDER or pieces.max_size > _UNROLL_MAX_SIZE:
         return series_family(pieces, order, through=shape)[shape]
     prefix = series_family(pieces, _PREFIX_ORDER, through=shape)[shape]
     rec, n0 = derive_recurrence(annihilating_polynomial(pieces, shape, prefix).coeffs)
-    start = first_regular_index(rec, n0) + rec.order  # the first term unrolled
-    checked = start + rec.order - 1  # the last term both routes give
-    if checked >= order:  # the recurrence would start too late to save anything
+    lead = rec.coeff_polys[-1].coeffs
+    start = n0 + rec.order  # the first term unrolled
+    if lead[0] <= 0 or min(lead) < 0 or start + rec.order - 1 > prefix.order:
         return series_family(pieces, order, through=shape)[shape]
-    if checked > prefix.order:
-        prefix = series_family(pieces, checked, through=shape)[shape]
     terms = extend_sequence(rec, Sequence(0, prefix.coeffs[:start]), order + 1).terms
     if terms[: prefix.order + 1] != prefix.coeffs:
         raise ConsistencyError(

@@ -11,11 +11,12 @@ Two layers, both over the integers:
   resultants without ever leaving the integers (Brown's algorithm).
 
 Beside them sit the normal form of a tuple of IntPolys (primitive, with
-positive leading coefficient), the primitive gcd in Z[t] and the kernel of
-an integer matrix, shared by `algebra` and `recurrences`.  The kernel is
-solved modulo a prime and lifted p-adically (Dixon), so no entry grows
-past the size of the answer; it falls back to the next prime when the
-first one's pivots are not the pivots over Q.
+positive leading coefficient), the primitive gcd in Z[t], the removal of a
+common factor in Z[t] and the kernel of an integer matrix, shared by
+`algebra` and `recurrences`.  The kernel is solved modulo a prime and
+lifted p-adically (Dixon), so no entry grows past the size of the answer;
+it falls back to the next prime when the first one's pivots are not the
+pivots over Q.
 
 The tests check the resultants against an independent route, Sylvester
 determinants over Fractions at rational points, and the kernel against
@@ -24,14 +25,15 @@ fraction-free (Bareiss) elimination, both kept in `tests/`.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError
 
-__all__ = ["IntPoly", "primitive_part", "int_poly_gcd", "integer_kernel", "h_mul", "h_prem",
-           "h_resultant"]
+__all__ = ["IntPoly", "primitive_part", "int_poly_gcd", "without_content", "integer_kernel",
+           "h_mul", "h_prem", "h_resultant"]
 
 
 class IntPoly:
@@ -175,6 +177,12 @@ def int_poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
                 r[i] -= head * c
         a, (b,) = b, primitive_part([IntPoly(r)])
     return primitive_part([a])[0]
+
+
+def without_content(polys: Sequence[IntPoly]) -> tuple[IntPoly, ...]:
+    """polys divided by their gcd in Z[t]."""
+    g = functools.reduce(int_poly_gcd, polys)
+    return tuple(p.exact_div(g) for p in polys)
 
 
 # Kernels are solved modulo primes below 2**30, walking down from this one,

@@ -20,13 +20,13 @@ the exact eliminations the filter could not rule out.
 A recurrence can also be derived, not guessed: `derive_recurrence` takes
 the minimal polynomial Q(t, y) of an algebraic series and returns the
 recurrence of its coefficients, with the index n0 from which it holds
-(Comtet's method; see its docstring).  `first_regular_index` then adds
-every nonnegative integer root of p_r, found by exact bisection, so an
-unroll from there never divides by zero.  The CLI's `series` command takes
+(Comtet's method; see its docstring).  The CLI's `series` command takes
 this route from a measured order on (see `cli._plain_series`): it solves a
 prefix with `series.series_family`, gets Q from
-`algebra.annihilating_polynomial`, unrolls, and compares the overlap with
-the solver, so its output is byte-identical to the solver's.
+`algebra.annihilating_polynomial`, and unrolls from n0 only when p_r has a
+positive constant term and no negative coefficient, so p_r(n) > 0 at every
+n >= 0 and no step divides by zero; it compares the overlap with the
+solver, so its output is byte-identical to the solver's.
 
 Unrolling a recurrence forward divides by p_r(n) at every step; the
 division must come out exact, otherwise the recurrence does not govern the
@@ -40,11 +40,10 @@ int-to-str is quadratic.
 from __future__ import annotations
 
 import decimal
-import functools
 from dataclasses import dataclass
 
 from .errors import ConsistencyError
-from .polynomials import _PRIME, IntPoly, h_mul, h_prem, int_poly_gcd, integer_kernel, primitive_part
+from .polynomials import _PRIME, IntPoly, h_mul, h_prem, integer_kernel, primitive_part, without_content
 from .series import TruncatedSeries
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "extend_sequence",
     "sequence_from_series",
     "derive_recurrence",
-    "first_regular_index",
 ]
 
 
@@ -369,12 +367,6 @@ def _first_dependence(columns: list[list[IntPoly]]) -> list[IntPoly] | None:
     return None
 
 
-def _without_common_factor(polys: list[IntPoly]) -> list[IntPoly]:
-    """polys divided by their gcd in Z[t]."""
-    g = functools.reduce(int_poly_gcd, polys)
-    return [p.exact_div(g) for p in polys]
-
-
 def _cancel(n: list[IntPoly], p: IntPoly, k: int) -> tuple[list[IntPoly], int]:
     """n / p^i and k - i for the largest i <= k with p^i dividing every entry of n in Z[t]."""
     while k and p.degree > 0:
@@ -400,7 +392,7 @@ def derive_recurrence(q: list[IntPoly] | tuple[IntPoly, ...]) -> tuple[Recurrenc
     `q` is Q's coefficients in y, each an IntPoly in t; Q must be squarefree
     in y (the minimal polynomial qualifies).  Returns the recurrence and the
     least n0 >= 0 from which it holds: it holds at every n >= n0, and when
-    n0 > 0 it fails at n0 - 1.
+    n0 > 0 it fails at n0 - 1.  A polynomial F gets a(n+1) = 0, of order 1.
 
     Comtet's method.  F' = -Q_t(F) / Q_y(F) is computed once as U(t, F) /
     delta(t), Q_y being inverted modulo Q by a linear dependence.  Then F,
@@ -430,7 +422,7 @@ def derive_recurrence(q: list[IntPoly] | tuple[IntPoly, ...]) -> tuple[Recurrenc
     b = _first_dependence(columns)
     if b is None or len(b) != m + 1:
         raise ConsistencyError("Q_y is not invertible modulo Q: Q is not squarefree")
-    *u, delta = _without_common_factor([c * s for c, s in zip(b, scales)])
+    *u, delta = without_content([c * s for c, s in zip(b, scales)])
     d_delta, d_lc = delta.derivative(), lc.derivative()
     # 1, F, F', ..., F^(m-1): m + 1 elements in a space of dimension m
     one = [IntPoly.constant(1)] + [IntPoly()] * (m - 1)
@@ -448,7 +440,7 @@ def derive_recurrence(q: list[IntPoly] | tuple[IntPoly, ...]) -> tuple[Recurrenc
     b = _first_dependence([n for n, _, _ in elements])
     if b is None:
         raise ConsistencyError(f"1, F and {m - 1} derivatives are independent modulo Q")
-    a = _without_common_factor([c * delta**e * lc**s for c, (_, e, s) in zip(b, elements)])
+    a = without_content([c * delta**e * lc**s for c, (_, e, s) in zip(b, elements)])
     rhs, ode = -a[0], a[1:]
     # the term a_{j,i} t^i F^(j) reaches f(n + j - i)
     shifts = [j - i for j, p in enumerate(ode) for i, c in enumerate(p.coeffs) if c]
@@ -459,53 +451,8 @@ def derive_recurrence(q: list[IntPoly] | tuple[IntPoly, ...]) -> tuple[Recurrenc
             if c:
                 k = j - i - low
                 polys[k] = polys[k] + _falling(k, j) * c
-    return Recurrence(tuple(polys)), max(rhs.degree + 1 + low, 0) if rhs else 0
+    n0 = max(rhs.degree + 1 + low, 0) if rhs else 0
+    if len(polys) == 1:  # c f(N) = 0 from n0 on: F is a polynomial, and a(n+1) = 0 from n0 - 1
+        return Recurrence((IntPoly(), IntPoly.constant(1))), max(n0 - 1, 0)
+    return Recurrence(tuple(polys)), n0
 
-
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _split_points(p: IntPoly, lo: int, hi: int) -> list[int]:
-    """Sorted integers from lo to hi, both included, with no root of p strictly
-    between two consecutive ones more than 1 apart.
-
-    By induction on the degree: between the split points of p' more than 1
-    apart p is monotone, so it has a root there only if its signs at the
-    ends differ, and bisection on the integers pins that root between two
-    adjacent ones, which join the points.
-    """
-    if p.degree < 1:
-        return [lo, hi]
-    points = _split_points(p.derivative(), lo, hi)
-    out = set(points)
-    for a, b in zip(points, points[1:]):
-        if b - a > 1 and _sign(p(a)) * _sign(p(b)) < 0:
-            side = _sign(p(a))
-            while b - a > 1:
-                mid = (a + b) // 2
-                if _sign(p(mid)) == side:
-                    a = mid
-                else:
-                    b = mid
-            out |= {a, b}
-    return sorted(out)
-
-
-def _nonnegative_integer_roots(p: IntPoly) -> list[int]:
-    """The integer roots n >= 0 of a nonzero p, ascending, by exact bisection.
-
-    Every root lies below Cauchy's bound 1 + max |c_i| / |c_d|, and is one
-    of p's split points on [0, bound], so p is evaluated only at those.
-    """
-    if p.degree < 1:
-        return []
-    bound = 1 + max(abs(c) for c in p.coeffs[:-1]) // abs(p.leading) + 1
-    return [n for n in _split_points(p, 0, bound) if p(n) == 0]
-
-
-def first_regular_index(rec: Recurrence, n0: int) -> int:
-    """The least n >= n0 with p_r(n') != 0 for every n' >= n: from there on,
-    unrolling never divides by zero."""
-    roots = _nonnegative_integer_roots(rec.coeff_polys[-1])
-    return max([n0] + [n + 1 for n in roots])

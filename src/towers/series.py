@@ -44,8 +44,8 @@ A set whose sizes share a factor g > 1 gives series that vanish off the
 g-grid; their products and quotients run on every g-th coefficient, a
 g-th of the length.
 
-Counting by pieces, `piece_count_sequence` solves the same Phi and divides
-by the same D in z.  For a single size that is t^k renamed.  For several
+Counting by pieces, `piece_count_sequence` runs the same pipeline, the
+same Phi and D, in z.  For a single size that is t^k renamed.  For several
 sizes, Phi is linear in z, so z H' = H / (1 - Phi_y), and (1 + H)(1 - Phi_y)
 is D in z: H / D is z H' / (1 + H).
 
@@ -400,9 +400,9 @@ def half_pyramid_rhs(h: TruncatedSeries, pieces: PieceSet) -> TruncatedSeries:
     return _horner(_phi(pieces), h)
 
 
-def series_pyramids(h: TruncatedSeries, pieces: PieceSet) -> TruncatedSeries:
-    """Pyramid series P = H / D(t, H) from the plain half-pyramid series h."""
-    return h / _at_powers(_d(pieces), h)
+def series_pyramids(h: TruncatedSeries, pieces: PieceSet, by_pieces: bool = False) -> TruncatedSeries:
+    """Pyramid series P = H / D(x, H) from the half-pyramid series h, in t or by pieces in z."""
+    return h / _at_powers(_d(pieces, by_pieces), h)
 
 
 def series_towers(p: TruncatedSeries, h: TruncatedSeries) -> TruncatedSeries:
@@ -411,18 +411,19 @@ def series_towers(p: TruncatedSeries, h: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_family(
-    pieces: PieceSet, order: int, through: Shape = Shape.TOWER
+    pieces: PieceSet, order: int, through: Shape = Shape.TOWER, by_pieces: bool = False
 ) -> dict[Shape, TruncatedSeries]:
-    """H, P and M through t^order, keyed by shape, stopping after `through`.
+    """H, P and M through t^order, or through z^order by pieces, keyed by shape,
+    stopping after `through`.
 
     P and M are derived from H, so asking for half pyramids solves H only
     and asking for pyramids skips M.
     """
-    h = solve_half_pyramids(pieces, order)
+    h = solve_half_pyramids(pieces, order, by_pieces)
     family = {Shape.HALF_PYRAMID: h}
     if through is Shape.HALF_PYRAMID:
         return family
-    p = family[Shape.PYRAMID] = series_pyramids(h, pieces)
+    p = family[Shape.PYRAMID] = series_pyramids(h, pieces, by_pieces)
     if through is Shape.TOWER:
         family[Shape.TOWER] = series_towers(p, h)
     return family
@@ -448,16 +449,10 @@ def coefficients_by_pieces(series: TruncatedSeries, pieces: PieceSet) -> list[in
 def piece_count_sequence(pieces: PieceSet, count: int, shape: Shape) -> list[int]:
     """Numbers of the shape's structures with n = 1..count pieces, any sizes.
 
-    H is solved in the piece variable z, then P = H / D(z, H) and
-    M = P / (1 - H), the area route's equations with every x_i read as z.
+    `series_family` in the piece variable z: the area route's equations
+    with every x_i read as z.
     """
-    h = solve_half_pyramids(pieces, count, by_pieces=True)
-    series = h
-    if shape is not Shape.HALF_PYRAMID:
-        series = h / _at_powers(_d(pieces, by_pieces=True), h)
-        if shape is Shape.TOWER:
-            series = series_towers(series, h)
-    return list(series.coeffs[1:])
+    return list(series_family(pieces, count, through=shape, by_pieces=True)[shape].coeffs[1:])
 
 
 def closed_form_half_pyramids(k: int, n: int) -> int:

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from towers.enumeration import BoundKind, EnumerationQuery, count_towers
 from towers.identities import ACCEPTANCE_SETS
 from towers.model import PieceSet, Rule, Shape
 from towers.polynomials import IntPoly
-from towers.recurrences import Sequence, derive_recurrence, extend_sequence, sequence_from_series
+from towers.recurrences import Recurrence, Sequence, derive_recurrence, extend_sequence, sequence_from_series
 from towers.series import coefficients_by_pieces, series_family
 
 
@@ -660,6 +661,8 @@ def solver_text(pieces, shape, order, fmt, by_pieces=False):
     ("4", "all", "pyramid", "csv", True),
     ("2", "noalign", "tower", "json", False),
     ("2", "noalign", "half", "json", True),
+    ("1", "noalign", "pyramid", "json", False),  # P = H = t, a polynomial
+    ("1", "noalign", "half", "csv", False),
 ])
 def test_unrolled_series_bytes_equal_the_solvers(capsys, derivations, sizes, rule, shape, fmt,
                                                  by_pieces):
@@ -671,6 +674,51 @@ def test_unrolled_series_bytes_equal_the_solvers(capsys, derivations, sizes, rul
     assert len(derivations) == 1
     pieces = PieceSet(tuple(map(int, sizes.split(","))), Rule(rule))
     assert out == solver_text(pieces, Shape(shape), order, fmt, by_pieces)
+
+
+def _unrolled_inputs():
+    """Every (pieces, shape) that `series` sends down the unroll route at a deep order."""
+    sizes = range(1, cli._UNROLL_MAX_SIZE + 1)
+    sets = [PieceSet(chosen) for n in sizes for chosen in itertools.combinations(sizes, n)]
+    sets += [PieceSet.of(k, rule=Rule.NO_EXACT_ALIGNMENT) for k in sizes]
+    return [(pieces, shape) for pieces in sets for shape in Shape]
+
+
+@pytest.mark.parametrize("pieces, shape", _unrolled_inputs(), ids=str)
+def test_every_input_of_the_unroll_route_unrolls(monkeypatch, pieces, shape):
+    # the recurrence derived from the prefix passes the guard: p_r(n) > 0 at
+    # every n >= 0 read off its coefficients, and the overlap lies in the
+    # prefix, so no input goes back to the solver
+    orders, derived = [], []
+
+    def solving(pieces, order, through):
+        orders.append(order)
+        return series_family(pieces, order, through=through)
+
+    def deriving(q):
+        derived.append(derive_recurrence(q))
+        return derived[-1]
+
+    monkeypatch.setattr("towers.cli.series_family", solving)
+    monkeypatch.setattr("towers.cli.derive_recurrence", deriving)
+    cli._plain_series(pieces, shape, cli._UNROLL_FROM_ORDER)
+    (rec, n0), = derived
+    lead = rec.coeff_polys[-1].coeffs
+    assert lead[0] > 0 and min(lead) >= 0
+    assert n0 + 2 * rec.order - 1 <= cli._PREFIX_ORDER
+    assert orders == [cli._PREFIX_ORDER]
+
+
+def test_a_leading_coefficient_with_a_root_leaves_the_series_to_the_solver(capsys, monkeypatch):
+    # times (n - 5) the recurrence still holds, but p_r(5) = 0 would stop the unroll
+    def with_a_root(q):
+        rec, n0 = derive_recurrence(q)
+        return Recurrence(tuple(p * IntPoly((-5, 1)) for p in rec.coeff_polys)), n0
+
+    monkeypatch.setattr("towers.cli.derive_recurrence", with_a_root)
+    code, out, err = run(capsys, "series", "--sizes", "1,2,3", "--order", "600")
+    assert (code, err) == (0, "")
+    assert out == solver_text(PieceSet((1, 2, 3)), Shape.TOWER, 600, "json")
 
 
 # sha256 of `series --sizes 1,2,3 --order 1000`, recorded while every order was solved
@@ -718,7 +766,9 @@ def test_unrolled_terms_that_disagree_with_the_solver_exit_5(capsys, monkeypatch
 
 
 @pytest.mark.parametrize("j", range(4))
-def test_a_bumped_annihilator_exits_5(capsys, monkeypatch, j):
+def test_a_bumped_annihilator_never_changes_the_output(capsys, monkeypatch, derivations, j):
+    # the recurrence each wrong Q derives has order 40 or more, so the terms it
+    # must be checked on pass the prefix, and the solver prints the series
     real = cli.annihilating_polynomial
 
     def bumped(pieces, shape, series):
@@ -728,8 +778,9 @@ def test_a_bumped_annihilator_exits_5(capsys, monkeypatch, j):
 
     monkeypatch.setattr("towers.cli.annihilating_polynomial", bumped)
     code, out, err = run(capsys, "series", "--sizes", "1,2,3", "--order", "600")
-    assert (code, out) == (5, "")
-    assert err.startswith("error: ")
+    assert (code, err) == (0, "")
+    assert len(derivations) == 1
+    assert out == solver_text(PieceSet((1, 2, 3)), Shape.TOWER, 600, "json")
 
 
 @pytest.mark.parametrize("bad", ["guess --input", "extend --rec", "extend --init"])

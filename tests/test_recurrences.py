@@ -16,14 +16,12 @@ from towers.model import PieceSet, Rule, Shape
 from towers.polynomials import IntPoly
 from towers.recurrences import (
     InconsistentRecurrenceError,
-    _nonnegative_integer_roots,
     InsufficientTermsError,
     Recurrence,
     Sequence,
     SingularRecurrenceError,
     derive_recurrence,
     extend_sequence,
-    first_regular_index,
     guess_recurrence,
     sequence_from_series,
     verify_recurrence,
@@ -361,6 +359,7 @@ def test_filter_leaves_the_trimer_recurrence_to_one_exact_elimination(exact_elim
 # ---------------------------------------------------------------- recurrences derived from Q
 
 DERIVED_SETS = [PieceSet(sizes) for sizes in ACCEPTANCE_SETS] + [
+    PieceSet.of(1, rule=Rule.NO_EXACT_ALIGNMENT),  # H = P = t: a polynomial
     PieceSet.of(2, rule=Rule.NO_EXACT_ALIGNMENT),
     PieceSet.of(3, rule=Rule.NO_EXACT_ALIGNMENT),
     PieceSet.of(5),
@@ -371,7 +370,7 @@ DERIVED_SETS = [PieceSet(sizes) for sizes in ACCEPTANCE_SETS] + [
 def _unrolled(q, coeffs, length):
     """The derived recurrence unrolled from just enough of coeffs, and its n0."""
     rec, n0 = derive_recurrence(q)
-    start = first_regular_index(rec, n0) + rec.order
+    start = n0 + rec.order
     return extend_sequence(rec, Sequence(0, coeffs[:start]), length), rec, n0
 
 
@@ -420,37 +419,3 @@ def test_a_bumped_annihilator_does_not_reproduce_the_series(pieces):
             except (ConsistencyError, InconsistentRecurrenceError):
                 continue
             assert unrolled.terms != series.coeffs, (j, bump)
-
-
-def test_roots_with_eighty_bit_coefficients():
-    # (n - 37) times a quadratic with 80-bit coefficients that is positive for n >= 0:
-    # a scan up to Cauchy's bound (about 2^80) would never finish
-    a, b, c = 3**50 + 1, 5**34 + 7, 7**28 + 11
-    assert min(x.bit_length() for x in (a, b, c)) >= 79
-    p = IntPoly((-37, 1)) * IntPoly((c, b, a))
-    assert max(abs(x).bit_length() for x in p.coeffs) >= 80
-    assert _nonnegative_integer_roots(p) == [37]
-    assert _nonnegative_integer_roots(p * IntPoly((-38, 1))) == [37, 38]
-    assert _nonnegative_integer_roots(p * IntPoly((-37, 1))) == [37]  # a double root
-    assert _nonnegative_integer_roots(p * IntPoly((0, 1)) * IntPoly((37, 1))) == [0, 37]
-    far = 2**79 + 5
-    assert _nonnegative_integer_roots(p * IntPoly((-far, 1))) == [37, far]
-    assert _nonnegative_integer_roots(IntPoly((c, b, a))) == []
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-6, 40), min_size=0, max_size=4),
-       st.lists(st.integers(-50, 50), min_size=1, max_size=4).filter(lambda c: c[-1] != 0))
-def test_roots_equal_a_scan(roots, cofactor):
-    p = IntPoly(cofactor)
-    for r in roots:
-        p = p * IntPoly((-r, 1))
-    # the cofactor's integer roots divide its lowest nonzero coefficient, so none passes 50
-    assert _nonnegative_integer_roots(p) == [n for n in range(51) if p(n) == 0]
-
-
-def test_first_regular_index_passes_the_roots_of_the_leading_coefficient():
-    rec = Recurrence((IntPoly((-1,)), IntPoly((12, -7, 1))))  # (n-3)(n-4) a(n+1) = a(n)
-    assert first_regular_index(rec, 0) == 5
-    assert first_regular_index(rec, 9) == 9
-    assert first_regular_index(CATALAN_REC, 2) == 2

@@ -16,6 +16,7 @@ from .enumeration import BoundKind, EnumerationQuery, count_towers, weight_polyn
 from .model import PieceSet, Rule, Shape
 from .recurrences import (
     Sequence,
+    SingularRecurrenceError,
     extend_sequence,
     guess_recurrence,
     sequence_from_series,
@@ -171,12 +172,15 @@ def _check_guesses(pieces: PieceSet, family: Family) -> list[CheckResult]:
         elif not verify_recurrence(rec, full):
             detail = "guessed recurrence fails on held-out series terms"
         else:
-            replay = extend_sequence(rec, prefix, len(full))
-            if replay.terms != full.terms:
-                bad = next(
-                    i for i, (a, b) in enumerate(zip(replay.terms, full.terms)) if a != b
-                )
-                detail = f"extension diverges from the series at n={full.offset + bad}"
+            try:
+                replay = extend_sequence(rec, prefix, len(full))
+            except SingularRecurrenceError as exc:  # p_r vanishes at a held-out n
+                detail = f"extension stops: {exc}"
+            else:
+                bad = next((i for i, (a, b) in enumerate(zip(replay.terms, full.terms)) if a != b),
+                           None)
+                if bad is not None:
+                    detail = f"extension diverges from the series at n={full.offset + bad}"
         name = f"guess[{_config_label(pieces)} {shape.value}]"
         out.append(CheckResult(name, not detail, detail))
     return out

@@ -190,6 +190,25 @@ def without_content(polys: Sequence[IntPoly]) -> tuple[IntPoly, ...]:
 _PRIME = 1073741789
 
 
+def _field_width(ncols: int, p: int) -> int:
+    """Bits per field of a packed row of ncols entries mod p: room for (ncols+1)*p**2."""
+    return ((ncols + 1) * p * p).bit_length()
+
+
+def _pack(entries: Sequence[int], bits: int) -> int:
+    """The non-negative entries as one int, entry k in bits [k*bits, (k+1)*bits)."""
+    packed = 0
+    for x in reversed(entries):
+        packed = packed << bits | x
+    return packed
+
+
+def _unpack(packed: int, count: int, bits: int, p: int) -> list[int]:
+    """The lowest count fields of a packed row, each reduced mod p."""
+    mask = (1 << bits) - 1
+    return [(packed >> k * bits & mask) % p for k in range(count)]
+
+
 def integer_kernel(matrix: list[list[int]]) -> list[list[int]]:
     """Basis of the kernel of an integer matrix, as coprime integer vectors.
 
@@ -266,27 +285,33 @@ def _eliminate(matrix: list[list[int]], ncols: int, p: int) -> tuple[list[tuple[
     of the pivot block for `_solve_mod`: for each pivot, the multipliers
     that earlier pivots subtracted from its row, its row's entries at the
     later pivot columns (last first), and the inverse of the pivot.
+
+    Each row is one packed int whose lowest field is the current column,
+    so a row update (add f times the scaled pivot row, drop the column) is
+    one big-integer operation.  Only pivot rows are reduced mod p: an entry
+    starts below p, takes at most ncols updates of less than p**2 and so
+    stays below (ncols+1)*p**2, within its `_field_width(ncols, p)` bits.
     """
-    # each row: its index, its entries from the current column on, its multipliers
-    rows = [(i, [x % p for x in row], []) for i, row in enumerate(matrix)]
+    bits = _field_width(ncols, p)
+    mask = (1 << bits) - 1
+    rows = [_pack([x % p for x in row], bits) for row in matrix]
+    indices = list(range(len(matrix)))
+    below: list[list[int]] = [[] for _ in matrix]  # each row's multipliers
     pivots, reduced = [], []
     for col in range(ncols):
-        at = next((n for n, (_, entries, _) in enumerate(rows) if entries[0]), None)
+        at = next((n for n, row in enumerate(rows) if (row & mask) % p), None)
         if at is None:
-            rows = [(i, entries[1:], multipliers) for i, entries, multipliers in rows]
+            rows = [row >> bits for row in rows]
             continue
-        i, pivot, multipliers = rows.pop(at)
-        pivots.append((i, col))
-        reduced.append((multipliers, pivot))
+        pivot = _unpack(rows.pop(at), ncols - col, bits, p)
+        pivots.append((indices.pop(at), col))
+        reduced.append((below.pop(at), pivot))
         inverse = pow(pivot[0], -1, p)
-        negated = [-x * inverse % p for x in pivot[1:]]
-        for n, (j, entries, below) in enumerate(rows):
-            f = entries[0]
-            below.append(f * inverse % p)
-            if f:
-                rows[n] = (j, [(x + f * y) % p for x, y in zip(entries[1:], negated)], below)
-            else:
-                rows[n] = (j, entries[1:], below)
+        scaled = _pack([-x * inverse % p for x in pivot[1:]], bits)
+        leads = [(row & mask) % p for row in rows]
+        for f, multipliers in zip(leads, below):
+            multipliers.append(f * inverse % p)
+        rows = [(row >> bits) + f * scaled for row, f in zip(rows, leads)]
     cols = [c for _, c in pivots]
     factors = [
         (multipliers, [pivot[c - col] for c in reversed(cols[k + 1:])], pow(pivot[0], -1, p))

@@ -43,7 +43,8 @@ import decimal
 from dataclasses import dataclass
 
 from .errors import ConsistencyError
-from .polynomials import _PRIME, IntPoly, h_mul, h_prem, integer_kernel, primitive_part, without_content
+from .polynomials import (_PRIME, IntPoly, _field_width, _pack, _unpack, h_mul, h_prem,
+                          integer_kernel, primitive_part, without_content)
 from .series import TruncatedSeries
 
 __all__ = [
@@ -185,33 +186,37 @@ def _first_singular_degree(s: Sequence, r: int, max_degree: int, guard: int) -> 
     pivot ends the scan: its block d is the first shape rank-deficient mod
     p.  Only the first rows are used; a subset of rows of full column rank
     already gives the whole system full column rank.
+
+    Rows are packed ints, as in `polynomials._eliminate`, reduced mod p
+    only as pivots.  An entry starts below p**2, takes at most ncols =
+    (r+1)(max_degree+1) updates of less than p**2 and so stays below
+    (ncols+1)*p**2, within its `_field_width(ncols, p)` bits.
     """
     p = _PRIME
     width = r + 1
-    rows = min(len(s) - r - guard, width * (max_degree + 1) + _EXTRA_ROWS)
-    residues = [t % p for t in s.terms[: rows + r]]
+    ncols = width * (max_degree + 1)
+    bits = _field_width(ncols, p)
+    mask = (1 << bits) - 1
+    rows = min(len(s) - r - guard, ncols + _EXTRA_ROWS)
+    residues = _pack([t % p for t in s.terms[: rows + r]], bits)
+    blocks = range(0, ncols * bits, width * bits)  # where each degree block starts
     matrix = []
     for w in range(rows):
-        n = (s.offset + w) % p
-        block = residues[w : w + width]
-        row = block
-        for _ in range(max_degree):
-            block = [x * n % p for x in block]
-            row = row + block
+        window = residues >> w * bits & (1 << width * bits) - 1  # a(n), ..., a(n+r)
+        n, power, row = (s.offset + w) % p, 1, 0
+        for start in blocks:
+            row |= window * power << start  # a(n+j)*(n^e mod p) < p**2, unreduced
+            power = power * n % p
         matrix.append(row)
     # each step pivots on the leading column and drops it from every row
-    for col in range(width * (max_degree + 1)):
-        at = next((i for i, row in enumerate(matrix) if row[0]), None)
+    for col in range(ncols):
+        at = next((i for i, row in enumerate(matrix) if (row & mask) % p), None)
         if at is None:
             return col // width
-        pivot = matrix.pop(at)
+        pivot = _unpack(matrix.pop(at), ncols - col, bits, p)
         negated = p - pow(pivot[0], -1, p)
-        scaled = [x * negated % p for x in pivot[1:]]
-        reduced = []
-        for row in matrix:
-            f = row[0]
-            reduced.append([(x + f * y) % p for x, y in zip(row[1:], scaled)] if f else row[1:])
-        matrix = reduced
+        scaled = _pack([x * negated % p for x in pivot[1:]], bits)
+        matrix = [(row >> bits) + (row & mask) % p * scaled for row in matrix]
     return max_degree + 1
 
 

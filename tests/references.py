@@ -194,3 +194,68 @@ def exhaustive_guess(
                     if recurrences.verify_recurrence(rec, s):
                         return rec
     return None
+
+
+def list_eliminate(matrix: list[list[int]], ncols: int, p: int) -> tuple[list[tuple[int, int]], list]:
+    """`polynomials._eliminate` on lists: every entry reduced mod p after every update.
+
+    Returns the same pivots and LU factors, so the packed rows' delayed
+    reductions are checked against the reductions made at once.
+    """
+    # each row: its index, its entries from the current column on, its multipliers
+    rows = [(i, [x % p for x in row], []) for i, row in enumerate(matrix)]
+    pivots, reduced = [], []
+    for col in range(ncols):
+        at = next((n for n, (_, entries, _) in enumerate(rows) if entries[0]), None)
+        if at is None:
+            rows = [(i, entries[1:], multipliers) for i, entries, multipliers in rows]
+            continue
+        i, pivot, multipliers = rows.pop(at)
+        pivots.append((i, col))
+        reduced.append((multipliers, pivot))
+        inverse = pow(pivot[0], -1, p)
+        negated = [-x * inverse % p for x in pivot[1:]]
+        for n, (j, entries, below) in enumerate(rows):
+            f = entries[0]
+            below.append(f * inverse % p)
+            if f:
+                rows[n] = (j, [(x + f * y) % p for x, y in zip(entries[1:], negated)], below)
+            else:
+                rows[n] = (j, entries[1:], below)
+    cols = [c for _, c in pivots]
+    factors = [
+        (multipliers, [pivot[c - col] for c in reversed(cols[k + 1:])], pow(pivot[0], -1, p))
+        for k, ((multipliers, pivot), col) in enumerate(zip(reduced, cols))
+    ]
+    return pivots, factors
+
+
+def list_first_singular_degree(s: recurrences.Sequence, r: int, max_degree: int, guard: int) -> int:
+    """`recurrences._first_singular_degree` on lists, every entry reduced after every update."""
+    p = recurrences._PRIME
+    width = r + 1
+    rows = min(len(s) - r - guard, width * (max_degree + 1) + recurrences._EXTRA_ROWS)
+    residues = [t % p for t in s.terms[: rows + r]]
+    matrix = []
+    for w in range(rows):
+        n = (s.offset + w) % p
+        block = residues[w : w + width]
+        row = block
+        for _ in range(max_degree):
+            block = [x * n % p for x in block]
+            row = row + block
+        matrix.append(row)
+    # each step pivots on the leading column and drops it from every row
+    for col in range(width * (max_degree + 1)):
+        at = next((i for i, row in enumerate(matrix) if row[0]), None)
+        if at is None:
+            return col // width
+        pivot = matrix.pop(at)
+        negated = p - pow(pivot[0], -1, p)
+        scaled = [x * negated % p for x in pivot[1:]]
+        reduced = []
+        for row in matrix:
+            f = row[0]
+            reduced.append([(x + f * y) % p for x, y in zip(row[1:], scaled)] if f else row[1:])
+        matrix = reduced
+    return max_degree + 1

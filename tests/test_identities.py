@@ -1,11 +1,15 @@
+import json
 from collections import Counter
 
 import pytest
 
 import towers.identities as identities
+from towers.cli import main
 from towers.enumeration import BoundKind
 from towers.identities import ACCEPTANCE_SETS, verify_identities
 from towers.model import PieceSet, Shape
+from towers.polynomials import IntPoly
+from towers.recurrences import Recurrence
 from towers.series import TruncatedSeries
 
 
@@ -80,3 +84,35 @@ def test_each_set_is_solved_once_and_each_shape_enumerated_once(monkeypatch):
     assert weighings and max(weighings.values()) == 1
     assert {p for p, _ in weighings} <= set(solves)
     assert walks and max(walks.values()) == 1
+
+
+@pytest.fixture
+def guesses_singular_at_100(monkeypatch):
+    """Every guessed recurrence times (n - 100): it still annihilates all 260 terms, but
+    unrolling from the 60 guessed terms stops at n = 100, where p_r vanishes."""
+    guess = identities.guess_recurrence
+
+    def times_n_minus_100(*args, **kwargs):
+        rec = guess(*args, **kwargs)
+        return Recurrence(tuple(p * IntPoly((-100, 1)) for p in rec.coeff_polys))
+
+    monkeypatch.setattr(identities, "guess_recurrence", times_n_minus_100)
+
+
+SINGULAR_DETAIL = "extension stops: leading coefficient vanishes at n=100"
+
+
+def test_a_guess_singular_in_the_held_out_range_fails_its_check(guesses_singular_at_100):
+    failures = {r.name: r.detail for r in verify_identities(6, 3) if not r.passed}
+    assert len(failures) == 18
+    assert all(name.startswith("guess[") for name in failures)
+    assert set(failures.values()) == {SINGULAR_DETAIL}
+
+
+def test_verify_reports_a_singular_guess_and_exits_5(guesses_singular_at_100, tmp_path):
+    path = tmp_path / "report.json"
+    assert main(["verify", "--max-area", "6", "--max-pieces", "3", "--out", str(path)]) == 5
+    report = json.loads(path.read_text())
+    assert report["passed"] is False
+    failed = {c["name"]: c["detail"] for c in report["checks"] if not c["passed"]}
+    assert failed["guess[S={1,2,3} all tower]"] == SINGULAR_DETAIL

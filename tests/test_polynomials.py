@@ -9,7 +9,7 @@ from towers import polynomials
 from towers.errors import ConsistencyError
 from towers.polynomials import IntPoly, h_prem, h_resultant, integer_kernel
 
-from references import bareiss_kernel, sylvester_resultant
+from references import bareiss_kernel, list_eliminate, sylvester_resultant
 
 
 class TestIntPoly:
@@ -212,6 +212,32 @@ def test_kernel_equals_the_bareiss_reference(case):
     kernel = integer_kernel(matrix)
     assert kernel == bareiss_kernel(matrix)
     assert len(kernel) == dimension
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=kernel_cases())
+def test_packed_elimination_equals_the_list_reference(case):
+    matrix, _ = case
+    ncols = len(matrix[0])
+    assert polynomials._eliminate(matrix, ncols, PRIME) == list_eliminate(matrix, ncols, PRIME)
+
+
+WIDE = 48
+
+
+@pytest.mark.parametrize("matrix", [
+    # rank 1: the first update takes every other row to multiples of p
+    [[PRIME - 1] * WIDE for _ in range(WIDE)],
+    # -(min(i, j) + 1): full rank, and at every pivot the pivot, every lead
+    # below it and every scaled pivot entry is p - 1, so row i takes
+    # min(i, WIDE - 1) updates of (p - 1)**2 each
+    [[-(min(i, j) + 1) for j in range(WIDE)] for i in range(WIDE)],
+], ids=["all p-1", "min"])
+def test_packed_elimination_keeps_the_largest_updates_apart(matrix):
+    pivots, factors = polynomials._eliminate(matrix, WIDE, PRIME)
+    assert (pivots, factors) == list_eliminate(matrix, WIDE, PRIME)
+    assert all(inverse == PRIME - 1 for _, _, inverse in factors)  # each pivot is p - 1
+    assert all(set(multipliers) <= {1} for multipliers, _, _ in factors)  # each lead is p - 1
 
 
 @pytest.mark.parametrize("matrix, kernel", [

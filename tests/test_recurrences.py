@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from references import exhaustive_guess
+from references import exhaustive_guess, list_first_singular_degree
 from towers import recurrences
 from towers.algebra import annihilating_polynomial
 from towers.errors import ConsistencyError
@@ -319,6 +319,46 @@ def test_verify_guesses_equal_the_exact_search(pieces):
         rec = guess_recurrence(seq, 7, 5, 5)
         assert rec is not None
         assert rec == exhaustive_guess(seq, 7, 5, 5)
+
+
+def assert_filter_equals_the_list_reference(seq):
+    """Both filters at `verify`'s bounds: max degree 5, guard 5, every order up to 7."""
+    for r in range(1, 8):
+        assert recurrences._first_singular_degree(seq, r, 5, 5) == list_first_singular_degree(
+            seq, r, 5, 5
+        )
+
+
+@pytest.mark.parametrize("pieces", VERIFY_SETS, ids=lambda p: f"{p.sizes}-{p.rule.value}")
+def test_packed_filter_equals_the_list_reference_on_verify_sequences(pieces):
+    family = series_family(pieces, 60)
+    for shape in (Shape.HALF_PYRAMID, Shape.PYRAMID, Shape.TOWER):
+        assert_filter_equals_the_list_reference(sequence_from_series(family[shape]))
+
+
+@st.composite
+def filter_sequences(draw):
+    """60 terms: random, P-recursive, or either times PRIME (every term 0 mod p)."""
+    length, offset = 60, draw(OFFSETS)
+    if draw(st.booleans()):
+        terms = draw(st.lists(st.integers(-10**12, 10**12), min_size=length, max_size=length))
+    else:
+        r, d = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+        coeffs = st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1)
+        polys = [IntPoly(draw(coeffs)) for _ in range(r + 1)]
+        assume(not polys[-1].is_zero)
+        initial = draw(st.lists(st.integers(-5, 5), min_size=r, max_size=r))
+        terms = rational_unroll(polys, initial, offset, length)
+        assume(terms is not None)
+    if draw(st.booleans()):
+        terms = [t * PRIME for t in terms]
+    return Sequence(offset, tuple(terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seq=filter_sequences())
+def test_packed_filter_equals_the_list_reference(seq):
+    assert_filter_equals_the_list_reference(seq)
 
 
 @pytest.fixture

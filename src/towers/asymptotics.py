@@ -29,8 +29,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from .recurrences import InsufficientTermsError, Sequence
+from .errors import InsufficientTermsError
+
+if TYPE_CHECKING:
+    from .recurrences import Sequence
 
 __all__ = ["AsymptoticEstimate", "ZeroTermError", "estimate_asymptotics", "minimum_terms"]
 

@@ -4,6 +4,12 @@ Subcommands: enumerate, series, eliminate, guess, extend, asympt, render,
 verify.  Everything is deterministic for fixed inputs and flags; big
 integers always travel as decimal strings.
 
+Each run starts a fresh interpreter, so start-up is part of every command's
+cost.  At module level this imports only the standard library, `errors`
+and `model` (the parser's choices); each `cmd_*` imports the modules it
+runs when it runs, so `--help` loads neither `jsonio` nor any solver, and
+`guess` and `extend` load no series, algebra or enumeration code.
+
 Exit codes: 0 success, 2 argument or configuration error, 3 a recurrence
 guess came back empty, 4 a recurrence hit a vanishing leading coefficient,
 5 an internal consistency check failed.
@@ -19,31 +25,14 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable, Iterator, TextIO
+from typing import TYPE_CHECKING, Callable, Iterator, TextIO
 
-from . import jsonio
-from .algebra import annihilating_polynomial, check_degree_cap
-from .asymptotics import estimate_asymptotics, minimum_terms
-from .enumeration import BoundKind, EnumerationQuery, count_towers, enumerate_towers, weight_polynomial
-from .errors import ConsistencyError, DegreeCapError, UnsupportedConfigurationError
-from .gallery import render_gallery
-from .identities import verify_identities
+from .errors import (ConsistencyError, DegreeCapError, InconsistentRecurrenceError,
+                     SingularRecurrenceError, UnsupportedConfigurationError)
 from .model import PieceSet, Rule, Shape
-from .recurrences import (
-    InconsistentRecurrenceError,
-    Sequence,
-    SingularRecurrenceError,
-    derive_recurrence,
-    extend_sequence,
-    guess_recurrence,
-)
-from .series import (
-    TruncatedSeries,
-    coefficients_by_pieces,
-    piece_count_sequence,
-    series_family,
-    weighted_series,
-)
+
+if TYPE_CHECKING:
+    from .series import TruncatedSeries
 
 # `series` unrolls a recurrence derived from the annihilating polynomial
 # instead of solving from this order on, for largest piece sizes up to
@@ -134,6 +123,9 @@ def _seekable_input(path: str) -> Iterator[TextIO]:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    from . import jsonio
+    from .enumeration import BoundKind, EnumerationQuery, count_towers, enumerate_towers, weight_polynomial
+
     pieces = _piece_set(args)
     shape = Shape(args.shape)
     if args.area is not None:
@@ -173,8 +165,13 @@ def _plain_series(pieces: PieceSet, shape: Shape, order: int) -> TruncatedSeries
     order.  The overlap, at least those r terms, must equal the solver's
     or ConsistencyError is raised.
     """
+    from .series import TruncatedSeries, series_family
+
     if order < _UNROLL_FROM_ORDER or pieces.max_size > _UNROLL_MAX_SIZE:
         return series_family(pieces, order, through=shape)[shape]
+    from .algebra import annihilating_polynomial
+    from .recurrences import Sequence, derive_recurrence, extend_sequence
+
     prefix = series_family(pieces, _PREFIX_ORDER, through=shape)[shape]
     rec, n0 = derive_recurrence(annihilating_polynomial(pieces, shape, prefix).coeffs)
     lead = rec.coeff_polys[-1].coeffs
@@ -191,6 +188,10 @@ def _plain_series(pieces: PieceSet, shape: Shape, order: int) -> TruncatedSeries
 
 
 def cmd_series(args: argparse.Namespace) -> int:
+    from . import jsonio
+    from .recurrences import Sequence
+    from .series import coefficients_by_pieces, piece_count_sequence, weighted_series
+
     pieces = _piece_set(args)
     shape = Shape(args.shape)
     if args.weighted:
@@ -221,6 +222,10 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_eliminate(args: argparse.Namespace) -> int:
+    from . import jsonio
+    from .algebra import annihilating_polynomial, check_degree_cap
+    from .series import series_family
+
     pieces = _piece_set(args)
     shape = Shape(args.shape)
     check_degree_cap(pieces)
@@ -231,6 +236,9 @@ def cmd_eliminate(args: argparse.Namespace) -> int:
 
 
 def cmd_guess(args: argparse.Namespace) -> int:
+    from . import jsonio
+    from .recurrences import guess_recurrence
+
     seq = jsonio.sequence_from_json(_load_json(args.input))
     rec = guess_recurrence(seq, args.max_order, args.max_degree, args.guard)
     if rec is None:
@@ -241,6 +249,9 @@ def cmd_guess(args: argparse.Namespace) -> int:
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
+    from . import jsonio
+    from .recurrences import extend_sequence
+
     rec = jsonio.recurrence_from_json(_load_json(args.rec))
     # Decimal terms: writing them as digits is linear, for ints it is quadratic
     init = jsonio.decimal_sequence_from_json(_load_json(args.init))
@@ -257,6 +268,9 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 
 def cmd_asympt(args: argparse.Namespace) -> int:
+    from . import jsonio
+    from .asymptotics import estimate_asymptotics, minimum_terms
+
     # The estimate reads only the tail: every term is checked, but only the
     # tail is kept, so memory does not grow with the file.  The depth sizes
     # that tail, and a bad one exits before any input is read.
@@ -269,12 +283,17 @@ def cmd_asympt(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    from .gallery import render_gallery
+
     pieces = _piece_set(args)
     _emit(args, render_gallery(pieces, Shape(args.shape), args.pieces))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import jsonio
+    from .identities import verify_identities
+
     results = verify_identities(max_area=args.max_area, max_pieces=args.max_pieces)
     _emit(args, jsonio.dumps(jsonio.report_to_json(results)))
     return 0 if all(r.passed for r in results) else 5

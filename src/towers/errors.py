@@ -19,3 +19,15 @@ class ConsistencyError(RuntimeError):
 
 class DegreeCapError(RuntimeError):
     """Polynomial elimination exceeded the supported degree bounds."""
+
+
+class InsufficientTermsError(ValueError):
+    """Too few terms for the requested operation (distinct from a failed guess)."""
+
+
+class SingularRecurrenceError(RuntimeError):
+    """The leading coefficient p_r(n) vanishes at an index needed for unrolling."""
+
+
+class InconsistentRecurrenceError(RuntimeError):
+    """A division during unrolling was not exact: the recurrence does not govern the data."""

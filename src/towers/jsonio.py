@@ -16,23 +16,27 @@ from __future__ import annotations
 
 import codecs
 import decimal
+import functools
 import json
 import math
 import re
 from collections import deque
 from decimal import Decimal
-from fractions import Fraction
-from typing import Any, BinaryIO, Callable, TextIO
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, TextIO
 
-from .algebra import BivariatePolynomial
-from .asymptotics import AsymptoticEstimate
-from .enumeration import BoundKind
 from .errors import MalformedInputError
-from .identities import CheckResult
 from .polynomials import IntPoly
 from .recurrences import Recurrence, Sequence
-from .series import TruncatedSeries
-from .zpoly import ZPolynomial
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .algebra import BivariatePolynomial
+    from .asymptotics import AsymptoticEstimate
+    from .enumeration import BoundKind
+    from .identities import CheckResult
+    from .series import TruncatedSeries
+    from .zpoly import ZPolynomial
 
 __all__ = [
     "dumps",
@@ -60,7 +64,7 @@ __all__ = [
     "tower_to_json",
 ]
 
-_BOUND_KIND_NAMES = {BoundKind.BY_AREA: "ByArea", BoundKind.BY_PIECE_COUNT: "ByPieceCount"}
+_BOUND_KIND_NAMES = {"area": "ByArea", "pieces": "ByPieceCount"}  # by BoundKind's value
 
 
 class DecimalInt(Decimal):
@@ -69,7 +73,8 @@ class DecimalInt(Decimal):
     Arithmetic on it is Decimal arithmetic.  `abs` keeps the type and
     `bit_length` answers as int's does, so code that sizes int terms by
     their bits (the benchmark's tracer sizes what `extend_sequence`
-    returns) sizes these too.
+    returns) sizes these too.  `int()` of one takes subquadratic time,
+    where Decimal's own conversion, like int(str), is quadratic.
     """
 
     __slots__ = ()
@@ -77,10 +82,17 @@ class DecimalInt(Decimal):
     def __abs__(self) -> DecimalInt:
         return DecimalInt(self.copy_abs())
 
+    def __int__(self) -> int:
+        """As Decimal's int(): the digit string is cut in halves, converted and recombined."""
+        if not self.same_quantum(_ZERO):  # a NaN, an infinity or a scaled value
+            return super().__int__()
+        text = str(self)
+        return -_digits_int(text[1:]) if text[0] == "-" else _digits_int(text)
+
     def bit_length(self) -> int:
         """As int(self).bit_length(), from the leading digits where they settle it.
 
-        Converting the whole number to int would cost quadratic time.
+        Converting the whole number to int would cost far more.
         """
         digits = self.adjusted() + 1
         if digits > 40:
@@ -97,6 +109,30 @@ _ZERO = DecimalInt(0)
 _LEADING = decimal.Context(prec=20, rounding=decimal.ROUND_DOWN)
 _GROUPED = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")  # int()'s digit grouping
 
+# Digit strings at most this long go to int() whole.  CPython's int/str digit
+# cap is 0 (none) or at least 640, so no piece reaches it.
+_SPLIT = 640
+
+
+@functools.cache
+def _power_of_ten(exponent: int) -> int:
+    return 10**exponent
+
+
+def _digits_int(digits: str) -> int:
+    """int(digits) for a string of decimal digits, in subquadratic time.
+
+    The low part takes _SPLIT times a power of two digits, so every level
+    of the recursion reuses the same few cached powers of ten, and the
+    recombining products are Karatsuba multiplications.
+    """
+    if len(digits) <= _SPLIT:
+        return int(digits)
+    low = _SPLIT
+    while 2 * low < len(digits):
+        low *= 2
+    return _digits_int(digits[:-low]) * _power_of_ten(low) + _digits_int(digits[-low:])
+
 
 def _int_str(value: int | Decimal) -> str:
     """Decimal digits of an integer.
@@ -105,7 +141,7 @@ def _int_str(value: int | Decimal) -> str:
     length convert without touching that process-wide setting.  For a
     Decimal value this is linear in its length.
     """
-    return str(Decimal(value))
+    return str(value if isinstance(value, Decimal) else Decimal(value))
 
 
 def _exact(term: str | int) -> DecimalInt:
@@ -166,7 +202,7 @@ def decimal_pair_str(numerator: int, denominator: int, digits: int = 30) -> str:
 
 def counts_to_json(bound_kind: BoundKind, counts: dict[int, int]) -> dict:
     return {
-        "bound_kind": _BOUND_KIND_NAMES[bound_kind],
+        "bound_kind": _BOUND_KIND_NAMES[bound_kind.value],
         "counts": {str(k): _int_str(v) for k, v in sorted(counts.items())},
     }
 
@@ -385,7 +421,7 @@ def polynomial_to_json(q: BivariatePolynomial) -> dict:
 
 def weight_table_to_json(table: dict[int, ZPolynomial], sizes: tuple[int, ...]) -> dict:
     return {
-        "bound_kind": _BOUND_KIND_NAMES[BoundKind.BY_AREA],
+        "bound_kind": _BOUND_KIND_NAMES["area"],
         "sizes": list(sizes),
         "polynomials": {str(a): _zpoly_to_json(z) for a, z in sorted(table.items())},
     }

@@ -41,11 +41,15 @@ from __future__ import annotations
 
 import decimal
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .errors import ConsistencyError
+from .errors import (ConsistencyError, InconsistentRecurrenceError, InsufficientTermsError,
+                     SingularRecurrenceError)
 from .polynomials import (_PRIME, IntPoly, _field_width, _pack, _unpack, h_mul, h_prem,
                           integer_kernel, primitive_part, without_content)
-from .series import TruncatedSeries
+
+if TYPE_CHECKING:
+    from .series import TruncatedSeries
 
 __all__ = [
     "Sequence",
@@ -75,18 +79,6 @@ _EXACT = decimal.Context(
 # largest below 2**30, using this many rows beyond the widest system's
 # column count.
 _EXTRA_ROWS = 8
-
-
-class InsufficientTermsError(ValueError):
-    """Too few terms for the requested operation (distinct from a failed guess)."""
-
-
-class SingularRecurrenceError(RuntimeError):
-    """The leading coefficient p_r(n) vanishes at an index needed for unrolling."""
-
-
-class InconsistentRecurrenceError(RuntimeError):
-    """A division during unrolling was not exact: the recurrence does not govern the data."""
 
 
 @dataclass(frozen=True)

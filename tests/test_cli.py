@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from towers import cli, jsonio
-from towers.algebra import BivariatePolynomial
+from towers.algebra import BivariatePolynomial, annihilating_polynomial
 from towers.cli import main
 from towers.enumeration import BoundKind, EnumerationQuery, count_towers
 from towers.identities import ACCEPTANCE_SETS
@@ -133,7 +133,7 @@ def test_eliminate_rejects_large_sizes_before_solving(capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("eliminate solved the series before checking the size cap")
 
-    monkeypatch.setattr("towers.cli.series_family", unreachable)
+    monkeypatch.setattr("towers.series.series_family", unreachable)
     code, _, err = run(capsys, "eliminate", "--sizes", "9", "--order", "2000")
     assert code == 2
     assert err == "error: elimination supports piece sizes up to 8, got 9\n"
@@ -486,6 +486,40 @@ def test_cli_import_leaves_sympy_unloaded():
     assert b'"y_degree": 2' in result.stdout
 
 
+_SRC = Path(__file__).resolve().parents[1] / "src"
+_MODULES = {path.stem for path in (_SRC / "towers").glob("*.py")} - {"__init__"}
+_CHAIN_UNLOADED = {"algebra", "identities", "enumeration", "series", "gallery", "asymptotics", "zpoly"}
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["--help"], _MODULES - {"cli", "errors", "model"}),
+    (["series", "--sizes", "1,2,3", "--order", "300"], {"algebra", "identities", "enumeration"}),
+    (["series", "--sizes", "3", "--by-pieces", "--order", "300"], {"algebra", "identities", "enumeration"}),
+    (["guess", "--input", "seq.json"], _CHAIN_UNLOADED),
+    (["extend", "--rec", "rec.json", "--init", "seq.json", "--terms", "300"], _CHAIN_UNLOADED),
+    (["asympt", "--input", "trimer.json"], {"algebra", "identities", "enumeration", "series"}),
+], ids=["help", "series", "series-by-pieces", "guess", "extend", "asympt"])
+def test_each_command_imports_only_what_it_runs(asympt_inputs, argv, unloaded):
+    # every command starts a fresh interpreter, so what it imports is start-up it pays
+    probe = (
+        "import json, sys\n"
+        "from towers.cli import main\n"
+        "try:\n"
+        "    code = main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('towers.')]), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    result = subprocess.run([sys.executable, "-c", probe, *argv], env=env, timeout=60,
+                            cwd=asympt_inputs["trimer"].parent, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    loaded = {name.split(".")[1] for name in json.loads(result.stderr.splitlines()[-1])}
+    assert "cli" in loaded
+    assert not loaded & unloaded
+
+
 def test_argument_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["enumerate", "--sizes", "2"])  # missing --pieces/--area
@@ -633,7 +667,7 @@ def derivations(monkeypatch):
         calls.append(q)
         return derive_recurrence(q)
 
-    monkeypatch.setattr("towers.cli.derive_recurrence", recording)
+    monkeypatch.setattr("towers.recurrences.derive_recurrence", recording)
     return calls
 
 
@@ -699,8 +733,8 @@ def test_every_input_of_the_unroll_route_unrolls(monkeypatch, pieces, shape):
         derived.append(derive_recurrence(q))
         return derived[-1]
 
-    monkeypatch.setattr("towers.cli.series_family", solving)
-    monkeypatch.setattr("towers.cli.derive_recurrence", deriving)
+    monkeypatch.setattr("towers.series.series_family", solving)
+    monkeypatch.setattr("towers.recurrences.derive_recurrence", deriving)
     cli._plain_series(pieces, shape, cli._UNROLL_FROM_ORDER)
     (rec, n0), = derived
     lead = rec.coeff_polys[-1].coeffs
@@ -715,7 +749,7 @@ def test_a_leading_coefficient_with_a_root_leaves_the_series_to_the_solver(capsy
         rec, n0 = derive_recurrence(q)
         return Recurrence(tuple(p * IntPoly((-5, 1)) for p in rec.coeff_polys)), n0
 
-    monkeypatch.setattr("towers.cli.derive_recurrence", with_a_root)
+    monkeypatch.setattr("towers.recurrences.derive_recurrence", with_a_root)
     code, out, err = run(capsys, "series", "--sizes", "1,2,3", "--order", "600")
     assert (code, err) == (0, "")
     assert out == solver_text(PieceSet((1, 2, 3)), Shape.TOWER, 600, "json")
@@ -759,7 +793,7 @@ def test_unrolled_terms_that_disagree_with_the_solver_exit_5(capsys, monkeypatch
         terms[len(initial)] += 1  # the first unrolled term
         return Sequence(initial.offset, tuple(terms))
 
-    monkeypatch.setattr("towers.cli.extend_sequence", bumped)
+    monkeypatch.setattr("towers.recurrences.extend_sequence", bumped)
     code, out, err = run(capsys, "series", "--sizes", "1,2,3", "--order", "600")
     assert (code, out) == (5, "")
     assert "disagrees with the solver" in err
@@ -769,14 +803,14 @@ def test_unrolled_terms_that_disagree_with_the_solver_exit_5(capsys, monkeypatch
 def test_a_bumped_annihilator_never_changes_the_output(capsys, monkeypatch, derivations, j):
     # the recurrence each wrong Q derives has order 40 or more, so the terms it
     # must be checked on pass the prefix, and the solver prints the series
-    real = cli.annihilating_polynomial
+    real = annihilating_polynomial
 
     def bumped(pieces, shape, series):
         q = list(real(pieces, shape, series).coeffs)
         q[j] = q[j] + IntPoly((0, 1))
         return BivariatePolynomial(tuple(q))
 
-    monkeypatch.setattr("towers.cli.annihilating_polynomial", bumped)
+    monkeypatch.setattr("towers.algebra.annihilating_polynomial", bumped)
     code, out, err = run(capsys, "series", "--sizes", "1,2,3", "--order", "600")
     assert (code, err) == (0, "")
     assert len(derivations) == 1

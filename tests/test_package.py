@@ -1,0 +1,70 @@
+import importlib
+
+import pytest
+
+import towers
+
+# The names the package exported when it imported every module eagerly, by
+# the module that defines each one.
+EXPORTS = {
+    "algebra": ["BivariatePolynomial", "annihilating_polynomial", "defining_polynomial_H",
+                "verify_annihilator"],
+    "asymptotics": ["AsymptoticEstimate", "ZeroTermError", "estimate_asymptotics"],
+    "enumeration": ["BoundKind", "EnumerationQuery", "count_towers", "enumerate_towers",
+                    "weight_polynomial"],
+    "errors": ["ConsistencyError", "DegreeCapError", "InconsistentRecurrenceError",
+               "InsufficientTermsError", "MalformedInputError", "SingularRecurrenceError",
+               "UnsupportedConfigurationError"],
+    "gallery": ["render_gallery"],
+    "identities": ["ACCEPTANCE_SETS", "CheckResult", "verify_identities"],
+    "model": ["PieceSet", "Rule", "Shape", "Tower", "is_legal_tower"],
+    "polynomials": ["IntPoly"],
+    "recurrences": ["Recurrence", "Sequence", "derive_recurrence", "extend_sequence",
+                    "guess_recurrence", "sequence_from_series", "verify_recurrence"],
+    "series": ["TruncatedSeries", "closed_form_dimer_towers", "closed_form_half_pyramids",
+               "closed_form_pyramids", "coefficients_by_pieces", "half_pyramid_rhs",
+               "piece_count_sequence", "series_family", "series_pyramids", "series_towers",
+               "solve_half_pyramids", "weighted_series"],
+    "zpoly": ["ZPolynomial"],
+}
+NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+
+def test_all_lists_the_exported_names():
+    assert sorted(towers.__all__) == sorted(name for _module, name in NAMES)
+
+
+@pytest.mark.parametrize("module, name", NAMES, ids=[name for _module, name in NAMES])
+def test_each_name_is_its_defining_modules_object(module, name):
+    assert getattr(towers, name) is getattr(importlib.import_module(f"towers.{module}"), name)
+
+
+def test_recurrences_still_exports_its_errors():
+    from towers import errors, recurrences
+
+    for name in ("InsufficientTermsError", "SingularRecurrenceError", "InconsistentRecurrenceError"):
+        assert name in recurrences.__all__
+        assert getattr(recurrences, name) is getattr(errors, name)
+
+
+def test_star_import_binds_every_name():
+    namespace: dict = {}
+    exec("from towers import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(towers.__all__)
+    assert all(namespace[name] is getattr(towers, name) for name in namespace)
+
+
+def test_dir_lists_every_name():
+    assert set(towers.__all__) <= set(dir(towers))
+    assert "__version__" in dir(towers)
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        towers.no_such_name  # noqa: B018
+    assert not hasattr(towers, "cmd_series")
+
+
+def test_version_is_unchanged():
+    assert towers.__version__ == "0.1.0"

@@ -5,10 +5,11 @@ verify.  Everything is deterministic for fixed inputs and flags; big
 integers always travel as decimal strings.
 
 Each run starts a fresh interpreter, so start-up is part of every command's
-cost.  At module level this imports only the standard library, `errors`
-and `model` (the parser's choices); each `cmd_*` imports the modules it
-runs when it runs, so `--help` loads neither `jsonio` nor any solver, and
-`guess` and `extend` load no series, algebra or enumeration code.
+cost.  At module level this executes only the standard library, `errors`
+and `model` (the parser's choices).  The modules the commands run are bound
+here too, but each executes at its first attribute access, so `--help`
+runs neither `jsonio` nor any solver, and `guess` and `extend` run no
+series, algebra or enumeration code.
 
 Exit codes: 0 success, 2 argument or configuration error, 3 a recurrence
 guess came back empty, 4 a recurrence hit a vanishing leading coefficient,
@@ -19,12 +20,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import shutil
 import sys
 import tempfile
 from pathlib import Path
+from types import ModuleType
 from typing import TYPE_CHECKING, Callable, Iterator, TextIO
 
 from .errors import (ConsistencyError, DegreeCapError, InconsistentRecurrenceError,
@@ -33,6 +36,35 @@ from .model import PieceSet, Rule, Shape
 
 if TYPE_CHECKING:
     from .series import TruncatedSeries
+
+
+def _on_first_use(name: str) -> ModuleType:
+    """The package's module `name`, bound now and executed at its first attribute access.
+
+    The module object is the one in sys.modules from here on, so a name
+    patched on it (a test's monkeypatch, a tracer) is the name a command
+    calls.
+    """
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+algebra = _on_first_use("algebra")
+asymptotics = _on_first_use("asymptotics")
+enumeration = _on_first_use("enumeration")
+gallery = _on_first_use("gallery")
+identities = _on_first_use("identities")
+jsonio = _on_first_use("jsonio")
+recurrences = _on_first_use("recurrences")
+series = _on_first_use("series")
 
 # `series` unrolls a recurrence derived from the annihilating polynomial
 # instead of solving from this order on, for largest piece sizes up to
@@ -123,25 +155,22 @@ def _seekable_input(path: str) -> Iterator[TextIO]:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    from . import jsonio
-    from .enumeration import BoundKind, EnumerationQuery, count_towers, enumerate_towers, weight_polynomial
-
     pieces = _piece_set(args)
     shape = Shape(args.shape)
     if args.area is not None:
-        kind, bound = BoundKind.BY_AREA, args.area
+        kind, bound = enumeration.BoundKind.BY_AREA, args.area
     else:
-        kind, bound = BoundKind.BY_PIECE_COUNT, args.pieces
-    query = EnumerationQuery(pieces, shape, kind, bound)
+        kind, bound = enumeration.BoundKind.BY_PIECE_COUNT, args.pieces
+    query = enumeration.EnumerationQuery(pieces, shape, kind, bound)
     if args.list:
-        lines = [jsonio.tower_to_json(t.to_lists()) for t in enumerate_towers(query)]
+        lines = [jsonio.tower_to_json(t.to_lists()) for t in enumeration.enumerate_towers(query)]
         _emit(args, "\n".join(lines) + ("\n" if lines else ""))
         return 0
     if args.weighted:
-        table = weight_polynomial(query)
+        table = enumeration.weight_polynomial(query)
         _emit(args, jsonio.dumps(jsonio.weight_table_to_json(table, pieces.sizes)))
         return 0
-    counts = count_towers(query)
+    counts = enumeration.count_towers(query)
     if args.format == "csv":
         _emit(args, jsonio.counts_to_csv(counts))
     elif args.format == "text":
@@ -165,53 +194,46 @@ def _plain_series(pieces: PieceSet, shape: Shape, order: int) -> TruncatedSeries
     order.  The overlap, at least those r terms, must equal the solver's
     or ConsistencyError is raised.
     """
-    from .series import TruncatedSeries, series_family
-
     if order < _UNROLL_FROM_ORDER or pieces.max_size > _UNROLL_MAX_SIZE:
-        return series_family(pieces, order, through=shape)[shape]
-    from .algebra import annihilating_polynomial
-    from .recurrences import Sequence, derive_recurrence, extend_sequence
-
-    prefix = series_family(pieces, _PREFIX_ORDER, through=shape)[shape]
-    rec, n0 = derive_recurrence(annihilating_polynomial(pieces, shape, prefix).coeffs)
+        return series.series_family(pieces, order, through=shape)[shape]
+    prefix = series.series_family(pieces, _PREFIX_ORDER, through=shape)[shape]
+    rec, n0 = recurrences.derive_recurrence(
+        algebra.annihilating_polynomial(pieces, shape, prefix).coeffs)
     lead = rec.coeff_polys[-1].coeffs
     start = n0 + rec.order  # the first term unrolled
     if lead[0] <= 0 or min(lead) < 0 or start + rec.order - 1 > prefix.order:
-        return series_family(pieces, order, through=shape)[shape]
-    terms = extend_sequence(rec, Sequence(0, prefix.coeffs[:start]), order + 1).terms
+        return series.series_family(pieces, order, through=shape)[shape]
+    init = recurrences.Sequence(0, prefix.coeffs[:start])
+    terms = recurrences.extend_sequence(rec, init, order + 1).terms
     if terms[: prefix.order + 1] != prefix.coeffs:
         raise ConsistencyError(
             f"the recurrence derived from Q disagrees with the solver between t^{start} "
             f"and t^{prefix.order}"
         )
-    return TruncatedSeries(terms, order)
+    return series.TruncatedSeries(terms, order)
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    from . import jsonio
-    from .recurrences import Sequence
-    from .series import coefficients_by_pieces, piece_count_sequence, weighted_series
-
     pieces = _piece_set(args)
     shape = Shape(args.shape)
     if args.weighted:
-        table = weighted_series(pieces, args.order, shape)
+        table = series.weighted_series(pieces, args.order, shape)
         _emit(args, jsonio.dumps(jsonio.weighted_series_to_json(table)))
         return 0
     if args.by_pieces and len(pieces.sizes) > 1:
         # n pieces cover at most n times the largest size
-        terms = piece_count_sequence(pieces, args.order // pieces.max_size, shape)
+        terms = series.piece_count_sequence(pieces, args.order // pieces.max_size, shape)
     else:
-        series = _plain_series(pieces, shape, args.order)
+        plain = _plain_series(pieces, shape, args.order)
         if not args.by_pieces and args.format == "json":
-            _emit(args, jsonio.dumps(jsonio.series_to_json(series)))
+            _emit(args, jsonio.dumps(jsonio.series_to_json(plain)))
             return 0
-        terms = coefficients_by_pieces(series, pieces) if args.by_pieces else series.coeffs
+        terms = series.coefficients_by_pieces(plain, pieces) if args.by_pieces else plain.coeffs
     if not terms:
         raise UnsupportedConfigurationError(
             f"order {args.order} is too small for even one piece of the largest size"
         )
-    seq = Sequence(1 if args.by_pieces else 0, tuple(terms))
+    seq = recurrences.Sequence(1 if args.by_pieces else 0, tuple(terms))
     if args.format == "csv":
         _emit(args, jsonio.sequence_to_csv(seq))
     elif args.format == "text":
@@ -222,25 +244,18 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_eliminate(args: argparse.Namespace) -> int:
-    from . import jsonio
-    from .algebra import annihilating_polynomial, check_degree_cap
-    from .series import series_family
-
     pieces = _piece_set(args)
     shape = Shape(args.shape)
-    check_degree_cap(pieces)
-    series = series_family(pieces, args.order, through=shape)[shape]
-    poly = annihilating_polynomial(pieces, shape, series)
+    algebra.check_degree_cap(pieces)
+    truncated = series.series_family(pieces, args.order, through=shape)[shape]
+    poly = algebra.annihilating_polynomial(pieces, shape, truncated)
     _emit(args, jsonio.dumps(jsonio.polynomial_to_json(poly)))
     return 0
 
 
 def cmd_guess(args: argparse.Namespace) -> int:
-    from . import jsonio
-    from .recurrences import guess_recurrence
-
     seq = jsonio.sequence_from_json(_load_json(args.input))
-    rec = guess_recurrence(seq, args.max_order, args.max_degree, args.guard)
+    rec = recurrences.guess_recurrence(seq, args.max_order, args.max_degree, args.guard)
     if rec is None:
         print("no recurrence found within the order/degree bounds", file=sys.stderr)
         return 3
@@ -249,13 +264,10 @@ def cmd_guess(args: argparse.Namespace) -> int:
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
-    from . import jsonio
-    from .recurrences import extend_sequence
-
     rec = jsonio.recurrence_from_json(_load_json(args.rec))
     # Decimal terms: writing them as digits is linear, for ints it is quadratic
     init = jsonio.decimal_sequence_from_json(_load_json(args.init))
-    seq = extend_sequence(rec, init, args.terms)
+    seq = recurrences.extend_sequence(rec, init, args.terms)
     # written one term at a time, so the digits of all terms are never held
     # together; the file opens only after the unroll succeeded, so a failed
     # one writes nothing
@@ -268,33 +280,25 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 
 def cmd_asympt(args: argparse.Namespace) -> int:
-    from . import jsonio
-    from .asymptotics import estimate_asymptotics, minimum_terms
-
     # The estimate reads only the tail: every term is checked, but only the
     # tail is kept, so memory does not grow with the file.  The depth sizes
     # that tail, and a bad one exits before any input is read.
-    count = minimum_terms(args.depth)
+    count = asymptotics.minimum_terms(args.depth)
     with _seekable_input(args.input) as handle:
         seq = jsonio.sequence_tail(handle, count)
-    est = estimate_asymptotics(seq, depth=args.depth)
+    est = asymptotics.estimate_asymptotics(seq, depth=args.depth)
     _emit(args, jsonio.dumps(jsonio.estimate_to_json(est)))
     return 0
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    from .gallery import render_gallery
-
     pieces = _piece_set(args)
-    _emit(args, render_gallery(pieces, Shape(args.shape), args.pieces))
+    _emit(args, gallery.render_gallery(pieces, Shape(args.shape), args.pieces))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from . import jsonio
-    from .identities import verify_identities
-
-    results = verify_identities(max_area=args.max_area, max_pieces=args.max_pieces)
+    results = identities.verify_identities(max_area=args.max_area, max_pieces=args.max_pieces)
     _emit(args, jsonio.dumps(jsonio.report_to_json(results)))
     return 0 if all(r.passed for r in results) else 5
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import codecs
 import decimal
-import functools
 import json
 import math
 import re
@@ -73,8 +72,7 @@ class DecimalInt(Decimal):
     Arithmetic on it is Decimal arithmetic.  `abs` keeps the type and
     `bit_length` answers as int's does, so code that sizes int terms by
     their bits (the benchmark's tracer sizes what `extend_sequence`
-    returns) sizes these too.  `int()` of one takes subquadratic time,
-    where Decimal's own conversion, like int(str), is quadratic.
+    returns) sizes these too.
     """
 
     __slots__ = ()
@@ -82,17 +80,10 @@ class DecimalInt(Decimal):
     def __abs__(self) -> DecimalInt:
         return DecimalInt(self.copy_abs())
 
-    def __int__(self) -> int:
-        """As Decimal's int(): the digit string is cut in halves, converted and recombined."""
-        if not self.same_quantum(_ZERO):  # a NaN, an infinity or a scaled value
-            return super().__int__()
-        text = str(self)
-        return -_digits_int(text[1:]) if text[0] == "-" else _digits_int(text)
-
     def bit_length(self) -> int:
         """As int(self).bit_length(), from the leading digits where they settle it.
 
-        Converting the whole number to int would cost far more.
+        Converting the whole number to int would cost quadratic time.
         """
         digits = self.adjusted() + 1
         if digits > 40:
@@ -108,30 +99,6 @@ class DecimalInt(Decimal):
 _ZERO = DecimalInt(0)
 _LEADING = decimal.Context(prec=20, rounding=decimal.ROUND_DOWN)
 _GROUPED = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")  # int()'s digit grouping
-
-# Digit strings at most this long go to int() whole.  CPython's int/str digit
-# cap is 0 (none) or at least 640, so no piece reaches it.
-_SPLIT = 640
-
-
-@functools.cache
-def _power_of_ten(exponent: int) -> int:
-    return 10**exponent
-
-
-def _digits_int(digits: str) -> int:
-    """int(digits) for a string of decimal digits, in subquadratic time.
-
-    The low part takes _SPLIT times a power of two digits, so every level
-    of the recursion reuses the same few cached powers of ten, and the
-    recombining products are Karatsuba multiplications.
-    """
-    if len(digits) <= _SPLIT:
-        return int(digits)
-    low = _SPLIT
-    while 2 * low < len(digits):
-        low *= 2
-    return _digits_int(digits[:-low]) * _power_of_ten(low) + _digits_int(digits[-low:])
 
 
 def _int_str(value: int | Decimal) -> str:

@@ -501,14 +501,18 @@ _CHAIN_UNLOADED = {"algebra", "identities", "enumeration", "series", "gallery", 
 ], ids=["help", "series", "series-by-pieces", "guess", "extend", "asympt"])
 def test_each_command_imports_only_what_it_runs(asympt_inputs, argv, unloaded):
     # every command starts a fresh interpreter, so what it imports is start-up it pays
+    # cli binds the modules the commands run at start-up; one that never ran is
+    # still of a lazy subclass of ModuleType, so only exact ModuleTypes have run
     probe = (
-        "import json, sys\n"
+        "import json, sys, types\n"
         "from towers.cli import main\n"
         "try:\n"
         "    code = main(sys.argv[1:])\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "print(json.dumps([m for m in sys.modules if m.startswith('towers.')]), file=sys.stderr)\n"
+        "ran = [m for m, module in sys.modules.items()\n"
+        "       if m.startswith('towers.') and type(module) is types.ModuleType]\n"
+        "print(json.dumps(ran), file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(_SRC))

@@ -137,36 +137,6 @@ def test_decimal_ints_size_like_ints():
         assert abs(term).bit_length() == term.bit_length() == value.bit_length()
 
 
-_SPLIT = jsonio._SPLIT
-# up to four levels of splitting, all within CPython's default int/str cap of 4300 digits
-_LENGTHS = st.integers(1, 4 * _SPLIT + 2) | st.sampled_from(
-    [k * _SPLIT + d for k in (1, 2, 4) for d in (-1, 0, 1)])
-
-
-@given(sign=st.sampled_from(["", "-"]), length=_LENGTHS, rng=st.randoms(use_true_random=False),
-       digits=st.sampled_from(["0123456789", "09", "0"]))
-def test_decimal_int_converts_as_int_does(sign, length, rng, digits):
-    text = sign + "".join(rng.choice(digits) for _ in range(length))
-    assert int(jsonio.DecimalInt(text)) == int(text)
-
-
-@pytest.mark.parametrize("text, value", [
-    ("1" + "0" * 9999, 10**9999),
-    ("-" + "9" * 10000, 1 - 10**10000),
-    ("7" + "0" * (2 * _SPLIT - 1) + "3", 7 * 10**(2 * _SPLIT) + 3),
-    ("12E+3", 12000),
-    ("-0", 0),
-], ids=["power-of-ten", "negative-nines", "zeros-between-halves", "scaled", "negative-zero"])
-def test_decimal_int_converts_long_and_scaled_values(text, value):
-    assert int(jsonio.DecimalInt(text)) == value
-
-
-def test_decimal_int_conversion_fails_as_decimals_does():
-    for text, error in (("NaN", ValueError), ("-Infinity", OverflowError)):
-        with pytest.raises(error):
-            int(jsonio.DecimalInt(text))
-
-
 def test_recurrence_roundtrip():
     rec = Recurrence((IntPoly((-2, -4)), IntPoly((2, 1))))
     payload = jsonio.recurrence_to_json(rec)

@@ -6,13 +6,19 @@ the annihilating polynomial and unrolled, and empirical
 asymptotics, all in exact arithmetic and cross-validated against each
 other.
 
-Importing the package loads none of its modules: each name in `__all__`
-is imported from the module that defines it on first access (PEP 562), so
-a CLI command starts up with only the modules it runs.
+Importing the package runs none of its modules, so a CLI command starts up
+with only the modules it runs.  Its `__getattr__` (PEP 562, as in
+Scientific Python's SPEC 1) binds a module named as an attribute at once
+and runs it at its first attribute access (`importlib.util.LazyLoader`);
+one already in `sys.modules` is served as it is.  A name in `__all__` is
+read off its module.  `cli` is left to the import system, since `python -m
+towers.cli` runs it as `__main__`.
 """
 
-import importlib
+import importlib.util
+import sys
 
+# every module but `cli`, with the names the package exports from it
 _EXPORTS = {
     "algebra": ("BivariatePolynomial", "annihilating_polynomial", "defining_polynomial_H",
                 "verify_annihilator"),
@@ -24,6 +30,7 @@ _EXPORTS = {
                "UnsupportedConfigurationError"),
     "gallery": ("render_gallery",),
     "identities": ("ACCEPTANCE_SETS", "CheckResult", "verify_identities"),
+    "jsonio": (),
     "model": ("PieceSet", "Rule", "Shape", "Tower", "is_legal_tower"),
     "polynomials": ("IntPoly",),
     "recurrences": ("Recurrence", "Sequence", "derive_recurrence", "extend_sequence",
@@ -41,10 +48,18 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    module = _MODULE_OF.get(name)
-    if module is None:
+    if name in _EXPORTS:  # a module: bound now, run at its first attribute access
+        full = f"{__name__}.{name}"
+        value = sys.modules.get(full)
+        if value is None:
+            spec = importlib.util.find_spec(full)
+            spec.loader = importlib.util.LazyLoader(spec.loader)
+            value = sys.modules[full] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(value)
+    elif name in _MODULE_OF:
+        value = getattr(__getattr__(_MODULE_OF[name]), name)
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
     globals()[name] = value  # later lookups skip this function
     return value
 

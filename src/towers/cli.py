@@ -6,10 +6,11 @@ integers always travel as decimal strings.
 
 Each run starts a fresh interpreter, so start-up is part of every command's
 cost.  At module level this executes only the standard library, `errors`
-and `model` (the parser's choices).  The modules the commands run are bound
-here too, but each executes at its first attribute access, so `--help`
-runs neither `jsonio` nor any solver, and `guess` and `extend` run no
-series, algebra or enumeration code.
+and `model` (the parser's choices).  The modules the commands run are
+imported here too, but the package serves them lazily: each executes at
+its first attribute access, so `--help` runs neither `jsonio` nor any
+solver, and `guess` and `extend` run no series, algebra or enumeration
+code.
 
 Exit codes: 0 success, 2 argument or configuration error, 3 a recurrence
 guess came back empty, 4 a recurrence hit a vanishing leading coefficient,
@@ -20,51 +21,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib.util
 import io
 import json
 import shutil
 import sys
 import tempfile
 from pathlib import Path
-from types import ModuleType
-from typing import TYPE_CHECKING, Callable, Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
+from . import algebra, asymptotics, enumeration, gallery, identities, jsonio, recurrences, series
 from .errors import (ConsistencyError, DegreeCapError, InconsistentRecurrenceError,
                      SingularRecurrenceError, UnsupportedConfigurationError)
 from .model import PieceSet, Rule, Shape
-
-if TYPE_CHECKING:
-    from .series import TruncatedSeries
-
-
-def _on_first_use(name: str) -> ModuleType:
-    """The package's module `name`, bound now and executed at its first attribute access.
-
-    The module object is the one in sys.modules from here on, so a name
-    patched on it (a test's monkeypatch, a tracer) is the name a command
-    calls.
-    """
-    full = f"{__package__}.{name}"
-    module = sys.modules.get(full)
-    if module is None:
-        spec = importlib.util.find_spec(full)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[full] = module
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return module
-
-
-algebra = _on_first_use("algebra")
-asymptotics = _on_first_use("asymptotics")
-enumeration = _on_first_use("enumeration")
-gallery = _on_first_use("gallery")
-identities = _on_first_use("identities")
-jsonio = _on_first_use("jsonio")
-recurrences = _on_first_use("recurrences")
-series = _on_first_use("series")
 
 # `series` unrolls a recurrence derived from the annihilating polynomial
 # instead of solving from this order on, for largest piece sizes up to
@@ -128,15 +96,22 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
+@contextlib.contextmanager
+def _parse_errors_name(path: str) -> Iterator[None]:
+    """A JSON parse error inside becomes a ValueError that names path ("-" for stdin)."""
+    try:
+        yield
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_json(path: str) -> dict:
     """The JSON document at path, or on stdin for "-"; a parse error names the path."""
-    try:
+    with _parse_errors_name(path):
         if path == "-":
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 @contextlib.contextmanager
@@ -180,7 +155,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _plain_series(pieces: PieceSet, shape: Shape, order: int) -> TruncatedSeries:
+def _plain_series(pieces: PieceSet, shape: Shape, order: int) -> series.TruncatedSeries:
     """The shape's plain series through t^order, byte-identical by either route.
 
     Below _UNROLL_FROM_ORDER, or with a piece larger than _UNROLL_MAX_SIZE,
@@ -284,7 +259,7 @@ def cmd_asympt(args: argparse.Namespace) -> int:
     # tail is kept, so memory does not grow with the file.  The depth sizes
     # that tail, and a bad one exits before any input is read.
     count = asymptotics.minimum_terms(args.depth)
-    with _seekable_input(args.input) as handle:
+    with _seekable_input(args.input) as handle, _parse_errors_name(args.input):
         seq = jsonio.sequence_tail(handle, count)
     est = asymptotics.estimate_asymptotics(seq, depth=args.depth)
     _emit(args, jsonio.dumps(jsonio.estimate_to_json(est)))

@@ -498,11 +498,22 @@ _CHAIN_UNLOADED = {"algebra", "identities", "enumeration", "series", "gallery", 
     (["guess", "--input", "seq.json"], _CHAIN_UNLOADED),
     (["extend", "--rec", "rec.json", "--init", "seq.json", "--terms", "300"], _CHAIN_UNLOADED),
     (["asympt", "--input", "trimer.json"], {"algebra", "identities", "enumeration", "series"}),
-], ids=["help", "series", "series-by-pieces", "guess", "extend", "asympt"])
+    (["series", "--sizes", "1,2,3", "--order", "600"],
+     {"identities", "enumeration", "gallery", "asymptotics"}),
+    (["eliminate", "--sizes", "1,2", "--order", "40"],
+     {"identities", "enumeration", "gallery", "asymptotics"}),
+    (["enumerate", "--sizes", "1,2", "--area", "6"],
+     {"series", "algebra", "identities", "gallery", "asymptotics"}),
+    (["render", "--sizes", "1,2", "--pieces", "2"],
+     {"series", "algebra", "identities", "asymptotics", "jsonio", "recurrences", "polynomials"}),
+    (["verify", "--max-area", "6", "--max-pieces", "4"], {"gallery", "asymptotics"}),
+], ids=["help", "series", "series-by-pieces", "guess", "extend", "asympt", "series-unrolled",
+        "eliminate", "enumerate", "render", "verify"])
 def test_each_command_imports_only_what_it_runs(asympt_inputs, argv, unloaded):
     # every command starts a fresh interpreter, so what it imports is start-up it pays
-    # cli binds the modules the commands run at start-up; one that never ran is
-    # still of a lazy subclass of ModuleType, so only exact ModuleTypes have run
+    # cli imports the modules the commands run at start-up, and the package serves
+    # each lazily; one that never ran is still of a lazy subclass of ModuleType, so
+    # only exact ModuleTypes have run
     probe = (
         "import json, sys, types\n"
         "from towers.cli import main\n"
@@ -821,14 +832,15 @@ def test_a_bumped_annihilator_never_changes_the_output(capsys, monkeypatch, deri
     assert out == solver_text(PieceSet((1, 2, 3)), Shape.TOWER, 600, "json")
 
 
-@pytest.mark.parametrize("bad", ["guess --input", "extend --rec", "extend --init"])
+@pytest.mark.parametrize("bad", ["guess --input", "extend --rec", "extend --init", "asympt --input"])
 def test_malformed_json_names_its_file(tmp_path, capsys, monkeypatch, bad):
     monkeypatch.chdir(tmp_path)
     Path("rec.json").write_text(json.dumps({"order": 1, "degree": 0, "coeffs": [["-3"], ["1"]]}))
     Path("seq.json").write_text(json.dumps({"offset": 0, "terms": ["1"]}))
     Path("empty.json").write_text("")
     argv = {"guess": ["guess", "--input", "seq.json"],
-            "extend": ["extend", "--rec", "rec.json", "--init", "seq.json", "--terms", "5"]}
+            "extend": ["extend", "--rec", "rec.json", "--init", "seq.json", "--terms", "5"],
+            "asympt": ["asympt", "--input", "seq.json"]}
     command, flag = bad.split()
     argv = argv[command]
     argv[argv.index(flag) + 1] = "empty.json"
@@ -842,6 +854,15 @@ def test_malformed_json_on_stdin_is_named_dash(capsys, monkeypatch):
     code, out, err = run(capsys, "guess", "--input", "-")
     assert (code, out) == (2, "")
     assert err.startswith("error: -: Expecting property name enclosed in double quotes")
+
+
+def test_asympt_names_malformed_stdin_dash(capsys, monkeypatch):
+    # `asympt` reads stdin's bytes, so it gets a UTF-8 text wrapper, as a real stdin is
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b'{"offset": 0, "terms": ['),
+                                                      encoding="utf-8"))
+    code, out, err = run(capsys, "asympt", "--input", "-")
+    assert (code, out) == (2, "")
+    assert err == "error: -: Expecting value: line 1 column 25 (char 24)\n"
 
 
 # ---------------------------------------------------------------- `asympt` bytes

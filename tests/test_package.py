@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,3 +72,48 @@ def test_an_unknown_name_raises_attribute_error():
 
 def test_version_is_unchanged():
     assert towers.__version__ == "0.1.0"
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh(*argv: str) -> subprocess.CompletedProcess:
+    """python *argv in a fresh interpreter that imports the package from the source tree."""
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    return subprocess.run([sys.executable, *argv], env=env, timeout=60, capture_output=True, text=True)
+
+
+def test_a_module_is_bound_at_once_and_runs_on_first_use():
+    probe = (
+        "import sys, types, towers\n"
+        "from towers import series\n"
+        "assert towers.series is series is sys.modules['towers.series']\n"
+        "assert type(series) is not types.ModuleType, 'ran before its first use'\n"
+        "assert 'towers.zpoly' not in sys.modules\n"
+        "series.series_family\n"
+        "assert type(series) is types.ModuleType\n"
+        "assert sys.modules['towers.series'] is series\n"
+    )
+    result = _fresh("-c", probe)
+    assert result.returncode == 0, result.stderr
+
+
+def test_a_module_imported_beforehand_is_served_as_it_is():
+    probe = (
+        "import sys, types, towers\n"
+        "import towers.series\n"
+        "eager = sys.modules['towers.series']\n"
+        "assert type(eager) is types.ModuleType\n"
+        "assert towers.__getattr__('series') is towers.series is eager\n"
+        "from towers import series\n"
+        "assert series is eager\n"
+    )
+    result = _fresh("-c", probe)
+    assert result.returncode == 0, result.stderr
+
+
+def test_cli_runs_as_main_without_a_warning():
+    # runpy warns if importing the package put towers.cli in sys.modules before it runs as __main__
+    result = _fresh("-W", "error", "-m", "towers.cli", "--help")
+    assert result.returncode == 0
+    assert result.stderr == ""

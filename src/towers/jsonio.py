@@ -121,7 +121,7 @@ def _exact(term: str | int) -> DecimalInt:
     group its digits the way int() requires.
     """
     value = None
-    if isinstance(term, int):
+    if isinstance(term, int) and type(term) is not bool:  # bool is an int to Python
         value = DecimalInt(term)
     elif (isinstance(term, str) and not any(mark in term for mark in ".eE")
           and ("_" not in term or _GROUPED.fullmatch(term))):

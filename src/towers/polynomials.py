@@ -16,7 +16,8 @@ common factor in Z[t] and the kernel of an integer matrix, shared by
 `algebra` and `recurrences`.  The kernel is solved modulo a prime and
 lifted p-adically (Dixon), so no entry grows past the size of the answer;
 it falls back to the next prime when the first one's pivots are not the
-pivots over Q.
+pivots over Q.  Its elimination mod p, `_echelon`, on rows packed into one
+int each, also gives `recurrences`' guesser the ranks that rule shapes out.
 
 The tests check the resultants against an independent route, Sylvester
 determinants over Fractions at rational points, and the kernel against
@@ -28,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ConsistencyError
 
@@ -203,12 +204,6 @@ def _pack(entries: Sequence[int], bits: int) -> int:
     return packed
 
 
-def _unpack(packed: int, count: int, bits: int, p: int) -> list[int]:
-    """The lowest count fields of a packed row, each reduced mod p."""
-    mask = (1 << bits) - 1
-    return [(packed >> k * bits & mask) % p for k in range(count)]
-
-
 def integer_kernel(matrix: list[list[int]]) -> list[list[int]]:
     """Basis of the kernel of an integer matrix, as coprime integer vectors.
 
@@ -284,40 +279,55 @@ def _eliminate(matrix: list[list[int]], ncols: int, p: int) -> tuple[list[tuple[
     Returns the pivots as (row, column) pairs in order, and the LU factors
     of the pivot block for `_solve_mod`: for each pivot, the multipliers
     that earlier pivots subtracted from its row, its row's entries at the
-    later pivot columns (last first), and the inverse of the pivot.
-
-    Each row is one packed int whose lowest field is the current column,
-    so a row update (add f times the scaled pivot row, drop the column) is
-    one big-integer operation.  Only pivot rows are reduced mod p: an entry
-    starts below p, takes at most ncols updates of less than p**2 and so
-    stays below (ncols+1)*p**2, within its `_field_width(ncols, p)` bits.
+    later pivot columns (last first), and the inverse of the pivot.  The
+    steps are `_echelon`'s, on the entries reduced mod p.
     """
     bits = _field_width(ncols, p)
-    mask = (1 << bits) - 1
-    rows = [_pack([x % p for x in row], bits) for row in matrix]
     indices = list(range(len(matrix)))
     below: list[list[int]] = [[] for _ in matrix]  # each row's multipliers
     pivots, reduced = [], []
+    steps = _echelon([_pack([x % p for x in row], bits) for row in matrix], ncols, bits, p)
+    for col, step in enumerate(steps):
+        if step is None:
+            continue
+        at, pivot, inverse, leads = step
+        pivots.append((indices.pop(at), col))
+        reduced.append((below.pop(at), pivot, inverse))
+        for f, multipliers in zip(leads, below):
+            multipliers.append(f * inverse % p)
+    cols = [c for _, c in pivots]
+    factors = [
+        (multipliers, [pivot[c - col] for c in reversed(cols[k + 1:])], inverse)
+        for k, ((multipliers, pivot, inverse), col) in enumerate(zip(reduced, cols))
+    ]
+    return pivots, factors
+
+
+def _echelon(rows: list[int], ncols: int, bits: int, p: int) -> Iterator[tuple | None]:
+    """Gaussian elimination mod p of packed rows: one step per column, drawn lazily.
+
+    A step is None where every row is 0 mod p at the column.  Otherwise it
+    is (at, pivot, inverse, leads): the pivot row's position in rows, which
+    it leaves, its fields from the column on mod p, the first one's inverse,
+    and the other rows' entries at the column mod p; each of those rows then
+    drops the column and adds its lead times the scaled pivot row.  Only
+    pivots are reduced: an entry starts below p**2 and takes at most ncols
+    updates below p**2, so it stays within (ncols+1)*p**2, `_field_width`'s room.
+    """
+    mask = (1 << bits) - 1
     for col in range(ncols):
         at = next((n for n, row in enumerate(rows) if (row & mask) % p), None)
         if at is None:
+            yield None
             rows = [row >> bits for row in rows]
             continue
-        pivot = _unpack(rows.pop(at), ncols - col, bits, p)
-        pivots.append((indices.pop(at), col))
-        reduced.append((below.pop(at), pivot))
+        top = rows.pop(at)
+        pivot = [(top >> k * bits & mask) % p for k in range(ncols - col)]
         inverse = pow(pivot[0], -1, p)
-        scaled = _pack([-x * inverse % p for x in pivot[1:]], bits)
         leads = [(row & mask) % p for row in rows]
-        for f, multipliers in zip(leads, below):
-            multipliers.append(f * inverse % p)
+        yield at, pivot, inverse, leads
+        scaled = _pack([-x * inverse % p for x in pivot[1:]], bits)
         rows = [(row >> bits) + f * scaled for row, f in zip(rows, leads)]
-    cols = [c for _, c in pivots]
-    factors = [
-        (multipliers, [pivot[c - col] for c in reversed(cols[k + 1:])], pow(pivot[0], -1, p))
-        for k, ((multipliers, pivot), col) in enumerate(zip(reduced, cols))
-    ]
-    return pivots, factors
 
 
 def _solve_mod(factors, b: list[int], p: int) -> list[int]:

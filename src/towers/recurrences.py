@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (ConsistencyError, InconsistentRecurrenceError, InsufficientTermsError,
                      SingularRecurrenceError)
-from .polynomials import (_PRIME, IntPoly, _field_width, _pack, _unpack, h_mul, h_prem,
+from .polynomials import (_PRIME, IntPoly, _echelon, _field_width, _pack, h_mul, h_prem,
                           integer_kernel, primitive_part, without_content)
 
 if TYPE_CHECKING:
@@ -174,21 +174,16 @@ def _first_singular_degree(s: Sequence, r: int, max_degree: int, guard: int) -> 
     The system is taken modulo _PRIME with its columns a(n+j)*n^e ordered
     by degree block (e = 0 for every j, then e = 1, ...), so the (r, d)
     system's columns are a prefix, and one elimination that pivots column
-    by column gives the rank of every prefix.  The first column without a
-    pivot ends the scan: its block d is the first shape rank-deficient mod
-    p.  Only the first rows are used; a subset of rows of full column rank
-    already gives the whole system full column rank.
-
-    Rows are packed ints, as in `polynomials._eliminate`, reduced mod p
-    only as pivots.  An entry starts below p**2, takes at most ncols =
-    (r+1)(max_degree+1) updates of less than p**2 and so stays below
-    (ncols+1)*p**2, within its `_field_width(ncols, p)` bits.
+    by column, the kernel's `polynomials._echelon` on the unreduced
+    products, gives the rank of every prefix.  The first column without a
+    pivot ends the scan, no later step drawn: its block d is the first
+    shape rank-deficient mod p.  Only the first rows are used; a subset of
+    rows of full column rank already gives the whole system full column rank.
     """
     p = _PRIME
     width = r + 1
     ncols = width * (max_degree + 1)
     bits = _field_width(ncols, p)
-    mask = (1 << bits) - 1
     rows = min(len(s) - r - guard, ncols + _EXTRA_ROWS)
     residues = _pack([t % p for t in s.terms[: rows + r]], bits)
     blocks = range(0, ncols * bits, width * bits)  # where each degree block starts
@@ -200,16 +195,8 @@ def _first_singular_degree(s: Sequence, r: int, max_degree: int, guard: int) -> 
             row |= window * power << start  # a(n+j)*(n^e mod p) < p**2, unreduced
             power = power * n % p
         matrix.append(row)
-    # each step pivots on the leading column and drops it from every row
-    for col in range(ncols):
-        at = next((i for i, row in enumerate(matrix) if (row & mask) % p), None)
-        if at is None:
-            return col // width
-        pivot = _unpack(matrix.pop(at), ncols - col, bits, p)
-        negated = p - pow(pivot[0], -1, p)
-        scaled = _pack([x * negated % p for x in pivot[1:]], bits)
-        matrix = [(row >> bits) + (row & mask) % p * scaled for row in matrix]
-    return max_degree + 1
+    steps = enumerate(_echelon(matrix, ncols, bits, p))
+    return next((col // width for col, step in steps if step is None), max_degree + 1)
 
 
 def _candidate(s: Sequence, r: int, d: int, guard: int) -> Recurrence | None:

@@ -399,6 +399,9 @@ def test_asympt_reads_stdin_as_it_reads_the_file(tmp_path, capsys, monkeypatch, 
     (["asympt", "--input"], {"terms": ["1"] * 30}, 'a sequence has no "offset" field'),
     (["extend", "--terms", "40", "--init", "init.json", "--rec"], {"order": 1},
      'a recurrence has no "coeffs" field'),
+    # JSON's true is no integer, so this is not a(n+1) = 2 a(n)
+    (["extend", "--terms", "40", "--init", "init.json", "--rec"],
+     {"order": 1, "degree": 0, "coeffs": [[-2], [True]]}, "not an integer: True"),
 ])
 def test_payload_shape_errors_exit_2(tmp_path, capsys, monkeypatch, argv, payload, message):
     monkeypatch.chdir(tmp_path)

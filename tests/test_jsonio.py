@@ -80,6 +80,7 @@ def test_conversions_never_touch_the_digit_limit(monkeypatch):
 
 @pytest.mark.parametrize("term", [
     "x", "", "1.5", "5.", "1e5", "5E0", "NaN", "-Infinity", "--5", "5_", "_5", "1__000", 2.5, None,
+    True, False,
 ])
 def test_non_integer_terms_are_rejected(term):
     payload = {"offset": 0, "terms": ["1", term]}
@@ -112,6 +113,7 @@ def test_sequence_payload_shape_is_checked(payload, message):
     ({"coeffs": "12"}, "coeffs must be an array of arrays of integers"),
     ({"coeffs": ["1", "2"]}, "coeffs must be an array of arrays of integers"),
     ({"coeffs": [["-2"], "1"]}, "coeffs must be an array of arrays of integers"),
+    ({"coeffs": [[True], ["1"], ["-1"]]}, "not an integer: True"),  # read as 1, this was Fibonacci
 ])
 def test_recurrence_payload_shape_is_checked(payload, message):
     with pytest.raises(MalformedInputError) as excinfo:

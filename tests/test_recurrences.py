@@ -361,6 +361,37 @@ def test_packed_filter_equals_the_list_reference(seq):
     assert_filter_equals_the_list_reference(seq)
 
 
+def test_packed_filter_keeps_the_largest_entries_apart():
+    # a(n+1) = (n^5 + 2) a(n) from a(p-1) = -1: the first row has n = p - 1 and
+    # a(n) = -1, so its entries a(n+j)*n^e at odd e start at (p-1)**2, the largest
+    # product the filter packs unreduced; the first free column is (e, j) = (5, 0),
+    # so every other row takes 5(r+1) updates before it
+    terms = [-1]
+    for n in range(PRIME - 1, PRIME + 58):
+        terms.append((n**5 + 2) * terms[-1])
+    seq = Sequence(PRIME - 1, tuple(terms))
+    for r in range(1, 8):
+        assert recurrences._first_singular_degree(seq, r, 5, 5) == 5
+    assert_filter_equals_the_list_reference(seq)
+
+
+def test_filter_stops_at_its_first_free_column(monkeypatch):
+    """Full elimination of every column made `verify`'s guesses slower, so the filter
+    draws no elimination step past the first column without a pivot."""
+    drawn = []
+    echelon = recurrences._echelon
+
+    def counting(*args):
+        for step in echelon(*args):
+            drawn.append(step)
+            yield step
+
+    monkeypatch.setattr(recurrences, "_echelon", counting)
+    seq = Sequence(0, tuple(2**k for k in range(60)))  # column a(n+1) is twice column a(n)
+    assert recurrences._first_singular_degree(seq, 1, 5, 5) == 0
+    assert [step is None for step in drawn] == [False, True]  # 2 of the 12 columns
+
+
 @pytest.fixture
 def exact_eliminations(monkeypatch):
     """The column count of every exact kernel computed, in call order."""

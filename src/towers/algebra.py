@@ -25,10 +25,9 @@ Everything here is plain enumeration (all markers z_i set to 1).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .errors import ConsistencyError, DegreeCapError
-from .model import PieceSet, Shape
+from .model import PieceSet, Shape, Value
 from .polynomials import IntPoly, h_mul, h_resultant, integer_kernel, primitive_part, without_content
 from .series import TruncatedSeries, _d, _horner, _phi, series_family
 
@@ -46,8 +45,7 @@ __all__ = [
 _MAX_PIECE_SIZE = 8
 
 
-@dataclass(frozen=True)
-class BivariatePolynomial:
+class BivariatePolynomial(Value):
     """Integer polynomial Q(t, y) = sum_j c_j(t) y^j in normal form.
 
     Normalization: trailing zero y-coefficients trimmed, overall integer
@@ -55,13 +53,14 @@ class BivariatePolynomial:
     t-coefficient.  Construction normalizes automatically.
     """
 
+    __slots__ = _fields = ("coeffs",)
     coeffs: tuple[IntPoly, ...]
 
-    def __post_init__(self) -> None:
-        coeffs = list(self.coeffs)
+    def __init__(self, coeffs: tuple[IntPoly, ...]) -> None:
+        coeffs = list(coeffs)
         while coeffs and coeffs[-1].is_zero:
             coeffs.pop()
-        object.__setattr__(self, "coeffs", primitive_part(coeffs))
+        super().__init__(primitive_part(coeffs))
 
     @property
     def y_degree(self) -> int:

@@ -26,12 +26,12 @@ between the last two extrapolation points), not proven asymptotics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import InsufficientTermsError
+from .model import Value
 
 if TYPE_CHECKING:
     from .recurrences import Sequence
@@ -43,8 +43,7 @@ class ZeroTermError(ValueError):
     """A term inside the ratio window is zero, so ratios are undefined."""
 
 
-@dataclass(frozen=True, eq=False)
-class AsymptoticEstimate:
+class AsymptoticEstimate(Value):
     """Estimated growth constant, polynomial exponent, and optional amplitude.
 
     The exact values are held as (numerator, denominator) pairs, with a
@@ -54,6 +53,8 @@ class AsymptoticEstimate:
     smaller means more settled.  Estimates compare equal when their values do.
     """
 
+    _fields = ("mu_pair", "theta_pair", "c_amplitude", "stability_pairs")
+    __slots__ = _fields + ("__dict__",)  # the cached properties' store
     mu_pair: tuple[int, int]
     theta_pair: tuple[int, int]
     c_amplitude: float | None
@@ -62,6 +63,10 @@ class AsymptoticEstimate:
     mu = cached_property(lambda self: Fraction(*self.mu_pair))
     theta = cached_property(lambda self: Fraction(*self.theta_pair))
     stability = cached_property(lambda self: {k: Fraction(*v) for k, v in self.stability_pairs.items()})
+
+    def __init__(self, mu_pair: tuple[int, int], theta_pair: tuple[int, int],
+                 c_amplitude: float | None, stability_pairs: dict[str, tuple[int, int]]) -> None:
+        super().__init__(mu_pair, theta_pair, c_amplitude, stability_pairs)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, AsymptoticEstimate) and all(

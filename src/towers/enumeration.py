@@ -26,10 +26,9 @@ floor itself is kept.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterator
 
-from .model import Floor, PieceSet, Rule, Shape, Tower
+from .model import Floor, PieceSet, Rule, Shape, Tower, Value
 from .zpoly import ZPolynomial
 
 __all__ = [
@@ -46,18 +45,22 @@ class BoundKind(enum.Enum):
     BY_PIECE_COUNT = "pieces"
 
 
-@dataclass(frozen=True)
-class EnumerationQuery:
+class EnumerationQuery(Value):
     """What to enumerate: piece set, shape, and an area or piece-count cap."""
 
+    __slots__ = _fields = ("pieces", "shape", "bound_kind", "bound")
     pieces: PieceSet
-    shape: Shape = Shape.TOWER
-    bound_kind: BoundKind = BoundKind.BY_AREA
-    bound: int = 1
+    shape: Shape
+    bound_kind: BoundKind
+    bound: int
 
-    def __post_init__(self) -> None:
-        if self.bound < 1:
-            raise ValueError(f"bound must be >= 1, got {self.bound}")
+    def __init__(self, pieces: PieceSet, shape: Shape = Shape.TOWER,
+                 bound_kind: BoundKind = BoundKind.BY_AREA, bound: int = 1) -> None:
+        if not isinstance(bound, int) or isinstance(bound, bool):
+            raise ValueError(f"bound must be an integer, got {bound!r}")
+        if bound < 1:
+            raise ValueError(f"bound must be >= 1, got {bound}")
+        super().__init__(pieces, shape, bound_kind, bound)
 
 
 def _costs(query: EnumerationQuery) -> dict[int, int]:

@@ -9,11 +9,9 @@ package's own acceptance run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import annihilating_polynomial
 from .enumeration import BoundKind, EnumerationQuery, count_towers, weight_polynomial
-from .model import PieceSet, Rule, Shape
+from .model import PieceSet, Rule, Shape, Value
 from .recurrences import (
     Sequence,
     SingularRecurrenceError,
@@ -49,11 +47,16 @@ Family = dict[Shape, TruncatedSeries]
 Oracle = dict[Shape, dict[int, ZPolynomial]]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Value):
+    """One named check, whether it passed, and its first counterexample if not."""
+
+    __slots__ = _fields = ("name", "passed", "detail")
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
+
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        super().__init__(name, passed, detail)
 
 
 def _config_label(pieces: PieceSet) -> str:

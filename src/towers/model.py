@@ -19,7 +19,6 @@ shifted), so `is_legal_tower` does not require canonical placement.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import MalformedInputError
@@ -48,26 +47,75 @@ class Shape(enum.Enum):
     HALF_PYRAMID = "half"
 
 
-@dataclass(frozen=True)
-class PieceSet:
+class Value:
+    """An immutable value object, compared, hashed and printed by its fields.
+
+    A subclass names its fields, in order, in `_fields` and keeps them in
+    `__slots__` (the same tuple, plus "__dict__" where it needs one).  Its
+    `__init__` validates and normalizes the arguments, then sets the fields,
+    usually by handing their values to `Value.__init__` in field order.
+    Instances are equal when they are of the same class with equal fields,
+    hash as the tuple of their fields, print as `Name(field=value, ...)`
+    and refuse assignment and deletion.  Copies and pickles call the class
+    on the fields again, so `__init__` must take its own normalized output
+    back unchanged.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class PieceSet(Value):
     """The allowed piece sizes together with the interface rule.
 
     `sizes` is stored strictly increasing and duplicate-free; every size is
     a positive integer.
     """
 
+    __slots__ = _fields = ("sizes", "rule")
     sizes: tuple[int, ...]
-    rule: Rule = Rule.ALL_INTERFACES
+    rule: Rule
 
-    def __post_init__(self) -> None:
-        sizes = tuple(sorted(self.sizes))
+    def __init__(self, sizes: Sequence[int], rule: Rule = Rule.ALL_INTERFACES) -> None:
+        sizes = tuple(sizes)
         if not sizes:
             raise ValueError("piece set must be non-empty")
-        if any(not isinstance(s, int) or isinstance(s, bool) or s < 1 for s in sizes):
+        if any(not isinstance(s, int) or isinstance(s, bool) for s in sizes):
+            raise ValueError(f"piece sizes must be positive integers, got {sizes}")
+        sizes = tuple(sorted(sizes))
+        if sizes[0] < 1:
             raise ValueError(f"piece sizes must be positive integers, got {sizes}")
         if len(set(sizes)) != len(sizes):
             raise ValueError(f"duplicate piece sizes in {sizes}")
-        object.__setattr__(self, "sizes", sizes)
+        super().__init__(sizes, rule)
 
     @classmethod
     def of(cls, *sizes: int, rule: Rule = Rule.ALL_INTERFACES) -> "PieceSet":
@@ -93,8 +141,7 @@ class PieceSet:
 Floor = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(Value):
     """An immutable tower, bottom floor first.
 
     `floors[i]` is a tuple of (left, right) integer pairs sorted by left.
@@ -102,7 +149,11 @@ class Tower:
     input, or trust the enumerator, which only emits legal towers.
     """
 
+    __slots__ = _fields = ("floors",)
     floors: tuple[Floor, ...]
+
+    def __init__(self, floors: tuple[Floor, ...]) -> None:
+        super().__init__(floors)
 
     def to_lists(self) -> list[list[list[int]]]:
         return [[[left, right] for left, right in floor] for floor in self.floors]

@@ -32,24 +32,22 @@ import operator
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConsistencyError
+from .model import Value
 
 __all__ = ["IntPoly", "primitive_part", "int_poly_gcd", "without_content", "integer_kernel",
            "h_mul", "h_prem", "h_resultant"]
 
 
-class IntPoly:
+class IntPoly(Value):
     """Dense univariate integer polynomial, coefficients in ascending order."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPoly is immutable")
 
     @classmethod
     def constant(cls, c: int) -> "IntPoly":

@@ -40,11 +40,11 @@ int-to-str is quadratic.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import (ConsistencyError, InconsistentRecurrenceError, InsufficientTermsError,
                      SingularRecurrenceError)
+from .model import Value
 from .polynomials import (_PRIME, IntPoly, _echelon, _field_width, _pack, h_mul, h_prem,
                           integer_kernel, primitive_part, without_content)
 
@@ -81,8 +81,7 @@ _EXACT = decimal.Context(
 _EXTRA_ROWS = 8
 
 
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(Value):
     """Integer terms a(offset), a(offset+1), ... with a free-text label.
 
     Terms are ints.  `extend_sequence`, `verify_recurrence` and
@@ -90,36 +89,37 @@ class Sequence:
     in linear time; `guess_recurrence` takes ints only.
     """
 
+    __slots__ = _fields = ("offset", "terms", "label")
     offset: int
     terms: tuple[int | decimal.Decimal, ...]
-    label: str = ""
+    label: str
 
-    def __post_init__(self) -> None:
-        if not self.terms:
+    def __init__(self, offset: int, terms: tuple[int | decimal.Decimal, ...], label: str = "") -> None:
+        if not terms:
             raise ValueError("a sequence needs at least one term")
-        object.__setattr__(self, "terms", tuple(self.terms))
+        super().__init__(offset, tuple(terms), label)
 
     def __len__(self) -> int:
         return len(self.terms)
 
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(Value):
     """sum_{j=0..r} p_j(n) a(n+j) = 0, normalized.
 
     Normal form: the polynomials have collective integer content 1, p_r is
     not identically zero, and the leading coefficient of p_r is positive.
     """
 
+    __slots__ = _fields = ("coeff_polys",)
     coeff_polys: tuple[IntPoly, ...]
 
-    def __post_init__(self) -> None:
-        polys = tuple(self.coeff_polys)
+    def __init__(self, coeff_polys: tuple[IntPoly, ...]) -> None:
+        polys = tuple(coeff_polys)
         if len(polys) < 2:
             raise ValueError("a recurrence needs order at least 1")
         if polys[-1].is_zero:
             raise ValueError("the leading coefficient polynomial must be non-zero")
-        object.__setattr__(self, "coeff_polys", primitive_part(polys))
+        super().__init__(primitive_part(polys))
 
     @property
     def order(self) -> int:

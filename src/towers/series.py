@@ -72,7 +72,7 @@ import operator
 from typing import Sequence
 
 from .errors import ConsistencyError, UnsupportedConfigurationError
-from .model import PieceSet, Rule, Shape
+from .model import PieceSet, Rule, Shape, Value
 from .polynomials import IntPoly
 from .zpoly import ZPolynomial
 
@@ -126,13 +126,13 @@ def _spread(series: "TruncatedSeries", g: int, order: int) -> "TruncatedSeries":
     return TruncatedSeries(coeffs, order)
 
 
-class TruncatedSeries:
+class TruncatedSeries(Value):
     """A power series in t kept exactly through t^order.
 
     Immutable; all arithmetic truncates at the common order.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = _fields = ("coeffs", "order")
 
     def __init__(self, coeffs: Sequence[int], order: int | None = None):
         coeffs = tuple(coeffs)
@@ -149,9 +149,6 @@ class TruncatedSeries:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
         return cls((0,) * (order + 1), order)
@@ -159,14 +156,6 @@ class TruncatedSeries:
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         return cls.zero(order) + 1
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
 
     def _require_same_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:

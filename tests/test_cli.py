@@ -516,7 +516,8 @@ def test_each_command_imports_only_what_it_runs(asympt_inputs, argv, unloaded):
     # every command starts a fresh interpreter, so what it imports is start-up it pays
     # cli imports the modules the commands run at start-up, and the package serves
     # each lazily; one that never ran is still of a lazy subclass of ModuleType, so
-    # only exact ModuleTypes have run
+    # only exact ModuleTypes have run.  No command needs dataclasses or inspect,
+    # the largest imports the package could add
     probe = (
         "import json, sys, types\n"
         "from towers.cli import main\n"
@@ -526,16 +527,19 @@ def test_each_command_imports_only_what_it_runs(asympt_inputs, argv, unloaded):
         "    code = exc.code\n"
         "ran = [m for m, module in sys.modules.items()\n"
         "       if m.startswith('towers.') and type(module) is types.ModuleType]\n"
-        "print(json.dumps(ran), file=sys.stderr)\n"
+        "heavy = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "print(json.dumps([ran, heavy]), file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(_SRC))
     result = subprocess.run([sys.executable, "-c", probe, *argv], env=env, timeout=60,
                             cwd=asympt_inputs["trimer"].parent, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    loaded = {name.split(".")[1] for name in json.loads(result.stderr.splitlines()[-1])}
+    ran, heavy = json.loads(result.stderr.splitlines()[-1])
+    loaded = {name.split(".")[1] for name in ran}
     assert "cli" in loaded
     assert not loaded & unloaded
+    assert heavy == []
 
 
 def test_argument_errors_exit_2(capsys):

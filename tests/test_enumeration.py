@@ -147,6 +147,13 @@ def test_bound_must_be_positive():
         EnumerationQuery(DIMER, Shape.TOWER, BoundKind.BY_AREA, 0)
 
 
+@pytest.mark.parametrize("bound", [True, 2.5, "3", None])
+def test_bound_must_be_an_integer(bound):
+    # a bool would count area 1; a float or str would fail later, inside count_towers
+    with pytest.raises(ValueError, match="bound must be an integer"):
+        EnumerationQuery(DIMER, Shape.TOWER, BoundKind.BY_AREA, bound)
+
+
 def exponents(tower, sizes):
     return tuple(sum(r - l == s for floor in tower.floors for l, r in floor) for s in sizes)
 

@@ -22,6 +22,9 @@ def test_piece_set_normalizes_and_validates():
         PieceSet((0, 2))
     with pytest.raises(ValueError):
         PieceSet((2, 2))
+    for sizes in ((1, "a"), (2, None), (1, True), (1, 2.0)):
+        with pytest.raises(ValueError, match="positive integers"):
+            PieceSet(sizes)
 
 
 def test_legal_example_from_three_sizes():

@@ -31,15 +31,14 @@ _EXPORTS = {
     "gallery": ("render_gallery",),
     "identities": ("ACCEPTANCE_SETS", "CheckResult", "verify_identities"),
     "jsonio": (),
-    "model": ("PieceSet", "Rule", "Shape", "Tower", "is_legal_tower"),
+    "model": ("PieceSet", "Rule", "Sequence", "Shape", "Tower", "ZPolynomial", "is_legal_tower"),
     "polynomials": ("IntPoly",),
-    "recurrences": ("Recurrence", "Sequence", "derive_recurrence", "extend_sequence",
+    "recurrences": ("Recurrence", "derive_recurrence", "extend_sequence",
                     "guess_recurrence", "sequence_from_series", "verify_recurrence"),
     "series": ("TruncatedSeries", "closed_form_dimer_towers", "closed_form_half_pyramids",
                "closed_form_pyramids", "coefficients_by_pieces", "half_pyramid_rhs",
                "piece_count_sequence", "series_family", "series_pyramids", "series_towers",
                "solve_half_pyramids", "weighted_series"),
-    "zpoly": ("ZPolynomial",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

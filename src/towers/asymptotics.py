@@ -34,7 +34,7 @@ from .errors import InsufficientTermsError
 from .model import Value
 
 if TYPE_CHECKING:
-    from .recurrences import Sequence
+    from .model import Sequence
 
 __all__ = ["AsymptoticEstimate", "ZeroTermError", "estimate_asymptotics", "minimum_terms"]
 
@@ -48,9 +48,10 @@ class AsymptoticEstimate(Value):
 
     The exact values are held as (numerator, denominator) pairs, with a
     positive denominator; `mu`, `theta` and `stability` read them as
-    Fractions, reduced on first read.  `stability` maps "mu" and "theta" to
-    the absolute difference between the last two extrapolation iterates;
-    smaller means more settled.  Estimates compare equal when their values do.
+    Fractions, reduced on first read.  `stability_pairs` holds ("mu", pair)
+    and ("theta", pair), in that order, for the absolute difference between
+    the last two extrapolation iterates; smaller means more settled, and
+    `stability` reads it as a dict.  Estimates compare equal when their values do.
     """
 
     _fields = ("mu_pair", "theta_pair", "c_amplitude", "stability_pairs")
@@ -58,14 +59,15 @@ class AsymptoticEstimate(Value):
     mu_pair: tuple[int, int]
     theta_pair: tuple[int, int]
     c_amplitude: float | None
-    stability_pairs: dict[str, tuple[int, int]]
+    stability_pairs: tuple[tuple[str, tuple[int, int]], ...]
 
     mu = cached_property(lambda self: Fraction(*self.mu_pair))
     theta = cached_property(lambda self: Fraction(*self.theta_pair))
-    stability = cached_property(lambda self: {k: Fraction(*v) for k, v in self.stability_pairs.items()})
+    stability = cached_property(lambda self: {k: Fraction(*v) for k, v in self.stability_pairs})
 
     def __init__(self, mu_pair: tuple[int, int], theta_pair: tuple[int, int],
-                 c_amplitude: float | None, stability_pairs: dict[str, tuple[int, int]]) -> None:
+                 c_amplitude: float | None,
+                 stability_pairs: tuple[tuple[str, tuple[int, int]], ...]) -> None:
         super().__init__(mu_pair, theta_pair, c_amplitude, stability_pairs)
 
     def __eq__(self, other: object) -> bool:
@@ -138,7 +140,8 @@ def estimate_asymptotics(s: Sequence, depth: int = 4) -> AsymptoticEstimate:
     # cancels; theta_prev divides by mu too, not by mu_prev
     theta_pair = (nr * factorial - rn * mu, mu * factorial)
     theta_step = (nr - nr_prev) * factorial - (rn - rn_prev) * mu
-    stability = {"mu": (abs(mu - mu_prev), denominator), "theta": (abs(theta_step), mu * factorial)}
+    stability = (("mu", (abs(mu - mu_prev), denominator)),
+                 ("theta", (abs(theta_step), mu * factorial)))
     common = math.gcd(mu, denominator)  # the one reduction: the amplitude reads it
     mu_pair = (mu // common, denominator // common)
 

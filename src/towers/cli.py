@@ -32,7 +32,7 @@ from typing import Callable, Iterator, TextIO
 from . import algebra, asymptotics, enumeration, gallery, identities, jsonio, recurrences, series
 from .errors import (ConsistencyError, DegreeCapError, InconsistentRecurrenceError,
                      SingularRecurrenceError, UnsupportedConfigurationError)
-from .model import PieceSet, Rule, Shape
+from .model import PieceSet, Rule, Sequence, Shape
 
 # `series` unrolls a recurrence derived from the annihilating polynomial
 # instead of solving from this order on, for largest piece sizes up to
@@ -178,7 +178,7 @@ def _plain_series(pieces: PieceSet, shape: Shape, order: int) -> series.Truncate
     start = n0 + rec.order  # the first term unrolled
     if lead[0] <= 0 or min(lead) < 0 or start + rec.order - 1 > prefix.order:
         return series.series_family(pieces, order, through=shape)[shape]
-    init = recurrences.Sequence(0, prefix.coeffs[:start])
+    init = Sequence(0, prefix.coeffs[:start])
     terms = recurrences.extend_sequence(rec, init, order + 1).terms
     if terms[: prefix.order + 1] != prefix.coeffs:
         raise ConsistencyError(
@@ -208,7 +208,7 @@ def cmd_series(args: argparse.Namespace) -> int:
         raise UnsupportedConfigurationError(
             f"order {args.order} is too small for even one piece of the largest size"
         )
-    seq = recurrences.Sequence(1 if args.by_pieces else 0, tuple(terms))
+    seq = Sequence(1 if args.by_pieces else 0, tuple(terms))
     if args.format == "csv":
         _emit(args, jsonio.sequence_to_csv(seq))
     elif args.format == "text":

@@ -28,8 +28,7 @@ from __future__ import annotations
 import enum
 from typing import Iterator
 
-from .model import Floor, PieceSet, Rule, Shape, Tower, Value
-from .zpoly import ZPolynomial
+from .model import Floor, PieceSet, Rule, Shape, Tower, Value, ZPolynomial
 
 __all__ = [
     "BoundKind",

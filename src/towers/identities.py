@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from .algebra import annihilating_polynomial
 from .enumeration import BoundKind, EnumerationQuery, count_towers, weight_polynomial
-from .model import PieceSet, Rule, Shape, Value
+from .model import PieceSet, Rule, Sequence, Shape, Value, ZPolynomial
 from .recurrences import (
-    Sequence,
     SingularRecurrenceError,
     extend_sequence,
     guess_recurrence,
@@ -30,7 +29,6 @@ from .series import (
     series_family,
     weighted_series,
 )
-from .zpoly import ZPolynomial
 
 __all__ = ["CheckResult", "verify_identities", "ACCEPTANCE_SETS"]
 
@@ -218,13 +216,14 @@ def verify_identities(max_area: int = 12, max_pieces: int = 7) -> list[CheckResu
         results.extend(_check_counts(pieces, plain[pieces], oracle[pieces]))
 
     # piece-count spot check against the dimer closed forms
-    for pieces, base in ((PieceSet.of(2), 4), (noalign_dimer, 3)):
+    for pieces in (PieceSet.of(2), noalign_dimer):
         counts = count_towers(
             EnumerationQuery(pieces, Shape.TOWER, BoundKind.BY_PIECE_COUNT, max_pieces)
         )
+        base = closed_form_dimer_towers(pieces.rule, 2)  # n pieces: base^(n-1)
         detail = ""
         for n in range(1, max_pieces + 1):
-            if counts[n] != base ** (n - 1):
+            if counts[n] != closed_form_dimer_towers(pieces.rule, n):
                 detail = f"n={n}: enumerator {counts[n]} != {base}^{n - 1}"
                 break
         results.append(CheckResult(f"dimer-pieces[{_config_label(pieces)}]", not detail, detail))

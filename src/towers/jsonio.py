@@ -10,6 +10,10 @@ exactly the text that `dumps(sequence_to_json(seq))` returns.
 scans the layout that `dumps` writes in fixed-size chunks, checks every term
 and keeps only the tail, so its memory does not grow with the file; any
 other layout goes through `json.load` and fails as that route fails.
+
+`Sequence` and `ZPolynomial` live in `model`, so sequence files read and
+write without running a solver; only `recurrence_from_json` runs the
+lazily served `recurrences` and `polynomials`, at its first call.
 """
 
 from __future__ import annotations
@@ -23,24 +27,22 @@ from collections import deque
 from decimal import Decimal
 from typing import TYPE_CHECKING, Any, BinaryIO, Callable, TextIO
 
+from . import polynomials, recurrences
 from .errors import MalformedInputError
-from .polynomials import IntPoly
-from .recurrences import Recurrence, Sequence
+from .model import Sequence
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .algebra import BivariatePolynomial
     from .asymptotics import AsymptoticEstimate
     from .enumeration import BoundKind
     from .identities import CheckResult
+    from .model import ZPolynomial
+    from .recurrences import Recurrence
     from .series import TruncatedSeries
-    from .zpoly import ZPolynomial
 
 __all__ = [
     "dumps",
     "dump_sequence",
-    "decimal_str",
     "decimal_pair_str",
     "counts_to_json",
     "counts_to_csv",
@@ -145,13 +147,12 @@ def dumps(payload: Any) -> str:
     return _ENCODER.encode(payload) + "\n"
 
 
-def decimal_str(value: Fraction, digits: int = 30) -> str:
-    """Exact-rounding decimal rendering of a Fraction."""
-    return decimal_pair_str(value.numerator, value.denominator, digits)
-
-
 def decimal_pair_str(numerator: int, denominator: int, digits: int = 30) -> str:
-    """decimal_str of numerator/denominator, which need not be reduced, in one division."""
+    """numerator/denominator, which need not be reduced, rounded exactly to `digits` places.
+
+    One division.  Ties round to even, trailing zeros are dropped, and a
+    value that rounds to zero prints as "0".
+    """
     if denominator < 0:
         numerator, denominator = -numerator, -denominator
     unit = 10**digits
@@ -376,7 +377,8 @@ def recurrence_from_json(payload: Any) -> Recurrence:
     coeffs = _field(_object(payload, "a recurrence"), "coeffs", "a recurrence")
     if not (isinstance(coeffs, list) and all(isinstance(row, list) for row in coeffs)):
         raise MalformedInputError("coeffs must be an array of arrays of integers")
-    return Recurrence(tuple(IntPoly(_str_int(c) for c in row) for row in coeffs))
+    polys = tuple(polynomials.IntPoly(_str_int(c) for c in row) for row in coeffs)
+    return recurrences.Recurrence(polys)
 
 
 def polynomial_to_json(q: BivariatePolynomial) -> dict:
@@ -399,7 +401,7 @@ def estimate_to_json(est: AsymptoticEstimate) -> dict:
         "mu": decimal_pair_str(*est.mu_pair),
         "theta": decimal_pair_str(*est.theta_pair),
         "c_amplitude": None if est.c_amplitude is None else repr(est.c_amplitude),
-        "stability": {k: decimal_pair_str(*v) for k, v in sorted(est.stability_pairs.items())},
+        "stability": {k: decimal_pair_str(*v) for k, v in est.stability_pairs},
         "empirical": True,
     }
 

@@ -1,4 +1,7 @@
-"""Core model: piece sets, towers and the legality check.
+"""Core model: the package's plain records and the legality check.
+
+Piece sets, towers, sequences (re-exported by `recurrences`) and marker
+polynomials live here on `Value`, so handling one runs no solver.
 
 A tower is described floor by floor.  Each floor is a list of horizontal
 pieces, a piece of size i occupying the integer interval [x, x+i].  The
@@ -19,15 +22,20 @@ shifted), so `is_legal_tower` does not require canonical placement.
 from __future__ import annotations
 
 import enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import MalformedInputError
+
+if TYPE_CHECKING:
+    import decimal
 
 __all__ = [
     "Rule",
     "Shape",
     "PieceSet",
     "Tower",
+    "Sequence",
+    "ZPolynomial",
     "is_legal_tower",
 ]
 
@@ -104,7 +112,7 @@ class PieceSet(Value):
     sizes: tuple[int, ...]
     rule: Rule
 
-    def __init__(self, sizes: Sequence[int], rule: Rule = Rule.ALL_INTERFACES) -> None:
+    def __init__(self, sizes: Iterable[int], rule: Rule = Rule.ALL_INTERFACES) -> None:
         sizes = tuple(sizes)
         if not sizes:
             raise ValueError("piece set must be non-empty")
@@ -163,7 +171,85 @@ class Tower(Value):
         return sum(len(floor) for floor in self.floors)
 
 
-def _raw_floors(candidate: Sequence) -> tuple[Floor, ...]:
+class Sequence(Value):
+    """Integer terms a(offset), a(offset+1), ... with a free-text label.
+
+    Terms are ints.  `extend_sequence`, `verify_recurrence` and
+    `estimate_asymptotics` also take integer-valued Decimals, which print
+    in linear time; `guess_recurrence` takes ints only.
+    """
+
+    __slots__ = _fields = ("offset", "terms", "label")
+    offset: int
+    terms: tuple[int | decimal.Decimal, ...]
+    label: str
+
+    def __init__(self, offset: int, terms: tuple[int | decimal.Decimal, ...], label: str = "") -> None:
+        if not terms:
+            raise ValueError("a sequence needs at least one term")
+        super().__init__(offset, tuple(terms), label)
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+
+Monomial = tuple[tuple[int, ...], int]  # (exponent vector, coefficient)
+
+
+class ZPolynomial(Value):
+    """An integer polynomial in the piece-count markers z_i, one per size.
+
+    Each monomial is keyed by its exponent vector, one exponent per size,
+    e.g. for sizes (1, 3) the monomial z1^2 * z3 has key (2, 1).  `terms`
+    holds the (exponents, coefficient) pairs sorted by exponents, zero
+    coefficients dropped; `__init__` takes them as a mapping or as such
+    pairs.  It is a container, not a ring: the oracle (`weight_polynomial`)
+    and Lagrange's formula (`weighted_series`) build one per area, and
+    callers compare them, read their monomials or set every marker to 1.
+    """
+
+    __slots__ = _fields = ("sizes", "terms")
+    sizes: tuple[int, ...]
+    terms: tuple[Monomial, ...]
+
+    def __init__(self, sizes: Iterable[int],
+                 terms: Mapping[tuple[int, ...], int] | Iterable[Monomial] = ()) -> None:
+        sizes = tuple(sizes)
+        pairs = tuple(sorted((exps, c) for exps, c in dict(terms).items() if c))
+        for exps, _ in pairs:
+            if len(exps) != len(sizes):
+                raise ValueError(f"exponent vector {exps} does not match sizes {sizes}")
+        super().__init__(sizes, pairs)
+
+    def items(self) -> Iterator[Monomial]:
+        """The monomials, sorted by exponent vector."""
+        return iter(self.terms)
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def eval_ones(self) -> int:
+        """Value with every marker set to 1 (the plain count)."""
+        return sum(c for _, c in self.terms)
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for exps, coeff in self.terms:
+            factors = []
+            if coeff != 1 or not any(exps):
+                factors.append(str(coeff))
+            for size, e in zip(self.sizes, exps):
+                if e == 1:
+                    factors.append(f"z{size}")
+                elif e > 1:
+                    factors.append(f"z{size}^{e}")
+            parts.append("*".join(factors))
+        return " + ".join(parts)
+
+
+def _raw_floors(candidate: Iterable) -> tuple[Floor, ...]:
     """Normalize raw floor lists to tuples, sorting pieces within floors.
 
     Raises MalformedInputError if the structure is not a sequence of
@@ -198,7 +284,7 @@ def _raw_floors(candidate: Sequence) -> tuple[Floor, ...]:
     return tuple(floors)
 
 
-def is_legal_tower(candidate: Sequence, pieces: PieceSet, shape: Shape = Shape.TOWER) -> bool:
+def is_legal_tower(candidate: Iterable, pieces: PieceSet, shape: Shape = Shape.TOWER) -> bool:
     """Check whether raw floor lists describe a legal tower of the shape.
 
     The checks, in order: every size belongs to the piece set; pieces on a

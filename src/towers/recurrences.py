@@ -35,6 +35,9 @@ terms may be ints or integer-valued `decimal.Decimal`s: the loop runs in an
 exact context that raises on any rounding, and Decimal terms make writing
 the result as decimal digits linear in their length, where CPython's
 int-to-str is quadratic.
+
+`Sequence` lives in `model` and is re-exported here, so reading or
+writing a sequence file runs none of this module.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (ConsistencyError, InconsistentRecurrenceError, InsufficientTermsError,
                      SingularRecurrenceError)
-from .model import Value
+from .model import Sequence, Value
 from .polynomials import (_PRIME, IntPoly, _echelon, _field_width, _pack, h_mul, h_prem,
                           integer_kernel, primitive_part, without_content)
 
@@ -79,28 +82,6 @@ _EXACT = decimal.Context(
 # largest below 2**30, using this many rows beyond the widest system's
 # column count.
 _EXTRA_ROWS = 8
-
-
-class Sequence(Value):
-    """Integer terms a(offset), a(offset+1), ... with a free-text label.
-
-    Terms are ints.  `extend_sequence`, `verify_recurrence` and
-    `estimate_asymptotics` also take integer-valued Decimals, which print
-    in linear time; `guess_recurrence` takes ints only.
-    """
-
-    __slots__ = _fields = ("offset", "terms", "label")
-    offset: int
-    terms: tuple[int | decimal.Decimal, ...]
-    label: str
-
-    def __init__(self, offset: int, terms: tuple[int | decimal.Decimal, ...], label: str = "") -> None:
-        if not terms:
-            raise ValueError("a sequence needs at least one term")
-        super().__init__(offset, tuple(terms), label)
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
 
 class Recurrence(Value):
@@ -200,11 +181,7 @@ def _first_singular_degree(s: Sequence, r: int, max_degree: int, guard: int) -> 
 
 
 def _candidate(s: Sequence, r: int, d: int, guard: int) -> Recurrence | None:
-    windows = len(s) - r
-    system_rows = windows - guard
-    unknowns = (r + 1) * (d + 1)
-    if system_rows < unknowns:
-        return None
+    system_rows = len(s) - r - guard
     matrix = []
     for w in range(system_rows):
         n = s.offset + w

@@ -72,9 +72,8 @@ import operator
 from typing import Sequence
 
 from .errors import ConsistencyError, UnsupportedConfigurationError
-from .model import PieceSet, Rule, Shape, Value
+from .model import PieceSet, Rule, Shape, Value, ZPolynomial
 from .polynomials import IntPoly
-from .zpoly import ZPolynomial
 
 __all__ = [
     "TruncatedSeries",

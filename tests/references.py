@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from towers import recurrences
+from towers import jsonio, recurrences
 from towers.model import PieceSet
 from towers.polynomials import IntPoly
 from towers.series import TruncatedSeries, half_pyramid_rhs
@@ -152,6 +152,11 @@ def _richardson(points: list[tuple[int, Fraction]]) -> Fraction:
          for i, (n, value) in enumerate(points)),
         Fraction(0),
     )
+
+
+def decimal_str(value: Fraction, digits: int = 30) -> str:
+    """`jsonio.decimal_pair_str` of a Fraction, from its reduced numerator and denominator."""
+    return jsonio.decimal_pair_str(value.numerator, value.denominator, digits)
 
 
 def term_by_term_estimate(seq: recurrences.Sequence, depth: int) -> tuple[Fraction, Fraction, dict]:

@@ -18,7 +18,7 @@ from towers.recurrences import (
 from towers.series import coefficients_by_pieces, series_family, solve_half_pyramids
 
 import references
-from references import term_by_term_estimate
+from references import decimal_str, term_by_term_estimate
 
 
 def catalan_sequence(length):
@@ -113,10 +113,10 @@ def test_estimate_and_its_json_equal_the_term_by_term_reference(case):
     assert (est.mu, est.theta, est.stability) == want
     mu, theta, stability = want
     assert jsonio.dumps(jsonio.estimate_to_json(est)) == jsonio.dumps({
-        "mu": jsonio.decimal_str(mu),
-        "theta": jsonio.decimal_str(theta),
+        "mu": decimal_str(mu),
+        "theta": decimal_str(theta),
         "c_amplitude": None if est.c_amplitude is None else repr(est.c_amplitude),
-        "stability": {k: jsonio.decimal_str(v) for k, v in sorted(stability.items())},
+        "stability": {k: decimal_str(v) for k, v in sorted(stability.items())},
         "empirical": True,
     })
 

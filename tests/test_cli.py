@@ -491,20 +491,23 @@ def test_cli_import_leaves_sympy_unloaded():
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 _MODULES = {path.stem for path in (_SRC / "towers").glob("*.py")} - {"__init__"}
-_CHAIN_UNLOADED = {"algebra", "identities", "enumeration", "series", "gallery", "asymptotics", "zpoly"}
+_CHAIN_UNLOADED = {"algebra", "identities", "enumeration", "series", "gallery", "asymptotics"}
 
 
 @pytest.mark.parametrize("argv, unloaded", [
     (["--help"], _MODULES - {"cli", "errors", "model"}),
-    (["series", "--sizes", "1,2,3", "--order", "300"], {"algebra", "identities", "enumeration"}),
-    (["series", "--sizes", "3", "--by-pieces", "--order", "300"], {"algebra", "identities", "enumeration"}),
+    (["series", "--sizes", "1,2,3", "--order", "300"],
+     {"algebra", "identities", "enumeration", "recurrences"}),
+    (["series", "--sizes", "3", "--by-pieces", "--order", "300"],
+     {"algebra", "identities", "enumeration", "recurrences"}),
     (["guess", "--input", "seq.json"], _CHAIN_UNLOADED),
     (["extend", "--rec", "rec.json", "--init", "seq.json", "--terms", "300"], _CHAIN_UNLOADED),
-    (["asympt", "--input", "trimer.json"], {"algebra", "identities", "enumeration", "series"}),
+    (["asympt", "--input", "trimer.json"],
+     {"algebra", "identities", "enumeration", "series", "recurrences", "polynomials"}),
     (["series", "--sizes", "1,2,3", "--order", "600"],
      {"identities", "enumeration", "gallery", "asymptotics"}),
     (["eliminate", "--sizes", "1,2", "--order", "40"],
-     {"identities", "enumeration", "gallery", "asymptotics"}),
+     {"identities", "enumeration", "gallery", "asymptotics", "recurrences"}),
     (["enumerate", "--sizes", "1,2", "--area", "6"],
      {"series", "algebra", "identities", "gallery", "asymptotics"}),
     (["render", "--sizes", "1,2", "--pieces", "2"],

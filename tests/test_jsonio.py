@@ -19,6 +19,8 @@ from towers.polynomials import IntPoly
 from towers.recurrences import Recurrence, Sequence
 from towers.series import series_family, solve_half_pyramids, weighted_series
 
+from references import decimal_str
+
 
 def test_counts_payload_shape():
     payload = jsonio.counts_to_json(BoundKind.BY_PIECE_COUNT, {1: 1, 2: 4})
@@ -163,12 +165,12 @@ def test_estimate_payload_uses_decimal_strings():
 
 
 def test_decimal_str_rounding_and_trimming():
-    assert jsonio.decimal_str(Fraction(1, 4), 6) == "0.25"
-    assert jsonio.decimal_str(Fraction(-3, 2), 4) == "-1.5"
-    assert jsonio.decimal_str(Fraction(2, 3), 6) == "0.666667"
-    assert jsonio.decimal_str(Fraction(5), 6) == "5"
-    assert jsonio.decimal_str(Fraction(1, 10**8), 6) == "0"
-    assert jsonio.decimal_str(Fraction(-1, 10**8), 6) == "0"
+    assert decimal_str(Fraction(1, 4), 6) == "0.25"
+    assert decimal_str(Fraction(-3, 2), 4) == "-1.5"
+    assert decimal_str(Fraction(2, 3), 6) == "0.666667"
+    assert decimal_str(Fraction(5), 6) == "5"
+    assert decimal_str(Fraction(1, 10**8), 6) == "0"
+    assert decimal_str(Fraction(-1, 10**8), 6) == "0"
 
 
 _UNIT = 10**30  # one in the 30th place is 1/_UNIT
@@ -193,14 +195,14 @@ _UNIT = 10**30  # one in the 30th place is 1/_UNIT
 ])
 def test_decimal_pair_str_renders_as_decimal_str(numerator, denominator, text):
     assert jsonio.decimal_pair_str(numerator, denominator) == text
-    assert jsonio.decimal_str(Fraction(numerator, denominator)) == text
+    assert decimal_str(Fraction(numerator, denominator)) == text
 
 
 @settings(max_examples=300, deadline=None)
 @given(numerator=st.integers(-(10**40), 10**40), denominator=st.integers(1, 10**35),
        scale=st.integers(-(10**12), 10**12).filter(bool), digits=st.integers(1, 35))
 def test_decimal_pair_str_ignores_common_factors(numerator, denominator, scale, digits):
-    want = jsonio.decimal_str(Fraction(numerator, denominator), digits)
+    want = decimal_str(Fraction(numerator, denominator), digits)
     assert jsonio.decimal_pair_str(numerator * scale, denominator * scale, digits) == want
 
 

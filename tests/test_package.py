@@ -9,7 +9,7 @@ import pytest
 import towers
 
 # The names the package exported when it imported every module eagerly, by
-# the module that defines each one.
+# the module that defines each one; `Sequence` and `ZPolynomial` are model's.
 EXPORTS = {
     "algebra": ["BivariatePolynomial", "annihilating_polynomial", "defining_polynomial_H",
                 "verify_annihilator"],
@@ -21,15 +21,14 @@ EXPORTS = {
                "UnsupportedConfigurationError"],
     "gallery": ["render_gallery"],
     "identities": ["ACCEPTANCE_SETS", "CheckResult", "verify_identities"],
-    "model": ["PieceSet", "Rule", "Shape", "Tower", "is_legal_tower"],
+    "model": ["PieceSet", "Rule", "Sequence", "Shape", "Tower", "ZPolynomial", "is_legal_tower"],
     "polynomials": ["IntPoly"],
-    "recurrences": ["Recurrence", "Sequence", "derive_recurrence", "extend_sequence",
+    "recurrences": ["Recurrence", "derive_recurrence", "extend_sequence",
                     "guess_recurrence", "sequence_from_series", "verify_recurrence"],
     "series": ["TruncatedSeries", "closed_form_dimer_towers", "closed_form_half_pyramids",
                "closed_form_pyramids", "coefficients_by_pieces", "half_pyramid_rhs",
                "piece_count_sequence", "series_family", "series_pyramids", "series_towers",
                "solve_half_pyramids", "weighted_series"],
-    "zpoly": ["ZPolynomial"],
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
@@ -49,6 +48,13 @@ def test_recurrences_still_exports_its_errors():
     for name in ("InsufficientTermsError", "SingularRecurrenceError", "InconsistentRecurrenceError"):
         assert name in recurrences.__all__
         assert getattr(recurrences, name) is getattr(errors, name)
+
+
+def test_recurrences_still_exports_sequence():
+    from towers import model, recurrences
+
+    assert "Sequence" in recurrences.__all__
+    assert towers.Sequence is recurrences.Sequence is model.Sequence
 
 
 def test_star_import_binds_every_name():
@@ -89,7 +95,7 @@ def test_a_module_is_bound_at_once_and_runs_on_first_use():
         "from towers import series\n"
         "assert towers.series is series is sys.modules['towers.series']\n"
         "assert type(series) is not types.ModuleType, 'ran before its first use'\n"
-        "assert 'towers.zpoly' not in sys.modules\n"
+        "assert 'towers.polynomials' not in sys.modules\n"
         "series.series_family\n"
         "assert type(series) is types.ModuleType\n"
         "assert sys.modules['towers.series'] is series\n"

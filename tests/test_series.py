@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from towers import jsonio
 from towers.enumeration import BoundKind, EnumerationQuery, count_towers, weight_polynomial
 from towers.errors import ConsistencyError, UnsupportedConfigurationError
-from towers.model import PieceSet, Rule, Shape
+from towers.model import PieceSet, Rule, Shape, ZPolynomial
 from towers.recurrences import Sequence
 from towers.series import (
     TruncatedSeries,
@@ -22,7 +22,6 @@ from towers.series import (
     solve_half_pyramids,
     weighted_series,
 )
-from towers.zpoly import ZPolynomial
 
 from references import iterate_half_pyramids, naive_product, naive_quotient
 

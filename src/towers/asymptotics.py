@@ -51,7 +51,8 @@ class AsymptoticEstimate(Value):
     Fractions, reduced on first read.  `stability_pairs` holds ("mu", pair)
     and ("theta", pair), in that order, for the absolute difference between
     the last two extrapolation iterates; smaller means more settled, and
-    `stability` reads it as a dict.  Estimates compare equal when their values do.
+    `stability` reads it as a dict.  Estimates compare, and hash, equal when
+    their values do.
     """
 
     _fields = ("mu_pair", "theta_pair", "c_amplitude", "stability_pairs")
@@ -73,6 +74,9 @@ class AsymptoticEstimate(Value):
     def __eq__(self, other: object) -> bool:
         return isinstance(other, AsymptoticEstimate) and all(
             getattr(self, a) == getattr(other, a) for a in ("mu", "theta", "c_amplitude", "stability"))
+
+    def __hash__(self) -> int:  # of what __eq__ compares, so unreduced pairs hash as reduced ones
+        return hash((self.mu, self.theta, self.c_amplitude, frozenset(self.stability.items())))
 
 
 def _log_big(x: int) -> float:

@@ -10,7 +10,8 @@ and `model` (the parser's choices).  The modules the commands run are
 imported here too, but the package serves them lazily: each executes at
 its first attribute access, so `--help` runs neither `jsonio` nor any
 solver, and `guess` and `extend` run no series, algebra or enumeration
-code.
+code.  `extend` holds one window of terms at a time, whatever `--terms`,
+and its output replaces `--out`, or reaches stdout, only once it is whole.
 
 Exit codes: 0 success, 2 argument or configuration error, 3 a recurrence
 guess came back empty, 4 a recurrence hit a vanishing leading coefficient,
@@ -242,15 +243,9 @@ def cmd_extend(args: argparse.Namespace) -> int:
     rec = jsonio.recurrence_from_json(_load_json(args.rec))
     # Decimal terms: writing them as digits is linear, for ints it is quadratic
     init = jsonio.decimal_sequence_from_json(_load_json(args.init))
-    seq = recurrences.extend_sequence(rec, init, args.terms)
-    # written one term at a time, so the digits of all terms are never held
-    # together; the file opens only after the unroll succeeded, so a failed
-    # one writes nothing
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            jsonio.dump_sequence(seq, handle)
-    else:
-        jsonio.dump_sequence(seq, sys.stdout)
+    # unrolled a window at a time and written as made, so memory does not grow with --terms
+    with jsonio.written_on_success(args.out) as handle:
+        jsonio.dump_sequence(init, handle, recurrences.extended_terms(rec, init, args.terms))
     return 0
 
 

@@ -4,7 +4,9 @@ Every integer that can get large is serialized as a decimal string so no
 consumer ever sees a 53-bit float truncation.  Dictionaries are built in
 canonical key order and dumped without re-sorting, which keeps output
 byte-identical across runs.  `dump_sequence` writes, one term at a time,
-exactly the text that `dumps(sequence_to_json(seq))` returns.
+exactly the text that `dumps(sequence_to_json(seq))` returns, and takes
+its terms from any iterable: `extend` hands it `recurrences.extended_terms`,
+so the terms are written as they are unrolled and never all held.
 
 `sequence_tail` reads back only the last terms of a long sequence file.  It
 scans the layout that `dumps` writes in fixed-size chunks, checks every term
@@ -19,13 +21,19 @@ lazily served `recurrences` and `polynomials`, at its first call.
 from __future__ import annotations
 
 import codecs
+import contextlib
 import decimal
 import json
 import math
+import os
 import re
+import shutil
+import sys
+import tempfile
 from collections import deque
 from decimal import Decimal
-from typing import TYPE_CHECKING, Any, BinaryIO, Callable, TextIO
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, Iterator, TextIO
 
 from . import polynomials, recurrences
 from .errors import MalformedInputError
@@ -43,6 +51,7 @@ if TYPE_CHECKING:
 __all__ = [
     "dumps",
     "dump_sequence",
+    "written_on_success",
     "decimal_pair_str",
     "counts_to_json",
     "counts_to_csv",
@@ -206,22 +215,54 @@ def sequence_to_json(seq: Sequence) -> dict:
     return payload
 
 
-def dump_sequence(seq: Sequence, handle: TextIO) -> None:
+def dump_sequence(seq: Sequence, handle: TextIO,
+                  terms: Iterable[int | Decimal] | None = None) -> None:
     """Write dumps(sequence_to_json(seq)) to handle, one term at a time.
 
-    No list of the terms' digits is built: each term's text is written and
-    dropped.  Digits need no JSON escaping; the label goes through the
-    encoder that dumps uses, so its escapes are the same.
+    Given terms, at least one, they stand in for seq.terms: an iterable
+    drawn one term at a time, so a generator's terms are written as they
+    are made and never held together.  No list of the terms' digits is
+    built: each term's text is written and dropped.  Digits need no JSON
+    escaping; the label goes through the encoder that dumps uses, so its
+    escapes are the same.
     """
     handle.write(f'{{\n  "offset": {seq.offset},\n  "terms": [')
     separator = "\n    "
-    for term in seq.terms:
+    for term in seq.terms if terms is None else terms:
         handle.write(f'{separator}"{_int_str(term)}"')
         separator = ",\n    "
-    handle.write("\n  ]")  # a Sequence has at least one term
+    handle.write("\n  ]")
     if seq.label:
         handle.write(f',\n  "label": {_ENCODER.encode(seq.label)}')
     handle.write("\n}\n")
+
+
+@contextlib.contextmanager
+def written_on_success(out: str | None) -> Iterator[TextIO]:
+    """A text handle whose output reaches out, or stdout for None, only if the block succeeds.
+
+    The file is written to a temporary sibling of out's resolved path (so a
+    symlinked out keeps its link), created with the mode open(out, "w")
+    would give it, and renamed over out at the end; no copy is made.
+    Stdout's text is spooled to an anonymous temporary file and copied.  On
+    any exception the temporary is removed, and out and stdout are as before.
+    """
+    if not out:
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+            yield spool
+            spool.seek(0)
+            shutil.copyfileobj(spool, sys.stdout)
+        return
+    target = Path(out).resolve()
+    temp = target.with_name(f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def sequence_from_json(payload: dict) -> Sequence:

@@ -34,7 +34,9 @@ sequence and an error is raised rather than silently truncating.  Unrolled
 terms may be ints or integer-valued `decimal.Decimal`s: the loop runs in an
 exact context that raises on any rounding, and Decimal terms make writing
 the result as decimal digits linear in their length, where CPython's
-int-to-str is quadratic.
+int-to-str is quadratic.  `extended_terms` yields the same terms as
+`extend_sequence` a window at a time, so a writer that takes them one by
+one holds a window of terms, not all of them.
 
 `Sequence` lives in `model` and is re-exported here, so reading or
 writing a sequence file runs none of this module.
@@ -43,7 +45,7 @@ writing a sequence file runs none of this module.
 from __future__ import annotations
 
 import decimal
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import (ConsistencyError, InconsistentRecurrenceError, InsufficientTermsError,
                      SingularRecurrenceError)
@@ -63,6 +65,7 @@ __all__ = [
     "guess_recurrence",
     "verify_recurrence",
     "extend_sequence",
+    "extended_terms",
     "sequence_from_series",
     "derive_recurrence",
 ]
@@ -76,6 +79,12 @@ _EXACT = decimal.Context(
     traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
            decimal.DivisionByZero, decimal.Overflow],
 )
+
+
+# New terms per `extend_sequence` call in `extended_terms`: enough that the
+# per-call cost vanishes, few enough that a window of ~7000-digit terms
+# stays well below a megabyte.
+_WINDOW = 64
 
 
 # Shapes are ruled out by rank modulo the prime the kernel starts from, the
@@ -272,6 +281,25 @@ def extend_sequence(rec: Recurrence, initial: Sequence, target_length: int) -> S
                 quotient = 0  # a Decimal 0 divided by a negative is -0
             terms.append(kind(quotient))
     return Sequence(initial.offset, tuple(terms), initial.label)
+
+
+def extended_terms(rec: Recurrence, initial: Sequence,
+                   target_length: int) -> Iterator[int | decimal.Decimal]:
+    """Yield the terms of extend_sequence(rec, initial, target_length), one by one.
+
+    Each `extend_sequence` call unrolls _WINDOW new terms from the last r
+    terms made so far, so only one window is held at a time; the errors,
+    and the n they name, are those of `extend_sequence`, raised when the
+    window that meets them is unrolled.
+    """
+    window = extend_sequence(rec, initial, min(target_length, len(initial) + _WINDOW))
+    yield from window.terms
+    made, r = len(window), rec.order
+    while made < target_length:
+        start = Sequence(initial.offset + made - r, window.terms[-r:])
+        window = extend_sequence(rec, start, r + min(target_length - made, _WINDOW))
+        yield from window.terms[r:]
+        made += len(window) - r
 
 
 def sequence_from_series(series: TruncatedSeries) -> Sequence:

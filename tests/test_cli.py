@@ -233,6 +233,66 @@ def test_inconsistent_extension_exits_5(tmp_path, capsys):
     assert out_path.read_bytes() == b"earlier output\n"
 
 
+def failing_extension(tmp_path, code):
+    """Paths of a recurrence and initial terms whose unroll exits with code (4 or 5)."""
+    rec_path = tmp_path / "rec.json"
+    init_path = tmp_path / "init.json"
+    # past the first window of new terms: (n-200) a(n+1) = 2 (n-200) a(n) is
+    # singular at n=200, and 2 a(n+1) = a(n) from 3 * 2^150 is not exact at n=150
+    coeffs = [["400", "-2"], ["-200", "1"]] if code == 4 else [["-1"], ["2"]]
+    rec_path.write_text(json.dumps({"order": 1, "degree": len(coeffs[0]) - 1, "coeffs": coeffs}))
+    init_path.write_text(json.dumps({"offset": 0, "terms": [str(1 if code == 4 else 3 * 2**150)]}))
+    return ["extend", "--rec", str(rec_path), "--init", str(init_path), "--terms", "300"]
+
+
+@pytest.mark.parametrize("code", [4, 5])
+def test_a_failed_extension_leaves_no_temporary_behind(tmp_path, capsys, code):
+    argv = failing_extension(tmp_path, code)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out_path = out_dir / "long.json"
+    assert run(capsys, *argv, "--out", str(out_path))[:2] == (code, "")
+    assert list(out_dir.iterdir()) == []
+    out_path.write_bytes(b"earlier output\n")
+    code_again, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert (code_again, out) == (code, "")
+    assert ("n=200" if code == 4 else "p_r(150)") in err
+    assert list(out_dir.iterdir()) == [out_path]
+    assert out_path.read_bytes() == b"earlier output\n"
+    assert run(capsys, *argv)[:2] == (code, "")  # stdout gets no partial output either
+
+
+def test_a_new_out_gets_the_mode_open_gives(tmp_path, capsys):
+    rec_path, seq_path = trimer_chain(tmp_path, capsys)
+    old_umask = os.umask(0o027)
+    try:
+        with open(tmp_path / "reference.json", "w", encoding="utf-8"):
+            pass
+        code = main(["extend", "--rec", str(rec_path), "--init", str(seq_path), "--terms", "100",
+                     "--out", str(tmp_path / "long.json")])
+    finally:
+        os.umask(old_umask)
+    assert code == 0
+    assert (tmp_path / "long.json").stat().st_mode == (tmp_path / "reference.json").stat().st_mode
+    assert (tmp_path / "long.json").stat().st_mode & 0o777 == 0o640
+
+
+def test_a_symlinked_out_keeps_its_link(tmp_path, capsys):
+    rec_path, seq_path = trimer_chain(tmp_path, capsys)
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "long.json"
+    target.write_text("earlier output\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(Path("data") / "long.json")
+    argv = ["extend", "--rec", str(rec_path), "--init", str(seq_path), "--terms", "100"]
+    assert main([*argv, "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(Path("data") / "long.json")
+    assert sorted(p.name for p in target.parent.iterdir()) == ["long.json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert target.read_text(encoding="utf-8") == out
+
+
 def test_extend_writes_zero_not_minus_zero(tmp_path, capsys):
     # (n-5) a(n+1) = -a(n): p_1(n) < 0 for the first terms
     rec_path = tmp_path / "rec.json"
@@ -281,8 +341,9 @@ def test_extend_streams_its_output(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 0
-    # the terms are alive as Decimals, but the digits of only one at a time
-    assert peak < 3 * long_path.stat().st_size // 4
+    # a window of terms is alive at a time, and the digits of only one term:
+    # ~1/40 of the file, where holding every term as a Decimal takes ~1/2
+    assert peak < long_path.stat().st_size // 10
 
 
 def test_extend_writes_its_label_byte_for_byte(tmp_path, capsys, monkeypatch):

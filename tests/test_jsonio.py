@@ -459,3 +459,19 @@ def test_tail_keeps_absolute_indices():
     assert tail == Sequence(37, seq.terms[-8:], "powers of 3")
     assert estimate_asymptotics(tail, depth=0) == estimate_asymptotics(seq, depth=0)
     assert _tail(data, 100, 7) == seq
+
+
+@settings(max_examples=100, deadline=None)
+@given(seq=_sequences())
+def test_dump_sequence_writes_given_terms_as_it_draws_them(seq):
+    handle = io.StringIO()
+    written = []  # terms already in handle as each term is drawn
+
+    def terms():
+        for term in seq.terms:
+            written.append(handle.getvalue().count('\n    "'))
+            yield term
+
+    jsonio.dump_sequence(Sequence(seq.offset, (7,), seq.label), handle, terms())
+    assert handle.getvalue() == jsonio.dumps(jsonio.sequence_to_json(seq))
+    assert written == list(range(len(seq)))

@@ -22,6 +22,7 @@ from towers.recurrences import (
     SingularRecurrenceError,
     derive_recurrence,
     extend_sequence,
+    extended_terms,
     guess_recurrence,
     sequence_from_series,
     verify_recurrence,
@@ -216,6 +217,92 @@ class TestExtend:
         rec = guess_recurrence(seq, 3, 3)
         replay = extend_sequence(rec, Sequence(0, seq.terms[:2], "catalan"), 80)
         assert replay.terms == seq.terms
+
+
+W = recurrences._WINDOW
+# (n+4) a(n+2) = (2n+5) a(n+1) + 3(n+1) a(n), Motzkin numbers: order 2
+MOTZKIN_REC = Recurrence((IntPoly((-3, -3)), IntPoly((-5, -2)), IntPoly((4, 1))))
+MOTZKIN = Sequence(0, (1, 1, 2, 4, 9, 21, 51, 127, 323, 835), "motzkin")
+
+
+def window_edges(initial):
+    """Target lengths at and around the edges of extended_terms' windows."""
+    n = len(initial)
+    return sorted({1, n, n + 1, W - 1, W, W + 1, 3 * W + 2, n + W - 1, n + W, n + W + 1, 3 * W + n + 2})
+
+
+class TestExtendedTerms:
+    @pytest.mark.parametrize("rec, initial", [
+        (CATALAN_REC, Sequence(0, (1,))),
+        (CATALAN_REC, catalan_sequence(5, offset=3)),
+        (MOTZKIN_REC, MOTZKIN),
+        (MOTZKIN_REC, Sequence(7, MOTZKIN.terms[7:9])),
+    ])
+    @pytest.mark.parametrize("number", NUMBER_TYPES)
+    def test_terms_are_those_of_extend_sequence(self, rec, initial, number):
+        initial = typed(initial, number)
+        for length in window_edges(initial):
+            terms = list(extended_terms(rec, initial, length))
+            expected = extend_sequence(rec, initial, length).terms
+            assert terms == list(expected)
+            assert [type(t) for t in terms] == [type(t) for t in expected]
+
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_windows_narrower_than_the_order(self, monkeypatch, window):
+        # an order-2 recurrence over 1-term windows unrolls from initial terms
+        # and new ones alike
+        monkeypatch.setattr(recurrences, "_WINDOW", window)
+        for length in range(1, 20):
+            assert tuple(extended_terms(MOTZKIN_REC, MOTZKIN, length)) == (
+                extend_sequence(MOTZKIN_REC, MOTZKIN, length).terms)
+
+    def test_motzkin_recurrence(self):
+        assert verify_recurrence(MOTZKIN_REC, Sequence(0, tuple(motzkin_terms(40))))
+        assert MOTZKIN.terms == tuple(motzkin_terms(10))
+
+    def test_every_term_is_made_by_extend_sequence(self, monkeypatch):
+        # the benchmark's tracer wraps the module's extend_sequence and sizes
+        # what it returns: each window goes through it, none is skipped
+        made = []
+
+        def spy(rec, initial, target_length):
+            out = extend_sequence(rec, initial, target_length)
+            made.append((len(initial), len(out)))
+            return out
+
+        monkeypatch.setattr(recurrences, "extend_sequence", spy)
+        initial = catalan_sequence(5)
+        assert len(list(extended_terms(CATALAN_REC, initial, 3 * W + 7))) == 3 * W + 7
+        assert made == [(5, W + 5), (1, W + 1), (1, W + 1), (1, 3)]
+
+    @pytest.mark.parametrize("rec, first, target, kind, n", [
+        # (n-k) a(n+1) = 2 (n-k) a(n) doubles exactly until p_1(k) = 0
+        (Recurrence((IntPoly((4 * W + 10, -2)), IntPoly((-2 * W - 5, 1)))), 1, 4 * W,
+         SingularRecurrenceError, 2 * W + 5),
+        # 2 a(n+1) = a(n) halves 3 * 2^k exactly k times
+        (Recurrence((IntPoly((-1,)), IntPoly((2,)))), 3 * 2 ** (2 * W + 3), 4 * W,
+         InconsistentRecurrenceError, 2 * W + 3),
+    ])
+    @pytest.mark.parametrize("number", NUMBER_TYPES)
+    def test_errors_are_extend_sequences_at_the_same_n(self, rec, first, target, kind, n, number):
+        initial = Sequence(0, (number(first),))
+        with pytest.raises(kind) as direct:
+            extend_sequence(rec, initial, target)
+        made = []
+        with pytest.raises(kind) as windowed:
+            made.extend(extended_terms(rec, initial, target))
+        assert str(windowed.value) == str(direct.value)
+        assert f"{n}" in str(windowed.value)
+        # the windows before the failing one came through whole
+        assert 0 < len(made) <= n
+        assert made == list(extend_sequence(rec, initial, n + 1).terms[:len(made)])
+
+    def test_argument_errors_are_raised_on_the_first_term(self):
+        terms = extended_terms(MOTZKIN_REC, Sequence(0, (1,)), 10)
+        with pytest.raises(InsufficientTermsError):
+            next(terms)
+        with pytest.raises(ValueError, match="got 0"):
+            next(extended_terms(CATALAN_REC, Sequence(0, (1,)), 0))
 
 
 class TestSequenceFromSeries:

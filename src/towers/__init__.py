@@ -31,7 +31,7 @@ _EXPORTS = {
     "gallery": ("render_gallery",),
     "identities": ("ACCEPTANCE_SETS", "CheckResult", "verify_identities"),
     "jsonio": (),
-    "model": ("PieceSet", "Rule", "Sequence", "Shape", "Tower", "ZPolynomial", "is_legal_tower"),
+    "model": ("PieceSet", "Rule", "Sequence", "Shape", "Tower", "ZPolynomial"),
     "polynomials": ("IntPoly",),
     "recurrences": ("Recurrence", "derive_recurrence", "extend_sequence",
                     "guess_recurrence", "sequence_from_series", "verify_recurrence"),

@@ -10,12 +10,15 @@ and `model` (the parser's choices).  The modules the commands run are
 imported here too, but the package serves them lazily: each executes at
 its first attribute access, so `--help` runs neither `jsonio` nor any
 solver, and `guess` and `extend` run no series, algebra or enumeration
-code.  `extend` holds one window of terms at a time, whatever `--terms`,
-and its output replaces `--out`, or reaches stdout, only once it is whole.
+code.  `main` opens the one writer, `_written_on_success`, and every
+command writes into it: the text replaces `--out` (which keeps its
+permission bits) or reaches stdout only once the command returns, and a
+command that raises leaves both as they were.
 
-Exit codes: 0 success, 2 argument or configuration error, 3 a recurrence
-guess came back empty, 4 a recurrence hit a vanishing leading coefficient,
-5 an internal consistency check failed.
+Exit codes, all mapped in `main`: 0 success, 2 argument or configuration
+error, 3 a recurrence guess came back empty, 4 a recurrence hit a
+vanishing leading coefficient, 5 an internal consistency check failed
+(`verify` still writes its report).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -90,13 +94,6 @@ def _piece_set(args: argparse.Namespace) -> PieceSet:
     return PieceSet(args.sizes, Rule(args.rule))
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 @contextlib.contextmanager
 def _parse_errors_name(path: str) -> Iterator[None]:
     """A JSON parse error inside becomes a ValueError that names path ("-" for stdin)."""
@@ -104,15 +101,6 @@ def _parse_errors_name(path: str) -> Iterator[None]:
         yield
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _load_json(path: str) -> dict:
-    """The JSON document at path, or on stdin for "-"; a parse error names the path."""
-    with _parse_errors_name(path):
-        if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
 
 
 @contextlib.contextmanager
@@ -130,7 +118,51 @@ def _seekable_input(path: str) -> Iterator[TextIO]:
             yield io.TextIOWrapper(spool, encoding=sys.stdin.encoding, errors=sys.stdin.errors)
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def _load_json(path: str) -> dict:
+    """The JSON document at path, or on stdin for "-"; a parse error names the path."""
+    with _seekable_input(path) as handle, _parse_errors_name(path):
+        return json.load(handle)
+
+
+@contextlib.contextmanager
+def _written_on_success(out: str | None) -> Iterator[TextIO]:
+    """A text handle whose output reaches out, or stdout for None, only if the block succeeds.
+
+    The file is written to a temporary sibling of out's resolved path (so a
+    symlinked out keeps its link), created with the mode open(out, "w")
+    gives a new file; it takes an existing out's permission bits and is
+    renamed over out at the end.  Stdout's text is spooled to an anonymous
+    temporary file and copied.  On any exception the temporary is removed,
+    and out and stdout are as before.
+    """
+    if not out:
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+            yield spool
+            spool.seek(0)
+            shutil.copyfileobj(spool, sys.stdout)
+        return
+    target = Path(out).resolve()
+    temp = target.with_name(f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies
+    except OSError as exc:  # named by out, not by the temporary
+        raise OSError(exc.errno, exc.strerror, out) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            yield handle
+        with contextlib.suppress(FileNotFoundError):
+            shutil.copymode(target, temp)
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
+class _NoRecurrence(Exception):
+    """`guess` found no recurrence within its bounds: exit 3."""
+
+
+def cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
     pieces = _piece_set(args)
     shape = Shape(args.shape)
     if args.area is not None:
@@ -139,20 +171,20 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         kind, bound = enumeration.BoundKind.BY_PIECE_COUNT, args.pieces
     query = enumeration.EnumerationQuery(pieces, shape, kind, bound)
     if args.list:
-        lines = [jsonio.tower_to_json(t.to_lists()) for t in enumeration.enumerate_towers(query)]
-        _emit(args, "\n".join(lines) + ("\n" if lines else ""))
+        for tower in enumeration.enumerate_towers(query):
+            out.write(jsonio.tower_to_json(tower.to_lists()) + "\n")
         return 0
     if args.weighted:
         table = enumeration.weight_polynomial(query)
-        _emit(args, jsonio.dumps(jsonio.weight_table_to_json(table, pieces.sizes)))
+        out.write(jsonio.dumps(jsonio.weight_table_to_json(table, pieces.sizes)))
         return 0
     counts = enumeration.count_towers(query)
     if args.format == "csv":
-        _emit(args, jsonio.counts_to_csv(counts))
+        out.write(jsonio.counts_to_csv(counts))
     elif args.format == "text":
-        _emit(args, jsonio.counts_to_text(counts))
+        out.write(jsonio.counts_to_text(counts))
     else:
-        _emit(args, jsonio.dumps(jsonio.counts_to_json(kind, counts)))
+        out.write(jsonio.dumps(jsonio.counts_to_json(kind, counts)))
     return 0
 
 
@@ -189,12 +221,12 @@ def _plain_series(pieces: PieceSet, shape: Shape, order: int) -> series.Truncate
     return series.TruncatedSeries(terms, order)
 
 
-def cmd_series(args: argparse.Namespace) -> int:
+def cmd_series(args: argparse.Namespace, out: TextIO) -> int:
     pieces = _piece_set(args)
     shape = Shape(args.shape)
     if args.weighted:
         table = series.weighted_series(pieces, args.order, shape)
-        _emit(args, jsonio.dumps(jsonio.weighted_series_to_json(table)))
+        out.write(jsonio.dumps(jsonio.weighted_series_to_json(table)))
         return 0
     if args.by_pieces and len(pieces.sizes) > 1:
         # n pieces cover at most n times the largest size
@@ -202,7 +234,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     else:
         plain = _plain_series(pieces, shape, args.order)
         if not args.by_pieces and args.format == "json":
-            _emit(args, jsonio.dumps(jsonio.series_to_json(plain)))
+            out.write(jsonio.dumps(jsonio.series_to_json(plain)))
             return 0
         terms = series.coefficients_by_pieces(plain, pieces) if args.by_pieces else plain.coeffs
     if not terms:
@@ -211,45 +243,43 @@ def cmd_series(args: argparse.Namespace) -> int:
         )
     seq = Sequence(1 if args.by_pieces else 0, tuple(terms))
     if args.format == "csv":
-        _emit(args, jsonio.sequence_to_csv(seq))
+        out.write(jsonio.sequence_to_csv(seq))
     elif args.format == "text":
-        _emit(args, jsonio.sequence_to_text(seq))
+        out.write(jsonio.sequence_to_text(seq))
     else:
-        _emit(args, jsonio.dumps(jsonio.sequence_to_json(seq)))
+        out.write(jsonio.dumps(jsonio.sequence_to_json(seq)))
     return 0
 
 
-def cmd_eliminate(args: argparse.Namespace) -> int:
+def cmd_eliminate(args: argparse.Namespace, out: TextIO) -> int:
     pieces = _piece_set(args)
     shape = Shape(args.shape)
     algebra.check_degree_cap(pieces)
     truncated = series.series_family(pieces, args.order, through=shape)[shape]
     poly = algebra.annihilating_polynomial(pieces, shape, truncated)
-    _emit(args, jsonio.dumps(jsonio.polynomial_to_json(poly)))
+    out.write(jsonio.dumps(jsonio.polynomial_to_json(poly)))
     return 0
 
 
-def cmd_guess(args: argparse.Namespace) -> int:
+def cmd_guess(args: argparse.Namespace, out: TextIO) -> int:
     seq = jsonio.sequence_from_json(_load_json(args.input))
     rec = recurrences.guess_recurrence(seq, args.max_order, args.max_degree, args.guard)
     if rec is None:
-        print("no recurrence found within the order/degree bounds", file=sys.stderr)
-        return 3
-    _emit(args, jsonio.dumps(jsonio.recurrence_to_json(rec)))
+        raise _NoRecurrence("no recurrence found within the order/degree bounds")
+    out.write(jsonio.dumps(jsonio.recurrence_to_json(rec)))
     return 0
 
 
-def cmd_extend(args: argparse.Namespace) -> int:
+def cmd_extend(args: argparse.Namespace, out: TextIO) -> int:
     rec = jsonio.recurrence_from_json(_load_json(args.rec))
     # Decimal terms: writing them as digits is linear, for ints it is quadratic
     init = jsonio.decimal_sequence_from_json(_load_json(args.init))
     # unrolled a window at a time and written as made, so memory does not grow with --terms
-    with jsonio.written_on_success(args.out) as handle:
-        jsonio.dump_sequence(init, handle, recurrences.extended_terms(rec, init, args.terms))
+    jsonio.dump_sequence(init, out, recurrences.extended_terms(rec, init, args.terms))
     return 0
 
 
-def cmd_asympt(args: argparse.Namespace) -> int:
+def cmd_asympt(args: argparse.Namespace, out: TextIO) -> int:
     # The estimate reads only the tail: every term is checked, but only the
     # tail is kept, so memory does not grow with the file.  The depth sizes
     # that tail, and a bad one exits before any input is read.
@@ -257,19 +287,19 @@ def cmd_asympt(args: argparse.Namespace) -> int:
     with _seekable_input(args.input) as handle, _parse_errors_name(args.input):
         seq = jsonio.sequence_tail(handle, count)
     est = asymptotics.estimate_asymptotics(seq, depth=args.depth)
-    _emit(args, jsonio.dumps(jsonio.estimate_to_json(est)))
+    out.write(jsonio.dumps(jsonio.estimate_to_json(est)))
     return 0
 
 
-def cmd_render(args: argparse.Namespace) -> int:
+def cmd_render(args: argparse.Namespace, out: TextIO) -> int:
     pieces = _piece_set(args)
-    _emit(args, gallery.render_gallery(pieces, Shape(args.shape), args.pieces))
+    out.write(gallery.render_gallery(pieces, Shape(args.shape), args.pieces))
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     results = identities.verify_identities(max_area=args.max_area, max_pieces=args.max_pieces)
-    _emit(args, jsonio.dumps(jsonio.report_to_json(results)))
+    out.write(jsonio.dumps(jsonio.report_to_json(results)))
     return 0 if all(r.passed for r in results) else 5
 
 
@@ -357,7 +387,11 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "weighted", False) and getattr(args, "pieces", None) is not None:
         args.usage_error("argument --weighted: weight polynomials are by area, use --area, not --pieces")
     try:
-        return args.func(args)
+        with _written_on_success(args.out) as out:
+            return args.func(args, out)
+    except _NoRecurrence as exc:
+        print(exc, file=sys.stderr)
+        return 3
     except SingularRecurrenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -1,4 +1,4 @@
-"""JSON (and csv/text) interchange formats.
+"""JSON (and csv/text) interchange formats; no function here opens a file.
 
 Every integer that can get large is serialized as a decimal string so no
 consumer ever sees a 53-bit float truncation.  Dictionaries are built in
@@ -21,19 +21,13 @@ lazily served `recurrences` and `polynomials`, at its first call.
 from __future__ import annotations
 
 import codecs
-import contextlib
 import decimal
 import json
 import math
-import os
 import re
-import shutil
-import sys
-import tempfile
 from collections import deque
 from decimal import Decimal
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, TextIO
 
 from . import polynomials, recurrences
 from .errors import MalformedInputError
@@ -51,7 +45,6 @@ if TYPE_CHECKING:
 __all__ = [
     "dumps",
     "dump_sequence",
-    "written_on_success",
     "decimal_pair_str",
     "counts_to_json",
     "counts_to_csv",
@@ -235,34 +228,6 @@ def dump_sequence(seq: Sequence, handle: TextIO,
     if seq.label:
         handle.write(f',\n  "label": {_ENCODER.encode(seq.label)}')
     handle.write("\n}\n")
-
-
-@contextlib.contextmanager
-def written_on_success(out: str | None) -> Iterator[TextIO]:
-    """A text handle whose output reaches out, or stdout for None, only if the block succeeds.
-
-    The file is written to a temporary sibling of out's resolved path (so a
-    symlinked out keeps its link), created with the mode open(out, "w")
-    would give it, and renamed over out at the end; no copy is made.
-    Stdout's text is spooled to an anonymous temporary file and copied.  On
-    any exception the temporary is removed, and out and stdout are as before.
-    """
-    if not out:
-        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
-            yield spool
-            spool.seek(0)
-            shutil.copyfileobj(spool, sys.stdout)
-        return
-    target = Path(out).resolve()
-    temp = target.with_name(f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
-    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies
-    try:
-        with open(fd, "w", encoding="utf-8") as handle:
-            yield handle
-        os.replace(temp, target)
-    except BaseException:
-        os.unlink(temp)
-        raise
 
 
 def sequence_from_json(payload: dict) -> Sequence:

@@ -1,4 +1,4 @@
-"""Core model: the package's plain records and the legality check.
+"""Core model: the package's plain records.
 
 Piece sets, towers, sequences (re-exported by `recurrences`) and marker
 polynomials live here on `Value`, so handling one runs no solver.
@@ -15,16 +15,12 @@ on top of an identical interval on the floor directly below.
 
 Towers are counted up to horizontal translation; the canonical
 representative places the left end of the leftmost bottom piece at 0.
-Legality itself is translation invariant (a legal tower stays legal when
-shifted), so `is_legal_tower` does not require canonical placement.
 """
 
 from __future__ import annotations
 
 import enum
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
-
-from .errors import MalformedInputError
 
 if TYPE_CHECKING:
     import decimal
@@ -36,7 +32,6 @@ __all__ = [
     "Tower",
     "Sequence",
     "ZPolynomial",
-    "is_legal_tower",
 ]
 
 
@@ -153,8 +148,8 @@ class Tower(Value):
     """An immutable tower, bottom floor first.
 
     `floors[i]` is a tuple of (left, right) integer pairs sorted by left.
-    Construction does not check legality; use `is_legal_tower` for raw
-    input, or trust the enumerator, which only emits legal towers.
+    Construction does not check legality; the enumerator only emits legal
+    towers.
     """
 
     __slots__ = _fields = ("floors",)
@@ -247,82 +242,3 @@ class ZPolynomial(Value):
                     factors.append(f"z{size}^{e}")
             parts.append("*".join(factors))
         return " + ".join(parts)
-
-
-def _raw_floors(candidate: Iterable) -> tuple[Floor, ...]:
-    """Normalize raw floor lists to tuples, sorting pieces within floors.
-
-    Raises MalformedInputError if the structure is not a sequence of
-    sequences of integer pairs, or any interval has right <= left.
-    Emptiness is left to the caller: an empty candidate is not malformed,
-    merely not a tower.
-    """
-    floors = []
-    try:
-        outer = list(candidate)
-    except TypeError:
-        raise MalformedInputError(f"not a floor list: {candidate!r}") from None
-    for floor in outer:
-        pieces = []
-        try:
-            raw_pieces = list(floor)
-        except TypeError:
-            raise MalformedInputError(f"not a floor: {floor!r}") from None
-        for interval in raw_pieces:
-            try:
-                left, right = interval
-            except (TypeError, ValueError):
-                raise MalformedInputError(f"not an interval: {interval!r}") from None
-            if isinstance(left, bool) or isinstance(right, bool) \
-                    or not isinstance(left, int) or not isinstance(right, int):
-                raise MalformedInputError(f"non-integer endpoints: {interval!r}")
-            if right <= left:
-                raise MalformedInputError(f"empty or reversed interval: {interval!r}")
-            pieces.append((left, right))
-        pieces.sort()
-        floors.append(tuple(pieces))
-    return tuple(floors)
-
-
-def is_legal_tower(candidate: Iterable, pieces: PieceSet, shape: Shape = Shape.TOWER) -> bool:
-    """Check whether raw floor lists describe a legal tower of the shape.
-
-    The checks, in order: every size belongs to the piece set; pieces on a
-    floor have pairwise disjoint interiors; the bottom floor is gap-free;
-    every piece above the bottom floor has positive-length contact with the
-    floor directly below; under NO_EXACT_ALIGNMENT no piece duplicates an
-    interval of the floor directly below; the shape constraint holds
-    (pyramid: single bottom piece; half-pyramid: additionally no piece
-    starts left of the bottom piece).
-
-    Malformed input (bad structure, right <= left, non-integers) raises
-    MalformedInputError; a well-formed but illegal tower returns False.
-    """
-    floors = _raw_floors(candidate)
-    if not floors or any(not floor for floor in floors):
-        return False
-    for floor in floors:
-        for left, right in floor:
-            if right - left not in pieces:
-                return False
-        for (_, r1), (l2, _) in zip(floor, floor[1:]):
-            if r1 > l2:
-                return False
-    for (_, r1), (l2, _) in zip(floors[0], floors[0][1:]):
-        if r1 != l2:
-            return False
-    no_align = pieces.rule is Rule.NO_EXACT_ALIGNMENT
-    for below, floor in zip(floors, floors[1:]):
-        for left, right in floor:
-            if not any(max(left, a) < min(right, b) for a, b in below):
-                return False
-            if no_align and (left, right) in below:
-                return False
-    if shape is not Shape.TOWER:
-        if len(floors[0]) != 1:
-            return False
-        if shape is Shape.HALF_PYRAMID:
-            base_left = floors[0][0][0]
-            if any(left < base_left for floor in floors for left, _ in floor):
-                return False
-    return True

@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from towers import jsonio, recurrences
-from towers.model import PieceSet
+from towers.errors import MalformedInputError
+from towers.model import Floor, PieceSet, Rule, Shape
 from towers.polynomials import IntPoly
 from towers.series import TruncatedSeries, half_pyramid_rhs
 
@@ -264,3 +265,84 @@ def list_first_singular_degree(s: recurrences.Sequence, r: int, max_degree: int,
             reduced.append([(x + f * y) % p for x, y in zip(row[1:], scaled)] if f else row[1:])
         matrix = reduced
     return max_degree + 1
+
+
+def _raw_floors(candidate: Iterable) -> tuple[Floor, ...]:
+    """Normalize raw floor lists to tuples, sorting pieces within floors.
+
+    Raises MalformedInputError if the structure is not a sequence of
+    sequences of integer pairs, or any interval has right <= left.
+    Emptiness is left to the caller: an empty candidate is not malformed,
+    merely not a tower.
+    """
+    floors = []
+    try:
+        outer = list(candidate)
+    except TypeError:
+        raise MalformedInputError(f"not a floor list: {candidate!r}") from None
+    for floor in outer:
+        pieces = []
+        try:
+            raw_pieces = list(floor)
+        except TypeError:
+            raise MalformedInputError(f"not a floor: {floor!r}") from None
+        for interval in raw_pieces:
+            try:
+                left, right = interval
+            except (TypeError, ValueError):
+                raise MalformedInputError(f"not an interval: {interval!r}") from None
+            if isinstance(left, bool) or isinstance(right, bool) \
+                    or not isinstance(left, int) or not isinstance(right, int):
+                raise MalformedInputError(f"non-integer endpoints: {interval!r}")
+            if right <= left:
+                raise MalformedInputError(f"empty or reversed interval: {interval!r}")
+            pieces.append((left, right))
+        pieces.sort()
+        floors.append(tuple(pieces))
+    return tuple(floors)
+
+
+def is_legal_tower(candidate: Iterable, pieces: PieceSet, shape: Shape = Shape.TOWER) -> bool:
+    """Check whether raw floor lists describe a legal tower of the shape.
+
+    The checks, in order: every size belongs to the piece set; pieces on a
+    floor have pairwise disjoint interiors; the bottom floor is gap-free;
+    every piece above the bottom floor has positive-length contact with the
+    floor directly below; under NO_EXACT_ALIGNMENT no piece duplicates an
+    interval of the floor directly below; the shape constraint holds
+    (pyramid: single bottom piece; half-pyramid: additionally no piece
+    starts left of the bottom piece).
+
+    Malformed input (bad structure, right <= left, non-integers) raises
+    MalformedInputError; a well-formed but illegal tower returns False.
+    Legality is translation invariant, so placement need not be canonical.
+    The tests run it on the enumerator's towers as an independent check.
+    """
+    floors = _raw_floors(candidate)
+    if not floors or any(not floor for floor in floors):
+        return False
+    for floor in floors:
+        for left, right in floor:
+            if right - left not in pieces:
+                return False
+        for (_, r1), (l2, _) in zip(floor, floor[1:]):
+            if r1 > l2:
+                return False
+    for (_, r1), (l2, _) in zip(floors[0], floors[0][1:]):
+        if r1 != l2:
+            return False
+    no_align = pieces.rule is Rule.NO_EXACT_ALIGNMENT
+    for below, floor in zip(floors, floors[1:]):
+        for left, right in floor:
+            if not any(max(left, a) < min(right, b) for a, b in below):
+                return False
+            if no_align and (left, right) in below:
+                return False
+    if shape is not Shape.TOWER:
+        if len(floors[0]) != 1:
+            return False
+        if shape is Shape.HALF_PYRAMID:
+            base_left = floors[0][0][0]
+            if any(left < base_left for floor in floors for left, _ in floor):
+                return False
+    return True

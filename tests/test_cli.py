@@ -12,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from towers import cli, jsonio
+from towers import cli, identities, jsonio
 from towers.algebra import BivariatePolynomial, annihilating_polynomial
 from towers.cli import main
 from towers.enumeration import BoundKind, EnumerationQuery, count_towers
-from towers.identities import ACCEPTANCE_SETS
+from towers.identities import ACCEPTANCE_SETS, CheckResult
 from towers.model import PieceSet, Rule, Shape
 from towers.polynomials import IntPoly
 from towers.recurrences import Recurrence, Sequence, derive_recurrence, extend_sequence, sequence_from_series
@@ -277,20 +277,119 @@ def test_a_new_out_gets_the_mode_open_gives(tmp_path, capsys):
     assert (tmp_path / "long.json").stat().st_mode & 0o777 == 0o640
 
 
-def test_a_symlinked_out_keeps_its_link(tmp_path, capsys):
-    rec_path, seq_path = trimer_chain(tmp_path, capsys)
+def small_run(tmp_path, command):
+    """A quick successful argv for command, its input files written under tmp_path."""
+    seq_path, rec_path, init_path = tmp_path / "seq.json", tmp_path / "rec.json", tmp_path / "init.json"
+    seq_path.write_text(json.dumps({"offset": 0, "terms": [str(3**n + n) for n in range(60)]}))
+    rec_path.write_text(json.dumps({"order": 1, "degree": 0, "coeffs": [["-3"], ["1"]]}))
+    init_path.write_text(json.dumps({"offset": 0, "terms": ["1"]}))
+    return {
+        "enumerate": ["enumerate", "--sizes", "1,2", "--area", "5", "--list"],
+        "series": ["series", "--sizes", "1,2", "--order", "10"],
+        "eliminate": ["eliminate", "--sizes", "2", "--order", "20"],
+        "guess": ["guess", "--input", str(seq_path)],
+        "extend": ["extend", "--rec", str(rec_path), "--init", str(init_path), "--terms", "20"],
+        "asympt": ["asympt", "--input", str(seq_path), "--depth", "2"],
+        "render": ["render", "--sizes", "2", "--pieces", "2"],
+        "verify": ["verify", "--max-area", "4", "--max-pieces", "3"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["enumerate", "series", "eliminate", "guess", "extend", "asympt",
+                                     "render", "verify"])
+def test_every_command_replaces_its_out_keeping_mode_and_link(tmp_path, capsys, command):
+    argv = small_run(tmp_path, command)
+    code, want, _ = run(capsys, *argv)
+    assert code == 0 and want
     (tmp_path / "data").mkdir()
-    target = tmp_path / "data" / "long.json"
-    target.write_text("earlier output\n")
-    link = tmp_path / "link.json"
-    link.symlink_to(Path("data") / "long.json")
-    argv = ["extend", "--rec", str(rec_path), "--init", str(seq_path), "--terms", "100"]
-    assert main([*argv, "--out", str(link)]) == 0
-    assert link.is_symlink() and os.readlink(link) == str(Path("data") / "long.json")
-    assert sorted(p.name for p in target.parent.iterdir()) == ["long.json"]
+    target = tmp_path / "data" / "result"
+    target.write_bytes(b"earlier output\n")
+    target.chmod(0o600)
+    assert run(capsys, *argv, "--out", str(target))[:2] == (0, "")
+    assert target.read_bytes() == want.encode("utf-8")
+    assert target.stat().st_mode & 0o777 == 0o600
+    link = tmp_path / "link"
+    link.symlink_to(Path("data") / "result")
+    target.write_bytes(b"earlier output\n")
+    assert run(capsys, *argv, "--out", str(link))[:2] == (0, "")
+    assert link.is_symlink() and os.readlink(link) == str(Path("data") / "result")
+    assert target.read_bytes() == want.encode("utf-8")
+    assert [p.name for p in target.parent.iterdir()] == ["result"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # a guess that comes back empty, and an order found too small inside `series`
+    (["guess", "--input", "noise.json"], 3, "no recurrence found within the order/degree bounds\n"),
+    (["series", "--sizes", "1,2,3", "--by-pieces", "--order", "0"], 2,
+     "error: order 0 is too small for even one piece of the largest size\n"),
+])
+def test_a_failed_command_leaves_an_earlier_out_as_it_was(tmp_path, capsys, monkeypatch, argv, code,
+                                                          message):
+    monkeypatch.chdir(tmp_path)
+    Path("noise.json").write_text(json.dumps({
+        "offset": 0, "terms": [str((n * 7919) ** 5 % 1000003) for n in range(80)],
+    }))
+    Path("out").mkdir()
+    out_path = Path("out") / "result"
+    out_path.write_bytes(b"earlier output\n")
+    assert run(capsys, *argv, "--out", str(out_path)) == (code, "", message)
+    assert out_path.read_bytes() == b"earlier output\n"
+    assert list(out_path.parent.iterdir()) == [out_path]
+    assert run(capsys, *argv) == (code, "", message)
+
+
+@pytest.mark.parametrize("command", ["series", "extend"])
+def test_an_out_that_cannot_be_made_is_named_as_given(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    out_path = str(Path("missing") / "result")
+    assert run(capsys, *small_run(tmp_path, command), "--out", out_path) == (
+        2, "", f"error: [Errno 2] No such file or directory: {out_path!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["init.json", "rec.json", "seq.json"]
+
+
+def test_a_failing_verify_exits_5_and_still_writes_its_report(tmp_path, capsys, monkeypatch):
+    real = identities.verify_identities
+
+    def one_failing(**bounds):
+        first, *rest = real(**bounds)
+        return [CheckResult(first.name, False, "a planted failure"), *rest]
+
+    monkeypatch.setattr(identities, "verify_identities", one_failing)
+    argv = ["verify", "--max-area", "4", "--max-pieces", "3"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 5
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert report["checks"][0]["detail"] == "a planted failure"
+    out_path = tmp_path / "report.json"
+    out_path.write_bytes(b"earlier output\n")
+    assert run(capsys, *argv, "--out", str(out_path))[:2] == (5, "")
+    assert out_path.read_text(encoding="utf-8") == out
+
+
+def test_enumerate_list_streams_its_output(tmp_path, capsys):
+    out_path = tmp_path / "towers.txt"
+    argv = ["enumerate", "--sizes", "3", "--pieces", "6", "--list"]
+    assert main([*argv[:-2], "1", "--list", "--out", str(out_path)]) == 0  # modules loaded
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--out", str(out_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # one tower's line is alive at a time (~170 kB against a 540 kB file),
+    # where holding every line takes ~4 times the file
+    assert peak < out_path.stat().st_size // 2
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert target.read_text(encoding="utf-8") == out
+    assert out.encode("utf-8") == out_path.read_bytes()
+
+
+def test_enumerate_list_of_no_tower_prints_nothing(capsys):
+    # no pyramid of 3-mers has area 2
+    assert run(capsys, "enumerate", "--sizes", "3", "--shape", "pyramid", "--area", "2",
+               "--list") == (0, "", "")
 
 
 def test_extend_writes_zero_not_minus_zero(tmp_path, capsys):
@@ -850,6 +949,17 @@ def test_deep_series_bytes_are_pinned(capsys, derivations):
     assert code == 0
     assert len(derivations) == 1
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEEP_SERIES_DIGEST
+
+
+# sha256 of `series --sizes 1,2,3 --weighted --order 12` on stdout, recorded
+# while each command still wrote its own output
+WEIGHTED_SERIES_DIGEST = "67a098a6c2deae47827fe63e29788bce18c51e07bfe0133a34acf13057bbf845"
+
+
+def test_weighted_series_bytes_are_pinned(capsys):
+    code, out, err = run(capsys, "series", "--sizes", "1,2,3", "--weighted", "--order", "12")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == WEIGHTED_SERIES_DIGEST
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,8 +13,10 @@ from towers.enumeration import (
     enumerate_towers,
     weight_polynomial,
 )
-from towers.model import PieceSet, Rule, Shape, ZPolynomial, is_legal_tower
+from towers.model import PieceSet, Rule, Shape, ZPolynomial
 from towers.series import series_family, weighted_series
+
+from references import is_legal_tower
 
 DIMER = PieceSet.of(2)
 DIMER_NOALIGN = PieceSet.of(2, rule=Rule.NO_EXACT_ALIGNMENT)

@@ -3,7 +3,9 @@ from hypothesis import given, strategies as st
 
 from towers.enumeration import BoundKind, EnumerationQuery, enumerate_towers
 from towers.errors import MalformedInputError
-from towers.model import PieceSet, Rule, Shape, is_legal_tower
+from towers.model import PieceSet, Rule, Shape
+
+from references import is_legal_tower
 
 S123 = PieceSet.of(1, 2, 3)
 DIMER = PieceSet.of(2)

@@ -21,7 +21,7 @@ EXPORTS = {
                "UnsupportedConfigurationError"],
     "gallery": ["render_gallery"],
     "identities": ["ACCEPTANCE_SETS", "CheckResult", "verify_identities"],
-    "model": ["PieceSet", "Rule", "Sequence", "Shape", "Tower", "ZPolynomial", "is_legal_tower"],
+    "model": ["PieceSet", "Rule", "Sequence", "Shape", "Tower", "ZPolynomial"],
     "polynomials": ["IntPoly"],
     "recurrences": ["Recurrence", "derive_recurrence", "extend_sequence",
                     "guess_recurrence", "sequence_from_series", "verify_recurrence"],

@@ -12,8 +12,8 @@ its first attribute access, so `--help` runs neither `jsonio` nor any
 solver, and `guess` and `extend` run no series, algebra or enumeration
 code.  `main` opens the one writer, `_written_on_success`, and every
 command writes into it: the text replaces `--out` (which keeps its
-permission bits) or reaches stdout only once the command returns, and a
-command that raises leaves both as they were.
+permission bits) or reaches stdout, a device or a FIFO only once the
+command returns, and a command that raises leaves them as they were.
 
 Exit codes, all mapped in `main`: 0 success, 2 argument or configuration
 error, 3 a recurrence guess came back empty, 4 a recurrence hit a
@@ -95,32 +95,29 @@ def _piece_set(args: argparse.Namespace) -> PieceSet:
 
 
 @contextlib.contextmanager
-def _parse_errors_name(path: str) -> Iterator[None]:
-    """A JSON parse error inside becomes a ValueError that names path ("-" for stdin)."""
+def _input(path: str, seekable: bool = False) -> Iterator[TextIO]:
+    """The file at path, or stdin for "-", where a JSON parse error is a ValueError naming path.
+
+    With seekable, a stdin that cannot seek is first copied to a temporary file.
+    """
     try:
-        yield
+        if path != "-":
+            with open(path, "r", encoding="utf-8") as handle:
+                yield handle
+        elif not seekable or sys.stdin.seekable():
+            yield sys.stdin
+        else:
+            with tempfile.TemporaryFile() as spool:
+                shutil.copyfileobj(sys.stdin.buffer, spool)
+                spool.seek(0)
+                yield io.TextIOWrapper(spool, encoding=sys.stdin.encoding, errors=sys.stdin.errors)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-@contextlib.contextmanager
-def _seekable_input(path: str) -> Iterator[TextIO]:
-    """The file at path, or stdin for "-"; a stdin that cannot seek is copied to a temporary file."""
-    if path != "-":
-        with open(path, "r", encoding="utf-8") as handle:
-            yield handle
-    elif sys.stdin.seekable():
-        yield sys.stdin
-    else:
-        with tempfile.TemporaryFile() as spool:
-            shutil.copyfileobj(sys.stdin.buffer, spool)
-            spool.seek(0)
-            yield io.TextIOWrapper(spool, encoding=sys.stdin.encoding, errors=sys.stdin.errors)
-
-
 def _load_json(path: str) -> dict:
     """The JSON document at path, or on stdin for "-"; a parse error names the path."""
-    with _seekable_input(path) as handle, _parse_errors_name(path):
+    with _input(path) as handle:
         return json.load(handle)
 
 
@@ -128,18 +125,21 @@ def _load_json(path: str) -> dict:
 def _written_on_success(out: str | None) -> Iterator[TextIO]:
     """A text handle whose output reaches out, or stdout for None, only if the block succeeds.
 
-    The file is written to a temporary sibling of out's resolved path (so a
-    symlinked out keeps its link), created with the mode open(out, "w")
-    gives a new file; it takes an existing out's permission bits and is
-    renamed over out at the end.  Stdout's text is spooled to an anonymous
-    temporary file and copied.  On any exception the temporary is removed,
-    and out and stdout are as before.
+    A missing or regular out is written to a temporary beside its resolved
+    path (a symlink is kept; a hard link and the owner are not), which gets
+    an existing out's permission bits as it is made (a new out gets the
+    mode open(out, "w") gives) and is renamed over out at the end.  Stdout,
+    or a device or FIFO out, is spooled to an anonymous temporary file and
+    copied in at the end.  On any exception the temporary is removed, and
+    out and stdout are as before.
     """
-    if not out:
+    if not out or (os.path.exists(out) and not os.path.isfile(out)):
         with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
             yield spool
             spool.seek(0)
-            shutil.copyfileobj(spool, sys.stdout)
+            sink = open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
+            with sink as handle:
+                shutil.copyfileobj(spool, handle)
         return
     target = Path(out).resolve()
     temp = target.with_name(f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
@@ -149,9 +149,9 @@ def _written_on_success(out: str | None) -> Iterator[TextIO]:
         raise OSError(exc.errno, exc.strerror, out) from None
     try:
         with open(fd, "w", encoding="utf-8") as handle:
+            with contextlib.suppress(FileNotFoundError):
+                shutil.copymode(target, temp)
             yield handle
-        with contextlib.suppress(FileNotFoundError):
-            shutil.copymode(target, temp)
         os.replace(temp, target)
     except BaseException:
         os.unlink(temp)
@@ -284,7 +284,7 @@ def cmd_asympt(args: argparse.Namespace, out: TextIO) -> int:
     # tail is kept, so memory does not grow with the file.  The depth sizes
     # that tail, and a bad one exits before any input is read.
     count = asymptotics.minimum_terms(args.depth)
-    with _seekable_input(args.input) as handle, _parse_errors_name(args.input):
+    with _input(args.input, seekable=True) as handle:
         seq = jsonio.sequence_tail(handle, count)
     est = asymptotics.estimate_asymptotics(seq, depth=args.depth)
     out.write(jsonio.dumps(jsonio.estimate_to_json(est)))

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import resource
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -315,6 +316,41 @@ def test_every_command_replaces_its_out_keeping_mode_and_link(tmp_path, capsys, 
     assert link.is_symlink() and os.readlink(link) == str(Path("data") / "result")
     assert target.read_bytes() == want.encode("utf-8")
     assert [p.name for p in target.parent.iterdir()] == ["result"]
+
+
+def test_the_temporary_has_the_outs_mode_while_the_command_runs(tmp_path, capsys, monkeypatch):
+    out_path = tmp_path / "result"
+    out_path.write_bytes(b"earlier output\n")
+    out_path.chmod(0o600)
+    modes = []
+
+    def observed(args, out):
+        out.write("partial")
+        out.flush()
+        modes.extend(p.stat().st_mode & 0o777 for p in tmp_path.iterdir() if p != out_path)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_verify", observed)
+    assert run(capsys, "verify", "--out", str(out_path)) == (0, "", "")
+    assert modes == [0o600]
+    assert out_path.read_bytes() == b"partial"
+
+
+def test_an_out_that_is_a_fifo_is_written_in_place(tmp_path, capsys):
+    argv = small_run(tmp_path, "series")
+    want = run(capsys, *argv)[1].encode("utf-8")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # a reader opened first, without blocking, so the writer's open does not block either
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run(capsys, *argv, "--out", str(fifo))[:2] == (0, "")
+        got = b"".join(iter(lambda: os.read(reader, 65536), b""))
+    finally:
+        os.close(reader)
+    assert got == want
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "init.json", "rec.json", "seq.json"]
 
 
 @pytest.mark.parametrize("argv, code, message", [

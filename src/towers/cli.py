@@ -2,7 +2,9 @@
 
 Subcommands: enumerate, series, eliminate, guess, extend, asympt, render,
 verify.  Everything is deterministic for fixed inputs and flags; big
-integers always travel as decimal strings.
+integers always travel as decimal strings.  Each command parses its flags,
+calls the library and formats the result; which route computes a plain
+series, solved or unrolled, is `series.plain_series`'s choice.
 
 Each run starts a fresh interpreter, so start-up is part of every command's
 cost.  At module level this executes only the standard library, `errors`
@@ -38,20 +40,6 @@ from . import algebra, asymptotics, enumeration, gallery, identities, jsonio, re
 from .errors import (ConsistencyError, DegreeCapError, InconsistentRecurrenceError,
                      SingularRecurrenceError, UnsupportedConfigurationError)
 from .model import PieceSet, Rule, Sequence, Shape
-
-# `series` unrolls a recurrence derived from the annihilating polynomial
-# instead of solving from this order on, for largest piece sizes up to
-# _UNROLL_MAX_SIZE (see `_plain_series`).  Both were measured in-process on
-# a 2-core x86 machine under CPython 3.11: the unroll wins by order 300 for
-# S={1,2,3} and {1,2}, and by 500 for {1,2,3,4} and {1,4}; a 5-mer's
-# derivation alone (0.06-0.9 s) costs more than solving {2,5} to order 500.
-_UNROLL_FROM_ORDER = 500
-_UNROLL_MAX_SIZE = 4
-
-# The prefix solved first, for the annihilating polynomial's check and the
-# unroll's first terms.
-_PREFIX_ORDER = 60
-
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
     try:
@@ -188,39 +176,6 @@ def cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _plain_series(pieces: PieceSet, shape: Shape, order: int) -> series.TruncatedSeries:
-    """The shape's plain series through t^order, byte-identical by either route.
-
-    Below _UNROLL_FROM_ORDER, or with a piece larger than _UNROLL_MAX_SIZE,
-    it is `series_family`'s solution, whose cost grows with the square of
-    the order.  Otherwise a prefix is solved, the minimal polynomial Q is
-    eliminated and checked on it, and the coefficient recurrence derived
-    from Q is unrolled from the solver's terms, starting where it holds.
-    The unroll is taken only if p_r has a positive constant term and no
-    negative coefficient, so no step divides by zero, and if the prefix
-    holds the r terms from the start on; otherwise the solver goes on to the
-    order.  The overlap, at least those r terms, must equal the solver's
-    or ConsistencyError is raised.
-    """
-    if order < _UNROLL_FROM_ORDER or pieces.max_size > _UNROLL_MAX_SIZE:
-        return series.series_family(pieces, order, through=shape)[shape]
-    prefix = series.series_family(pieces, _PREFIX_ORDER, through=shape)[shape]
-    rec, n0 = recurrences.derive_recurrence(
-        algebra.annihilating_polynomial(pieces, shape, prefix).coeffs)
-    lead = rec.coeff_polys[-1].coeffs
-    start = n0 + rec.order  # the first term unrolled
-    if lead[0] <= 0 or min(lead) < 0 or start + rec.order - 1 > prefix.order:
-        return series.series_family(pieces, order, through=shape)[shape]
-    init = Sequence(0, prefix.coeffs[:start])
-    terms = recurrences.extend_sequence(rec, init, order + 1).terms
-    if terms[: prefix.order + 1] != prefix.coeffs:
-        raise ConsistencyError(
-            f"the recurrence derived from Q disagrees with the solver between t^{start} "
-            f"and t^{prefix.order}"
-        )
-    return series.TruncatedSeries(terms, order)
-
-
 def cmd_series(args: argparse.Namespace, out: TextIO) -> int:
     pieces = _piece_set(args)
     shape = Shape(args.shape)
@@ -232,7 +187,7 @@ def cmd_series(args: argparse.Namespace, out: TextIO) -> int:
         # n pieces cover at most n times the largest size
         terms = series.piece_count_sequence(pieces, args.order // pieces.max_size, shape)
     else:
-        plain = _plain_series(pieces, shape, args.order)
+        plain = series.plain_series(pieces, shape, args.order)
         if not args.by_pieces and args.format == "json":
             out.write(jsonio.dumps(jsonio.series_to_json(plain)))
             return 0
@@ -292,8 +247,7 @@ def cmd_asympt(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def cmd_render(args: argparse.Namespace, out: TextIO) -> int:
-    pieces = _piece_set(args)
-    out.write(gallery.render_gallery(pieces, Shape(args.shape), args.pieces))
+    gallery.render_gallery(_piece_set(args), Shape(args.shape), args.pieces, out)
     return 0
 
 

@@ -9,6 +9,7 @@ towers is embedded in a metadata element.
 from __future__ import annotations
 
 import math
+from typing import TextIO
 
 from .enumeration import BoundKind, EnumerationQuery, enumerate_towers
 from .model import PieceSet, Shape, Tower
@@ -29,8 +30,12 @@ def _tower_cells(tower: Tower) -> tuple[int, int, int]:
     return min(lefts), max(rights) - min(lefts), len(tower.floors)
 
 
-def render_gallery(pieces: PieceSet, shape: Shape, piece_count: int) -> str:
-    """The SVG document of every canonical tower with exactly `piece_count` pieces."""
+def render_gallery(pieces: PieceSet, shape: Shape, piece_count: int, out: TextIO) -> None:
+    """Write the SVG document of every canonical tower with exactly `piece_count` pieces.
+
+    The header needs the count and the largest box, so the towers are kept;
+    each one's elements are written into `out` as they are made.
+    """
     query = EnumerationQuery(pieces, shape, BoundKind.BY_PIECE_COUNT, piece_count)
     towers = [t for t in enumerate_towers(query) if t.piece_count == piece_count]
     count = len(towers)
@@ -42,12 +47,12 @@ def render_gallery(pieces: PieceSet, shape: Shape, piece_count: int) -> str:
     total_w = cols * cell_w + (cols + 1) * GUTTER
     total_h = max(rows, 1) * cell_h + (max(rows, 1) + 1) * GUTTER
 
-    parts = [
+    out.write(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{total_w}" '
-        f'height="{total_h}" viewBox="0 0 {total_w} {total_h}">',
-        f'<metadata id="tower-count">{count}</metadata>',
-        f'<rect width="{total_w}" height="{total_h}" fill="#ffffff"/>',
-    ]
+        f'height="{total_h}" viewBox="0 0 {total_w} {total_h}">\n'
+        f'<metadata id="tower-count">{count}</metadata>\n'
+        f'<rect width="{total_w}" height="{total_h}" fill="#ffffff"/>\n'
+    )
     for index, (tower, (min_left, _w, _h)) in enumerate(zip(towers, boxes)):
         col = index % cols
         row = index // cols
@@ -58,18 +63,18 @@ def render_gallery(pieces: PieceSet, shape: Shape, piece_count: int) -> str:
             for left, right in floor:
                 x = cell_x + (left - min_left) * UNIT
                 width = (right - left) * UNIT
-                parts.append(
+                out.write(
                     f'<rect x="{x}" y="{y}" width="{width}" height="{UNIT}" '
-                    f'fill="{PIECE_FILL}"/>'
+                    f'fill="{PIECE_FILL}"/>\n'
                 )
                 for u in range(1, right - left):
                     gx = x + u * UNIT
-                    parts.append(
+                    out.write(
                         f'<line x1="{gx}" y1="{y}" x2="{gx}" y2="{y + UNIT}" '
-                        f'stroke="{GRID_STROKE}" stroke-width="1"/>'
+                        f'stroke="{GRID_STROKE}" stroke-width="1"/>\n'
                     )
-                parts.append(
+                out.write(
                     f'<rect x="{x}" y="{y}" width="{width}" height="{UNIT}" '
-                    f'fill="none" stroke="{PIECE_STROKE}" stroke-width="1"/>'
+                    f'fill="none" stroke="{PIECE_STROKE}" stroke-width="1"/>\n'
                 )
-    return "\n".join(parts) + "\n</svg>\n"
+    out.write("</svg>\n")

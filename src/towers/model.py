@@ -135,9 +135,6 @@ class PieceSet(Value):
             raise ValueError(f"piece set {self.sizes} has more than one size")
         return self.sizes[0]
 
-    def __contains__(self, size: int) -> bool:
-        return size in self.sizes
-
 
 # A floor is a tuple of (left, right) pairs sorted by left; raw integer
 # pairs keep bulk enumeration cheap.

@@ -68,16 +68,6 @@ class IntPoly(Value):
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, IntPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == (IntPoly.constant(other)).coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __neg__(self) -> "IntPoly":
         return IntPoly(-c for c in self.coeffs)
 

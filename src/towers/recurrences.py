@@ -17,16 +17,8 @@ through the exact elimination.  The result is the one the exact search
 alone returns: an unlucky prime, or terms that all vanish mod p, only cost
 the exact eliminations the filter could not rule out.
 
-A recurrence can also be derived, not guessed: `derive_recurrence` takes
-the minimal polynomial Q(t, y) of an algebraic series and returns the
-recurrence of its coefficients, with the index n0 from which it holds
-(Comtet's method; see its docstring).  The CLI's `series` command takes
-this route from a measured order on (see `cli._plain_series`): it solves a
-prefix with `series.series_family`, gets Q from
-`algebra.annihilating_polynomial`, and unrolls from n0 only when p_r has a
-positive constant term and no negative coefficient, so p_r(n) > 0 at every
-n >= 0 and no step divides by zero; it compares the overlap with the
-solver, so its output is byte-identical to the solver's.
+A recurrence can also be derived from a minimal polynomial
+(`derive_recurrence`); `series.plain_series` unrolls one to deep orders.
 
 Unrolling a recurrence forward divides by p_r(n) at every step; the
 division must come out exact, otherwise the recurrence does not govern the

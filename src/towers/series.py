@@ -25,13 +25,19 @@ at a time from running powers H^j, which is what makes high orders
 repeated-substitution version in `tests/` as a slow reference.
 `series_pyramids` evaluates D from powers of H too and divides; D and
 1 - H have constant term 1, so the division stays in the integers.
-`series_family` is the entry point: it solves H and derives P and M from
-it, stopping at the shape asked for.  It always solves, and `verify`, the
-tests and `algebra`'s root step read it as the route that does not depend
-on the minimal polynomial.  From a measured order on, and for small
-pieces, the CLI's `series` command solves only a prefix here and unrolls
-the recurrence that `recurrences.derive_recurrence` derives from the
-minimal polynomial, with byte-identical output (`cli._plain_series`).
+`series_family` solves H and derives P and M from it, stopping at the
+shape asked for.  It always solves, and `verify`, `eliminate`, the tests
+and `algebra`'s root step read it as the route that does not depend on the
+minimal polynomial.
+
+`plain_series` is the entry point for one shape's plain series, and it
+chooses the route.  From a measured order on, and for small pieces, it
+solves only a prefix, gets the minimal polynomial Q from
+`algebra.annihilating_polynomial`, and unrolls the coefficient recurrence
+that `recurrences.derive_recurrence` derives from Q (Comtet 1964), with
+output byte-identical to the solver's.  It reaches both modules through
+the package's lazily served modules, so a series that is only solved runs
+neither.
 
 At high order the cost is big-integer inner products.  Each one runs as
 `sum(map(operator.mul, ...))`, so the multiply-adds loop in C.  Squares
@@ -71,6 +77,7 @@ import math
 import operator
 from typing import Sequence
 
+from . import algebra, recurrences  # served lazily: each runs at its first use
 from .errors import ConsistencyError, UnsupportedConfigurationError
 from .model import PieceSet, Rule, Shape, Value, ZPolynomial
 from .polynomials import IntPoly
@@ -82,6 +89,7 @@ __all__ = [
     "series_pyramids",
     "series_towers",
     "series_family",
+    "plain_series",
     "coefficients_by_pieces",
     "piece_count_sequence",
     "weighted_series",
@@ -415,6 +423,52 @@ def series_family(
     if through is Shape.TOWER:
         family[Shape.TOWER] = series_towers(p, h)
     return family
+
+
+# `plain_series` unrolls a recurrence derived from the annihilating
+# polynomial instead of solving from this order on, for largest piece sizes
+# up to _UNROLL_MAX_SIZE.  Both were measured in-process on a 2-core x86
+# machine under CPython 3.11: the unroll wins by order 300 for S={1,2,3} and
+# {1,2}, and by 500 for {1,2,3,4} and {1,4}; a 5-mer's derivation alone
+# (0.06-0.9 s) costs more than solving {2,5} to order 500.
+_UNROLL_FROM_ORDER = 500
+_UNROLL_MAX_SIZE = 4
+
+# The prefix solved first, for the annihilating polynomial's check and the
+# unroll's first terms.
+_PREFIX_ORDER = 60
+
+
+def plain_series(pieces: PieceSet, shape: Shape, order: int) -> TruncatedSeries:
+    """The shape's plain series through t^order, byte-identical by either route.
+
+    Below _UNROLL_FROM_ORDER, or with a piece larger than _UNROLL_MAX_SIZE,
+    it is `series_family`'s solution, whose cost grows with the square of
+    the order.  Otherwise a prefix is solved, the minimal polynomial Q is
+    eliminated and checked on it, and the coefficient recurrence derived
+    from Q is unrolled from the solver's terms, starting where it holds.
+    The unroll is taken only if p_r has a positive constant term and no
+    negative coefficient, so no step divides by zero, and if the prefix
+    holds the r terms from the start on; otherwise the solver goes on to the
+    order.  The overlap, at least those r terms, must equal the solver's
+    or ConsistencyError is raised.
+    """
+    if order >= _UNROLL_FROM_ORDER and pieces.max_size <= _UNROLL_MAX_SIZE:
+        prefix = series_family(pieces, _PREFIX_ORDER, through=shape)[shape]
+        rec, n0 = recurrences.derive_recurrence(
+            algebra.annihilating_polynomial(pieces, shape, prefix).coeffs)
+        lead = rec.coeff_polys[-1].coeffs
+        start = n0 + rec.order  # the first term unrolled
+        if lead[0] > 0 and min(lead) >= 0 and start + rec.order - 1 <= prefix.order:
+            init = recurrences.Sequence(0, prefix.coeffs[:start])
+            terms = recurrences.extend_sequence(rec, init, order + 1).terms
+            if terms[: prefix.order + 1] != prefix.coeffs:
+                raise ConsistencyError(
+                    f"the recurrence derived from Q disagrees with the solver between t^{start} "
+                    f"and t^{prefix.order}"
+                )
+            return TruncatedSeries(terms, order)
+    return series_family(pieces, order, through=shape)[shape]
 
 
 def coefficients_by_pieces(series: TruncatedSeries, pieces: PieceSet) -> list[int]:

@@ -323,7 +323,7 @@ def is_legal_tower(candidate: Iterable, pieces: PieceSet, shape: Shape = Shape.T
         return False
     for floor in floors:
         for left, right in floor:
-            if right - left not in pieces:
+            if right - left not in pieces.sizes:
                 return False
         for (_, r1), (l2, _) in zip(floor, floor[1:]):
             if r1 > l2:

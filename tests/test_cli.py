@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from towers import cli, identities, jsonio
+from towers import cli, identities, jsonio, series
 from towers.algebra import BivariatePolynomial, annihilating_polynomial
 from towers.cli import main
 from towers.enumeration import BoundKind, EnumerationQuery, count_towers
@@ -416,6 +416,25 @@ def test_enumerate_list_streams_its_output(tmp_path, capsys):
     assert code == 0
     # one tower's line is alive at a time (~170 kB against a 540 kB file),
     # where holding every line takes ~4 times the file
+    assert peak < out_path.stat().st_size // 2
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode("utf-8") == out_path.read_bytes()
+
+
+def test_render_writes_as_it_draws(tmp_path, capsys):
+    out_path = tmp_path / "gallery.svg"
+    argv = ["render", "--sizes", "1,2", "--pieces", "5"]
+    assert main([*argv[:-1], "1", "--out", str(out_path)]) == 0  # modules loaded
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--out", str(out_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # the towers and their boxes are kept (~1 MB against a 2.9 MB file),
+    # where holding every element's text takes ~4 times the file
     assert peak < out_path.stat().st_size // 2
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -921,7 +940,7 @@ def solver_text(pieces, shape, order, fmt, by_pieces=False):
 ])
 def test_unrolled_series_bytes_equal_the_solvers(capsys, derivations, sizes, rule, shape, fmt,
                                                  by_pieces):
-    order = cli._UNROLL_FROM_ORDER + 7
+    order = series._UNROLL_FROM_ORDER + 7
     argv = ["series", "--sizes", sizes, "--rule", rule, "--shape", shape, "--order", str(order),
             "--format", fmt] + (["--by-pieces"] if by_pieces else [])
     code, out, err = run(capsys, *argv)
@@ -933,7 +952,7 @@ def test_unrolled_series_bytes_equal_the_solvers(capsys, derivations, sizes, rul
 
 def _unrolled_inputs():
     """Every (pieces, shape) that `series` sends down the unroll route at a deep order."""
-    sizes = range(1, cli._UNROLL_MAX_SIZE + 1)
+    sizes = range(1, series._UNROLL_MAX_SIZE + 1)
     sets = [PieceSet(chosen) for n in sizes for chosen in itertools.combinations(sizes, n)]
     sets += [PieceSet.of(k, rule=Rule.NO_EXACT_ALIGNMENT) for k in sizes]
     return [(pieces, shape) for pieces in sets for shape in Shape]
@@ -956,12 +975,12 @@ def test_every_input_of_the_unroll_route_unrolls(monkeypatch, pieces, shape):
 
     monkeypatch.setattr("towers.series.series_family", solving)
     monkeypatch.setattr("towers.recurrences.derive_recurrence", deriving)
-    cli._plain_series(pieces, shape, cli._UNROLL_FROM_ORDER)
+    series.plain_series(pieces, shape, series._UNROLL_FROM_ORDER)
     (rec, n0), = derived
     lead = rec.coeff_polys[-1].coeffs
     assert lead[0] > 0 and min(lead) >= 0
-    assert n0 + 2 * rec.order - 1 <= cli._PREFIX_ORDER
-    assert orders == [cli._PREFIX_ORDER]
+    assert n0 + 2 * rec.order - 1 <= series._PREFIX_ORDER
+    assert orders == [series._PREFIX_ORDER]
 
 
 def test_a_leading_coefficient_with_a_root_leaves_the_series_to_the_solver(capsys, monkeypatch):
@@ -1001,9 +1020,9 @@ def test_weighted_series_bytes_are_pinned(capsys):
 @pytest.mark.parametrize("argv", [
     ["--sizes", "1,2,3"],  # the default --order
     ["--sizes", "3", "--by-pieces", "--order", "300"],
-    ["--sizes", "1,2,3", "--order", str(cli._UNROLL_FROM_ORDER - 1)],
-    ["--sizes", "9", "--order", str(cli._UNROLL_FROM_ORDER)],
-    ["--sizes", "2,5", "--order", str(cli._UNROLL_FROM_ORDER)],
+    ["--sizes", "1,2,3", "--order", str(series._UNROLL_FROM_ORDER - 1)],
+    ["--sizes", "9", "--order", str(series._UNROLL_FROM_ORDER)],
+    ["--sizes", "2,5", "--order", str(series._UNROLL_FROM_ORDER)],
 ])
 def test_series_solves_below_the_crossover_and_for_large_pieces(capsys, derivations, argv):
     code, _, err = run(capsys, "series", *argv)
@@ -1013,7 +1032,7 @@ def test_series_solves_below_the_crossover_and_for_large_pieces(capsys, derivati
 
 def test_multi_size_noalign_series_still_exits_2(capsys, derivations):
     code, out, err = run(capsys, "series", "--sizes", "1,2", "--rule", "noalign",
-                         "--order", str(cli._UNROLL_FROM_ORDER))
+                         "--order", str(series._UNROLL_FROM_ORDER))
     assert (code, out) == (2, "")
     assert err == ("error: series under the no-exact-alignment rule support a single piece "
                    "size only, got sizes (1, 2)\n")

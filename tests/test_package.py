@@ -27,8 +27,8 @@ EXPORTS = {
                     "guess_recurrence", "sequence_from_series", "verify_recurrence"],
     "series": ["TruncatedSeries", "closed_form_dimer_towers", "closed_form_half_pyramids",
                "closed_form_pyramids", "coefficients_by_pieces", "half_pyramid_rhs",
-               "piece_count_sequence", "series_family", "series_pyramids", "series_towers",
-               "solve_half_pyramids", "weighted_series"],
+               "piece_count_sequence", "plain_series", "series_family", "series_pyramids",
+               "series_towers", "solve_half_pyramids", "weighted_series"],
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 

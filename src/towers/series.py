@@ -352,7 +352,6 @@ def weighted_series(pieces: PieceSet, order: int, shape: Shape) -> tuple[ZPolyno
     The coefficient of t^A * prod z_i^e_i is a numerator that depends only
     on the area A and the piece count N = sum e_i, over prod e_i!.
     """
-    _check_rule(pieces)
     if pieces.rule is Rule.NO_EXACT_ALIGNMENT:
         raise UnsupportedConfigurationError(
             "weighted series are not defined under the no-exact-alignment rule"
@@ -451,7 +450,7 @@ def plain_series(pieces: PieceSet, shape: Shape, order: int) -> TruncatedSeries:
     negative coefficient, so no step divides by zero, and if the prefix
     holds the r terms from the start on; otherwise the solver goes on to the
     order.  The overlap, at least those r terms, must equal the solver's
-    or ConsistencyError is raised.
+    or ConsistencyError is raised, naming the first t^n where they differ.
     """
     if order >= _UNROLL_FROM_ORDER and pieces.max_size <= _UNROLL_MAX_SIZE:
         prefix = series_family(pieces, _PREFIX_ORDER, through=shape)[shape]
@@ -462,11 +461,10 @@ def plain_series(pieces: PieceSet, shape: Shape, order: int) -> TruncatedSeries:
         if lead[0] > 0 and min(lead) >= 0 and start + rec.order - 1 <= prefix.order:
             init = recurrences.Sequence(0, prefix.coeffs[:start])
             terms = recurrences.extend_sequence(rec, init, order + 1).terms
-            if terms[: prefix.order + 1] != prefix.coeffs:
+            bad = next((n for n, (a, b) in enumerate(zip(terms, prefix.coeffs)) if a != b), None)
+            if bad is not None:
                 raise ConsistencyError(
-                    f"the recurrence derived from Q disagrees with the solver between t^{start} "
-                    f"and t^{prefix.order}"
-                )
+                    f"the recurrence derived from Q disagrees with the solver at t^{bad}")
             return TruncatedSeries(terms, order)
     return series_family(pieces, order, through=shape)[shape]
 

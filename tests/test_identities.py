@@ -6,7 +6,7 @@ import pytest
 import towers.identities as identities
 from towers.cli import main
 from towers.enumeration import BoundKind
-from towers.identities import ACCEPTANCE_SETS, verify_identities
+from towers.identities import ACCEPTANCE_SETS, CheckResult, verify_identities
 from towers.model import PieceSet, Shape
 from towers.polynomials import IntPoly
 from towers.recurrences import Recurrence
@@ -53,6 +53,28 @@ def test_corrupted_series_is_caught_with_counterexample(monkeypatch):
     # the annihilator check reads the shared series, not one of its own
     assert "t^200" in failures["annihilator[S={1,2} all tower]"]
     assert all("S={1,2}" in name for name in failures)
+
+
+def test_a_held_out_term_off_the_guess_is_named(monkeypatch):
+    solve = identities.series_family
+
+    def corrupt(pieces, order, **kwargs):
+        family = solve(pieces, order, **kwargs)
+        if pieces == PieceSet.of(1, 2):
+            coeffs = list(family[Shape.TOWER].coeffs)
+            coeffs[100] += 1  # past the 60 guessed terms, inside the 200 held out
+            family[Shape.TOWER] = TruncatedSeries(coeffs, order)
+        return family
+
+    monkeypatch.setattr(identities, "series_family", corrupt)
+    failures = {r.name: r.detail for r in verify_identities(8, 3) if not r.passed}
+    assert failures.keys() == {"guess[S={1,2} all tower]", "annihilator[S={1,2} all tower]"}
+    assert failures["guess[S={1,2} all tower]"] == "extension diverges from the series at n=100"
+
+
+def test_a_check_passes_iff_it_names_no_counterexample():
+    assert CheckResult("x").passed
+    assert not CheckResult("x", "d").passed
 
 
 def test_each_set_is_solved_once_and_each_shape_enumerated_once(monkeypatch):

@@ -207,7 +207,7 @@ def test_decimal_pair_str_ignores_common_factors(numerator, denominator, scale, 
 
 
 def test_report_payload():
-    results = [CheckResult("a", True, ""), CheckResult("b", False, "area 3: 1 != 2")]
+    results = [CheckResult("a"), CheckResult("b", "area 3: 1 != 2")]
     payload = jsonio.report_to_json(results)
     assert payload["passed"] is False
     assert payload["checks"][1]["detail"] == "area 3: 1 != 2"

@@ -172,8 +172,11 @@ class TestHalfPyramids:
             solve_half_pyramids(PieceSet((1, 2), Rule.NO_EXACT_ALIGNMENT), 5)
 
     def test_noalign_weighted_unsupported(self):
-        with pytest.raises(UnsupportedConfigurationError):
-            weighted_series(DIMER_NOALIGN, 5, HALF)
+        # one message for every noalign set, one size or several
+        message = "^weighted series are not defined under the no-exact-alignment rule$"
+        for pieces in (DIMER_NOALIGN, PieceSet((1, 2), Rule.NO_EXACT_ALIGNMENT)):
+            with pytest.raises(UnsupportedConfigurationError, match=message):
+                weighted_series(pieces, 5, HALF)
 
 
 class TestPyramidsAndTowers:

@@ -101,8 +101,7 @@ def estimate_asymptotics(s: Sequence, depth: int = 4) -> AsymptoticEstimate:
     Uses the last depth+3 terms; every term in that window must be non-zero
     (a zero raises ZeroTermError naming the offending index).  The sequence
     must have at least 4*depth + 8 terms so the window sits deep enough in
-    the tail for the 1/n model to hold.  Terms may be ints or integer-valued
-    Decimals; only the window is converted to int.
+    the tail for the 1/n model to hold.  Only the window is converted to int.
     """
     minimum = minimum_terms(depth)
     if len(s) < minimum:

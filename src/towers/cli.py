@@ -4,7 +4,9 @@ Subcommands: enumerate, series, eliminate, guess, extend, asympt, render,
 verify.  Everything is deterministic for fixed inputs and flags; big
 integers always travel as decimal strings.  Each command parses its flags,
 calls the library and formats the result; which route computes a plain
-series, solved or unrolled, is `series.plain_series`'s choice.
+series, solved or unrolled, is `series.plain_series`'s choice.  Every
+input, a file or stdin ("-"), is read as strict UTF-8, and every sequence
+with exact `DecimalInt` terms (`jsonio.sequence_from_json`).
 
 Each run starts a fresh interpreter, so start-up is part of every command's
 cost.  At module level this executes only the standard library, `errors`
@@ -84,22 +86,27 @@ def _piece_set(args: argparse.Namespace) -> PieceSet:
 
 @contextlib.contextmanager
 def _input(path: str, seekable: bool = False) -> Iterator[TextIO]:
-    """The file at path, or stdin for "-", where a JSON parse error is a ValueError naming path.
+    """The file at path, or stdin for "-", read as strict UTF-8.
 
-    With seekable, a stdin that cannot seek is first copied to a temporary file.
+    Bad JSON or bytes that are not UTF-8 are a ValueError naming path.  With
+    seekable, a stdin that cannot seek is first copied to a temporary file.
     """
     try:
         if path != "-":
             with open(path, "r", encoding="utf-8") as handle:
                 yield handle
         elif not seekable or sys.stdin.seekable():
-            yield sys.stdin
+            handle = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")  # whatever stdin's errors
+            try:
+                yield handle
+            finally:
+                handle.detach()  # and stdin stays open
         else:
             with tempfile.TemporaryFile() as spool:
                 shutil.copyfileobj(sys.stdin.buffer, spool)
                 spool.seek(0)
-                yield io.TextIOWrapper(spool, encoding=sys.stdin.encoding, errors=sys.stdin.errors)
-    except json.JSONDecodeError as exc:
+                yield io.TextIOWrapper(spool, encoding="utf-8")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -227,8 +234,7 @@ def cmd_guess(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_extend(args: argparse.Namespace, out: TextIO) -> int:
     rec = jsonio.recurrence_from_json(_load_json(args.rec))
-    # Decimal terms: writing them as digits is linear, for ints it is quadratic
-    init = jsonio.decimal_sequence_from_json(_load_json(args.init))
+    init = jsonio.sequence_from_json(_load_json(args.init))
     # unrolled a window at a time and written as made, so memory does not grow with --terms
     jsonio.dump_sequence(init, out, recurrences.extended_terms(rec, init, args.terms))
     return 0

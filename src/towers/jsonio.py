@@ -8,10 +8,12 @@ exactly the text that `dumps(sequence_to_json(seq))` returns, and takes
 its terms from any iterable: `extend` hands it `recurrences.extended_terms`,
 so the terms are written as they are unrolled and never all held.
 
-`sequence_tail` reads back only the last terms of a long sequence file.  It
-scans the layout that `dumps` writes in fixed-size chunks, checks every term
-and keeps only the tail, so its memory does not grow with the file; any
-other layout goes through `json.load` and fails as that route fails.
+`sequence_from_json` is the one reader of a sequence, with exact
+`DecimalInt` terms.  `sequence_tail` reads back only the last terms of a
+long sequence file.  It scans the layout that `dumps` writes in
+fixed-size chunks, checks every term and keeps only the tail, so its
+memory does not grow with the file; any other layout goes through
+`json.load` and `sequence_from_json` and fails as they fail.
 
 `Sequence` and `ZPolynomial` live in `model`, so sequence files read and
 write without running a solver; only `recurrence_from_json` runs the
@@ -27,7 +29,7 @@ import math
 import re
 from collections import deque
 from decimal import Decimal
-from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, TextIO
+from typing import TYPE_CHECKING, Any, BinaryIO, Iterable, TextIO
 
 from . import polynomials, recurrences
 from .errors import MalformedInputError
@@ -53,7 +55,6 @@ __all__ = [
     "weighted_series_to_json",
     "sequence_to_json",
     "sequence_from_json",
-    "decimal_sequence_from_json",
     "sequence_tail",
     "DecimalInt",
     "sequence_to_csv",
@@ -73,10 +74,10 @@ _BOUND_KIND_NAMES = {"area": "ByArea", "pieces": "ByPieceCount"}  # by BoundKind
 class DecimalInt(Decimal):
     """An integer held as a Decimal, whose digits read and write in linear time.
 
-    Arithmetic on it is Decimal arithmetic.  `abs` keeps the type and
-    `bit_length` answers as int's does, so code that sizes int terms by
-    their bits (the benchmark's tracer sizes what `extend_sequence`
-    returns) sizes these too.
+    The type every sequence is read as; arithmetic on it is Decimal
+    arithmetic.  `abs` keeps the type and `bit_length` answers as int's
+    does, so code that sizes int terms by their bits (the benchmark's
+    tracer sizes what `extend_sequence` returns) sizes these too.
     """
 
     __slots__ = ()
@@ -136,10 +137,6 @@ def _exact(term: str | int) -> DecimalInt:
     if value is None or not value.same_quantum(_ZERO):
         raise MalformedInputError(f"not an integer: {term!r:.60}")
     return value or _ZERO  # "-0" reads as 0, as int() reads it
-
-
-def _str_int(term: str | int) -> int:
-    return int(_exact(term))
 
 
 _ENCODER = json.JSONEncoder(indent=2)  # one encoder, so dumps and dump_sequence escape alike
@@ -230,19 +227,6 @@ def dump_sequence(seq: Sequence, handle: TextIO,
     handle.write("\n}\n")
 
 
-def sequence_from_json(payload: dict) -> Sequence:
-    return _sequence(payload, _str_int)
-
-
-def decimal_sequence_from_json(payload: dict) -> Sequence:
-    """The sequence with DecimalInt terms, read in time linear in the file's size.
-
-    For `extend_sequence` and `estimate_asymptotics`, which take Decimal
-    terms; every term is still checked to be an integer.
-    """
-    return _sequence(payload, _exact)
-
-
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
                int: "an integer", float: "a float", type(None): "null"}
 
@@ -263,7 +247,12 @@ def _field(payload: dict, name: str, what: str) -> Any:
     return payload[name]
 
 
-def _sequence(payload: Any, read: Callable[[Any], int | DecimalInt]) -> Sequence:
+def sequence_from_json(payload: Any) -> Sequence:
+    """The sequence with exact DecimalInt terms, read in time linear in the file's size.
+
+    The payload's shape and every term are checked: a term must be an
+    integer, given as a JSON integer or as a string that int() reads.
+    """
     payload = _object(payload, "a sequence")
     offset = _field(payload, "offset", "a sequence")
     terms = _field(payload, "terms", "a sequence")
@@ -273,7 +262,7 @@ def _sequence(payload: Any, read: Callable[[Any], int | DecimalInt]) -> Sequence
             raise MalformedInputError(
                 f"{field} must be {_JSON_TYPES[kind]}, got {_json_type(value)}"
             )
-    return Sequence(offset, tuple(read(t) for t in terms), label)
+    return Sequence(offset, tuple(_exact(t) for t in terms), label)
 
 
 _CHUNK = 1 << 16  # bytes that sequence_tail reads at a time
@@ -291,13 +280,13 @@ def sequence_tail(handle: TextIO, count: int) -> Sequence:
 
     The offset moves with the cut, so each term keeps its index, and a file
     shorter than `count` comes back whole.  Every term is checked to be an
-    integer, as `decimal_sequence_from_json` checks it.  `handle` is a text
+    integer, as `sequence_from_json` checks it.  `handle` is a text
     file as `open` returns it, and must seek.  A UTF-8 file in the layout
     that `dumps` and `json.dumps` write (an object of "offset", "terms" of
     plain "-?digits" strings and an optional "label" string) is scanned
     from its binary buffer in chunks, and only the tail is kept.
     Any other file is read again from the start by `json.load` and
-    `decimal_sequence_from_json`, and fails as they fail.
+    `sequence_from_json`, and fails as they fail.
     """
     start = handle.tell()
     if codecs.lookup(handle.encoding).name == "utf-8":
@@ -305,7 +294,7 @@ def sequence_tail(handle: TextIO, count: int) -> Sequence:
         if seq is not None:
             return seq
         handle.seek(start)
-    seq = decimal_sequence_from_json(json.load(handle))
+    seq = sequence_from_json(json.load(handle))
     cut = max(len(seq) - count, 0)
     return Sequence(seq.offset + cut, seq.terms[cut:], seq.label)
 
@@ -383,7 +372,7 @@ def recurrence_from_json(payload: Any) -> Recurrence:
     coeffs = _field(_object(payload, "a recurrence"), "coeffs", "a recurrence")
     if not (isinstance(coeffs, list) and all(isinstance(row, list) for row in coeffs)):
         raise MalformedInputError("coeffs must be an array of arrays of integers")
-    polys = tuple(polynomials.IntPoly(_str_int(c) for c in row) for row in coeffs)
+    polys = tuple(polynomials.IntPoly(int(_exact(c)) for c in row) for row in coeffs)
     return recurrences.Recurrence(polys)
 
 

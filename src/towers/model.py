@@ -166,9 +166,8 @@ class Tower(Value):
 class Sequence(Value):
     """Integer terms a(offset), a(offset+1), ... with a free-text label.
 
-    Terms are ints.  `extend_sequence`, `verify_recurrence` and
-    `estimate_asymptotics` also take integer-valued Decimals, which print
-    in linear time; `guess_recurrence` takes ints only.
+    Each term is an int or an integer-valued Decimal, and every function
+    that takes a Sequence takes either.
     """
 
     __slots__ = _fields = ("offset", "terms", "label")

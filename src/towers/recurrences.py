@@ -22,11 +22,12 @@ A recurrence can also be derived from a minimal polynomial
 
 Unrolling a recurrence forward divides by p_r(n) at every step; the
 division must come out exact, otherwise the recurrence does not govern the
-sequence and an error is raised rather than silently truncating.  Unrolled
-terms may be ints or integer-valued `decimal.Decimal`s: the loop runs in an
-exact context that raises on any rounding, and Decimal terms make writing
-the result as decimal digits linear in their length, where CPython's
-int-to-str is quadratic.  `extended_terms` yields the same terms as
+sequence and an error is raised rather than silently truncating.  Terms
+may be ints or integer-valued `decimal.Decimal`s, as every `Sequence`'s:
+guessing converts them to int once, on entry, and unrolling and verifying
+run in an exact context that raises on any rounding.  Decimal terms make
+writing the result as decimal digits linear in their length, where
+CPython's int-to-str is quadratic.  `extended_terms` yields the same terms as
 `extend_sequence` a window at a time, so a writer that takes them one by
 one holds a window of terms, not all of them.
 
@@ -122,7 +123,7 @@ def guess_recurrence(
     `guard`, which are held out; a kernel vector is accepted only if the
     recurrence it defines annihilates the entire sequence, held-out terms
     included.  Returns None when no shape within the bounds works.  The
-    terms must be ints.
+    terms are converted to int once, here.
 
     Shapes whose system has full column rank modulo a prime are skipped
     without exact elimination: full rank mod p implies full rank over Q,
@@ -131,6 +132,7 @@ def guess_recurrence(
     """
     if max_order < 1 or max_degree < 0 or guard < 0:
         raise ValueError("need max_order >= 1, max_degree >= 0, guard >= 0")
+    s = Sequence(s.offset, tuple(map(int, s.terms)), s.label)
     needed = (max_order + 1) * (max_degree + 1) + max_order + guard
     if len(s) < needed:
         raise InsufficientTermsError(
@@ -232,10 +234,9 @@ def extend_sequence(rec: Recurrence, initial: Sequence, target_length: int) -> S
     division raises InconsistentRecurrenceError (the recurrence does not
     govern these initial terms).  A target_length below 1 raises ValueError.
 
-    The initial terms may be ints or integer-valued Decimals, and new
-    terms take the type of the last one.  The unroll runs in an exact
-    decimal context that traps rounding, so Decimal terms stay exact at any
-    length.
+    New terms take the type of the last initial term.  The unroll runs in
+    an exact decimal context that traps rounding, so Decimal terms stay
+    exact at any length.
     """
     if target_length < 1:
         raise ValueError(f"target length must be >= 1, got {target_length}")

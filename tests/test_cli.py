@@ -476,8 +476,10 @@ def test_extend_writes_what_the_int_unroll_writes(tmp_path, capsys):
     code, _, _ = run(capsys, *argv, "--out", str(long_path))
     assert code == 0
     rec = jsonio.recurrence_from_json(json.loads(rec_path.read_text()))
-    init = jsonio.sequence_from_json(json.loads(seq_path.read_text()))
+    read = jsonio.sequence_from_json(json.loads(seq_path.read_text()))
+    init = Sequence(read.offset, tuple(map(int, read.terms)), read.label)  # the int route
     int_route = extend_sequence(rec, init, 3000)
+    assert type(int_route.terms[-1]) is int
     assert long_path.read_text() == jsonio.dumps(jsonio.sequence_to_json(int_route))
     code, out, _ = run(capsys, *argv)  # stdout gets the same bytes
     assert code == 0
@@ -1068,12 +1070,23 @@ def test_a_bumped_annihilator_never_changes_the_output(capsys, monkeypatch, deri
     assert out == solver_text(PieceSet((1, 2, 3)), Shape.TOWER, 600, "json")
 
 
-@pytest.mark.parametrize("bad", ["guess --input", "extend --rec", "extend --init", "asympt --input"])
-def test_malformed_json_names_its_file(tmp_path, capsys, monkeypatch, bad):
+_NOT_UTF8 = '{"offset": 0, "terms": ["1"], "label": "café"}'.encode("latin-1")
+_NOT_UTF8_ERR = ("'utf-8' codec can't decode byte 0xe9 in position "
+                 f"{_NOT_UTF8.index(0xE9)}: invalid continuation byte")
+
+
+@pytest.fixture
+def bad_inputs(tmp_path, monkeypatch):
+    """Good rec.json and seq.json, and bad empty.json and bad.json (not UTF-8), in the cwd."""
     monkeypatch.chdir(tmp_path)
     Path("rec.json").write_text(json.dumps({"order": 1, "degree": 0, "coeffs": [["-3"], ["1"]]}))
     Path("seq.json").write_text(json.dumps({"offset": 0, "terms": ["1"]}))
     Path("empty.json").write_text("")
+    Path("bad.json").write_bytes(_NOT_UTF8)
+
+
+@pytest.mark.parametrize("bad", ["guess --input", "extend --rec", "extend --init", "asympt --input"])
+def test_malformed_json_names_its_file(capsys, bad_inputs, bad):
     argv = {"guess": ["guess", "--input", "seq.json"],
             "extend": ["extend", "--rec", "rec.json", "--init", "seq.json", "--terms", "5"],
             "asympt": ["asympt", "--input", "seq.json"]}
@@ -1086,14 +1099,40 @@ def test_malformed_json_names_its_file(tmp_path, capsys, monkeypatch, bad):
 
 
 def test_malformed_json_on_stdin_is_named_dash(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("{"))
+    # stdin's bytes are read, so it gets a UTF-8 text wrapper, as a real stdin is
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"{"), encoding="utf-8"))
     code, out, err = run(capsys, "guess", "--input", "-")
     assert (code, out) == (2, "")
     assert err.startswith("error: -: Expecting property name enclosed in double quotes")
 
 
+_NOT_UTF8_ARGV = {
+    "guess --input": ["guess", "--input", "bad.json"],
+    "extend --rec": ["extend", "--rec", "bad.json", "--init", "seq.json", "--terms", "3"],
+    "extend --init": ["extend", "--rec", "rec.json", "--init", "bad.json", "--terms", "3"],
+    "asympt --input": ["asympt", "--input", "bad.json"],
+}
+
+
+@pytest.mark.parametrize("bad", list(_NOT_UTF8_ARGV))
+def test_a_file_that_is_not_utf8_is_named(capsys, bad_inputs, bad):
+    assert run(capsys, *_NOT_UTF8_ARGV[bad]) == (2, "", f"error: bad.json: {_NOT_UTF8_ERR}\n")
+
+
+@pytest.mark.parametrize("stdin", [io.BytesIO, _Pipe])
+@pytest.mark.parametrize("bad", ["guess --input", "extend --init", "asympt --input"])
+def test_stdin_reads_bytes_that_are_not_utf8_as_a_file_does(capsys, monkeypatch, bad_inputs,
+                                                            stdin, bad):
+    # a C or C.UTF-8 locale's stdin takes any bytes, by surrogateescape
+    wrapper = io.TextIOWrapper(stdin(_NOT_UTF8), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdin", wrapper)
+    argv = [arg.replace("bad.json", "-") for arg in _NOT_UTF8_ARGV[bad]]
+    assert run(capsys, *argv) == (2, "", f"error: -: {_NOT_UTF8_ERR}\n")
+    assert not wrapper.closed and not wrapper.buffer.closed
+
+
 def test_asympt_names_malformed_stdin_dash(capsys, monkeypatch):
-    # `asympt` reads stdin's bytes, so it gets a UTF-8 text wrapper, as a real stdin is
+    # stdin's bytes are read, so it gets a UTF-8 text wrapper, as a real stdin is
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b'{"offset": 0, "terms": ['),
                                                       encoding="utf-8"))
     code, out, err = run(capsys, "asympt", "--input", "-")

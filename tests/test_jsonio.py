@@ -74,7 +74,6 @@ def test_conversions_never_touch_the_digit_limit(monkeypatch):
     payload = json.loads(jsonio.dumps(jsonio.sequence_to_json(seq)))
     assert [len(t) for t in payload["terms"]] == [1, 10001, 10000]
     assert jsonio.sequence_from_json(payload) == seq
-    assert jsonio.decimal_sequence_from_json(payload) == seq
     rec = Recurrence((IntPoly((-big, 5)), IntPoly((big, 1))))
     payload = json.loads(jsonio.dumps(jsonio.recurrence_to_json(rec)))
     assert jsonio.recurrence_from_json(payload) == rec
@@ -85,10 +84,8 @@ def test_conversions_never_touch_the_digit_limit(monkeypatch):
     True, False,
 ])
 def test_non_integer_terms_are_rejected(term):
-    payload = {"offset": 0, "terms": ["1", term]}
-    for read in (jsonio.sequence_from_json, jsonio.decimal_sequence_from_json):
-        with pytest.raises(MalformedInputError, match="not an integer"):
-            read(payload)
+    with pytest.raises(MalformedInputError, match="not an integer"):
+        jsonio.sequence_from_json({"offset": 0, "terms": ["1", term]})
 
 
 @pytest.mark.parametrize("payload, message", [
@@ -103,10 +100,9 @@ def test_non_integer_terms_are_rejected(term):
     ({"offset": 0, "terms": ["1"], "label": 5}, "label must be a string, got an integer"),
 ])
 def test_sequence_payload_shape_is_checked(payload, message):
-    for read in (jsonio.sequence_from_json, jsonio.decimal_sequence_from_json):
-        with pytest.raises(MalformedInputError) as excinfo:
-            read(payload)
-        assert str(excinfo.value) == message
+    with pytest.raises(MalformedInputError) as excinfo:
+        jsonio.sequence_from_json(payload)
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("payload, message", [
@@ -125,17 +121,17 @@ def test_recurrence_payload_shape_is_checked(payload, message):
 
 def test_terms_read_as_int_reads_them():
     terms = ["-0", "+5", "007", " 12 ", "-42", "\u0663", "1_000", " -2_5 ", 9]
-    want = tuple(int(t) for t in terms)
-    assert jsonio.sequence_from_json({"offset": 0, "terms": terms}).terms == want
-    exact = jsonio.decimal_sequence_from_json({"offset": 0, "terms": terms})
-    assert [str(t) for t in exact.terms] == [str(t) for t in want]
+    want = [int(t) for t in terms]
+    read = jsonio.sequence_from_json({"offset": 0, "terms": terms}).terms
+    assert [type(t) for t in read] == [jsonio.DecimalInt] * len(terms)
+    assert [str(t) for t in read] == [str(t) for t in want]
 
 
 def test_decimal_ints_size_like_ints():
     values = [0, 1, -1, 2**64 - 1, -(2**64), 10**50, 10**50 - 1, 3**20000]
     values += [sign * (2**30000 + step) for sign in (1, -1) for step in (-1, 0, 1)]
     payload = {"offset": 0, "terms": values}
-    for value, term in zip(values, jsonio.decimal_sequence_from_json(payload).terms):
+    for value, term in zip(values, jsonio.sequence_from_json(payload).terms):
         assert type(term) is type(abs(term)) is jsonio.DecimalInt
         assert abs(term) == abs(value)
         assert abs(term).bit_length() == term.bit_length() == value.bit_length()
@@ -221,7 +217,7 @@ def test_dumps_is_deterministic():
 
 def _dump_payloads():
     big = 3**5000
-    decimal_terms = jsonio.decimal_sequence_from_json({"offset": 0, "terms": ["1", "-7", str(big)]})
+    decimal_terms = jsonio.sequence_from_json({"offset": 0, "terms": ["1", "-7", str(big)]})
     return {
         "int terms": jsonio.sequence_to_json(Sequence(1, (1, 2, big, -big))),
         "DecimalInt terms": jsonio.sequence_to_json(decimal_terms),
@@ -281,10 +277,10 @@ def test_dump_sequence_writes_what_dumps_returns(seq):
 
 
 def _whole_parse_tail(data: bytes, count: int) -> Sequence | Exception:
-    """The tail as json.load and decimal_sequence_from_json read it, or the error they raise."""
+    """The tail as json.load and sequence_from_json read it, or the error they raise."""
     try:
         handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-        seq = jsonio.decimal_sequence_from_json(json.load(handle))
+        seq = jsonio.sequence_from_json(json.load(handle))
     except ValueError as exc:
         return exc
     cut = max(len(seq) - count, 0)

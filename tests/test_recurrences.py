@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from references import exhaustive_guess, list_first_singular_degree
-from towers import recurrences
+from towers import jsonio, recurrences
 from towers.algebra import annihilating_polynomial
 from towers.errors import ConsistencyError
 from towers.identities import ACCEPTANCE_SETS
@@ -100,6 +100,19 @@ class TestGuess:
         rec_long = guess_recurrence(long, 3, 3)
         rec_short = guess_recurrence(short, 3, 3)
         assert rec_long == rec_short
+
+    @pytest.mark.parametrize("ints", [
+        catalan_sequence(60, offset=5),
+        Sequence(1, tuple(-(3**n) + n for n in range(1, 40))),  # negative terms
+        Sequence(0, tuple(motzkin_terms(40))),
+    ])
+    def test_read_terms_guess_what_int_terms_guess(self, ints):
+        payload = jsonio.sequence_to_json(ints)
+        read = jsonio.sequence_from_json(payload)
+        assert {type(t) for t in read.terms} == {DecimalInt}
+        rec = guess_recurrence(ints, 3, 3)
+        assert rec is not None
+        assert guess_recurrence(read, 3, 3) == rec
 
 
 class TestVerify:

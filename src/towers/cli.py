@@ -3,8 +3,8 @@
 Subcommands: enumerate, series, eliminate, guess, extend, asympt, render,
 verify.  Everything is deterministic for fixed inputs and flags; big
 integers always travel as decimal strings.  Each command parses its flags,
-calls the library and formats the result; which route computes a plain
-series, solved or unrolled, is `series.plain_series`'s choice.  Every
+calls the library and formats the result; which route computes a series,
+solved or unrolled, in t or by pieces, is `series`' choice.  Every
 input, a file or stdin ("-"), is read as strict UTF-8, and every sequence
 with exact `DecimalInt` terms (`jsonio.sequence_from_json`).
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -126,14 +127,15 @@ def _written_on_success(out: str | None) -> Iterator[TextIO]:
     mode open(out, "w") gives) and is renamed over out at the end.  Stdout,
     or a device or FIFO out, is spooled to an anonymous temporary file and
     copied in at the end.  On any exception the temporary is removed, and
-    out and stdout are as before.
+    out and stdout are as before.  A directory out raises before the block.
     """
+    if out and os.path.isdir(out):  # as a missing directory does, before the command runs
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
     if not out or (os.path.exists(out) and not os.path.isfile(out)):
         with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
             yield spool
             spool.seek(0)
-            sink = open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
-            with sink as handle:
+            with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as handle:
                 shutil.copyfileobj(spool, handle)
         return
     target = Path(out).resolve()
@@ -190,19 +192,17 @@ def cmd_series(args: argparse.Namespace, out: TextIO) -> int:
         table = series.weighted_series(pieces, args.order, shape)
         out.write(jsonio.dumps(jsonio.weighted_series_to_json(table)))
         return 0
-    if args.by_pieces and len(pieces.sizes) > 1:
-        # n pieces cover at most n times the largest size
+    if args.by_pieces:  # n pieces cover at most n times the largest size
         terms = series.piece_count_sequence(pieces, args.order // pieces.max_size, shape)
     else:
         plain = series.plain_series(pieces, shape, args.order)
-        if not args.by_pieces and args.format == "json":
+        if args.format == "json":
             out.write(jsonio.dumps(jsonio.series_to_json(plain)))
             return 0
-        terms = series.coefficients_by_pieces(plain, pieces) if args.by_pieces else plain.coeffs
+        terms = plain.coeffs
     if not terms:
         raise UnsupportedConfigurationError(
-            f"order {args.order} is too small for even one piece of the largest size"
-        )
+            f"order {args.order} is too small for even one piece of the largest size")
     seq = Sequence(1 if args.by_pieces else 0, tuple(terms))
     if args.format == "csv":
         out.write(jsonio.sequence_to_csv(seq))

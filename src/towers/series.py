@@ -50,10 +50,14 @@ A set whose sizes share a factor g > 1 gives series that vanish off the
 g-grid; their products and quotients run on every g-th coefficient, a
 g-th of the length.
 
-Counting by pieces, `piece_count_sequence` runs the same pipeline, the
-same Phi and D, in z.  For a single size that is t^k renamed.  For several
-sizes, Phi is linear in z, so z H' = H / (1 - Phi_y), and (1 + H)(1 - Phi_y)
-is D in z: H / D is z H' / (1 + H).
+Counting by pieces, `piece_count_sequence` is the one entry point, and it
+chooses the route from the piece set.  A single size k up to
+_UNROLL_MAX_SIZE reads coefficient k*n of `plain_series` for n pieces, so
+at depth it unrolls where z would solve.  Every other set runs the same
+pipeline, the same Phi and D, in z.  For a single size that is t^k
+renamed, and the two routes agree.  For several sizes, Phi is linear in
+z, so z H' = H / (1 - Phi_y), and (1 + H)(1 - Phi_y) is D in z: H / D is
+z H' / (1 + H).
 
 Weighted series (all-interfaces rule only) are not solved: Lagrange
 inversion of the H-equation gives every marker coefficient in closed form
@@ -429,7 +433,8 @@ def series_family(
 # up to _UNROLL_MAX_SIZE.  Both were measured in-process on a 2-core x86
 # machine under CPython 3.11: the unroll wins by order 300 for S={1,2,3} and
 # {1,2}, and by 500 for {1,2,3,4} and {1,4}; a 5-mer's derivation alone
-# (0.06-0.9 s) costs more than solving {2,5} to order 500.
+# (0.06-0.9 s) costs more than solving {2,5} to order 500.  The cap also
+# sends single sizes up to it through `plain_series` by pieces.
 _UNROLL_FROM_ORDER = 500
 _UNROLL_MAX_SIZE = 4
 
@@ -489,9 +494,16 @@ def coefficients_by_pieces(series: TruncatedSeries, pieces: PieceSet) -> list[in
 def piece_count_sequence(pieces: PieceSet, count: int, shape: Shape) -> list[int]:
     """Numbers of the shape's structures with n = 1..count pieces, any sizes.
 
-    `series_family` in the piece variable z: the area route's equations
-    with every x_i read as z.
+    A single size k <= _UNROLL_MAX_SIZE is read off the k-grid of
+    `plain_series` through t^(k*count), which unrolls from its crossover
+    order on.  Every other set is `series_family` in the piece variable z:
+    the area route's equations with every x_i read as z.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    k = pieces.max_size
+    if len(pieces.sizes) == 1 and k <= _UNROLL_MAX_SIZE:
+        return coefficients_by_pieces(plain_series(pieces, shape, k * count), pieces)
     return list(series_family(pieces, count, through=shape, by_pieces=True)[shape].coeffs[1:])
 
 

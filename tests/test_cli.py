@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import itertools
@@ -21,7 +22,7 @@ from towers.identities import ACCEPTANCE_SETS, CheckResult
 from towers.model import PieceSet, Rule, Shape
 from towers.polynomials import IntPoly
 from towers.recurrences import Recurrence, Sequence, derive_recurrence, extend_sequence, sequence_from_series
-from towers.series import coefficients_by_pieces, series_family
+from towers.series import coefficients_by_pieces, piece_count_sequence, series_family
 
 
 def run(capsys, *argv):
@@ -381,6 +382,17 @@ def test_an_out_that_cannot_be_made_is_named_as_given(tmp_path, capsys, monkeypa
     assert run(capsys, *small_run(tmp_path, command), "--out", out_path) == (
         2, "", f"error: [Errno 2] No such file or directory: {out_path!r}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["init.json", "rec.json", "seq.json"]
+
+
+def test_a_directory_out_fails_before_the_command_runs(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "cmd_series", lambda args, out: ran.append(args) or 0)
+    monkeypatch.chdir(tmp_path)
+    Path("somedir").mkdir()
+    assert run(capsys, "series", "--sizes", "1,2,3", "--order", "1500", "--out", "somedir") == (
+        2, "", f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 'somedir'\n")
+    assert ran == []
+    assert list(Path("somedir").iterdir()) == []
 
 
 def test_a_failing_verify_exits_5_and_still_writes_its_report(tmp_path, capsys, monkeypatch):
@@ -1038,6 +1050,54 @@ def test_multi_size_noalign_series_still_exits_2(capsys, derivations):
     assert (code, out) == (2, "")
     assert err == ("error: series under the no-exact-alignment rule support a single piece "
                    "size only, got sizes (1, 2)\n")
+
+
+_BY_PIECES_SETS = [PieceSet.of(k, rule=rule) for k in range(1, 7) for rule in Rule] + [
+    PieceSet(sizes) for sizes in [(1, 2), (2, 3), (1, 2, 3)]]
+
+
+@pytest.mark.parametrize("pieces", _BY_PIECES_SETS, ids=lambda p: f"{p.sizes}-{p.rule.value}")
+@pytest.mark.parametrize("shape", list(Shape), ids=lambda s: s.value)
+def test_series_by_pieces_writes_the_piece_count_sequence(capsys, pieces, shape):
+    order = 60
+    sizes = ",".join(map(str, pieces.sizes))
+    code, out, err = run(capsys, "series", "--sizes", sizes, "--rule", pieces.rule.value,
+                         "--shape", shape.value, "--order", str(order), "--by-pieces")
+    assert (code, err) == (0, "")
+    terms = piece_count_sequence(pieces, order // pieces.max_size, shape)
+    assert out == jsonio.dumps(jsonio.sequence_to_json(Sequence(1, tuple(terms))))
+
+
+def _spy(monkeypatch, *names):
+    """Count the calls of each named `towers.series` function, which the module calls by that name."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(series, name, counted(name, getattr(series, name)))
+    return calls
+
+
+@pytest.mark.parametrize("argv, reached", [
+    # recurrence-long's first step
+    (["--sizes", "3", "--shape", "tower", "--order", "300", "--by-pieces"],
+     ["coefficients_by_pieces"]),
+    # series-weighted's step
+    (["--sizes", "1,2,3", "--by-pieces", "--order", "36"],
+     ["piece_count_sequence", "solve_half_pyramids"]),
+], ids=["recurrence-long", "series-weighted"])
+def test_benchmark_series_steps_reach_the_layers_it_traces(capsys, monkeypatch, argv, reached):
+    # perfbench's EXERCISED names these functions, and its tracer wraps them as
+    # module attributes, so a route change that skips one fails here too
+    calls = _spy(monkeypatch, *reached)
+    code, _, err = run(capsys, "series", *argv)
+    assert (code, err) == (0, "")
+    assert all(calls.values()), calls
 
 
 def test_unrolled_terms_that_disagree_with_the_solver_exit_5(capsys, monkeypatch):

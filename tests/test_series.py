@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from towers import jsonio
+from towers import jsonio, recurrences, series
 from towers.enumeration import BoundKind, EnumerationQuery, count_towers, weight_polynomial
 from towers.errors import ConsistencyError, UnsupportedConfigurationError
 from towers.model import PieceSet, Rule, Shape, ZPolynomial
@@ -294,15 +294,42 @@ class TestByPieces:
         with pytest.raises(ValueError):
             coefficients_by_pieces(TruncatedSeries((0, 1)), PieceSet.of(1, 2))
 
-    def test_piece_count_sequence_matches_single_size_route(self):
+    def test_single_sizes_in_z_match_the_k_grid(self):
         # the piece variable against the k-grid of the area series, both rules
         for k in range(1, 6):
             for rule in Rule:
                 pieces = PieceSet.of(k, rule=rule)
                 family = series_family(pieces, 14 * k)
+                in_z = series_family(pieces, 14, by_pieces=True)
                 for shape in (HALF, PYRAMID, TOWER):
                     by_area = coefficients_by_pieces(family[shape], pieces)
-                    assert piece_count_sequence(pieces, 14, shape) == by_area, (k, rule, shape)
+                    assert list(in_z[shape].coeffs[1:]) == by_area, (k, rule, shape)
+
+    def test_small_single_sizes_are_read_off_the_unrolled_area_series(self, monkeypatch):
+        # 1000 trimers cover t^3000, past the unroll's crossover order
+        read, derived = [], []
+        real_read, real_derive = series.coefficients_by_pieces, recurrences.derive_recurrence
+        monkeypatch.setattr(series, "coefficients_by_pieces",
+                            lambda *args: read.append(args) or real_read(*args))
+        monkeypatch.setattr(recurrences, "derive_recurrence",
+                            lambda q: derived.append(q) or real_derive(q))
+        terms = piece_count_sequence(PieceSet.of(3), 1000, TOWER)
+        assert (len(read), len(derived), len(terms)) == (1, 1, 1000)
+        in_z = series_family(PieceSet.of(3), 40, by_pieces=True)[TOWER]
+        assert terms[:40] == list(in_z.coeffs[1:])
+
+    @pytest.mark.parametrize("pieces", [
+        PieceSet.of(5), PieceSet.of(6, rule=Rule.NO_EXACT_ALIGNMENT), PieceSet.of(1, 2),
+        PieceSet.of(2, 3), PieceSet.of(1, 2, 3), PieceSet.of(1, 5)])
+    def test_other_sets_are_solved_in_z(self, monkeypatch, pieces):
+        read, solved = [], []
+        real_solve = series.solve_half_pyramids
+        monkeypatch.setattr(series, "coefficients_by_pieces", lambda *args: read.append(args))
+        monkeypatch.setattr(series, "solve_half_pyramids",
+                            lambda solved_set, order, by_pieces=False: solved.append(by_pieces)
+                            or real_solve(solved_set, order, by_pieces))
+        terms = piece_count_sequence(pieces, 40, TOWER)
+        assert (read, solved, len(terms)) == ([], [True], 40)
 
     def test_piece_count_sequence_multi_size(self):
         # structures with n pieces, any mix of the sizes, against the oracle
@@ -319,6 +346,12 @@ class TestByPieces:
 
     def test_piece_count_sequence_of_no_pieces_is_empty(self):
         assert piece_count_sequence(PieceSet.of(1, 2), 0, TOWER) == []
+        assert piece_count_sequence(PieceSet.of(3), 0, TOWER) == []
+
+    @pytest.mark.parametrize("pieces", [PieceSet.of(3), PieceSet.of(5), PieceSet.of(1, 2)])
+    def test_piece_count_sequence_rejects_a_negative_count(self, pieces):
+        with pytest.raises(ValueError, match=r"^count must be >= 0, got -1$"):
+            piece_count_sequence(pieces, -1, TOWER)
 
 
 class TestClosedForms:

@@ -22,10 +22,13 @@ A recurrence can also be derived from a minimal polynomial
 
 Unrolling a recurrence forward divides by p_r(n) at every step; the
 division must come out exact, otherwise the recurrence does not govern the
-sequence and an error is raised rather than silently truncating.  Terms
-may be ints or integer-valued `decimal.Decimal`s, as every `Sequence`'s:
-guessing converts them to int once, on entry, and unrolling and verifying
-run in an exact context that raises on any rounding.  Decimal terms make
+sequence and an error is raised rather than silently truncating.  The
+p_j(n) are tabulated over the whole range by finite differences
+(`_tabulate`), so each step, and each window `verify_recurrence` checks,
+is one inner product.  Terms may be ints or integer-valued
+`decimal.Decimal`s, as every `Sequence`'s: guessing converts them to int
+once, on entry, and unrolling and verifying run in an exact context that
+raises on any rounding.  Decimal terms make
 writing the result as decimal digits linear in their length, where
 CPython's int-to-str is quadratic.  `extended_terms` yields the same terms as
 `extend_sequence` a window at a time, so a writer that takes them one by
@@ -38,7 +41,9 @@ writing a sequence file runs none of this module.
 from __future__ import annotations
 
 import decimal
-from typing import TYPE_CHECKING, Iterator
+import itertools
+import operator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (ConsistencyError, InconsistentRecurrenceError, InsufficientTermsError,
                      SingularRecurrenceError)
@@ -213,17 +218,37 @@ def verify_recurrence(rec: Recurrence, s: Sequence) -> bool:
     run in the exact decimal context, so Decimal terms are checked exactly.
     """
     r = rec.order
+    rows = _rows(rec, s.offset, len(s) - r)
     with decimal.localcontext(_EXACT):
-        for w in range(len(s) - r):
-            n = s.offset + w
-            total = 0
-            for j, poly in enumerate(rec.coeff_polys):
-                c = poly(n)
-                if c:
-                    total += c * s.terms[w + j]
-            if total:
+        for w, row in enumerate(rows):
+            if sum(map(operator.mul, row, s.terms[w : w + r + 1])):
                 return False
     return True
+
+
+def _tabulate(poly: IntPoly, start: int, count: int) -> Iterable[int]:
+    """poly(start), ..., poly(start + count - 1) by finite differences (Knuth, TAOCP 4.6.4).
+
+    d+1 values by Horner's rule give the leading differences; d nested
+    running sums rebuild the rest, so every later value is d additions in C.
+    """
+    d = max(poly.degree, 0)
+    values = [poly(n) for n in range(start, start + min(count, d + 1))]
+    if count <= d + 1:
+        return values
+    leading = []  # the differences of order 0..d at start
+    for _ in range(d + 1):
+        leading.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    column: Iterable[int] = itertools.repeat(leading.pop(), count - d)  # the d-th is constant
+    for first in reversed(leading):
+        column = itertools.accumulate(column, initial=first)
+    return column
+
+
+def _rows(rec: Recurrence, start: int, count: int) -> Iterator[tuple[int, ...]]:
+    """(p_0(n), ..., p_r(n)) for n = start, ..., start + count - 1."""
+    return zip(*(_tabulate(p, start, count) for p in rec.coeff_polys))
 
 
 def extend_sequence(rec: Recurrence, initial: Sequence, target_length: int) -> Sequence:
@@ -249,19 +274,13 @@ def extend_sequence(rec: Recurrence, initial: Sequence, target_length: int) -> S
         return Sequence(initial.offset, initial.terms[:target_length], initial.label)
     terms = list(initial.terms)
     kind = type(terms[-1])
-    polys = rec.coeff_polys
+    start = initial.offset + len(terms) - r
+    rows = _rows(rec, start, target_length - len(terms))
     with decimal.localcontext(_EXACT):
-        while len(terms) < target_length:
-            n = initial.offset + len(terms) - r
-            lead = polys[r](n)
+        for n, (*row, lead) in enumerate(rows, start):
             if lead == 0:
                 raise SingularRecurrenceError(f"leading coefficient vanishes at n={n}")
-            base = len(terms) - r
-            acc = 0
-            for j in range(r):
-                c = polys[j](n)
-                if c:
-                    acc += c * terms[base + j]
+            acc = sum(map(operator.mul, row, terms[-r:]))
             # Decimal divmod truncates where int divmod floors; either way a
             # zero remainder means the division is exact
             quotient, remainder = divmod(-acc, lead)

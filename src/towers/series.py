@@ -47,8 +47,10 @@ and `algebra.verify_annihilator`, evaluate a polynomial in y at a series by
 Horner's rule (`_horner`) instead.  Its products are all general, so a
 fault in the squaring kernel leaves a residual instead of cancelling out.
 A set whose sizes share a factor g > 1 gives series that vanish off the
-g-grid; their products and quotients run on every g-th coefficient, a
-g-th of the length.
+g-grid; the solver, products and quotients run on every g-th coefficient,
+a g-th of the length.  A general product multiplies only each operand's
+nonzero span (`_span_product`), so Horner's first step, a polynomial times
+a series, costs the polynomial's length times the order.
 
 Counting by pieces, `piece_count_sequence` is the one entry point, and it
 chooses the route from the piece set.  A single size k up to
@@ -130,6 +132,35 @@ def _grid(a: Sequence[int], b: Sequence[int]) -> int:
     return g
 
 
+def _span(coeffs: Sequence[int]) -> tuple[int, Sequence[int]]:
+    """(i, coeffs[i:j]) for the nonzero span: i the first nonzero index, j - 1 the last."""
+    i = next((i for i, c in enumerate(coeffs) if c), len(coeffs))
+    j = len(coeffs) - next((j for j, c in enumerate(reversed(coeffs)) if c), len(coeffs))
+    return i, coeffs[i:j]
+
+
+def _span_product(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
+    """Coefficients 0..order of a*b, multiplying only each operand's nonzero span.
+
+    With x the shorter span, of length l, each coefficient is one inner
+    product of reversed x with at most l coefficients of the other, so a
+    polynomial of degree d times a series takes at most (d+1)(order+1)
+    products.
+    """
+    (i, x), (j, y) = _span(a), _span(b)
+    if len(x) > len(y):
+        x, y = y, x
+    low = i + j
+    top = min(order - low, len(x) + len(y) - 2)  # the last coefficient made, counted from t^low
+    if not x or top < 0:
+        return [0] * (order + 1)
+    rx, last = x[::-1], len(x) - 1
+    # map stops at the shorter operand: rx's tail at first, then y's window of len(x)
+    out = [0] * low + [sum(map(operator.mul, rx[last - m:], y)) for m in range(min(top, last) + 1)]
+    out += [sum(map(operator.mul, rx, y[m - last : m + 1])) for m in range(last + 1, top + 1)]
+    return out + [0] * (order - low - top)
+
+
 def _spread(series: "TruncatedSeries", g: int, order: int) -> "TruncatedSeries":
     """series(t^g) through t^order."""
     coeffs = [0] * (order + 1)
@@ -209,10 +240,7 @@ class TruncatedSeries(Value):
                 return _spread(product, g, n)
             if other is self:
                 return TruncatedSeries(tuple(_square_coeff(a, m) for m in range(n + 1)), n)
-            # map stops at the shorter operand, so a needs no slice to a[:m+1]
-            return TruncatedSeries(
-                tuple(sum(map(operator.mul, a, b[m::-1])) for m in range(n + 1)), n
-            )
+            return TruncatedSeries(_span_product(a, b, n), n)
         if isinstance(other, int):
             return TruncatedSeries(tuple(c * other for c in self.coeffs), self.order)
         return NotImplemented
@@ -332,22 +360,27 @@ def solve_half_pyramids(pieces: PieceSet, order: int, by_pieces: bool = False) -
     Each nonzero term c x^a y^j of Phi, a >= 1, puts c times coefficient
     n - a of H^j into coefficient n of H, so coefficient n only involves
     coefficients below n and each pass of the loop pins down one new one.
+    When every exponent a shares a factor g > 1, H is a series in t^g: the
+    loop runs on the exponents a/g to order // g and the result is spread.
     """
     phi = _phi(pieces, by_pieces)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     terms = [(a, j, c) for j, poly in enumerate(phi) for a, c in enumerate(poly.coeffs) if c]
+    g = math.gcd(*(a for a, _, _ in terms))
+    terms = [(a // g, j, c) for a, j, c in terms]
+    thin = order // g
     # powers[j][n] = coefficient n of H^j, maintained as H grows
-    powers = [[1] + [0] * order] + [[0] * (order + 1) for _ in phi[1:]]
+    powers = [[1] + [0] * thin] + [[0] * (thin + 1) for _ in phi[1:]]
     h = powers[1]
-    for n in range(1, order + 1):
+    for n in range(1, thin + 1):
         h[n] = sum(c * powers[j][n - a] for a, j, c in terms if a <= n)
         if len(powers) > 2:
             powers[2][n] = _square_coeff(h, n)
         reversed_h = h[n::-1]
         for j in range(3, len(powers)):
             powers[j][n] = sum(map(operator.mul, powers[j - 1], reversed_h))
-    return TruncatedSeries(tuple(h), order)
+    return _spread(TruncatedSeries(h, thin), g, order)
 
 
 def weighted_series(pieces: PieceSet, order: int, shape: Shape) -> tuple[ZPolynomial, ...]:

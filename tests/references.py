@@ -13,7 +13,7 @@ from towers import jsonio, recurrences
 from towers.errors import MalformedInputError
 from towers.model import Floor, PieceSet, Rule, Shape
 from towers.polynomials import IntPoly
-from towers.series import TruncatedSeries, half_pyramid_rhs
+from towers.series import TruncatedSeries, _horner, _phi
 
 
 def evaluate(coeffs: Sequence[IntPoly], t_value: Fraction, y_value: Fraction) -> Fraction:
@@ -112,17 +112,45 @@ def bareiss_kernel(matrix: list[list[int]]) -> list[list[int]]:
     return basis
 
 
-def iterate_half_pyramids(pieces: PieceSet, order: int) -> TruncatedSeries:
+def iterate_half_pyramids(pieces: PieceSet, order: int, by_pieces: bool = False) -> TruncatedSeries:
     """Reference fixed-point iteration: repeated substitution from H = 0.
 
-    Runs order+1 full substitutions (each corrects at least one more
-    t-order).  Quadratic in the order per step, so only suitable for
-    small orders; `solve_half_pyramids` is the fast equivalent.
+    Runs order+1 full substitutions of H into Phi by Horner's rule, as
+    `half_pyramid_rhs` does (each corrects at least one more order), in t
+    or by pieces in z, and always on the full length, never on a g-grid.
+    Quadratic in the order per step, so only suitable for small orders;
+    `solve_half_pyramids` is the fast equivalent.
     """
+    phi = _phi(pieces, by_pieces)
     h = TruncatedSeries.zero(order)
     for _ in range(order + 1):
-        h = half_pyramid_rhs(h, pieces)
+        h = _horner(phi, h)
     return h
+
+
+def horner_unroll(rec: recurrences.Recurrence, initial: recurrences.Sequence,
+                  target_length: int) -> list:
+    """Terms of the unroll, each p_j(n) evaluated by `IntPoly.__call__` at every step.
+
+    Plain ints only, and no check beyond the two that name n: a vanishing
+    p_r(n) raises SingularRecurrenceError, an inexact division
+    InconsistentRecurrenceError, with `extend_sequence`'s messages.
+    """
+    terms, r = [int(t) for t in initial.terms], rec.order
+    while len(terms) < target_length:
+        n = initial.offset + len(terms) - r
+        lead = rec.coeff_polys[r](n)
+        if lead == 0:
+            raise recurrences.SingularRecurrenceError(f"leading coefficient vanishes at n={n}")
+        acc = sum(p(n) * terms[len(terms) - r + j] for j, p in enumerate(rec.coeff_polys[:r]))
+        quotient, remainder = divmod(-acc, lead)
+        if remainder:
+            raise recurrences.InconsistentRecurrenceError(
+                f"division by p_r({n}) = {lead} is not exact; "
+                "the recurrence does not govern these terms"
+            )
+        terms.append(quotient)
+    return terms[:target_length]
 
 
 def naive_product(a: Sequence[int], b: Sequence[int]) -> list[int]:

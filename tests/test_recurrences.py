@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from references import exhaustive_guess, list_first_singular_degree
+from references import exhaustive_guess, horner_unroll, list_first_singular_degree
 from towers import jsonio, recurrences
 from towers.algebra import annihilating_polynomial
 from towers.errors import ConsistencyError
@@ -316,6 +316,70 @@ class TestExtendedTerms:
             next(terms)
         with pytest.raises(ValueError, match="got 0"):
             next(extended_terms(CATALAN_REC, Sequence(0, (1,)), 0))
+
+
+class TestTabulation:
+    """The unroll's p_j(n), tabulated by finite differences, are Horner's values."""
+
+    @pytest.mark.parametrize("start", [-9, 0, 4])
+    @pytest.mark.parametrize("degree", range(-1, 7))
+    def test_values_are_those_of_horner(self, degree, start):
+        rng = random.Random(10 * degree + start)
+        coeffs = [rng.randint(-50, 50) for _ in range(degree)] + [rng.choice([-7, 3])] if degree >= 0 else []
+        poly = IntPoly(coeffs)
+        assert poly.degree == degree
+        for count in [*range(degree + 4), 40]:
+            expected = [poly(n) for n in range(start, start + count)]
+            assert list(recurrences._tabulate(poly, start, count)) == expected
+
+
+@st.composite
+def unroll_cases(draw):
+    """A recurrence, initial terms and a target length; most leads are not units, so most unrolls fail."""
+    r = draw(st.integers(1, 3))
+    small = st.lists(st.integers(-4, 4), max_size=5).map(IntPoly)
+    lead = draw(st.one_of(
+        st.sampled_from([IntPoly((1,)), IntPoly((-1,))]),
+        st.integers(-12, 12).map(lambda k: IntPoly((-k, 1)) * draw(st.sampled_from([1, -1, 2]))),
+        small.filter(bool),
+    ))
+    rec = Recurrence(tuple(draw(small) for _ in range(r)) + (lead,))
+    initial = draw(st.lists(st.integers(-9, 9), min_size=r, max_size=r + 3))
+    offset = draw(st.integers(-8, 8))
+    return rec, Sequence(offset, tuple(initial)), draw(st.integers(1, len(initial) + 25))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=unroll_cases())
+def test_unroll_equals_the_horner_reference(case):
+    """Terms, errors and the n they name are the step-by-step Horner unroll's, for every term type."""
+    rec, initial, target = case
+    try:
+        expected = [str(t) for t in horner_unroll(rec, initial, target)]
+    except (SingularRecurrenceError, InconsistentRecurrenceError) as exc:
+        expected = (type(exc), str(exc))
+    for number in NUMBER_TYPES:
+        try:
+            out = extend_sequence(rec, typed(initial, number), target)
+        except (SingularRecurrenceError, InconsistentRecurrenceError) as exc:
+            assert (type(exc), str(exc)) == expected
+            continue
+        assert [str(t) for t in out.terms] == expected  # so no zero prints as -0
+        assert {type(t) for t in out.terms[len(initial):]} <= {number}
+        if target > len(initial):
+            # the windows that end in an unrolled term hold; the last one's p_r(n) is
+            # nonzero, so it fails once its last term moves
+            made = Sequence(out.offset + len(initial) - rec.order, out.terms[len(initial) - rec.order:])
+            assert verify_recurrence(rec, made)
+            bumped = made.terms[:-1] + (made.terms[-1] + 1,)
+            assert not verify_recurrence(rec, Sequence(made.offset, bumped))
+
+
+def test_zero_products_of_negative_decimals_are_not_minus_zero():
+    # a(n+1) = -(n-2) a(n): p_0(2) = 0 times a negative term, then zeros on
+    rec = Recurrence((IntPoly((-2, 1)), IntPoly((1,))))
+    for out in extend_both(rec, Sequence(0, (-5,)), 8):
+        assert [str(t) for t in out.terms] == ["-5", "-10", "-10", "0", "0", "0", "0", "0"]
 
 
 class TestSequenceFromSeries:

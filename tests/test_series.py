@@ -129,6 +129,94 @@ class TestKernels:
         assert list((constant / constant).coeffs) == naive_quotient(c, c)
 
 
+@st.composite
+def spanned_series(draw, order: int) -> TruncatedSeries:
+    """A signed series whose nonzero span sits between a leading and a trailing zero run."""
+    lead = draw(st.integers(0, order + 1))
+    trail = draw(st.integers(0, order + 1 - lead))
+    width = order + 1 - lead - trail
+    middle = draw(st.lists(COEFF, min_size=width, max_size=width))
+    return TruncatedSeries([0] * lead + middle + [0] * trail, order)
+
+
+class Counted(int):
+    """An int that counts the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        Counted.products += 1
+        return int.__mul__(self, other)
+
+    __rmul__ = __mul__
+
+
+class TestSpanProducts:
+    """The general product multiplies each operand's nonzero span only."""
+
+    @given(st.data())
+    def test_span_product(self, data):
+        order = data.draw(st.one_of(st.just(0), st.integers(1, 16)))
+        x, y = data.draw(spanned_series(order)), data.draw(spanned_series(order))
+        zero = TruncatedSeries.zero(order)
+        for a, b in [(x, y), (y, x), (x, zero), (zero, y), (zero, zero), (x, TruncatedSeries(x.coeffs))]:
+            assert list((a * b).coeffs) == naive_product(a.coeffs, b.coeffs)
+        assert list((x * x).coeffs) == naive_product(x.coeffs, x.coeffs)  # the square, dense
+
+    def test_order_zero_and_zero_operands(self):
+        assert (TruncatedSeries((3,)) * TruncatedSeries((-4,))).coeffs == (-12,)
+        assert (TruncatedSeries((0,)) * TruncatedSeries((5,))).coeffs == (0,)
+        assert (TruncatedSeries((0, 0, 7)) * TruncatedSeries((0, 2, 1))).coeffs == (0, 0, 0)
+        assert (TruncatedSeries((0, 3, 0, 0)) * TruncatedSeries((0, 0, 1, 2))).coeffs == (0, 0, 0, 3)
+
+    @pytest.mark.parametrize("poly, shift", [((2, -1, 0, 5), 0), ((1,), 0), ((7, 3), 6), ((1,) * 6, 2)],
+                             ids=str)
+    def test_polynomial_times_series_counts_its_span(self, poly, shift):
+        """A degree-d polynomial times an order-n series takes at most (d+1)(n+1) products."""
+        order, degree = 40, len(poly) - 1
+        p = TruncatedSeries([0] * shift + [Counted(c) for c in poly], order)
+        s = TruncatedSeries([Counted((-1) ** n * (n + 1)) for n in range(order + 1)], order)
+        for a, b in [(p, s), (s, p)]:
+            Counted.products = 0
+            product = a * b
+            assert Counted.products <= (degree + 1) * (order + 1)
+            assert list(product.coeffs) == naive_product(a.coeffs, b.coeffs)
+
+
+GRID_SETS = [PieceSet.of(2), PieceSet.of(3), PieceSet.of(5), PieceSet.of(2, 4), PieceSet.of(3, 6),
+             DIMER_NOALIGN, PieceSet.of(5, rule=Rule.NO_EXACT_ALIGNMENT)]
+
+
+class TestGridSolver:
+    """Sets whose sizes share a factor g > 1 solve H on the g-grid."""
+
+    @pytest.mark.parametrize("by_pieces", [False, True])
+    @pytest.mark.parametrize("pieces", GRID_SETS, ids=lambda p: f"{p.sizes}-{p.rule.value}")
+    def test_grid_solver_matches_reference_iteration(self, pieces, by_pieces):
+        for order in (0, 1, 2, 11, 24):
+            expected = iterate_half_pyramids(pieces, order, by_pieces)
+            assert solve_half_pyramids(pieces, order, by_pieces) == expected
+
+    @pytest.mark.parametrize("pieces, g", [(PieceSet.of(2), 2), (PieceSet.of(3), 3), (PieceSet.of(2, 4), 2),
+                                           (PieceSet.of(3, 6), 3), (PieceSet.of(5, rule=Rule.NO_EXACT_ALIGNMENT), 5),
+                                           (PieceSet.of(1, 2, 3), 1), (PieceSet.of(2, 3), 1)])
+    def test_grid_solver_fills_order_over_g_coefficients(self, monkeypatch, pieces, g):
+        """The solver's loop squares H once per coefficient it fills: order // g + 1 of them in t."""
+        squared = []
+
+        def spy(a, n):
+            squared.append((len(a), n))
+            return _square_coeff(a, n)
+
+        monkeypatch.setattr("towers.series._square_coeff", spy)
+        order = 41
+        solve_half_pyramids(pieces, order)
+        assert squared == [(order // g + 1, n) for n in range(1, order // g + 1)]
+        squared.clear()
+        solve_half_pyramids(pieces, order, by_pieces=True)  # every exponent of z is 1
+        assert squared == [(order + 1, n) for n in range(1, order + 1)]
+
+
 class TestHalfPyramids:
     def test_dimer_coefficients_are_catalan(self):
         h = solve_half_pyramids(DIMER, 8)
@@ -156,8 +244,8 @@ class TestHalfPyramids:
     def test_residual_check_does_not_square(self, monkeypatch):
         """A wrong square in the solver shows in the residual: the check squares nothing."""
 
-        def bumped(a, n):
-            return _square_coeff(a, n) + (n == 24)
+        def bumped(a, n):  # t^12 for {1,2,3}; t^24 for the dimers, solved on the 2-grid
+            return _square_coeff(a, n) + (n == 12)
 
         solved = [(pieces, solve_half_pyramids(pieces, 40))
                   for pieces in [PieceSet.of(1, 2, 3), DIMER_NOALIGN]]

@@ -302,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("guess", help="guess a linear recurrence from a sequence")
     p.add_argument("--input", required=True, help="sequence JSON path, or - for stdin")
-    p.add_argument("--max-order", type=_positive_int, default=5)
-    p.add_argument("--max-degree", type=_non_negative_int, default=6)
-    p.add_argument("--guard", type=_non_negative_int, default=10, help="held-out trailing terms")
+    p.add_argument("--max-order", type=_positive_int, default=5, help="largest order (default: 5)")
+    p.add_argument("--max-degree", type=_non_negative_int, default=6, help="largest degree (default: 6)")
+    p.add_argument("--guard", type=_non_negative_int, default=10, help="held-out terms (default: 10)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_guess)
 

@@ -17,7 +17,9 @@ common factor in Z[t] and the kernel of an integer matrix, shared by
 lifted p-adically (Dixon), so no entry grows past the size of the answer;
 it falls back to the next prime when the first one's pivots are not the
 pivots over Q.  Its elimination mod p, `_echelon`, on rows packed into one
-int each, also gives `recurrences`' guesser the ranks that rule shapes out.
+int each, also gives `recurrences`' guesser the ranks that rule shapes out,
+and the guesser hands its steps back as a `_Pivoted` matrix, whose kernel
+is lifted from them.
 
 The tests check the resultants against an independent route, Sylvester
 determinants over Fractions at rational points, and the kernel against
@@ -192,6 +194,21 @@ def _pack(entries: Sequence[int], bits: int) -> int:
     return packed
 
 
+class _Pivoted(list):
+    """The rows of an integer matrix, with its `_echelon` steps mod _PRIME already drawn.
+
+    The steps, one per column, were drawn on the first `nrows` rows only,
+    possibly packed with more columns than the matrix has; `integer_kernel`
+    lifts from their pivots instead of eliminating the matrix again.
+    """
+
+    __slots__ = ("steps", "nrows")
+
+    def __init__(self, rows: Iterable[Sequence[int]], steps: list, nrows: int):
+        super().__init__(rows)
+        self.steps, self.nrows = steps, nrows
+
+
 def integer_kernel(matrix: list[list[int]]) -> list[list[int]]:
     """Basis of the kernel of an integer matrix, as coprime integer vectors.
 
@@ -207,15 +224,30 @@ def integer_kernel(matrix: list[list[int]]) -> list[list[int]]:
     rational reconstruction (von zur Gathen-Gerhard, Modern Computer
     Algebra, 5.10).  A vector is accepted only if it annihilates every row
     exactly and is zero at the pivots right of its free column, which makes
-    the prime's pivots the ones over Q.  A prime whose pivots differ, where
-    a minor over Q is divisible by it, fails a vector by the time the lift
-    passes the Hadamard bound on the pivot block's minors, and the next
-    prime below is tried.  Only finitely many primes divide those minors, so
-    the walk ends with the exact answer.
+    the prime's pivots the ones over Q.  The pivot block is invertible mod
+    p, so over Q too, and the lift reaches the block's solution, the only
+    vector with its free entries that satisfies the pivot rows, by the
+    Hadamard bound on the block's minors at the latest.  Where that solution
+    fails, the prime's pivots are not Q's (a minor over Q is divisible by
+    it) and the next prime below is tried.  Only finitely many primes divide
+    those minors, so the walk ends with the exact answer.
+
+    A `_Pivoted` matrix starts from the steps it carries.  If a vector
+    fails, the steps are continued over the rows they did not see, which
+    may add pivots, and the lift starts again from there; only if that
+    fails too is the prime unlucky.
     """
     ncols = len(matrix[0]) if matrix else 0
     p = _PRIME
-    while (basis := _kernel_mod(matrix, ncols, p)) is None:
+    if isinstance(matrix, _Pivoted):
+        steps, seen = matrix.steps, matrix.nrows
+        basis = _kernel_mod(matrix, ncols, p, *_factors(steps, seen, p))
+        if basis is None and seen < len(matrix):  # the other rows may add pivots
+            basis = _kernel_mod(matrix, ncols, p, *_eliminate(matrix, ncols, p, steps, seen))
+        if basis is not None:
+            return basis
+        p = _prime_below(p)  # the whole matrix's pivots mod p failed
+    while (basis := _kernel_mod(matrix, ncols, p, *_eliminate(matrix, ncols, p))) is None:
         p = _prime_below(p)
     return basis
 
@@ -228,15 +260,18 @@ def _prime_below(n: int) -> int:
     return n
 
 
-def _kernel_mod(matrix: list[list[int]], ncols: int, p: int) -> list[list[int]] | None:
-    """`integer_kernel` with the pivots taken mod p; None if they are not the pivots over Q."""
-    pivots, factors = _eliminate(matrix, ncols, p)
+def _kernel_mod(matrix: list[list[int]], ncols: int, p: int, pivots: list[tuple[int, int]],
+                factors: list) -> list[list[int]] | None:
+    """`integer_kernel` from pivots and LU factors mod p; None if they are not the pivots over Q."""
     cols = [c for _, c in pivots]
-    block = [[matrix[i][c] for c in cols] for i, _ in pivots]
-    norms = [sum(x * x for x in row) for row in block]
+    pivot_rows = [matrix[i] for i, _ in pivots]
+    in_block = {i for i, _ in pivots}
+    others = [row for i, row in enumerate(matrix) if i not in in_block]
+    block = [list(map(row.__getitem__, cols)) for row in pivot_rows]
+    norms = [sum(map(operator.mul, row, row)) for row in block]
     basis = []
     for free in sorted(set(range(ncols)) - set(cols)):
-        rhs = [-matrix[i][free] for i, _ in pivots]
+        rhs = [-row[free] for row in pivot_rows]
         # the squared Hadamard bound on the minors of [block | rhs], which
         # bounds the numerators and the denominator of the block's solution
         hadamard = math.prod(n + a * a for n, a in zip(norms, rhs))
@@ -250,39 +285,55 @@ def _kernel_mod(matrix: list[list[int]], ncols: int, p: int) -> list[list[int]] 
             bound = math.isqrt(modulus // 2)
             vector = _reconstruct(solution, modulus, bound, cols, free, ncols)
             if vector is not None and not any(sum(map(operator.mul, row, vector))
-                                              for row in matrix):
-                if any(vector[c] for c in cols if c > free):
-                    return None  # it leans on a pivot right of it: Q's pivots lie elsewhere
+                                              for row in pivot_rows):
+                # the block's solution: if the kernel has no vector like it, or
+                # it leans on a pivot right of it, Q's pivots lie elsewhere
+                if any(vector[c] for c in cols if c > free) or any(
+                        sum(map(operator.mul, row, vector)) for row in others):
+                    return None
                 content = math.gcd(*vector)
                 basis.append([v // content for v in vector])
                 break
             if bound * bound >= hadamard:
-                return None  # the block's solution, reconstructed by now, is no kernel vector
+                return None  # unreachable while the block is invertible mod p
     return basis
 
 
-def _eliminate(matrix: list[list[int]], ncols: int, p: int) -> tuple[list[tuple[int, int]], list]:
+def _eliminate(matrix: list[list[int]], ncols: int, p: int, above: Iterable[tuple | None] = (),
+               seen: int = 0) -> tuple[list[tuple[int, int]], list]:
     """Gaussian elimination mod p, pivots taken column by column, left to right.
+
+    `_echelon`'s steps on the entries reduced mod p, read by `_factors`.
+    The first `seen` rows may be eliminated already, as the steps `above`.
+    """
+    bits = _field_width(ncols, p)
+    rows = (_pack([x % p for x in row], bits) for row in matrix[seen:])
+    return _factors(list(_echelon(rows, ncols, bits, p, above, seen)), len(matrix), p)
+
+
+def _factors(steps: list[tuple | None], nrows: int, p: int) -> tuple[list[tuple[int, int]], list]:
+    """The pivots and LU factors that `_echelon`'s steps on nrows rows give, once drawn.
 
     Returns the pivots as (row, column) pairs in order, and the LU factors
     of the pivot block for `_solve_mod`: for each pivot, the multipliers
     that earlier pivots subtracted from its row, its row's entries at the
-    later pivot columns (last first), and the inverse of the pivot.  The
-    steps are `_echelon`'s, on the entries reduced mod p.
+    later pivot columns (last first), and the inverse of the pivot.
     """
-    bits = _field_width(ncols, p)
-    indices = list(range(len(matrix)))
-    below: list[list[int]] = [[] for _ in matrix]  # each row's multipliers
+    indices = list(range(nrows))
+    earlier = []  # each earlier pivot's row, leads and inverse
     pivots, reduced = [], []
-    steps = _echelon([_pack([x % p for x in row], bits) for row in matrix], ncols, bits, p)
     for col, step in enumerate(steps):
         if step is None:
             continue
         at, pivot, inverse, leads = step
-        pivots.append((indices.pop(at), col))
-        reduced.append((below.pop(at), pivot, inverse))
-        for f, multipliers in zip(leads, below):
-            multipliers.append(f * inverse % p)
+        row = indices.pop(at)
+        multipliers, passed = [], 0
+        for popped, leads_then, inverse_then in earlier:
+            passed += popped < row  # the pivots so far that came before the row
+            multipliers.append(leads_then[row - passed] * inverse_then % p)
+        pivots.append((row, col))
+        reduced.append((multipliers, pivot, inverse))
+        earlier.append((row, leads, inverse))
     cols = [c for _, c in pivots]
     factors = [
         (multipliers, [pivot[c - col] for c in reversed(cols[k + 1:])], inverse)
@@ -291,7 +342,8 @@ def _eliminate(matrix: list[list[int]], ncols: int, p: int) -> tuple[list[tuple[
     return pivots, factors
 
 
-def _echelon(rows: list[int], ncols: int, bits: int, p: int) -> Iterator[tuple | None]:
+def _echelon(rows: Iterable[int], ncols: int, bits: int, p: int,
+             above: Iterable[tuple | None] = (), seen: int = 0) -> Iterator[tuple | None]:
     """Gaussian elimination mod p of packed rows: one step per column, drawn lazily.
 
     A step is None where every row is 0 mod p at the column.  Otherwise it
@@ -301,21 +353,57 @@ def _echelon(rows: list[int], ncols: int, bits: int, p: int) -> Iterator[tuple |
     drops the column and adds its lead times the scaled pivot row.  Only
     pivots are reduced: an entry starts below p**2 and takes at most ncols
     updates below p**2, so it stays within (ncols+1)*p**2, `_field_width`'s room.
+
+    Rows are read lazily, as they are needed: the next one only when no row
+    read so far has a pivot at the column.  It first takes every step drawn
+    before, its lead added to each step's leads, so rows past the last pivot
+    are never read, and each step's leads cover the rows read so far.  A
+    None step reads them all.
+
+    `above` continues an elimination whose steps, one for every column, are
+    drawn already, on `seen` rows that come before these.  Where it has a
+    pivot, these rows follow it; where it has none, they are searched for
+    one.  The steps are those of eliminating all the rows together, with
+    positions and leads counted over them all: the rows above are 0 mod p
+    wherever they have no pivot, so these rows' pivots leave them as they
+    are.  (Where `above` left rows unread, it has a pivot at every column,
+    so none of these rows is a pivot and their leads are never looked up.)
     """
     mask = (1 << bits) - 1
+    above, unread = iter(above), iter(rows)
+    active: list[int] = []  # the rows read and not yet pivots, through every step
+    drawn: list[tuple[list[int], int]] = []  # each pivot step's leads and scaled pivot row
     for col in range(ncols):
-        at = next((n for n, row in enumerate(rows) if (row & mask) % p), None)
-        if at is None:
-            yield None
-            rows = [row >> bits for row in rows]
-            continue
-        top = rows.pop(at)
-        pivot = [(top >> k * bits & mask) % p for k in range(ncols - col)]
-        inverse = pow(pivot[0], -1, p)
-        leads = [(row & mask) % p for row in rows]
-        yield at, pivot, inverse, leads
-        scaled = _pack([-x * inverse % p for x in pivot[1:]], bits)
-        rows = [(row >> bits) + f * scaled for row, f in zip(rows, leads)]
+        leads = [(row & mask) % p for row in active]
+        step = next(above, None)
+        if step is not None:  # a pivot among the rows above
+            at, pivot, inverse, leads_above = step
+            seen -= 1
+            step = (at, pivot, inverse, leads_above + leads)
+        else:
+            at = next((n for n, f in enumerate(leads) if f), None)
+            while at is None and (row := next(unread, None)) is not None:
+                # a None step reads every row, so the steps before this one are pivots
+                for earlier, scaled in drawn:
+                    earlier.append(f := (row & mask) % p)
+                    row = (row >> bits) + f * scaled
+                active.append(row)
+                leads.append(f := (row & mask) % p)
+                if f:
+                    at = len(active) - 1
+            if at is None:
+                yield None
+                active = [row >> bits for row in active]
+                continue
+            top = active.pop(at)
+            del leads[at]
+            pivot = [(top >> k * bits & mask) % p for k in range(ncols - col)]
+            inverse = pow(pivot[0], -1, p)
+            step = (seen + at, pivot, inverse, [0] * seen + leads)
+        scaled = _pack([-x * inverse % p for x in pivot[1:ncols - col]], bits)
+        drawn.append((step[3], scaled))
+        yield step
+        active = [(row >> bits) + f * scaled for row, f in zip(active, leads)]
 
 
 def _solve_mod(factors, b: list[int], p: int) -> list[int]:

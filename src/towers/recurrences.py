@@ -9,13 +9,18 @@ never involved, so a returned recurrence is exact on the data it saw.
 A guess is accepted only if it also annihilates a held-out block of
 trailing terms that the solver never touched.
 
-Most shapes the search tries have no kernel, so each order is first
-eliminated modulo a prime.  A shape whose system has full column rank mod p
-has full column rank over Q too (a minor nonzero mod p is nonzero), so its
-exact kernel is empty and the shape is skipped unsolved; only the rest go
-through the exact elimination.  The result is the one the exact search
-alone returns: an unlucky prime, or terms that all vanish mod p, only cost
-the exact eliminations the filter could not rule out.
+Most shapes the search tries have no kernel, so each order's system is
+eliminated modulo a prime first, once, with its columns in degree blocks:
+the (r, d) system is a prefix of it, and the elimination is drawn only
+through the degree block the search has reached.  A shape whose system has
+full column rank mod p has full column rank over Q too (a minor nonzero
+mod p is nonzero), so its exact kernel is empty and the shape is skipped
+unsolved.  The exact kernel of a shape that is not skipped is lifted from
+the same elimination's pivots, continued over the rows it did not see,
+and its basis is read back in the column order the exact search uses.
+The result is the one the exact search alone returns: an unlucky prime, or
+terms that all vanish mod p, only cost the exact kernels the filter could
+not rule out.
 
 A recurrence can also be derived from a minimal polynomial
 (`derive_recurrence`); `series.plain_series` unrolls one to deep orders.
@@ -42,14 +47,15 @@ from __future__ import annotations
 
 import decimal
 import itertools
+import math
 import operator
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (ConsistencyError, InconsistentRecurrenceError, InsufficientTermsError,
                      SingularRecurrenceError)
 from .model import Sequence, Value
-from .polynomials import (_PRIME, IntPoly, _echelon, _field_width, _pack, h_mul, h_prem,
-                          integer_kernel, primitive_part, without_content)
+from .polynomials import (_PRIME, IntPoly, _echelon, _field_width, _pack, _Pivoted, h_mul,
+                          h_prem, integer_kernel, primitive_part, without_content)
 
 if TYPE_CHECKING:
     from .series import TruncatedSeries
@@ -131,9 +137,12 @@ def guess_recurrence(
     terms are converted to int once, here.
 
     Shapes whose system has full column rank modulo a prime are skipped
-    without exact elimination: full rank mod p implies full rank over Q,
-    so they have no kernel.  The returned recurrence (or None) is the one
-    that solving every shape exactly gives.
+    without an exact kernel: full rank mod p implies full rank over Q, so
+    they have no kernel.  Each order is eliminated mod p once, lazily,
+    through the degree block the search asks about (`_Elimination`), and
+    the exact kernel of every other shape starts from those pivots.  The
+    returned recurrence (or None) is the one that solving every shape
+    exactly gives.
     """
     if max_order < 1 or max_degree < 0 or guard < 0:
         raise ValueError("need max_order >= 1, max_degree >= 0, guard >= 0")
@@ -144,71 +153,116 @@ def guess_recurrence(
             f"guessing up to order {max_order}, degree {max_degree} with guard "
             f"{guard} needs {needed} terms, got {len(s)}"
         )
-    singular_from: dict[int, int] = {}  # order r -> smallest degree not ruled out
+    systems: dict[int, _Elimination] = {}  # order r -> its system mod p, drawn as far as read
     for total in range(1, max_order + max_degree + 1):
         for r in range(max(1, total - max_degree), min(max_order, total) + 1):
-            if r not in singular_from:
-                singular_from[r] = _first_singular_degree(s, r, max_degree, guard)
-            if total - r < singular_from[r]:
+            system = systems.pop(r, None) or _Elimination(s, r, max_degree, guard)
+            if total - r < max_degree:  # kept while a later total asks about it
+                systems[r] = system
+            if None not in system.through(total - r):
                 continue  # full column rank mod p, so over Q: no kernel to find
-            rec = _candidate(s, r, total - r, guard)
+            rec = _candidate(s, r, total - r, guard, system)
             if rec is not None:
                 return rec
     return None
 
 
-def _first_singular_degree(s: Sequence, r: int, max_degree: int, guard: int) -> int:
-    """Smallest d <= max_degree whose (r, d) system may have a kernel; max_degree+1 if none.
+class _Elimination:
+    """Order r's guessing system modulo _PRIME, eliminated one degree block at a time.
 
-    The system is taken modulo _PRIME with its columns a(n+j)*n^e ordered
-    by degree block (e = 0 for every j, then e = 1, ...), so the (r, d)
-    system's columns are a prefix, and one elimination that pivots column
-    by column, the kernel's `polynomials._echelon` on the unreduced
-    products, gives the rank of every prefix.  The first column without a
-    pivot ends the scan, no later step drawn: its block d is the first
-    shape rank-deficient mod p.  Only the first rows are used; a subset of
-    rows of full column rank already gives the whole system full column rank.
+    The columns a(n+j)*n^e are ordered by degree block (e = 0 for every j,
+    then e = 1, ...), so the (r, d) system's columns are a prefix, and one
+    elimination that pivots column by column, the kernel's
+    `polynomials._echelon` on the unreduced products, gives the rank of
+    every prefix.  Steps are drawn only through the blocks the search has
+    asked about, and a row is packed only when the elimination reads it.
+    Only the first rows are used; a subset of rows of full column rank
+    already gives the whole system full column rank.
     """
-    p = _PRIME
-    width = r + 1
-    ncols = width * (max_degree + 1)
-    bits = _field_width(ncols, p)
-    rows = min(len(s) - r - guard, ncols + _EXTRA_ROWS)
-    residues = _pack([t % p for t in s.terms[: rows + r]], bits)
-    blocks = range(0, ncols * bits, width * bits)  # where each degree block starts
-    matrix = []
-    for w in range(rows):
-        window = residues >> w * bits & (1 << width * bits) - 1  # a(n), ..., a(n+r)
-        n, power, row = (s.offset + w) % p, 1, 0
-        for start in blocks:
-            row |= window * power << start  # a(n+j)*(n^e mod p) < p**2, unreduced
-            power = power * n % p
-        matrix.append(row)
-    steps = enumerate(_echelon(matrix, ncols, bits, p))
-    return next((col // width for col, step in steps if step is None), max_degree + 1)
+
+    def __init__(self, s: Sequence, r: int, max_degree: int, guard: int) -> None:
+        p = _PRIME
+        self.width = width = r + 1
+        ncols = width * (max_degree + 1)
+        bits = _field_width(ncols, p)
+        self.rows = rows = min(len(s) - r - guard, ncols + _EXTRA_ROWS)
+        residues = _pack([t % p for t in s.terms[: rows + r]], bits)
+        blocks = range(0, ncols * bits, width * bits)  # where each degree block starts
+
+        def matrix() -> Iterator[int]:  # packed as read; no `self`, which holds the draw
+            for w in range(rows):
+                window = residues >> w * bits & (1 << width * bits) - 1  # a(n), ..., a(n+r)
+                n, power, row = (s.offset + w) % p, 1, 0
+                for start in blocks:
+                    row |= window * power << start  # a(n+j)*(n^e mod p) < p**2, unreduced
+                    power = power * n % p
+                yield row
+
+        self._echelon = _echelon(matrix(), ncols, bits, p)
+        self.steps: list[tuple | None] = []
+
+    def through(self, d: int) -> list[tuple | None]:
+        """The steps of the (r, d) system's columns; a None is a column without a pivot."""
+        ncols = (d + 1) * self.width
+        self.steps += itertools.islice(self._echelon, ncols - len(self.steps))
+        return self.steps[:ncols]
 
 
-def _candidate(s: Sequence, r: int, d: int, guard: int) -> Recurrence | None:
-    system_rows = len(s) - r - guard
-    matrix = []
-    for w in range(system_rows):
-        n = s.offset + w
-        row = []
-        for j in range(r + 1):
-            term = s.terms[w + j]
-            power = 1
-            for _ in range(d + 1):
-                row.append(term * power)
-                power *= n
-        matrix.append(row)
-    for vec in integer_kernel(matrix):
-        polys = tuple(IntPoly(vec[j * (d + 1) : (j + 1) * (d + 1)]) for j in range(r + 1))
+def _candidate(s: Sequence, r: int, d: int, guard: int,
+               system: _Elimination | None = None) -> Recurrence | None:
+    """The first recurrence of shape (r, d) in the exact kernel's basis that verifies.
+
+    The system has its columns in degree blocks, as `_Elimination`'s, and
+    its kernel starts from that elimination's pivots when one is given.
+    The basis is then read in the order j, then e, of the columns.
+    """
+    rows = len(s) - r - guard
+    ns = range(s.offset, s.offset + rows)
+    powers = [[1] * rows]
+    for _ in range(d):
+        powers.append(list(map(operator.mul, powers[-1], ns)))
+    matrix = list(zip(*(map(operator.mul, s.terms[j:j + rows], power)
+                        for power in powers for j in range(r + 1))))
+    if system is not None:
+        matrix = _Pivoted(matrix, system.through(d), system.rows)
+    held_out = Sequence(s.offset + rows, s.terms[rows:])  # the windows the system left out
+    j_major = [e * (r + 1) + j for j in range(r + 1) for e in range(d + 1)]
+    for vec in _reordered(integer_kernel(matrix), j_major):
+        polys = tuple(IntPoly(vec[j::r + 1]) for j in range(r + 1))
         if polys[-1].is_zero:
             continue
         rec = Recurrence(polys)
-        if verify_recurrence(rec, s):
+        if verify_recurrence(rec, held_out):  # the kernel holds on every other window
             return rec
     return None
+
+
+def _reordered(basis: list[list[int]], order: list[int]) -> list[list[int]]:
+    """`integer_kernel`'s basis of the same space, with its columns taken in `order`.
+
+    Gauss-Jordan elimination of the vectors over Z, the last column in
+    `order` first: each vector then ends, in that order, at its own free
+    column and is 0 at the others'.  Each is made coprime with a positive
+    free entry, and they come in the order of their free columns.
+    """
+    rest, done = [list(v) for v in basis], []  # done: (free column, vector), last first
+    for c in reversed(order):
+        at = next((i for i, v in enumerate(rest) if v[c]), None)
+        if at is None:
+            continue
+        v = rest.pop(at)
+        rest = [_eliminated(w, v, c) for w in rest]
+        done = [(f, _eliminated(w, v, c)) for f, w in done] + [(c, v)]
+    reordered = []
+    for c, v in reversed(done):
+        content = math.gcd(*v) if v[c] > 0 else -math.gcd(*v)
+        reordered.append([x // content for x in v])
+    return reordered
+
+
+def _eliminated(w: list[int], v: list[int], c: int) -> list[int]:
+    """A multiple of w minus a multiple of v that is 0 at column c."""
+    return [v[c] * x - w[c] * y for x, y in zip(w, v)] if w[c] else w
 
 
 def verify_recurrence(rec: Recurrence, s: Sequence) -> bool:

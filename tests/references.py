@@ -265,7 +265,10 @@ def list_eliminate(matrix: list[list[int]], ncols: int, p: int) -> tuple[list[tu
 
 
 def list_first_singular_degree(s: recurrences.Sequence, r: int, max_degree: int, guard: int) -> int:
-    """`recurrences._first_singular_degree` on lists, every entry reduced after every update."""
+    """The smallest degree `recurrences._Elimination` cannot rule out, max_degree+1 if none.
+
+    On lists, every entry reduced after every update.
+    """
     p = recurrences._PRIME
     width = r + 1
     rows = min(len(s) - r - guard, width * (max_degree + 1) + recurrences._EXTRA_ROWS)

@@ -31,6 +31,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_guess_help_names_the_default_bounds(capsys):
+    with pytest.raises(SystemExit):
+        main(["guess", "--help"])
+    out = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal's width
+    assert "--max-order MAX_ORDER largest order (default: 5)" in out
+    assert "--max-degree MAX_DEGREE largest degree (default: 6)" in out
+    assert "--guard GUARD held-out terms (default: 10)" in out
+
+
 def test_series_by_pieces_noalign(capsys):
     code, out, _ = run(
         capsys, "series", "--sizes", "2", "--rule", "noalign", "--shape", "tower",

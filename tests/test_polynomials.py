@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -212,6 +213,52 @@ def test_kernel_equals_the_bareiss_reference(case):
     kernel = integer_kernel(matrix)
     assert kernel == bareiss_kernel(matrix)
     assert len(kernel) == dimension
+
+
+def steps_on_first_rows(matrix, seen, extra):
+    """`_echelon`'s steps on the first `seen` rows, packed with `extra` more columns
+    after the matrix's, as the guesser's filter packs its rows."""
+    ncols = len(matrix[0])
+    width = ncols + len(extra)
+    bits = polynomials._field_width(width, PRIME)
+    rows = [polynomials._pack([x % PRIME for x in row + extra], bits) for row in matrix[:seen]]
+    return list(itertools.islice(polynomials._echelon(rows, width, bits, PRIME), ncols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=kernel_cases(), data=st.data())
+def test_kernel_from_the_steps_of_its_first_rows_equals_the_bareiss_reference(case, data):
+    """The other rows may add pivots, and the prime may be unlucky."""
+    matrix, dimension = case
+    seen = data.draw(st.integers(0, len(matrix)))
+    extra = data.draw(st.lists(st.integers(0, PRIME - 1), max_size=3))
+    pivoted = polynomials._Pivoted(matrix, steps_on_first_rows(matrix, seen, extra), seen)
+    kernel = integer_kernel(pivoted)
+    assert kernel == bareiss_kernel(matrix)
+    assert len(kernel) == dimension
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=kernel_cases(), data=st.data())
+def test_continued_elimination_equals_the_whole_one(case, data):
+    matrix, _ = case
+    ncols = len(matrix[0])
+    seen = data.draw(st.integers(0, len(matrix)))
+    steps = steps_on_first_rows(matrix, seen, data.draw(st.lists(st.integers(0, PRIME - 1))))
+    continued = polynomials._eliminate(matrix, ncols, PRIME, steps, seen)
+    assert continued == list_eliminate(matrix, ncols, PRIME)
+
+
+def test_a_kernel_lifted_from_some_rows_continues_over_the_others(monkeypatch):
+    # the first two rows leave columns 1 and 2 free; the third has a pivot at 2
+    matrix = [[1, 2, 3], [2, 4, 6], [0, 0, 1]]
+    pivoted = polynomials._Pivoted(matrix, steps_on_first_rows(matrix, 2, []), 2)
+    seen = []
+    eliminate = polynomials._eliminate
+    monkeypatch.setattr(polynomials, "_eliminate",
+                        lambda *args: seen.append(args[3:]) or eliminate(*args))
+    assert integer_kernel(pivoted) == [[-2, 1, 0]] == bareiss_kernel(matrix)
+    assert seen == [(pivoted.steps, 2)]  # no elimination from the first row
 
 
 @settings(max_examples=150, deadline=None)

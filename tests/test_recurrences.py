@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 from decimal import Decimal
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from references import exhaustive_guess, horner_unroll, list_first_singular_degree
-from towers import jsonio, recurrences
+from towers import jsonio, polynomials, recurrences
 from towers.algebra import annihilating_polynomial
 from towers.errors import ConsistencyError
 from towers.identities import ACCEPTANCE_SETS
@@ -371,7 +372,8 @@ def test_unroll_equals_the_horner_reference(case):
             # nonzero, so it fails once its last term moves
             made = Sequence(out.offset + len(initial) - rec.order, out.terms[len(initial) - rec.order:])
             assert verify_recurrence(rec, made)
-            bumped = made.terms[:-1] + (made.terms[-1] + 1,)
+            with decimal.localcontext(recurrences._EXACT):  # 28 digits would round the + 1 away
+                bumped = made.terms[:-1] + (made.terms[-1] + 1,)
             assert not verify_recurrence(rec, Sequence(made.offset, bumped))
 
 
@@ -485,10 +487,16 @@ def test_verify_guesses_equal_the_exact_search(pieces):
         assert rec == exhaustive_guess(seq, 7, 5, 5)
 
 
+def first_singular_degree(seq, r, max_degree, guard):
+    """The smallest degree whose (r, d) system the filter cannot rule out; max_degree+1 if none."""
+    system = recurrences._Elimination(seq, r, max_degree, guard)
+    return next((d for d in range(max_degree + 1) if None in system.through(d)), max_degree + 1)
+
+
 def assert_filter_equals_the_list_reference(seq):
     """Both filters at `verify`'s bounds: max degree 5, guard 5, every order up to 7."""
     for r in range(1, 8):
-        assert recurrences._first_singular_degree(seq, r, 5, 5) == list_first_singular_degree(
+        assert first_singular_degree(seq, r, 5, 5) == list_first_singular_degree(
             seq, r, 5, 5
         )
 
@@ -535,13 +543,14 @@ def test_packed_filter_keeps_the_largest_entries_apart():
         terms.append((n**5 + 2) * terms[-1])
     seq = Sequence(PRIME - 1, tuple(terms))
     for r in range(1, 8):
-        assert recurrences._first_singular_degree(seq, r, 5, 5) == 5
+        assert first_singular_degree(seq, r, 5, 5) == 5
     assert_filter_equals_the_list_reference(seq)
 
 
 def test_filter_stops_at_its_first_free_column(monkeypatch):
     """Full elimination of every column made `verify`'s guesses slower, so the filter
-    draws no elimination step past the first column without a pivot."""
+    draws no elimination step past the degree block it is asked about: here block 0,
+    whose second column, the first without a pivot, ends the scan."""
     drawn = []
     echelon = recurrences._echelon
 
@@ -552,7 +561,7 @@ def test_filter_stops_at_its_first_free_column(monkeypatch):
 
     monkeypatch.setattr(recurrences, "_echelon", counting)
     seq = Sequence(0, tuple(2**k for k in range(60)))  # column a(n+1) is twice column a(n)
-    assert recurrences._first_singular_degree(seq, 1, 5, 5) == 0
+    assert first_singular_degree(seq, 1, 5, 5) == 0
     assert [step is None for step in drawn] == [False, True]  # 2 of the 12 columns
 
 
@@ -589,6 +598,125 @@ def test_filter_leaves_the_trimer_recurrence_to_one_exact_elimination(exact_elim
     rec = guess_recurrence(seq, 5, 6, 10)
     assert (rec.order, rec.degree) == (2, 3)
     assert exact_eliminations == [3 * 4]
+
+
+@pytest.fixture
+def openings(monkeypatch):
+    """(ncols, seen, read, drawn) for every modular elimination opened, in order.
+
+    `seen` is the number of rows an elimination continues from (0 if it
+    starts afresh), `read` the number of its own rows it has read, and
+    `drawn` lists each step drawn, True where it is None.
+    """
+    opened = []
+    echelon = polynomials._echelon
+
+    def counting(rows, ncols, bits, p, above=(), seen=0):
+        read, drawn = [0], []
+        opened.append((ncols, seen, read, drawn))
+
+        def reading():
+            for row in rows:
+                read[0] += 1
+                yield row
+
+        for step in echelon(reading(), ncols, bits, p, above, seen):
+            drawn.append(step is None)
+            yield step
+
+    monkeypatch.setattr(recurrences, "_echelon", counting)
+    monkeypatch.setattr(polynomials, "_echelon", counting)
+    return opened
+
+
+def test_the_trimer_guess_draws_only_the_blocks_it_asks_about(openings):
+    """recurrence-long's guess at the CLI bounds: each order is drawn through the degree
+    block of the last total the search reached, reading its rows only as it needs
+    them, and the (2, 3) candidate lifts from order 2's steps, so nothing else is
+    eliminated."""
+    pieces = PieceSet.of(3)
+    towers = series_family(pieces, 300)[Shape.TOWER]
+    seq = Sequence(1, tuple(coefficients_by_pieces(towers, pieces)))
+    rec = guess_recurrence(seq, 5, 6, 10)
+    assert (rec.order, rec.degree) == (2, 3)
+    # order r has 7(r+1) columns and 7(r+1) + 8 rows; the guess ends at total 5 on
+    # order 2, so orders 1 and 2 are drawn through block 5 - r, and 3 and 4 through
+    # 4 - r; the None at order 2's last column reads all of its rows
+    assert [(ncols, seen, read[0]) for ncols, seen, read, _ in openings] == [
+        (14, 0, 10), (21, 0, 29), (28, 0, 8), (35, 0, 5)]
+    assert [drawn for *_, drawn in openings] == [
+        [False] * 10, [False] * 11 + [True], [False] * 8, [False] * 5]
+
+
+@pytest.mark.parametrize("pieces", VERIFY_SETS, ids=lambda p: f"{p.sizes}-{p.rule.value}")
+def test_verify_guesses_eliminate_each_row_once(pieces, openings):
+    """Each order opens one elimination from its first row, and an exact candidate
+    only continues it over the rows that elimination did not see."""
+    family = series_family(pieces, 60)
+    for shape in (Shape.HALF_PYRAMID, Shape.PYRAMID, Shape.TOWER):
+        seq = sequence_from_series(family[shape])
+        openings.clear()
+        guess_recurrence(seq, 7, 5, 5)
+        fresh = [ncols for ncols, seen, _, _ in openings if not seen]
+        assert fresh == [6 * (r + 1) for r in range(1, len(fresh) + 1)]  # order r's filter
+        # order r's system has 60 - 5 - r rows, of which its filter takes the first
+        # 6(r+1) + 8 at most
+        order_of = {min(55 - r, 6 * (r + 1) + 8): r for r in range(1, 8)}
+        for _, seen, read, _ in openings:
+            if seen:  # the rows the order's filter left out, and no other
+                assert seen + read[0] <= 55 - order_of[seen]
+
+
+# Sequences whose first shape the filter cannot rule out has a kernel of
+# dimension 3: the exact kernel, lifted from the filter's degree-block
+# pivots, has a basis other than the j-major one that the exact search reads.
+WIDE_KERNELS = [
+    (Sequence(-1, (1, -5, 0, 5, -5, 4) + (0,) * 10), 2, 2, 5),  # vanishes from n = 5 on
+    (Sequence(-3, (0,) * 8 + (3, -2, -2, -4, 1, -4, -1, 0, 3)), 2, 3, 0),  # up to n = 4
+    (Sequence(-3, (-1, -2, 0, 0, -2, 0, -5, 0, 2) + (0,) * 8), 2, 3, 2),
+    (Sequence(4, (0, 0, -2, 0, 3, 0, 3, 0, 3, 0, -3, 0, 0, 0, -3, 0, 2) + (0,) * 14), 4, 3, 3),
+]
+
+
+@pytest.mark.parametrize("case", WIDE_KERNELS, ids=range(len(WIDE_KERNELS)))
+def test_wide_first_kernels_give_the_exact_search_guess(case, monkeypatch):
+    seq, max_order, max_degree, guard = case
+    dimensions = []
+    kernel = recurrences.integer_kernel
+    monkeypatch.setattr(recurrences, "integer_kernel",
+                        lambda matrix: dimensions.append(len(basis := kernel(matrix))) or basis)
+    assert guess_recurrence(seq, max_order, max_degree, guard) == exhaustive_guess(
+        seq, max_order, max_degree, guard)
+    assert dimensions == [3]
+
+
+@st.composite
+def sparse_guess_cases(draw):
+    """Short sequences that vanish on a long stretch, at either end or off a k-grid."""
+    max_order, max_degree = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    guard = draw(st.integers(0, 6))
+    length = (max_order + 1) * (max_degree + 1) + max_order + guard + draw(st.integers(0, 6))
+    nonzero = draw(st.integers(1, length))
+    values = st.lists(st.integers(-5, 5), min_size=nonzero, max_size=nonzero)
+    kind = draw(st.sampled_from(["zero tail", "zero head", "k-grid"]))
+    if kind == "zero tail":
+        terms = draw(values) + [0] * (length - nonzero)
+    elif kind == "zero head":
+        terms = [0] * (length - nonzero) + draw(values)
+    else:
+        k = draw(st.integers(2, 3))
+        terms = [0] * length
+        terms[:nonzero:k] = draw(values)[: len(range(0, nonzero, k))]
+    return Sequence(draw(st.integers(-5, 5)), tuple(terms)), max_order, max_degree, guard
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sparse_guess_cases())
+def test_guesses_on_sparse_sequences_equal_the_exact_search(case):
+    seq, max_order, max_degree, guard = case
+    assert guess_recurrence(seq, max_order, max_degree, guard) == exhaustive_guess(
+        seq, max_order, max_degree, guard
+    )
 
 
 # ---------------------------------------------------------------- recurrences derived from Q

@@ -25,9 +25,8 @@ _EXPORTS = {
     "asymptotics": ("AsymptoticEstimate", "ZeroTermError", "estimate_asymptotics"),
     "enumeration": ("BoundKind", "EnumerationQuery", "count_towers", "enumerate_towers",
                     "weight_polynomial"),
-    "errors": ("ConsistencyError", "DegreeCapError", "InconsistentRecurrenceError",
-               "InsufficientTermsError", "MalformedInputError", "SingularRecurrenceError",
-               "UnsupportedConfigurationError"),
+    "errors": ("ConsistencyError", "InconsistentRecurrenceError", "InsufficientTermsError",
+               "MalformedInputError", "SingularRecurrenceError", "UnsupportedConfigurationError"),
     "gallery": ("render_gallery",),
     "identities": ("ACCEPTANCE_SETS", "CheckResult", "verify_identities"),
     "jsonio": (),

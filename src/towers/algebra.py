@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 
-from .errors import ConsistencyError, DegreeCapError
+from .errors import ConsistencyError
 from .model import PieceSet, Shape, Value
 from .polynomials import IntPoly, h_mul, h_resultant, integer_kernel, primitive_part, without_content
 from .series import TruncatedSeries, _d, _horner, _phi, series_family
@@ -35,15 +35,8 @@ __all__ = [
     "BivariatePolynomial",
     "defining_polynomial_H",
     "annihilating_polynomial",
-    "check_degree_cap",
     "verify_annihilator",
 ]
-
-# Elimination is only exercised for small piece sets: under this cap the root
-# step solves at most 2k^2 + 1 equations in (k/2 + 1)(k + 1) unknowns for
-# largest size k, and the error is clearer than a runaway computation.
-_MAX_PIECE_SIZE = 8
-
 
 class BivariatePolynomial(Value):
     """Integer polynomial Q(t, y) = sum_j c_j(t) y^j in normal form.
@@ -174,15 +167,6 @@ def _select_annihilator(
     return r0
 
 
-def check_degree_cap(pieces: PieceSet) -> None:
-    """Raise DegreeCapError for a piece set too large to eliminate."""
-    if pieces.max_size > _MAX_PIECE_SIZE:
-        raise DegreeCapError(
-            f"elimination supports piece sizes up to {_MAX_PIECE_SIZE}, "
-            f"got {pieces.max_size}"
-        )
-
-
 def verify_annihilator(q: BivariatePolynomial, s: TruncatedSeries) -> bool:
     """True iff Q(t, s(t)) is zero through the series order."""
     return not any(_horner(q.coeffs, s).coeffs)
@@ -193,14 +177,14 @@ def annihilating_polynomial(
 ) -> BivariatePolynomial:
     """The minimal polynomial Q(t, y) with Q(t, F(t)) = 0 for the shape's series F.
 
-    For half-pyramids this is the defining polynomial itself.  For pyramids
-    and towers it is obtained by eliminating H between E(t, H) and the
-    shape's cleared-denominator relation, then removing the resultant's
-    t-content and taking its exact m-th root, which reads a series prefix
-    solved here.  Q must vanish on that prefix, so no caller order leaves
+    Any finite piece set is taken: the cost grows polynomially in the
+    largest size.  For half-pyramids this is the defining polynomial itself.
+    For pyramids and towers it is obtained by eliminating H between E(t, H)
+    and the shape's cleared-denominator relation, then removing the
+    resultant's t-content and taking its exact m-th root, which reads a
+    series prefix solved here.  Q must vanish on that prefix, so no caller order leaves
     the check empty, and on the caller's `series` of F through its order.
     """
-    check_degree_cap(pieces)
     checked = [series]
     if shape is Shape.HALF_PYRAMID:
         result = defining_polynomial_H(pieces)

@@ -40,8 +40,8 @@ from pathlib import Path
 from typing import Callable, Iterator, TextIO
 
 from . import algebra, asymptotics, enumeration, gallery, identities, jsonio, recurrences, series
-from .errors import (ConsistencyError, DegreeCapError, InconsistentRecurrenceError,
-                     SingularRecurrenceError, UnsupportedConfigurationError)
+from .errors import (ConsistencyError, InconsistentRecurrenceError, SingularRecurrenceError,
+                     UnsupportedConfigurationError)
 from .model import PieceSet, Rule, Sequence, Shape
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -216,7 +216,6 @@ def cmd_series(args: argparse.Namespace, out: TextIO) -> int:
 def cmd_eliminate(args: argparse.Namespace, out: TextIO) -> int:
     pieces = _piece_set(args)
     shape = Shape(args.shape)
-    algebra.check_degree_cap(pieces)
     truncated = series.series_family(pieces, args.order, through=shape)[shape]
     poly = algebra.annihilating_polynomial(pieces, shape, truncated)
     out.write(jsonio.dumps(jsonio.polynomial_to_json(poly)))
@@ -359,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 5
     # MalformedInputError, UnsupportedConfigurationError and JSONDecodeError are ValueErrors
-    except (ValueError, OSError, DegreeCapError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,10 +2,10 @@
 
 
 class MalformedInputError(ValueError):
-    """Raw input is structurally invalid (e.g. an interval with right <= left).
+    """A JSON document read by `jsonio` is structurally invalid.
 
-    Distinct from a well-formed configuration that merely fails a legality
-    check; legality checks return False instead of raising.
+    Raised for a document of the wrong shape (not an object, a missing
+    field, a field of the wrong type) or for a term that is not an integer.
     """
 
 
@@ -15,10 +15,6 @@ class UnsupportedConfigurationError(ValueError):
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
-
-
-class DegreeCapError(RuntimeError):
-    """Polynomial elimination exceeded the supported degree bounds."""
 
 
 class InsufficientTermsError(ValueError):

@@ -17,7 +17,7 @@ from towers.algebra import (
     verify_annihilator,
 )
 from towers.cli import main
-from towers.errors import ConsistencyError, DegreeCapError, UnsupportedConfigurationError
+from towers.errors import ConsistencyError, UnsupportedConfigurationError
 from towers.model import PieceSet, Rule, Shape
 from towers.polynomials import IntPoly, h_mul, without_content
 from towers.series import TruncatedSeries, series_family, solve_half_pyramids
@@ -156,10 +156,6 @@ class TestAnnihilatingPolynomial:
         with pytest.raises(ConsistencyError, match="t\\^40"):
             annihilating_polynomial(DIMER, Shape.TOWER, bumped)
 
-    def test_degree_cap(self):
-        with pytest.raises(DegreeCapError):
-            annihilating_polynomial(PieceSet.of(9), Shape.TOWER, tower_series(PieceSet.of(9), 20))
-
 
 def as_bivariate(coeffs) -> BivariatePolynomial:
     return BivariatePolynomial(tuple(coeffs))
@@ -177,6 +173,9 @@ class TestSelection:
         sets = [PieceSet(s) for r in range(1, 5) for s in itertools.combinations((1, 2, 3, 4), r)]
         sets += [PieceSet.of(5), PieceSet.of(8), PieceSet.of(3, 8)]
         sets += [PieceSet.of(k, rule=Rule.NO_EXACT_ALIGNMENT) for k in range(2, 6)]
+        # past 8-mers, which elimination takes like any other size
+        sets += [PieceSet.of(9), PieceSet.of(1, 9), PieceSet.of(2, 10),
+                 PieceSet.of(9, rule=Rule.NO_EXACT_ALIGNMENT)]
         multiplicities = set()
         for pieces in sets:
             for shape in (Shape.PYRAMID, Shape.TOWER):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from towers import cli, identities, jsonio, series
-from towers.algebra import BivariatePolynomial, annihilating_polynomial
+from towers.algebra import BivariatePolynomial, annihilating_polynomial, verify_annihilator
 from towers.cli import main
 from towers.enumeration import BoundKind, EnumerationQuery, count_towers
 from towers.identities import ACCEPTANCE_SETS, CheckResult
@@ -140,14 +140,19 @@ def test_eliminate_dimer_tower(capsys):
     }
 
 
-def test_eliminate_rejects_large_sizes_before_solving(capsys, monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("eliminate solved the series before checking the size cap")
-
-    monkeypatch.setattr("towers.series.series_family", unreachable)
-    code, _, err = run(capsys, "eliminate", "--sizes", "9", "--order", "2000")
-    assert code == 2
-    assert err == "error: elimination supports piece sizes up to 8, got 9\n"
+@pytest.mark.parametrize("pieces, shape", [
+    *((PieceSet.of(1, 9), shape) for shape in Shape),
+    (PieceSet.of(9, rule=Rule.NO_EXACT_ALIGNMENT), Shape.TOWER),
+], ids=[*(f"1,9-{shape.value}" for shape in Shape), "noalign-9-tower"])
+def test_eliminate_takes_pieces_past_8_mers(capsys, pieces, shape):
+    sizes = ",".join(map(str, pieces.sizes))
+    code, out, err = run(capsys, "eliminate", "--sizes", sizes, "--rule", pieces.rule.value,
+                         "--shape", shape.value, "--order", "60")
+    assert code == 0
+    assert err == ""
+    rows = json.loads(out)["coeffs_in_t"]
+    q = BivariatePolynomial(tuple(IntPoly(int(c) for c in row) for row in rows))
+    assert verify_annihilator(q, series_family(pieces, 60, through=shape)[shape])
 
 
 def test_guess_extend_asympt_pipeline(tmp_path, capsys):

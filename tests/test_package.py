@@ -1,5 +1,7 @@
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +18,8 @@ EXPORTS = {
     "asymptotics": ["AsymptoticEstimate", "ZeroTermError", "estimate_asymptotics"],
     "enumeration": ["BoundKind", "EnumerationQuery", "count_towers", "enumerate_towers",
                     "weight_polynomial"],
-    "errors": ["ConsistencyError", "DegreeCapError", "InconsistentRecurrenceError",
-               "InsufficientTermsError", "MalformedInputError", "SingularRecurrenceError",
-               "UnsupportedConfigurationError"],
+    "errors": ["ConsistencyError", "InconsistentRecurrenceError", "InsufficientTermsError",
+               "MalformedInputError", "SingularRecurrenceError", "UnsupportedConfigurationError"],
     "gallery": ["render_gallery"],
     "identities": ["ACCEPTANCE_SETS", "CheckResult", "verify_identities"],
     "model": ["PieceSet", "Rule", "Sequence", "Shape", "Tower", "ZPolynomial"],
@@ -40,6 +41,16 @@ def test_all_lists_the_exported_names():
 @pytest.mark.parametrize("module, name", NAMES, ids=[name for _module, name in NAMES])
 def test_each_name_is_its_defining_modules_object(module, name):
     assert getattr(towers, name) is getattr(importlib.import_module(f"towers.{module}"), name)
+
+
+def test_every_error_class_is_raised_in_the_package():
+    # an error class whose only raiser was deleted must go with it
+    package = Path(towers.__file__).parent
+    classes = [node.name for node in ast.parse((package / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    source = "\n".join(path.read_text() for path in package.glob("*.py"))
+    assert classes
+    assert [name for name in classes if not re.search(rf"raise {name}\b", source)] == []
 
 
 def test_recurrences_still_exports_its_errors():

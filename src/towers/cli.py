@@ -277,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     output = p.add_mutually_exclusive_group()
     output.add_argument("--weighted", action="store_true", help="emit weight polynomials by area")
     output.add_argument("--list", action="store_true", help="emit towers, one JSON array per line")
-    p.add_argument("--format", choices=["json", "csv", "text"], default="json")
+    p.add_argument("--format", choices=["json", "csv", "text"], default="json",
+                   help="output format (default: json)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_enumerate, usage_error=p.error)
 
@@ -288,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--weighted", action="store_true", help="track z-markers per piece size")
     output.add_argument("--by-pieces", action="store_true",
                         help="emit the per-piece-count sequence instead of t-coefficients")
-    p.add_argument("--format", choices=["json", "csv", "text"], default="json")
+    p.add_argument("--format", choices=["json", "csv", "text"], default="json",
+                   help="output format (default: json)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_series, usage_error=p.error)
 
@@ -327,8 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("verify", help="run the cross-module identity suite")
-    p.add_argument("--max-area", type=_positive_int, default=12)
-    p.add_argument("--max-pieces", type=_positive_int, default=7)
+    p.add_argument("--max-area", type=_positive_int, default=12,
+                   help="largest area checked against the enumerator (default: 12)")
+    p.add_argument("--max-pieces", type=_positive_int, default=7,
+                   help="largest piece count of the spot checks (default: 7)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

@@ -18,8 +18,8 @@ lifted p-adically (Dixon), so no entry grows past the size of the answer;
 it falls back to the next prime when the first one's pivots are not the
 pivots over Q.  Its elimination mod p, `_echelon`, on rows packed into one
 int each, also gives `recurrences`' guesser the ranks that rule shapes out,
-and the guesser hands its steps back as a `_Pivoted` matrix, whose kernel
-is lifted from them.
+and the guesser hands its steps back to `integer_kernel`, which lifts from
+them.
 
 The tests check the resultants against an independent route, Sylvester
 determinants over Fractions at rational points, and the kernel against
@@ -194,22 +194,7 @@ def _pack(entries: Sequence[int], bits: int) -> int:
     return packed
 
 
-class _Pivoted(list):
-    """The rows of an integer matrix, with its `_echelon` steps mod _PRIME already drawn.
-
-    The steps, one per column, were drawn on the first `nrows` rows only,
-    possibly packed with more columns than the matrix has; `integer_kernel`
-    lifts from their pivots instead of eliminating the matrix again.
-    """
-
-    __slots__ = ("steps", "nrows")
-
-    def __init__(self, rows: Iterable[Sequence[int]], steps: list, nrows: int):
-        super().__init__(rows)
-        self.steps, self.nrows = steps, nrows
-
-
-def integer_kernel(matrix: list[list[int]]) -> list[list[int]]:
+def integer_kernel(matrix: list[list[int]], steps: list | None = None) -> list[list[int]]:
     """Basis of the kernel of an integer matrix, as coprime integer vectors.
 
     The basis is the reduced echelon one over Q: for each free column (one
@@ -232,21 +217,20 @@ def integer_kernel(matrix: list[list[int]]) -> list[list[int]]:
     it) and the next prime below is tried.  Only finitely many primes divide
     those minors, so the walk ends with the exact answer.
 
-    A `_Pivoted` matrix starts from the steps it carries.  If a vector
-    fails, the steps are continued over the rows they did not see, which
-    may add pivots, and the lift starts again from there; only if that
-    fails too is the prime unlucky.
+    `steps`, if given, are `_echelon`'s steps mod _PRIME, one per column,
+    drawn on the matrix's first rows (packed with as many columns or
+    more), and the lift starts from their pivots.  If a vector fails, the
+    rows they did not see may add pivots, so the whole matrix is
+    eliminated at _PRIME as if no steps were given: of `verify`'s 19
+    guessing kernels, 18 lift from their steps and one falls back.
     """
     ncols = len(matrix[0]) if matrix else 0
     p = _PRIME
-    if isinstance(matrix, _Pivoted):
-        steps, seen = matrix.steps, matrix.nrows
-        basis = _kernel_mod(matrix, ncols, p, *_factors(steps, seen, p))
-        if basis is None and seen < len(matrix):  # the other rows may add pivots
-            basis = _kernel_mod(matrix, ncols, p, *_eliminate(matrix, ncols, p, steps, seen))
+    if steps is not None:
+        basis = _kernel_mod(matrix, ncols, p, *_factors(steps, len(matrix), p))
         if basis is not None:
             return basis
-        p = _prime_below(p)  # the whole matrix's pivots mod p failed
+    # failed steps fall back to _PRIME, not the next prime: _prime_below costs ~3 ms a call
     while (basis := _kernel_mod(matrix, ncols, p, *_eliminate(matrix, ncols, p))) is None:
         p = _prime_below(p)
     return basis
@@ -299,16 +283,14 @@ def _kernel_mod(matrix: list[list[int]], ncols: int, p: int, pivots: list[tuple[
     return basis
 
 
-def _eliminate(matrix: list[list[int]], ncols: int, p: int, above: Iterable[tuple | None] = (),
-               seen: int = 0) -> tuple[list[tuple[int, int]], list]:
+def _eliminate(matrix: list[list[int]], ncols: int, p: int) -> tuple[list[tuple[int, int]], list]:
     """Gaussian elimination mod p, pivots taken column by column, left to right.
 
     `_echelon`'s steps on the entries reduced mod p, read by `_factors`.
-    The first `seen` rows may be eliminated already, as the steps `above`.
     """
     bits = _field_width(ncols, p)
-    rows = (_pack([x % p for x in row], bits) for row in matrix[seen:])
-    return _factors(list(_echelon(rows, ncols, bits, p, above, seen)), len(matrix), p)
+    rows = (_pack([x % p for x in row], bits) for row in matrix)
+    return _factors(list(_echelon(rows, ncols, bits, p)), len(matrix), p)
 
 
 def _factors(steps: list[tuple | None], nrows: int, p: int) -> tuple[list[tuple[int, int]], list]:
@@ -342,8 +324,7 @@ def _factors(steps: list[tuple | None], nrows: int, p: int) -> tuple[list[tuple[
     return pivots, factors
 
 
-def _echelon(rows: Iterable[int], ncols: int, bits: int, p: int,
-             above: Iterable[tuple | None] = (), seen: int = 0) -> Iterator[tuple | None]:
+def _echelon(rows: Iterable[int], ncols: int, bits: int, p: int) -> Iterator[tuple | None]:
     """Gaussian elimination mod p of packed rows: one step per column, drawn lazily.
 
     A step is None where every row is 0 mod p at the column.  Otherwise it
@@ -359,50 +340,34 @@ def _echelon(rows: Iterable[int], ncols: int, bits: int, p: int,
     before, its lead added to each step's leads, so rows past the last pivot
     are never read, and each step's leads cover the rows read so far.  A
     None step reads them all.
-
-    `above` continues an elimination whose steps, one for every column, are
-    drawn already, on `seen` rows that come before these.  Where it has a
-    pivot, these rows follow it; where it has none, they are searched for
-    one.  The steps are those of eliminating all the rows together, with
-    positions and leads counted over them all: the rows above are 0 mod p
-    wherever they have no pivot, so these rows' pivots leave them as they
-    are.  (Where `above` left rows unread, it has a pivot at every column,
-    so none of these rows is a pivot and their leads are never looked up.)
     """
     mask = (1 << bits) - 1
-    above, unread = iter(above), iter(rows)
+    unread = iter(rows)
     active: list[int] = []  # the rows read and not yet pivots, through every step
     drawn: list[tuple[list[int], int]] = []  # each pivot step's leads and scaled pivot row
     for col in range(ncols):
         leads = [(row & mask) % p for row in active]
-        step = next(above, None)
-        if step is not None:  # a pivot among the rows above
-            at, pivot, inverse, leads_above = step
-            seen -= 1
-            step = (at, pivot, inverse, leads_above + leads)
-        else:
-            at = next((n for n, f in enumerate(leads) if f), None)
-            while at is None and (row := next(unread, None)) is not None:
-                # a None step reads every row, so the steps before this one are pivots
-                for earlier, scaled in drawn:
-                    earlier.append(f := (row & mask) % p)
-                    row = (row >> bits) + f * scaled
-                active.append(row)
-                leads.append(f := (row & mask) % p)
-                if f:
-                    at = len(active) - 1
-            if at is None:
-                yield None
-                active = [row >> bits for row in active]
-                continue
-            top = active.pop(at)
-            del leads[at]
-            pivot = [(top >> k * bits & mask) % p for k in range(ncols - col)]
-            inverse = pow(pivot[0], -1, p)
-            step = (seen + at, pivot, inverse, [0] * seen + leads)
-        scaled = _pack([-x * inverse % p for x in pivot[1:ncols - col]], bits)
-        drawn.append((step[3], scaled))
-        yield step
+        at = next((n for n, f in enumerate(leads) if f), None)
+        while at is None and (row := next(unread, None)) is not None:
+            # a None step reads every row, so the steps before this one are pivots
+            for earlier, scaled in drawn:
+                earlier.append(f := (row & mask) % p)
+                row = (row >> bits) + f * scaled
+            active.append(row)
+            leads.append(f := (row & mask) % p)
+            if f:
+                at = len(active) - 1
+        if at is None:
+            yield None
+            active = [row >> bits for row in active]
+            continue
+        top = active.pop(at)
+        del leads[at]
+        pivot = [(top >> k * bits & mask) % p for k in range(ncols - col)]
+        inverse = pow(pivot[0], -1, p)
+        scaled = _pack([-x * inverse % p for x in pivot[1:]], bits)
+        drawn.append((leads, scaled))
+        yield at, pivot, inverse, leads
         active = [(row >> bits) + f * scaled for row, f in zip(active, leads)]
 
 

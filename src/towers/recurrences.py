@@ -16,11 +16,11 @@ through the degree block the search has reached.  A shape whose system has
 full column rank mod p has full column rank over Q too (a minor nonzero
 mod p is nonzero), so its exact kernel is empty and the shape is skipped
 unsolved.  The exact kernel of a shape that is not skipped is lifted from
-the same elimination's pivots, continued over the rows it did not see,
-and its basis is read back in the column order the exact search uses.
-The result is the one the exact search alone returns: an unlucky prime, or
-terms that all vanish mod p, only cost the exact kernels the filter could
-not rule out.
+the same elimination's pivots, and from a whole elimination of its system
+only if the rows the filter did not read add a pivot; its basis is read
+back in the column order the exact search uses.  The result is the one the
+exact search alone returns: an unlucky prime, or terms that all vanish mod
+p, only cost the exact kernels the filter could not rule out.
 
 A recurrence can also be derived from a minimal polynomial
 (`derive_recurrence`); `series.plain_series` unrolls one to deep orders.
@@ -33,11 +33,11 @@ p_j(n) are tabulated over the whole range by finite differences
 is one inner product.  Terms may be ints or integer-valued
 `decimal.Decimal`s, as every `Sequence`'s: guessing converts them to int
 once, on entry, and unrolling and verifying run in an exact context that
-raises on any rounding.  Decimal terms make
-writing the result as decimal digits linear in their length, where
-CPython's int-to-str is quadratic.  `extended_terms` yields the same terms as
-`extend_sequence` a window at a time, so a writer that takes them one by
-one holds a window of terms, not all of them.
+raises on any rounding.  Decimal terms make writing the result as decimal
+digits linear in their length, where CPython's int-to-str is quadratic.
+`extended_terms` yields the same terms as `extend_sequence` a window at a
+time, so a writer that takes them one by one holds a window of terms, not
+all of them.
 
 `Sequence` lives in `model` and is re-exported here, so reading or
 writing a sequence file runs none of this module.
@@ -54,8 +54,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from .errors import (ConsistencyError, InconsistentRecurrenceError, InsufficientTermsError,
                      SingularRecurrenceError)
 from .model import Sequence, Value
-from .polynomials import (_PRIME, IntPoly, _echelon, _field_width, _pack, _Pivoted, h_mul,
-                          h_prem, integer_kernel, primitive_part, without_content)
+from .polynomials import (_PRIME, IntPoly, _echelon, _field_width, _pack, h_mul, h_prem,
+                          integer_kernel, primitive_part, without_content)
 
 if TYPE_CHECKING:
     from .series import TruncatedSeries
@@ -93,7 +93,9 @@ _WINDOW = 64
 
 # Shapes are ruled out by rank modulo the prime the kernel starts from, the
 # largest below 2**30, using this many rows beyond the widest system's
-# column count.
+# column count.  Taking every row, so that the kernel never eliminates its
+# system again, made guesses on long inputs 2-3x slower: {1,2} towers at 600
+# terms went 5 -> 15 ms.
 _EXTRA_ROWS = 8
 
 
@@ -159,9 +161,10 @@ def guess_recurrence(
             system = systems.pop(r, None) or _Elimination(s, r, max_degree, guard)
             if total - r < max_degree:  # kept while a later total asks about it
                 systems[r] = system
-            if None not in system.through(total - r):
+            steps = system.through(total - r)
+            if None not in steps:
                 continue  # full column rank mod p, so over Q: no kernel to find
-            rec = _candidate(s, r, total - r, guard, system)
+            rec = _candidate(s, r, total - r, guard, steps)
             if rec is not None:
                 return rec
     return None
@@ -185,7 +188,7 @@ class _Elimination:
         self.width = width = r + 1
         ncols = width * (max_degree + 1)
         bits = _field_width(ncols, p)
-        self.rows = rows = min(len(s) - r - guard, ncols + _EXTRA_ROWS)
+        rows = min(len(s) - r - guard, ncols + _EXTRA_ROWS)
         residues = _pack([t % p for t in s.terms[: rows + r]], bits)
         blocks = range(0, ncols * bits, width * bits)  # where each degree block starts
 
@@ -209,12 +212,12 @@ class _Elimination:
 
 
 def _candidate(s: Sequence, r: int, d: int, guard: int,
-               system: _Elimination | None = None) -> Recurrence | None:
+               steps: list | None = None) -> Recurrence | None:
     """The first recurrence of shape (r, d) in the exact kernel's basis that verifies.
 
     The system has its columns in degree blocks, as `_Elimination`'s, and
-    its kernel starts from that elimination's pivots when one is given.
-    The basis is then read in the order j, then e, of the columns.
+    its kernel starts from the `steps` of that elimination when they are
+    given.  The basis is then read in the order j, then e, of the columns.
     """
     rows = len(s) - r - guard
     ns = range(s.offset, s.offset + rows)
@@ -223,11 +226,9 @@ def _candidate(s: Sequence, r: int, d: int, guard: int,
         powers.append(list(map(operator.mul, powers[-1], ns)))
     matrix = list(zip(*(map(operator.mul, s.terms[j:j + rows], power)
                         for power in powers for j in range(r + 1))))
-    if system is not None:
-        matrix = _Pivoted(matrix, system.through(d), system.rows)
     held_out = Sequence(s.offset + rows, s.terms[rows:])  # the windows the system left out
     j_major = [e * (r + 1) + j for j in range(r + 1) for e in range(d + 1)]
-    for vec in _reordered(integer_kernel(matrix), j_major):
+    for vec in _reordered(integer_kernel(matrix, steps), j_major):
         polys = tuple(IntPoly(vec[j::r + 1]) for j in range(r + 1))
         if polys[-1].is_zero:
             continue

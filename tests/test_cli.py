@@ -1,3 +1,4 @@
+import argparse
 import errno
 import hashlib
 import io
@@ -38,6 +39,18 @@ def test_guess_help_names_the_default_bounds(capsys):
     assert "--max-order MAX_ORDER largest order (default: 5)" in out
     assert "--max-degree MAX_DEGREE largest degree (default: 6)" in out
     assert "--guard GUARD held-out terms (default: 10)" in out
+
+
+def test_every_option_with_a_default_names_it():
+    """`--help` names every default but None, False (a flag left off) and -h's SUPPRESS."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    unnamed = [
+        f"{command} {action.option_strings[0]}"
+        for command, parser in sub.choices.items() for action in parser._actions
+        if action.default not in (None, False, argparse.SUPPRESS)
+        and f"(default: {action.default})" not in (action.help or "")
+    ]
+    assert unnamed == []
 
 
 def test_series_by_pieces_noalign(capsys):

@@ -232,33 +232,21 @@ def test_kernel_from_the_steps_of_its_first_rows_equals_the_bareiss_reference(ca
     matrix, dimension = case
     seen = data.draw(st.integers(0, len(matrix)))
     extra = data.draw(st.lists(st.integers(0, PRIME - 1), max_size=3))
-    pivoted = polynomials._Pivoted(matrix, steps_on_first_rows(matrix, seen, extra), seen)
-    kernel = integer_kernel(pivoted)
+    kernel = integer_kernel(matrix, steps_on_first_rows(matrix, seen, extra))
     assert kernel == bareiss_kernel(matrix)
     assert len(kernel) == dimension
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=kernel_cases(), data=st.data())
-def test_continued_elimination_equals_the_whole_one(case, data):
-    matrix, _ = case
-    ncols = len(matrix[0])
-    seen = data.draw(st.integers(0, len(matrix)))
-    steps = steps_on_first_rows(matrix, seen, data.draw(st.lists(st.integers(0, PRIME - 1))))
-    continued = polynomials._eliminate(matrix, ncols, PRIME, steps, seen)
-    assert continued == list_eliminate(matrix, ncols, PRIME)
-
-
-def test_a_kernel_lifted_from_some_rows_continues_over_the_others(monkeypatch):
+def test_a_kernel_lifted_from_some_rows_falls_back_to_the_whole_matrix(monkeypatch):
     # the first two rows leave columns 1 and 2 free; the third has a pivot at 2
     matrix = [[1, 2, 3], [2, 4, 6], [0, 0, 1]]
-    pivoted = polynomials._Pivoted(matrix, steps_on_first_rows(matrix, 2, []), 2)
-    seen = []
+    eliminated = []
     eliminate = polynomials._eliminate
-    monkeypatch.setattr(polynomials, "_eliminate",
-                        lambda *args: seen.append(args[3:]) or eliminate(*args))
-    assert integer_kernel(pivoted) == [[-2, 1, 0]] == bareiss_kernel(matrix)
-    assert seen == [(pivoted.steps, 2)]  # no elimination from the first row
+    monkeypatch.setattr(polynomials, "_eliminate", lambda matrix, ncols, p: eliminated.append(
+        (len(matrix), ncols, p)) or eliminate(matrix, ncols, p))
+    steps = steps_on_first_rows(matrix, 2, [])
+    assert integer_kernel(matrix, steps) == [[-2, 1, 0]] == bareiss_kernel(matrix)
+    assert eliminated == [(3, 3, PRIME)]  # once, the whole matrix, at the first prime
 
 
 @settings(max_examples=150, deadline=None)

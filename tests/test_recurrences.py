@@ -571,9 +571,9 @@ def exact_eliminations(monkeypatch):
     calls = []
     kernel = recurrences.integer_kernel
 
-    def counting(matrix):
+    def counting(matrix, steps=None):
         calls.append(len(matrix[0]))
-        return kernel(matrix)
+        return kernel(matrix, steps)
 
     monkeypatch.setattr(recurrences, "integer_kernel", counting)
     return calls
@@ -602,30 +602,33 @@ def test_filter_leaves_the_trimer_recurrence_to_one_exact_elimination(exact_elim
 
 @pytest.fixture
 def openings(monkeypatch):
-    """(ncols, seen, read, drawn) for every modular elimination opened, in order.
+    """(by, ncols, p, read, drawn) for every modular elimination opened, in order.
 
-    `seen` is the number of rows an elimination continues from (0 if it
-    starts afresh), `read` the number of its own rows it has read, and
-    `drawn` lists each step drawn, True where it is None.
+    `by` is "filter" for a guessing filter's and "kernel" for an exact
+    kernel's own, `read` the number of rows it has read, and `drawn` lists
+    each step drawn, True where it is None.
     """
     opened = []
     echelon = polynomials._echelon
 
-    def counting(rows, ncols, bits, p, above=(), seen=0):
-        read, drawn = [0], []
-        opened.append((ncols, seen, read, drawn))
+    def counting(by):
+        def opening(rows, ncols, bits, p):
+            read, drawn = [0], []
+            opened.append((by, ncols, p, read, drawn))
 
-        def reading():
-            for row in rows:
-                read[0] += 1
-                yield row
+            def reading():
+                for row in rows:
+                    read[0] += 1
+                    yield row
 
-        for step in echelon(reading(), ncols, bits, p, above, seen):
-            drawn.append(step is None)
-            yield step
+            for step in echelon(reading(), ncols, bits, p):
+                drawn.append(step is None)
+                yield step
 
-    monkeypatch.setattr(recurrences, "_echelon", counting)
-    monkeypatch.setattr(polynomials, "_echelon", counting)
+        return opening
+
+    monkeypatch.setattr(recurrences, "_echelon", counting("filter"))
+    monkeypatch.setattr(polynomials, "_echelon", counting("kernel"))
     return opened
 
 
@@ -642,29 +645,28 @@ def test_the_trimer_guess_draws_only_the_blocks_it_asks_about(openings):
     # order r has 7(r+1) columns and 7(r+1) + 8 rows; the guess ends at total 5 on
     # order 2, so orders 1 and 2 are drawn through block 5 - r, and 3 and 4 through
     # 4 - r; the None at order 2's last column reads all of its rows
-    assert [(ncols, seen, read[0]) for ncols, seen, read, _ in openings] == [
-        (14, 0, 10), (21, 0, 29), (28, 0, 8), (35, 0, 5)]
+    assert [(by, ncols, read[0]) for by, ncols, _, read, _ in openings] == [
+        ("filter", 14, 10), ("filter", 21, 29), ("filter", 28, 8), ("filter", 35, 5)]
     assert [drawn for *_, drawn in openings] == [
         [False] * 10, [False] * 11 + [True], [False] * 8, [False] * 5]
 
 
 @pytest.mark.parametrize("pieces", VERIFY_SETS, ids=lambda p: f"{p.sizes}-{p.rule.value}")
 def test_verify_guesses_eliminate_each_row_once(pieces, openings):
-    """Each order opens one elimination from its first row, and an exact candidate
-    only continues it over the rows that elimination did not see."""
+    """Each order opens one filter, and every exact kernel but one lifts straight
+    from its steps.  {3} towers' (3, 5) candidate, whose filter's first 32 rows
+    leave two columns free, eliminates its 60 - 5 - 3 rows again at the first
+    prime, once; their 36th gives the last pivot, so the shape has no kernel."""
     family = series_family(pieces, 60)
     for shape in (Shape.HALF_PYRAMID, Shape.PYRAMID, Shape.TOWER):
         seq = sequence_from_series(family[shape])
         openings.clear()
         guess_recurrence(seq, 7, 5, 5)
-        fresh = [ncols for ncols, seen, _, _ in openings if not seen]
-        assert fresh == [6 * (r + 1) for r in range(1, len(fresh) + 1)]  # order r's filter
-        # order r's system has 60 - 5 - r rows, of which its filter takes the first
-        # 6(r+1) + 8 at most
-        order_of = {min(55 - r, 6 * (r + 1) + 8): r for r in range(1, 8)}
-        for _, seen, read, _ in openings:
-            if seen:  # the rows the order's filter left out, and no other
-                assert seen + read[0] <= 55 - order_of[seen]
+        filters = [ncols for by, ncols, *_ in openings if by == "filter"]
+        assert filters == [6 * (r + 1) for r in range(1, len(filters) + 1)]  # order r's
+        wholes = [(ncols, p, read[0]) for by, ncols, p, read, _ in openings if by == "kernel"]
+        assert wholes == ([(4 * 6, PRIME, 36)] if (pieces, shape) == (PieceSet.of(3), Shape.TOWER)
+                          else [])
 
 
 # Sequences whose first shape the filter cannot rule out has a kernel of
@@ -684,7 +686,8 @@ def test_wide_first_kernels_give_the_exact_search_guess(case, monkeypatch):
     dimensions = []
     kernel = recurrences.integer_kernel
     monkeypatch.setattr(recurrences, "integer_kernel",
-                        lambda matrix: dimensions.append(len(basis := kernel(matrix))) or basis)
+                        lambda matrix, steps=None: dimensions.append(
+                            len(basis := kernel(matrix, steps))) or basis)
     assert guess_recurrence(seq, max_order, max_degree, guard) == exhaustive_guess(
         seq, max_order, max_degree, guard)
     assert dimensions == [3]
